@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -66,6 +67,17 @@ _Q_FORMULAS = {
     Formula.MIXED_Q,
     Formula.DIGAMMA_HALF_SUM,
 }
+#: formulas that take the rational shift --x
+_X_FORMULAS = {
+    Formula.HASSE,
+    Formula.HASSE_HURWITZ,
+    Formula.ALT_HURWITZ,
+    Formula.EULER_HURWITZ,
+    Formula.STIRLING_ROUTE,
+    Formula.MIXED_Q,
+    Formula.POLYLOG_14_3,
+    Formula.POLYLOG_14_4,
+}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -78,7 +90,10 @@ def _parse_s(text: str):
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        s = float(text)
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {text!r}")
+    return s
 
 
 def _fmt_real(v, digits: int) -> str:
@@ -127,6 +142,13 @@ def _make_request(args) -> EvalRequest:
         formula = Formula(args.formula)
     except ValueError:
         raise ValueError(f"unknown formula {args.formula!r}; see --help for the list")
+    for flag, value, takers in (
+        ("s", args.s, _S_FORMULAS),
+        ("q", args.q, _Q_FORMULAS),
+        ("x", args.x, _X_FORMULAS),
+    ):
+        if value is not None and formula not in takers:
+            raise ValueError(f"{formula.value} takes no --{flag}")
     s_or_q = None
     if formula in _S_FORMULAS:
         if args.s is None:
@@ -265,6 +287,7 @@ def cmd_verify(args, out) -> int:
     overrides = {
         "n_max": args.n_max,
         "q_max": args.q_max,
+        "m_max": args.m_max,
         "x": args.x,
         "terms": args.terms,
     }
@@ -378,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--id", help="single identity id")
     pv.add_argument("--n-max", dest="n_max", type=int)
     pv.add_argument("--q-max", dest="q_max", type=int)
+    pv.add_argument("--m-max", dest="m_max", type=int)
     pv.add_argument("--x")
     pv.add_argument("--terms", type=int)
     pv.add_argument("--format", choices=["text", "json"], default="text")

@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -33,6 +33,7 @@ __all__ = [
     "stirling1_row",
     "stirling1_closed",
     "stirling1_bell",
+    "stirling1_bell_row",
     "falling_factorial_coeffs",
     "log_power_coeffs",
     "log_to_exp_series",
@@ -246,23 +247,36 @@ def stirling1_closed(n: int, k: int) -> int:
     return val.numerator
 
 
-def stirling1_bell(n: int, r: int) -> int:
-    """s(n+1, r+1) via the Bell polynomial of signed harmonic numbers.
+def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
+    """s(n+1, r+1) for r = 0..r_max (default n) via one Bell recurrence.
 
     s(n+1, r+1) = (-1)^(n+r) (n!/r!) Y_r(H_n, -1! H_n^(2), ..., (-1)^(r-1) (r-1)! H_n^(r));
-    r > n returns 0, matching s(n,k) = 0 above the diagonal.
+    the arguments of every Y_r are prefixes of one list, so a single
+    bell_eval_all pass yields the whole row.
     """
     from .harmonic import H
 
+    if r_max is None:
+        r_max = n
+    if n < 0 or r_max < 0 or r_max > n:
+        raise DomainError("need n >= 0 and 0 <= r_max <= n")
+    args = [(-1) ** (m - 1) * math.factorial(m - 1) * H(n, m) for m in range(1, r_max + 1)]
+    row = []
+    for r, y in enumerate(bell_eval_all(args)):
+        val = Fraction((-1) ** (n + r) * Fraction(math.factorial(n), math.factorial(r)) * y)
+        assert val.denominator == 1, "Bell form of s(n+1,r+1) must be an integer"
+        row.append(val.numerator)
+    return row
+
+
+def stirling1_bell(n: int, r: int) -> int:
+    """s(n+1, r+1) via the Bell polynomial of signed harmonic numbers;
+    r > n returns 0, matching s(n,k) = 0 above the diagonal."""
     if n < 0 or r < 0:
         raise DomainError("n and r must be >= 0")
     if r > n:
         return 0
-    args = [(-1) ** (m - 1) * math.factorial(m - 1) * H(n, m) for m in range(1, r + 1)]
-    y = bell_eval(args)
-    val = Fraction((-1) ** (n + r) * Fraction(math.factorial(n), math.factorial(r)) * y)
-    assert val.denominator == 1, "Bell form of s(n+1,r+1) must be an integer"
-    return val.numerator
+    return stirling1_bell_row(n, r)[-1]
 
 
 def falling_factorial_coeffs(n: int) -> PowerSeriesCoeffs:

@@ -138,9 +138,6 @@ class PrecisionContext:
         """Internal mpmath working precision (guard digits included)."""
         return self.digits + _GUARD_DIGITS
 
-    def workdps(self) -> Iterator[None]:
-        return working_precision(self.dps)
-
     def real(self, value) -> Real:
         """Round an exact or textual quantity into this context's float type."""
         if self.mode is Mode.FAST:
@@ -162,11 +159,6 @@ class PrecisionContext:
             return math.log(value)
         with working_precision(self.dps):
             return mpmath.ln(self.real(value))
-
-    def is_finite(self, value) -> bool:
-        if isinstance(value, float):
-            return math.isfinite(value)
-        return bool(mpmath.isfinite(value))
 
 
 @dataclass(frozen=True)

@@ -943,7 +943,8 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_{n=0}^{N-1} psi(n + 1/2) / (2n+1)^power for power in {2, 4}.
 
     psi(n + 1/2) = -gamma - 2 log 2 + H_n(1/2) with the shifted harmonic
-    number kept exactly rational and rounded once per term.
+    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a compensated sum
+    of the context's real type.
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
@@ -951,13 +952,14 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     def run() -> SeriesResult:
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
         acc = NeumaierSum(ctx.zero())
-        hx = Fraction(0)
+        hx = NeumaierSum(ctx.zero())
+        two = ctx.real(2)
         term = ctx.zero()
         for n in range(N):
-            term = (psi0 + ctx.real(hx)) / (2 * n + 1) ** power
+            term = (psi0 + hx.total) / (2 * n + 1) ** power
             acc.add(term)
-            hx += Fraction(2, 2 * n + 1)
-        c = float(psi0 + ctx.real(hx)) - math.log(N) if N > 1 else 1.0
+            hx.add(two / (2 * n + 1))
+        c = float(psi0 + hx.total) - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
         return _finish(ctx, acc, N, tail)
 

@@ -105,6 +105,53 @@ class TestEval:
         assert "digits=22" in out
 
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_s_usage_error(self, capsys, value):
+        code, _, err = run_cli(
+            capsys, "eval", "--formula", "hasse", f"--s={value}", "--terms", "10"
+        )
+        assert code == 2
+        assert "s must be finite" in err
+
+    @pytest.mark.parametrize(
+        "command, formula, param",
+        [
+            ("eval", "sondow-alt", ("--s", "1")),
+            ("eval", "shen", ("--q", "2")),
+            ("eval", "catalan-ramanujan", ()),
+            ("eval", "catalan-central", ()),
+            ("eval", "zeta2-dup", ()),
+            ("eval", "zeta3-half", ()),
+            ("eval", "digamma-half-sum", ("--q", "2")),
+            ("converge", "shen", ("--q", "2")),
+        ],
+    )
+    def test_shift_on_unshifted_formula(self, capsys, command, formula, param):
+        terms = "10,20" if command == "converge" else "10"
+        code, out, err = run_cli(
+            capsys, command, "--formula", formula, *param, "--x", "1/2", "--terms", terms
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{formula} takes no --x" in err
+
+    def test_s_on_q_formula(self, capsys):
+        code, _, err = run_cli(
+            capsys, "eval", "--formula", "euler-hurwitz", "--q", "2", "--s", "2",
+            "--terms", "10",
+        )
+        assert code == 2
+        assert "euler-hurwitz takes no --s" in err
+
+    def test_q_on_s_formula(self, capsys):
+        code, _, err = run_cli(
+            capsys, "converge", "--formula", "sondow-alt", "--s", "2", "--q", "2",
+            "--terms", "10,20",
+        )
+        assert code == 2
+        assert "sondow-alt takes no --q" in err
+
+
 class TestConverge:
     def test_csv_header_and_exponent(self, capsys):
         code, out, _ = run_cli(
@@ -169,6 +216,15 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "fail=0" in out.splitlines()[-1]
+
+    def test_m_max_override(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--id", "fs_4_general", "--n-max", "5", "--m-max", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "identities=1, reports=15, pass=15, fail=0, skip=0"
+        )
 
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "no_such")

@@ -84,6 +84,22 @@ class TestRunIdentity:
         assert all(r.status == "PASS" for r in reports)
         assert "abs_error" in reports[0].detail
 
+    def test_adamchik_cross_forms_checked(self, monkeypatch):
+        from ehz import harmonic
+
+        real = harmonic.alt_binom_sum
+
+        def off_by_one(n, m):
+            return real(n, m) + (1 if n == 7 else 0)
+
+        monkeypatch.setattr(harmonic, "alt_binom_sum", off_by_one)
+        reports = verify.run_identity("adamchik_7_3", {"n_max": 10})
+        assert len(reports) == 10
+        failed = [r for r in reports if r.status == "FAIL"]
+        assert [r.params for r in failed] == [{"n": "7"}]
+        assert failed[0].detail == "cross-forms disagree"
+        assert failed[0].rhs.startswith("-2S_n(3)=")
+
     def test_report_order_is_deterministic(self):
         a = verify.run_identity("larcombe_16_2", {"n_max": 5})
         b = verify.run_identity("larcombe_16_2", {"n_max": 5})

@@ -309,6 +309,31 @@ class TestDigamma:
         with pytest.raises(nu.DomainError):
             zs.digamma_half_sum(3, 10, FAST)
 
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["FAST", "HIGH"])
+    @pytest.mark.parametrize("power", [2, 4])
+    def test_matches_exact_harmonic_reference(self, ctx, power):
+        # reference: H_n(1/2) kept as an exact Fraction, rounded once per term
+        N = 2000
+
+        def reference():
+            psi0 = -nu.const_gamma(ctx) - 2 * nu.const_log2(ctx)
+            acc = nu.NeumaierSum(ctx.zero())
+            hx = F(0)
+            for n in range(N):
+                acc.add((psi0 + ctx.real(hx)) / (2 * n + 1) ** power)
+                hx += F(2, 2 * n + 1)
+            return acc.total
+
+        if ctx.mode is Mode.HIGH:
+            with nu.working_precision(ctx.dps):
+                ref = reference()
+        else:
+            ref = reference()
+        value = zs.digamma_half_sum(power, N, ctx).value
+        assert type(value) is type(ref)
+        assert value == ref
+        assert repr(value) == repr(ref)
+
 
 class TestConvergenceTable:
     def test_euler_hurwitz_unit_exponent(self):
