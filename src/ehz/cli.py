@@ -37,6 +37,7 @@ from .numerics import (
 )
 from .verify import Profile, run_all, run_identity, summarize
 from .zeta_series import (
+    FORMULAS,
     EvalRequest,
     Formula,
     convergence_table,
@@ -50,40 +51,13 @@ NUMERIC_ERROR = 3
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
-#: formulas whose parameter is the real exponent --s
-_S_FORMULAS = {
-    Formula.HASSE,
-    Formula.HASSE_HURWITZ,
-    Formula.SONDOW_ALT,
-    Formula.ALT_HURWITZ,
-    Formula.POLYLOG_14_3,
-    Formula.POLYLOG_14_4,
-}
-#: formulas whose parameter is the integer order --q
-_Q_FORMULAS = {
-    Formula.EULER_HURWITZ,
-    Formula.STIRLING_ROUTE,
-    Formula.SHEN,
-    Formula.MIXED_Q,
-    Formula.DIGAMMA_HALF_SUM,
-}
-#: formulas that take the rational shift --x
-_X_FORMULAS = {
-    Formula.HASSE,
-    Formula.HASSE_HURWITZ,
-    Formula.ALT_HURWITZ,
-    Formula.EULER_HURWITZ,
-    Formula.STIRLING_ROUTE,
-    Formula.MIXED_Q,
-    Formula.POLYLOG_14_3,
-    Formula.POLYLOG_14_4,
-}
-
-
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a p/q rational: {text!r} (decimals are rejected)")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("x must be p/q with q ≠ 0") from None
 
 
 def _parse_s(text: str):
@@ -142,22 +116,20 @@ def _make_request(args) -> EvalRequest:
         formula = Formula(args.formula)
     except ValueError:
         raise ValueError(f"unknown formula {args.formula!r}; see --help for the list")
-    for flag, value, takers in (
-        ("s", args.s, _S_FORMULAS),
-        ("q", args.q, _Q_FORMULAS),
-        ("x", args.x, _X_FORMULAS),
+    spec = FORMULAS[formula]
+    for flag, value, takes in (
+        ("s", args.s, spec.param == "s"),
+        ("q", args.q, spec.param == "q"),
+        ("x", args.x, spec.takes_x),
     ):
-        if value is not None and formula not in takers:
+        if value is not None and not takes:
             raise ValueError(f"{formula.value} takes no --{flag}")
     s_or_q = None
-    if formula in _S_FORMULAS:
-        if args.s is None:
-            raise ValueError(f"{formula.value} requires --s")
-        s_or_q = _parse_s(args.s)
-    elif formula in _Q_FORMULAS:
-        if args.q is None:
-            raise ValueError(f"{formula.value} requires --q")
-        s_or_q = int(args.q)
+    if spec.param is not None:
+        value = getattr(args, spec.param)
+        if value is None:
+            raise ValueError(f"{formula.value} requires --{spec.param}")
+        s_or_q = _parse_s(value) if spec.param == "s" else value
     x = _parse_rational(args.x) if args.x is not None else None
     ctx = _build_context(args, args.terms)
     return EvalRequest(formula=formula, s_or_q=s_or_q, x=x, N=args.terms, ctx=ctx)
@@ -176,7 +148,7 @@ def cmd_eval(args, out) -> int:
         _emit(f"numeric error: {exc}", sys.stderr)
         return NUMERIC_ERROR
     d = req.ctx.digits
-    param_key = "s" if req.formula in _S_FORMULAS else "q"
+    param_key = FORMULAS[req.formula].param or "q"  # the key is printed even when empty
     fields = [
         ("formula", req.formula.value),
         (param_key, str(req.s_or_q) if req.s_or_q is not None else ""),
@@ -188,14 +160,10 @@ def cmd_eval(args, out) -> int:
         ("tail_estimate", _fmt_real(float(res.tail_estimate), d)),
     ]
     if ref is not None:
-        if req.ctx.mode is Mode.HIGH:
-            with working_precision(req.ctx.dps):
-                err = abs(res.value - ref)
-            err_str = _fmt_real(err, 8)
-        else:
-            err_str = repr(abs(float(res.value) - float(ref)))
+        with req.ctx.scope():
+            err = abs(res.value - ref)
         fields.append(("reference", _fmt_real(ref, d)))
-        fields.append(("abs_error", err_str))
+        fields.append(("abs_error", _fmt_real(err, 8)))
     if args.format == "json":
         payload = {
             "command": "eval",
@@ -224,8 +192,7 @@ def cmd_converge(args, out) -> int:
         budgets = [int(t) for t in args.terms.split(",") if t]
         if not budgets:
             raise ValueError("--terms requires N1,N2,...")
-        args_terms_max = max(budgets)
-        args.terms = args_terms_max  # context sizing uses the largest budget
+        args.terms = max(budgets)  # context sizing uses the largest budget
         req = _make_request(args)
     except (ValueError, KeyError) as exc:
         _emit(f"error: {exc}", sys.stderr)
@@ -294,10 +261,16 @@ def cmd_verify(args, out) -> int:
     try:
         if args.x is not None:
             _parse_rational(args.x)
+        if args.id is not None and args.all:
+            raise ValueError("verify takes --all or --id, not both")
         if args.id is not None:
-            reports = run_identity(args.id, overrides)
+            profile = Profile(args.profile or "full")
+            reports = run_identity(args.id, overrides, profile)
         elif args.all:
-            profile = Profile(args.profile)
+            given = ["--" + k.replace("_", "-") for k, v in overrides.items() if v is not None]
+            if given:
+                raise ValueError(f"--all takes no {', '.join(given)}; sweep overrides need --id")
+            profile = Profile(args.profile or "quick")
             reports = run_all(profile)
         else:
             _emit("error: verify requires --all or --id", sys.stderr)
@@ -312,7 +285,7 @@ def cmd_verify(args, out) -> int:
             "params": {
                 "id": args.id or "",
                 "all": bool(args.all),
-                "profile": args.profile,
+                "profile": profile.value,
             },
             "reports": [r.to_dict() for r in reports],
             "version": __version__,
@@ -363,8 +336,15 @@ def cmd_constants(args, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def _formula_names() -> List[str]:
-    return [f.value for f in Formula]
+def _formula_help() -> str:
+    """Each formula with the flags it takes, read from the formula table."""
+    items = []
+    for formula, spec in FORMULAS.items():
+        flags = [f"--{spec.param}"] if spec.param else []
+        if spec.takes_x:
+            flags.append("--x")
+        items.append(f"{formula.value} ({' '.join(flags)})" if flags else formula.value)
+    return ", ".join(items)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     pe = sub.add_parser("eval", help="evaluate one series")
-    pe.add_argument("--formula", required=True, help=", ".join(_formula_names()))
+    pe.add_argument("--formula", required=True, help=_formula_help())
     pe.add_argument("--s", help="real exponent (for the s-family formulas)")
     pe.add_argument("--q", type=int, help="integer order (for the q-family formulas)")
     pe.add_argument("--x", help="rational shift as p/q (decimals rejected)")
@@ -397,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run identity checks")
     pv.add_argument("--all", action="store_true")
-    pv.add_argument("--profile", choices=["quick", "full"], default="quick")
+    pv.add_argument(
+        "--profile",
+        choices=["quick", "full"],
+        help="sweep sizes (default: quick with --all, full with --id)",
+    )
     pv.add_argument("--id", help="single identity id")
     pv.add_argument("--n-max", dest="n_max", type=int)
     pv.add_argument("--q-max", dest="q_max", type=int)

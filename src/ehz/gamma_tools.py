@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import List
 
 import mpmath
-from mpmath import mpf
 
 from . import combinatorics
 from .harmonic import Hx
@@ -30,7 +29,6 @@ from .numerics import (
     const_log2,
     const_pi,
     const_zeta,
-    working_precision,
 )
 
 __all__ = [
@@ -114,14 +112,7 @@ def gamma_deriv_at_1(m: int, ctx: PrecisionContext) -> Real:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    if ctx.mode is Mode.FAST:
-        args = [-const_gamma(ctx)]
-        args += [
-            (-1) ** (p + 1) * math.factorial(p) * const_zeta(p + 1, ctx)
-            for p in range(1, m)
-        ]
-        return combinatorics.bell_eval(args)
-    with working_precision(ctx.dps):
+    with ctx.scope():
         args = [-const_gamma(ctx)]
         args += [
             (-1) ** (p + 1) * math.factorial(p) * const_zeta(p + 1, ctx)
@@ -138,9 +129,7 @@ def gamma_deriv_at_1_det(m: int, ctx: PrecisionContext) -> Real:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    if ctx.mode is Mode.FAST:
-        return combinatorics.det_bracket(_zeta1_bracket_args(m, ctx))
-    with working_precision(ctx.dps):
+    with ctx.scope():
         return +combinatorics.det_bracket(_zeta1_bracket_args(m, ctx))
 
 
@@ -153,8 +142,7 @@ def gamma_deriv_at_half(m: int, ctx: PrecisionContext) -> Real:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-
-    def build():
+    with ctx.scope():
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
         args = [psi0]
         args += [
@@ -165,12 +153,7 @@ def gamma_deriv_at_half(m: int, ctx: PrecisionContext) -> Real:
             for p in range(1, m)
         ]
         root_pi = math.sqrt(const_pi(ctx)) if ctx.mode is Mode.FAST else mpmath.sqrt(const_pi(ctx))
-        return root_pi * combinatorics.bell_eval(args)
-
-    if ctx.mode is Mode.FAST:
-        return build()
-    with working_precision(ctx.dps):
-        return +build()
+        return +(root_pi * combinatorics.bell_eval(args))
 
 
 def recip_gamma_lambda(j_max: int, ctx: PrecisionContext) -> List[Real]:
@@ -184,21 +167,15 @@ def recip_gamma_lambda(j_max: int, ctx: PrecisionContext) -> List[Real]:
     """
     if j_max < 1:
         raise DomainError("j_max must be >= 1")
-
-    def build(one):
+    with ctx.scope():
         g = const_gamma(ctx)
-        lam = [one]
+        lam = [ctx.real(1)]
         for n in range(1, j_max):
             acc = g * lam[n - 1]
             for j in range(0, n - 1):
                 acc += (-1) ** (n - j - 1) * const_zeta(n - j, ctx) * lam[j]
             lam.append(acc / n)
-        return lam
-
-    if ctx.mode is Mode.FAST:
-        return build(1.0)
-    with working_precision(ctx.dps):
-        return [+v for v in build(mpf(1))]
+        return [+v for v in lam]
 
 
 def wilf_asymptotic(n: int, k: int, ctx: PrecisionContext) -> Real:
@@ -210,13 +187,8 @@ def wilf_asymptotic(n: int, k: int, ctx: PrecisionContext) -> Real:
         raise DomainError("requires n >= 3 and k >= 2")
     lam = recip_gamma_lambda(k, ctx)
     ln_n = ctx.ln(n)
-    if ctx.mode is Mode.FAST:
-        total = 0.0
-        for i in range(1, k + 1):
-            total += lam[i - 1] * ln_n ** (k - i) / math.factorial(k - i)
-        return total
-    with working_precision(ctx.dps):
-        total = mpf(0)
+    with ctx.scope():
+        total = ctx.zero()
         for i in range(1, k + 1):
             total += lam[i - 1] * ln_n ** (k - i) / math.factorial(k - i)
         return +total
@@ -249,14 +221,8 @@ def loggamma_taylor(N: int, ctx: PrecisionContext) -> combinatorics.PowerSeriesC
     """
     if N < 1:
         raise DomainError("N must be >= 1")
-
-    def build(zero):
-        coeffs = [zero, -const_gamma(ctx)]
+    with ctx.scope():
+        coeffs = [ctx.zero(), -const_gamma(ctx)]
         for m in range(2, N + 1):
             coeffs.append((-1) ** m * const_zeta(m, ctx) / m)
-        return coeffs
-
-    if ctx.mode is Mode.FAST:
-        return combinatorics.PowerSeriesCoeffs(tuple(build(0.0)))
-    with working_precision(ctx.dps):
-        return combinatorics.PowerSeriesCoeffs(tuple(+c for c in build(mpf(0))))
+        return combinatorics.PowerSeriesCoeffs(tuple(+c for c in coeffs))

@@ -15,10 +15,11 @@ asserted by the verification registry.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from . import combinatorics
 from .numerics import DomainError
@@ -31,6 +32,7 @@ __all__ = [
     "alt_binom_sum_bell",
     "coppo_lhs",
     "coppo_rhs",
+    "coppo_rhs_rows",
     "coppo_sweep",
     "larcombe_check",
     "spiess_check",
@@ -177,31 +179,43 @@ def coppo_rhs(n: int, q: int, x: Fraction) -> Fraction:
     return ratio * bell_of_shifted_harmonics(q - 1, hs)
 
 
-def coppo_sweep(n_max: int, q_max: int, x: Fraction):
-    """Yield (n, q, lhs, rhs) over the full grid n <= n_max, q <= q_max.
+def coppo_rhs_rows(q_max: int, x: Fraction) -> Iterator[List[Fraction]]:
+    """Closed-form side of the Coppo identity for n = 0, 1, 2, ... (unbounded).
 
-    Same two routes as coppo_lhs / coppo_rhs, but the gamma ratio and the
-    shifted harmonic numbers are maintained incrementally across n so the
-    whole grid costs O(n_max^2 q_max) big-integer work instead of
-    recomputing every prefix.
+    Row n lists sum_k C(n,k) (-1)^k / (k+x)^q for q = 1..q_max, each as
+    [n! / (x (x+1) ... (x+n))] * (1/(q-1)!) * Y_{q-1}(0! H_{n+1}(x), ...,
+    (q-2)! H_{n+1}^(q-1)(x)).  The gamma ratio and the shifted harmonic
+    numbers are carried from row to row, so row n costs O(q_max^2)
+    big-rational operations instead of a rebuild of every prefix.  x must
+    avoid the poles 0, -1, -2, ... of the rows the caller consumes.
     """
     x = Fraction(x)
-    _check_coppo_pole(n_max, x)
     facts = [math.factorial(j) for j in range(q_max)]
     hs = [Fraction(0)] * (q_max - 1) if q_max > 1 else []
     ratio = Fraction(1)
-    for n in range(n_max + 1):
+    for n in itertools.count():
         inv = Fraction(1, 1) / (n + x)
         p = inv
         for j in range(q_max - 1):
             hs[j] += p
             p *= inv
         ratio = ratio / x if n == 0 else ratio * n / (x + n)
-        args = [facts[j] * hs[j] for j in range(q_max - 1)]
-        ys = combinatorics.bell_eval_all(args)
+        ys = combinatorics.bell_eval_all([facts[j] * hs[j] for j in range(q_max - 1)])
+        yield [Fraction(ratio * ys[q - 1] / facts[q - 1]) for q in range(1, q_max + 1)]
+
+
+def coppo_sweep(n_max: int, q_max: int, x: Fraction):
+    """Yield (n, q, lhs, rhs) over the full grid n <= n_max, q <= q_max.
+
+    lhs is the brute-force binomial sum :func:`coppo_lhs`, the independent
+    oracle; rhs comes from :func:`coppo_rhs_rows`, so the whole grid costs
+    O(n_max^2 q_max) big-integer work.
+    """
+    x = Fraction(x)
+    _check_coppo_pole(n_max, x)
+    for n, rhs in zip(range(n_max + 1), coppo_rhs_rows(q_max, x)):
         for q in range(1, q_max + 1):
-            rhs = ratio * ys[q - 1] / facts[q - 1]
-            yield n, q, coppo_lhs(n, q, x), Fraction(rhs)
+            yield n, q, coppo_lhs(n, q, x), rhs[q - 1]
 
 
 def larcombe_check(variant: int, m: int, n: int) -> Tuple[Fraction, Fraction]:

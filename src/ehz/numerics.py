@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -137,6 +137,17 @@ class PrecisionContext:
     def dps(self) -> int:
         """Internal mpmath working precision (guard digits included)."""
         return self.digits + _GUARD_DIGITS
+
+    def scope(self):
+        """The precision scope for this context's arithmetic.
+
+        ``with ctx.scope():`` holds :func:`working_precision` at ``dps`` in
+        HIGH mode and does nothing in FAST mode, so one block of code serves
+        both backplanes.
+        """
+        if self.mode is Mode.HIGH:
+            return working_precision(self.dps)
+        return nullcontext()
 
     def real(self, value) -> Real:
         """Round an exact or textual quantity into this context's float type."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional
 
 from . import combinatorics, gamma_tools, harmonic, zeta_series
-from .numerics import DomainError, Mode, PrecisionContext, const_log2, const_zeta
+from .numerics import DomainError, Mode, PrecisionContext, const_catalan, const_log2, const_zeta
 from .zeta_series import CatalanKind, EulerSumKind
 
 __all__ = ["Kind", "Profile", "Identity", "Report", "identity_ids", "run_identity", "run_all", "summarize"]
@@ -107,6 +107,7 @@ def _tol(result, target: float, factor: float = 3.0, floor_rel: float = 1e-12) -
 
 
 _FAST = PrecisionContext(30, Mode.FAST)
+_ALT_KINDS = {2: EulerSumKind.ALT2, 3: EulerSumKind.ALT3, 4: EulerSumKind.ALT4, 5: EulerSumKind.ALT5}
 
 
 # ----------------------------------------------------------------------
@@ -333,19 +334,6 @@ def _run_shen(p):
         )
 
 
-def _run_alt(s: int):
-    kind = {2: EulerSumKind.ALT2, 3: EulerSumKind.ALT3, 4: EulerSumKind.ALT4, 5: EulerSumKind.ALT5}[s]
-
-    def run(p):
-        res = zeta_series.euler_sum_partial(kind, p["terms"], _FAST)
-        target = zeta_series.euler_sum_target(kind, _FAST)
-        yield _numeric_report(
-            f"alt_{s}", {"N": str(p["terms"])}, res.value, target, _tol(res, target)
-        )
-
-    return run
-
-
 def _run_zeta_display(q: int):
     def run(p):
         res = zeta_series.euler_hurwitz(q, Fraction(1), p["terms"], _FAST)
@@ -395,7 +383,7 @@ def _run_e14_2(p):
             tol = max(6.0 / (N * 2.0**N), 1e-12 * target)
             yield _numeric_report("e14_2", {"s": "1", "N": str(N)}, total, target, tol)
             continue
-        kind = {2: EulerSumKind.ALT2, 3: EulerSumKind.ALT3}[s]
+        kind = _ALT_KINDS[s]
         res = zeta_series.euler_sum_partial(kind, N, _FAST)
         target = zeta_series.euler_sum_target(kind, _FAST)
         yield _numeric_report(
@@ -415,8 +403,6 @@ def _run_euler_sum(ident: str, kind: EulerSumKind):
 
 
 def _run_catalan_equiv(p):
-    from .numerics import const_catalan
-
     N = p["terms"]
     g = float(const_catalan(_FAST))
     a = zeta_series.catalan_series(CatalanKind.RAMANUJAN_38, N, _FAST)
@@ -435,20 +421,15 @@ def _run_catalan_equiv(p):
     )
 
 
-def _run_zeta2_37(p):
-    res = zeta_series.catalan_series(CatalanKind.ZETA2_37, p["terms"], _FAST)
-    target = const_zeta(2, _FAST)
-    yield _numeric_report(
-        "zeta2_37", {"N": str(p["terms"])}, res.value, target, _tol(res, target)
-    )
+def _run_zeta_multiple(ident: str, kind: CatalanKind, scale: int, m: int):
+    """A central-binomial series against scale * zeta(m)."""
 
+    def run(p):
+        res = zeta_series.catalan_series(kind, p["terms"], _FAST)
+        target = scale * const_zeta(m, _FAST)
+        yield _numeric_report(ident, {"N": str(p["terms"])}, res.value, target, _tol(res, target))
 
-def _run_zeta3_half(p):
-    res = zeta_series.catalan_series(CatalanKind.ZETA3_HALF_45_6, p["terms"], _FAST)
-    target = 7 * const_zeta(3, _FAST)
-    yield _numeric_report(
-        "zeta3_half_45_6", {"N": str(p["terms"])}, res.value, target, _tol(res, target)
-    )
+    return run
 
 
 def _run_digamma(power: int):
@@ -608,7 +589,7 @@ def _registry() -> List[Identity]:
             "alternating zeta from harmonic Bell brackets with 1/(n 2^n) weights",
             {"terms": 80},
             {"terms": 80},
-            _run_alt(s),
+            _run_euler_sum(f"alt_{s}", _ALT_KINDS[s]),
         )
     for q in (2, 3, 4):
         add(
@@ -654,7 +635,7 @@ def _registry() -> List[Identity]:
         "duplication-formula central-binomial series for zeta(2)",
         {"terms": 10000},
         {"terms": 1000000},
-        _run_zeta2_37,
+        _run_zeta_multiple("zeta2_37", CatalanKind.ZETA2_37, 1, 2),
     )
     add(
         "zeta3_half_45_6",
@@ -662,7 +643,7 @@ def _registry() -> List[Identity]:
         "central-binomial series for zeta(3, 1/2) = 7 zeta(3)",
         {"terms": 10000},
         {"terms": 10000},
-        _run_zeta3_half,
+        _run_zeta_multiple("zeta3_half_45_6", CatalanKind.ZETA3_HALF_45_6, 7, 3),
     )
     add(
         "digamma_48_1",
@@ -691,20 +672,27 @@ def identity_ids() -> List[str]:
     return [i.id for i in _REGISTRY]
 
 
-def _merge_overrides(base: Dict[str, object], overrides: Optional[Dict[str, object]]) -> Dict[str, object]:
+def _merge_overrides(
+    ident: str, base: Dict[str, object], overrides: Optional[Dict[str, object]]
+) -> Dict[str, object]:
+    """The sweep parameters with the given overrides applied.
+
+    Keys are n_max, q_max, m_max, terms and x (which replaces the list of
+    shifts xs); None values are ignored.  An override the identity has no
+    sweep parameter for raises ValueError.
+    """
     p = dict(base)
-    if not overrides:
-        return p
-    if overrides.get("n_max") is not None and "n_max" in p:
-        p["n_max"] = int(overrides["n_max"])
-    if overrides.get("q_max") is not None and "q_max" in p:
-        p["q_max"] = int(overrides["q_max"])
-    if overrides.get("m_max") is not None and "m_max" in p:
-        p["m_max"] = int(overrides["m_max"])
-    if overrides.get("x") is not None and "xs" in p:
-        p["xs"] = [str(overrides["x"])]
-    if overrides.get("terms") is not None and "terms" in p:
-        p["terms"] = int(overrides["terms"])
+    unknown = []
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        param = "xs" if key == "x" else key
+        if param not in p:
+            unknown.append("--" + key.replace("_", "-"))
+        else:
+            p[param] = [str(value)] if key == "x" else int(value)
+    if unknown:
+        raise ValueError(f"{ident} takes no {', '.join(unknown)}")
     return p
 
 
@@ -718,7 +706,7 @@ def run_identity(
         raise KeyError(f"unknown identity: {ident}")
     identity = _BY_ID[ident]
     base = identity.full if profile is Profile.FULL else identity.quick
-    params = _merge_overrides(base, overrides)
+    params = _merge_overrides(ident, base, overrides)
     return list(identity.runner(params))
 
 

@@ -22,21 +22,25 @@ recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
 throughout.  Inner alternating binomial sums are computed exactly (integer
 s) or at cancellation-guarded precision (non-integer s); FAST-mode doubles
 would lose everything to terms as large as C(n, n/2).
+
+Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
+:data:`FORMULAS` (parameter kind, shift, evaluator, reference);
+:func:`evaluate` and :func:`reference_value` are lookups into it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import mpmath
 from mpmath import mpf
 
-from . import combinatorics
+from . import combinatorics, harmonic
 from .numerics import (
     DomainError,
     Mode,
@@ -61,7 +65,8 @@ __all__ = [
     "EulerSumKind",
     "CatalanKind",
     "PolylogIdentity",
-    "hurwitz_ref",
+    "FormulaSpec",
+    "FORMULAS",
     "hasse_hurwitz",
     "sondow_alt",
     "alt_hurwitz",
@@ -73,7 +78,8 @@ __all__ = [
     "euler_sum_target",
     "catalan_series",
     "polylog",
-    "polylog_identity_check",
+    "polylog_identity_lhs",
+    "polylog_identity_target",
     "digamma_half_sum",
     "digamma_half_target",
     "euler_hurwitz_exact_terms",
@@ -83,11 +89,19 @@ __all__ = [
     "evaluate",
     "reference_value",
     "NONINTEGER_S_TERM_CAP",
+    "MAX_ORDER",
 ]
 
 #: Row cap for non-integer s in the Hasse/eta double sums: the inner
 #: binomial sums need about 0.302*n extra digits to absorb cancellation.
 NONINTEGER_S_TERM_CAP = 400
+
+#: Largest |s| or q that :func:`evaluate` accepts.  The evaluators build
+#: factorials of the order as doubles -- the Bell arguments (q-2)! H^(q-1)
+#: in FAST mode, the tail surrogate's d! in both modes -- and these
+#: overflow near 170; an unbounded order also allocates order-sized lists
+#: per term.  100 leaves headroom for the x-dependent factors.
+MAX_ORDER = 100
 
 
 class Formula(enum.Enum):
@@ -203,53 +217,8 @@ def _spec_euler_tail(N: int, d: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Reference oracle.
+# Inner sums of the double sums.
 # ----------------------------------------------------------------------
-
-
-def hurwitz_ref(s, x, ctx: PrecisionContext) -> Real:
-    """Reference zeta(s, x) for real s > 1, x > 0 (Euler--Maclaurin).
-
-    Accurate to 10^-(digits-2); used as the comparison oracle for every
-    convergence benchmark.
-    """
-    return hurwitz_zeta_em(s, x, ctx)
-
-
-# ----------------------------------------------------------------------
-# Exact inner machinery shared by the double sums.
-# ----------------------------------------------------------------------
-
-
-def _coppo_inner_exact(q: int, x: Fraction) -> Iterator[Tuple[int, Fraction, Fraction]]:
-    """Yield (n, inner_n, H1) where inner_n = sum_k C(n,k)(-1)^k (k+x)^-q.
-
-    Uses the closed form (gamma ratio times Bell polynomial of shifted
-    harmonic numbers), maintained incrementally; exactly equal to the
-    brute-force binomial sum, which the identity registry certifies.
-    """
-    x = Fraction(x)
-    facts = [math.factorial(j) for j in range(max(q, 1))]
-    hs = [Fraction(0)] * (q - 1)
-    ratio = Fraction(1)
-    n = 0
-    while True:
-        inv = Fraction(1, 1) / (n + x)
-        p = inv
-        for j in range(q - 1):
-            hs[j] += p
-            p *= inv
-        ratio = ratio / x if n == 0 else ratio * n / (x + n)
-        if q == 1:
-            inner = ratio
-            h1 = Fraction(0)
-        else:
-            args = [facts[j] * hs[j] for j in range(q - 1)]
-            y = combinatorics.bell_eval(args)
-            inner = ratio * y / facts[q - 1]
-            h1 = hs[0]
-        yield n, Fraction(inner), h1
-        n += 1
 
 
 def _poly_inner_exact(p: int, x: Fraction, n: int) -> Fraction:
@@ -294,13 +263,8 @@ def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> li
 
 
 def _finish(ctx: PrecisionContext, acc: NeumaierSum, N: int, tail: float) -> SeriesResult:
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            value = +acc.total
-        if not isinstance(value, mpmath.mpf):
-            value = ctx.real(value)
-    else:
-        value = acc.total
+    with ctx.scope():
+        value = ctx.real(+acc.total)
     return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
 
 
@@ -369,7 +333,7 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         raise DomainError("q must be an integer >= 1")
     x = _require_positive_x(x)
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         xv = ctx.real(x)
         R = ctx.real(Fraction(1) / x)
         inv_qfact = ctx.real(Fraction(1, math.factorial(q)))
@@ -391,11 +355,6 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         tail = _tail_from_last(float(term), N, float(x), q - 1, c)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """zeta(q+1, x) by the Bell series in *unshifted* harmonic numbers:
@@ -408,7 +367,7 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         raise DomainError("q must be an integer >= 1")
     x = _require_positive_x(x)
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         xv = ctx.real(x)
         R = ctx.real(Fraction(1) / x)
         inv_fact = ctx.real(Fraction(1, math.factorial(q - 1)))
@@ -432,11 +391,6 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         tail = _tail_from_last(t_for_tail, N, float(x), q - 1, c)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def euler_hurwitz_exact_terms(q: int, x, N: int) -> List[Fraction]:
     """First N terms of the euler_hurwitz series as exact rationals.
@@ -444,19 +398,12 @@ def euler_hurwitz_exact_terms(q: int, x, N: int) -> List[Fraction]:
     Term m equals (1/q!) (1/m) R_m(x) Y_{q-1}(...H_m^(j)(x)...); also the
     reindexed rows of the Hasse double sum with exact inner sums.
     """
-    x = Fraction(x)
-    out = []
-    for n, inner, _h1 in _coppo_inner_exact(q, x):
-        if n >= N:
-            break
-        out.append(Fraction(inner, (n + 1) * q))
-    return out
+    rows = itertools.islice(harmonic.coppo_rhs_rows(q, Fraction(x)), N)
+    return [Fraction(row[-1], (n + 1) * q) for n, row in enumerate(rows)]
 
 
 def stirling_route_exact_terms(q: int, x, N: int) -> List[Fraction]:
     """First N terms of the stirling_route series as exact rationals."""
-    from .harmonic import H as H_exact
-
     x = Fraction(x)
     fact = math.factorial(q - 1)
     ratio = Fraction(1)
@@ -464,7 +411,7 @@ def stirling_route_exact_terms(q: int, x, N: int) -> List[Fraction]:
     for n in range(1, N + 1):
         ratio = ratio / x if n == 1 else ratio * (n - 1) / (x + n - 1)
         args = [
-            (-1) ** (j - 1) * math.factorial(j - 1) * H_exact(n - 1, j)
+            (-1) ** (j - 1) * math.factorial(j - 1) * harmonic.H(n - 1, j)
             for j in range(1, q)
         ]
         y = combinatorics.bell_eval(args) if args else 1
@@ -472,48 +419,42 @@ def stirling_route_exact_terms(q: int, x, N: int) -> List[Fraction]:
     return out
 
 
+def _is_integer(s) -> bool:
+    return isinstance(s, int) or (isinstance(s, float) and s.is_integer())
+
+
 def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """The globally convergent double sum for zeta(s, x), s != 1:
 
     (1/(s-1)) sum_{n=0}^{N-1} (1/(n+1)) sum_k C(n,k) (-1)^k (k+x)^(1-s).
 
-    Integer s: inner sums are exact rationals rounded once per row.
-    Non-integer s: inner sums are computed with cancellation guard digits
-    (term budget capped); below s = 1 convergence is empirical and the
-    tail estimate is the last-row magnitude.
+    Integer s >= 2: row n of the double sum is term n+1 of the euler_hurwitz
+    series with q = s - 1 (the inner sum's closed form is the gamma ratio
+    times the Bell polynomial of shifted harmonic numbers), so that series
+    is returned.  Integer s <= 0: the inner sums are exact polynomial sums
+    that vanish for n > 1 - s.  Non-integer s: inner sums are computed with
+    cancellation guard digits (term budget capped); below s = 1 convergence
+    is empirical and the tail estimate is the last-row magnitude.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("x must be a positive rational")
-    s_is_int = isinstance(s, int) or (isinstance(s, float) and s.is_integer())
-    if (s_is_int and int(s) == 1) or (not s_is_int and float(s) == 1.0):
+    x = _require_positive_x(x)
+    s_is_int = _is_integer(s)
+    if float(s) == 1.0:
         raise DomainError("s = 1 is the pole of zeta(s, x)")
+    if s_is_int and s >= 2:
+        return euler_hurwitz(int(s) - 1, x, N, ctx)
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         last_row = 0.0
         if s_is_int:
             si = int(s)
-            if si >= 2:
-                q = si - 1
-                inv = Fraction(1, si - 1)
-                h1 = Fraction(0)
-                for n, inner, h1 in _coppo_inner_exact(q, x):
-                    if n >= N:
-                        break
-                    row = ctx.real(inv * inner / (n + 1))
-                    acc.add(row)
-                    last_row = float(row)
-                offset_c = float(h1) - math.log(N) if q > 1 else 0.0
-                tail = _tail_from_last(last_row, N, float(x), q - 1, offset_c)
-            else:
-                p = 1 - si  # inner is a degree-p polynomial sum; zero for n > p
-                inv = Fraction(1, si - 1)
-                for n in range(min(N, p + 1)):
-                    row = ctx.real(inv * _poly_inner_exact(p, x, n) / (n + 1))
-                    acc.add(row)
-                    last_row = float(row)
-                tail = 0.0 if N > p else abs(last_row)
+            p = 1 - si  # inner is a degree-p polynomial sum; zero for n > p
+            inv = Fraction(1, si - 1)
+            for n in range(min(N, p + 1)):
+                row = ctx.real(inv * _poly_inner_exact(p, x, n) / (n + 1))
+                acc.add(row)
+                last_row = float(row)
+            tail = 0.0 if N > p else abs(last_row)
             return _finish(ctx, acc, N, tail)
         sf = float(s)
         rows = _inner_rows_float(sf - 1, x, N, ctx)
@@ -529,50 +470,32 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
             tail = last_row
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResult:
-    """sum_n 2^-(n+1) sum_k C(n,k)(-1)^k (k+x)^-s with geometric tail."""
-    s_is_int = isinstance(s, int) or (isinstance(s, float) and s.is_integer())
+    """sum_n 2^-(n+1) sum_k C(n,k)(-1)^k (k+x)^-s for s > 0, geometric tail.
 
-    def run() -> SeriesResult:
+    Integer s: exact inner sums from their Coppo closed form, rounded once
+    per row.
+    """
+    with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         last = 0.0
-        if s_is_int:
-            si = int(s)
-            if si >= 1:
-                w = Fraction(1, 2)
-                for n, inner, _h1 in _coppo_inner_exact(si, x):
-                    if n >= N:
-                        break
-                    row = ctx.real(w * inner)
-                    acc.add(row)
-                    last = float(row)
-                    w /= 2
-            else:
-                p = -si
-                w = Fraction(1, 2)
-                for n in range(min(N, p + 1)):
-                    acc.add(ctx.real(w * _poly_inner_exact(p, x, n)))
-                    w /= 2
+        if _is_integer(s):
+            w = Fraction(1, 2)
+            for row in itertools.islice(harmonic.coppo_rhs_rows(int(s), x), N):
+                term = ctx.real(w * row[-1])
+                acc.add(term)
+                last = float(term)
+                w /= 2
         else:
             rows = _inner_rows_float(s, x, N, ctx)
             w = mpf(1) / 2 if ctx.mode is Mode.HIGH else 0.5
             for r in rows:
-                row = w * (r if ctx.mode is Mode.HIGH else float(r))
-                acc.add(row)
-                last = abs(float(row))
+                term = w * (r if ctx.mode is Mode.HIGH else float(r))
+                acc.add(term)
+                last = abs(float(term))
                 w /= 2
         return _finish(ctx, acc, N, 2.0 * abs(last))
-
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
 
 
 def sondow_alt(s, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -599,7 +522,7 @@ def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     if not isinstance(p, int) or p < 1:
         raise DomainError("p must be an integer >= 1")
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         u = [0] * (p + 1)
         u[1] = 1  # |s(1, 1)|
@@ -622,11 +545,6 @@ def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
         tail = _tail_from_last(term_f, N, 1.0, p - 1, 1.0)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """The mixed series for zeta(4, x), zeta(5, x), zeta(6, x) whose terms
@@ -644,7 +562,7 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         raise DomainError("unknown mixed-series kind")
     x = _require_positive_x(x)
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         xv = ctx.real(x)
         one = xv * 0 + 1
         R = ctx.real(Fraction(1) / x)
@@ -680,11 +598,6 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         tail = _tail_from_last(float(term), N, float(x), d, c)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 _EULER_SUM_DEGREE = {
     EulerSumKind.E41: 2,
@@ -709,7 +622,7 @@ def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> Seri
     if not isinstance(kind, EulerSumKind):
         raise DomainError("unknown Euler-sum kind")
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         one = ctx.zero() + 1
         H = H2 = H3 = H4 = ctx.zero()
@@ -758,11 +671,6 @@ def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> Seri
             tail = 2.0 * abs(last)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
     """Limit of the corresponding euler_sum_partial series."""
@@ -791,7 +699,7 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         one = ctx.zero() + 1
         last = 0.0
@@ -805,19 +713,12 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
                 b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
             tail = _tail_from_last(last, N, 1.0, 0, 0.0)
             return _finish(ctx, acc, N, tail)
-        if kind is CatalanKind.CENTRAL_38_1:
+        if kind in (CatalanKind.CENTRAL_38_1, CatalanKind.ZETA2_37):
+            # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
+            a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
             c = one * 2  # 2^(2n+1) (n!)^2 / (2n+1)!
             for n in range(N):
-                term = c / (4 * (2 * n + 1))
-                acc.add(term)
-                last = float(term)
-                c = c * (2 * (n + 1)) / (2 * n + 3)
-            tail = _tail_from_last(last, N, 0.5, 0, 0.0)
-            return _finish(ctx, acc, N, tail)
-        if kind is CatalanKind.ZETA2_37:
-            c = one * 2
-            for n in range(N):
-                term = c / (3 * (n + 1))
+                term = c / (a * n + b)
                 acc.add(term)
                 last = float(term)
                 c = c * (2 * (n + 1)) / (2 * n + 3)
@@ -837,11 +738,6 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
         tail = _tail_from_last(float(term), N, 0.5, 1, c_off)
         return _finish(ctx, acc, N, tail)
 
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
-
 
 def polylog(s, y, ctx: PrecisionContext) -> Real:
     """Li_s(y) for |y| < 1 by direct summation with a geometric tail cut."""
@@ -853,7 +749,7 @@ def polylog(s, y, ctx: PrecisionContext) -> Real:
     digits = 17 if ctx.mode is Mode.FAST else ctx.digits
     N = int((digits + 4) / -math.log10(abs(yf))) + 4
 
-    def run():
+    with ctx.scope():
         yv = ctx.real(Fraction(y) if isinstance(y, (int, Fraction)) else y)
         sv = ctx.real(s)
         acc = NeumaierSum(yv * 0)
@@ -861,19 +757,25 @@ def polylog(s, y, ctx: PrecisionContext) -> Real:
         for k in range(1, N + 1):
             p = p * yv
             acc.add(p / (k ** sv if not float(s).is_integer() else k ** int(s)))
-        return acc.total
-
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return +run()
-    return run()
+        return +acc.total
 
 
-def polylog_identity_check(
+def _polylog_identity_args(which: PolylogIdentity, s, y) -> Fraction:
+    if not isinstance(s, int) or s < 1:
+        raise DomainError("s must be an integer >= 1")
+    y = Fraction(y)
+    if not 0 < y <= Fraction(1, 2):
+        raise DomainError("identity checks require rational y in (0, 1/2]")
+    if which not in (PolylogIdentity.E14_3, PolylogIdentity.E14_4):
+        raise DomainError("unknown polylog identity")
+    return y
+
+
+def polylog_identity_lhs(
     which: PolylogIdentity, s: int, y, N: int, ctx: PrecisionContext
-) -> Tuple[Real, Real]:
-    """Partial LHS and closed-form RHS of the two polylog double-sum
-    identities, at rational y in (0, 1/2].
+) -> SeriesResult:
+    """Partial LHS of the two polylog double-sum identities, at rational y
+    in (0, 1/2]; :func:`polylog_identity_target` gives the limits.
 
     E14_3: sum (1/n^2) sum_k C(n,k)(-1)^k y^k/k^s
            -> -(s+1) Li_{s+2}(y) + log(y) Li_{s+1}(y)
@@ -882,21 +784,11 @@ def polylog_identity_check(
     Inner sums are exact rationals (the alternating one cancels
     catastrophically in floats), rounded once per row.
     """
-    res, rhs = _polylog_identity(which, s, y, N, ctx)
-    return res.value, rhs
-
-
-def _polylog_identity(
-    which: PolylogIdentity, s: int, y, N: int, ctx: PrecisionContext
-) -> Tuple[SeriesResult, Real]:
-    if not isinstance(s, int) or s < 1:
-        raise DomainError("s must be an integer >= 1")
-    y = Fraction(y)
-    if not 0 < y <= Fraction(1, 2):
-        raise DomainError("identity checks require rational y in (0, 1/2]")
-
-    def lhs_exact_rows() -> Iterator[Fraction]:
-        alternating = which is PolylogIdentity.E14_3
+    y = _polylog_identity_args(which, s, y)
+    alternating = which is PolylogIdentity.E14_3
+    with ctx.scope():
+        acc = NeumaierSum(ctx.zero())
+        last = 0.0
         two_n = 1
         for n in range(1, N + 1):
             two_n *= 2
@@ -908,35 +800,22 @@ def _polylog_identity(
                 yk *= y
                 t = Fraction(c, k**s) * yk
                 inner += -t if (alternating and k % 2) else t
-            yield inner / n**2 if alternating else inner / (n * two_n)
-
-    def run():
-        acc = NeumaierSum(ctx.zero())
-        last = 0.0
-        for row in lhs_exact_rows():
+            row = inner / n**2 if alternating else inner / (n * two_n)
             acc.add(ctx.real(row))
             last = abs(float(row))
-        if which is PolylogIdentity.E14_3:
-            rhs_hi = PrecisionContext(ctx.digits, Mode.HIGH)
-            with working_precision(rhs_hi.dps):
-                rhs = -(s + 1) * polylog(s + 2, y, rhs_hi) + mpmath.ln(
-                    mpf(y.numerator) / y.denominator
-                ) * polylog(s + 1, y, rhs_hi)
-                rhs = +rhs
-            rhs = rhs if ctx.mode is Mode.HIGH else float(rhs)
-            tail = _tail_from_last(last, N, 1.0, 1, 1.0)
-        else:
-            rhs = polylog(s + 1, y, ctx)
-            tail = 2.0 * last
-        result = _finish(ctx, acc, N, tail)
-        return result, rhs
+        tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
+        return _finish(ctx, acc, N, tail)
 
-    if which not in (PolylogIdentity.E14_3, PolylogIdentity.E14_4):
-        raise DomainError("unknown polylog identity")
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
+
+def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:
+    """Closed-form limit of the corresponding polylog_identity_lhs series."""
+    y = _polylog_identity_args(which, s, y)
+    if which is PolylogIdentity.E14_4:
+        return polylog(s + 1, y, ctx)
+    hi = PrecisionContext(ctx.digits, Mode.HIGH)
+    with hi.scope():
+        rhs = +(-(s + 1) * polylog(s + 2, y, hi) + hi.ln(y) * polylog(s + 1, y, hi))
+    return rhs if ctx.mode is Mode.HIGH else float(rhs)
 
 
 def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -949,7 +828,7 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
 
-    def run() -> SeriesResult:
+    with ctx.scope():
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
         acc = NeumaierSum(ctx.zero())
         hx = NeumaierSum(ctx.zero())
@@ -962,11 +841,6 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
         c = float(psi0 + hx.total) - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
         return _finish(ctx, acc, N, tail)
-
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return run()
-    return run()
 
 
 def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:
@@ -997,97 +871,157 @@ def _need_int(v, name: str) -> int:
     return v
 
 
+_MIXED_KINDS = {4: MixedKind.Z4_457, 5: MixedKind.Z5_457B, 6: MixedKind.Z6_459}
+
+
+def _mixed_kind(q: int) -> MixedKind:
+    if q not in _MIXED_KINDS:
+        raise DomainError("mixed-q supports q in {4, 5, 6}")
+    return _MIXED_KINDS[q]
+
+
+def _eta_reference(s, x: Fraction, ctx: PrecisionContext) -> Optional[Real]:
+    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None."""
+    if float(s) <= 1:
+        return None
+    a = hurwitz_zeta_em(s, x / 2, ctx)
+    b = hurwitz_zeta_em(s, (1 + x) / 2, ctx)
+    with ctx.scope():
+        return +(2 ** (-ctx.real(s)) * (a - b))
+
+
+@dataclass(frozen=True)
+class FormulaSpec:
+    """Everything the package knows about one :class:`Formula`.
+
+    ``param`` is the kind of the formula's parameter: ``"s"`` (a real
+    exponent), ``"q"`` (an integer order) or None.  ``takes_x`` says whether
+    the formula has a rational shift x (x = 1 is passed to those without).
+    ``evaluate(p, x, N, ctx)`` sums the truncated series;
+    ``reference(p, x, ctx)`` returns an independent value of its limit, or
+    None where there is none.
+    """
+
+    param: Optional[str]
+    takes_x: bool
+    evaluate: Callable[[object, Fraction, int, PrecisionContext], SeriesResult]
+    reference: Callable[[object, Fraction, PrecisionContext], Optional[Real]]
+
+
+# Entries call the evaluators through their module-global names, so that a
+# wrapper installed over one of those names (a profiler, a tracer) sees the
+# call.
+_HASSE = FormulaSpec(
+    "s", True,
+    lambda s, x, N, ctx: hasse_hurwitz(s, x, N, ctx),
+    lambda s, x, ctx: hurwitz_zeta_em(s, x, ctx) if float(s) > 1 else None,
+)
+
+
+def _central_binomial(kind: CatalanKind, target: Callable[[PrecisionContext], Real]) -> FormulaSpec:
+    return FormulaSpec(
+        None, False,
+        lambda p, x, N, ctx: catalan_series(kind, N, ctx),
+        lambda p, x, ctx: target(ctx),
+    )
+
+
+def _polylog(which: PolylogIdentity) -> FormulaSpec:
+    return FormulaSpec(
+        "s", True,
+        lambda s, x, N, ctx: polylog_identity_lhs(which, _need_int(s, "s"), x, N, ctx),
+        lambda s, x, ctx: polylog_identity_target(which, _need_int(s, "s"), x, ctx),
+    )
+
+
+FORMULAS: Dict[Formula, FormulaSpec] = {
+    Formula.HASSE: _HASSE,
+    Formula.HASSE_HURWITZ: _HASSE,
+    Formula.SONDOW_ALT: FormulaSpec(
+        "s", False,
+        lambda s, x, N, ctx: sondow_alt(s, N, ctx),
+        lambda s, x, ctx: (
+            const_log2(ctx) if float(s) == 1.0 else _eta_reference(s, Fraction(1), ctx)
+        ),
+    ),
+    Formula.ALT_HURWITZ: FormulaSpec(
+        "s", True,
+        lambda s, x, N, ctx: alt_hurwitz(s, x, N, ctx),
+        lambda s, x, ctx: _eta_reference(s, x, ctx),
+    ),
+    Formula.EULER_HURWITZ: FormulaSpec(
+        "q", True,
+        lambda q, x, N, ctx: euler_hurwitz(q, x, N, ctx),
+        lambda q, x, ctx: hurwitz_zeta_em(q + 1, x, ctx),
+    ),
+    Formula.STIRLING_ROUTE: FormulaSpec(
+        "q", True,
+        lambda q, x, N, ctx: stirling_route(q, x, N, ctx),
+        lambda q, x, ctx: hurwitz_zeta_em(q + 1, x, ctx),
+    ),
+    Formula.SHEN: FormulaSpec(
+        "q", False,
+        lambda q, x, N, ctx: shen_series(q, N, ctx),
+        lambda q, x, ctx: const_zeta(q + 1, ctx),
+    ),
+    Formula.MIXED_Q: FormulaSpec(
+        "q", True,
+        lambda q, x, N, ctx: mixed_q(_mixed_kind(q), x, N, ctx),
+        lambda q, x, ctx: hurwitz_zeta_em(q, x, ctx),
+    ),
+    Formula.CATALAN_RAMANUJAN: _central_binomial(
+        CatalanKind.RAMANUJAN_38, lambda ctx: const_catalan(ctx)
+    ),
+    Formula.CATALAN_CENTRAL: _central_binomial(
+        CatalanKind.CENTRAL_38_1, lambda ctx: const_catalan(ctx)
+    ),
+    Formula.ZETA2_DUP: _central_binomial(CatalanKind.ZETA2_37, lambda ctx: const_zeta(2, ctx)),
+    Formula.ZETA3_HALF: _central_binomial(
+        CatalanKind.ZETA3_HALF_45_6, lambda ctx: 7 * const_zeta(3, ctx)
+    ),
+    Formula.POLYLOG_14_3: _polylog(PolylogIdentity.E14_3),
+    Formula.POLYLOG_14_4: _polylog(PolylogIdentity.E14_4),
+    Formula.DIGAMMA_HALF_SUM: FormulaSpec(
+        "q", False,
+        lambda q, x, N, ctx: digamma_half_sum(q, N, ctx),
+        lambda q, x, ctx: digamma_half_target(q, ctx),
+    ),
+}
+
+
+def _resolve(req: EvalRequest) -> Tuple[FormulaSpec, object, Fraction]:
+    """The request's spec, checked parameter and shift (1 when absent).
+
+    A q parameter must be an integer; any parameter must satisfy
+    |s| or |q| <= MAX_ORDER.
+    """
+    spec = FORMULAS.get(req.formula)
+    if spec is None:
+        raise DomainError(f"unknown formula {req.formula}")
+    p = req.s_or_q
+    if spec.param is not None:
+        if p is None:
+            raise DomainError(f"{req.formula.value} requires a parameter {spec.param}")
+        if spec.param == "q":
+            p = _need_int(p, "q")
+        if not abs(p) <= MAX_ORDER:
+            raise DomainError(
+                f"{spec.param} = {p} is beyond the order limit |{spec.param}| <= {MAX_ORDER}"
+            )
+    x = Fraction(req.x) if req.x is not None else Fraction(1)
+    return spec, p, x
+
+
 def evaluate(req: EvalRequest) -> SeriesResult:
     """Evaluate one request; the single entry point used by the CLI."""
-    f, ctx, N = req.formula, req.ctx, req.N
-    x = Fraction(req.x) if req.x is not None else Fraction(1)
-    if f in (Formula.HASSE, Formula.HASSE_HURWITZ):
-        return hasse_hurwitz(req.s_or_q, x, N, ctx)
-    if f is Formula.SONDOW_ALT:
-        return sondow_alt(req.s_or_q, N, ctx)
-    if f is Formula.ALT_HURWITZ:
-        return alt_hurwitz(req.s_or_q, x, N, ctx)
-    if f is Formula.EULER_HURWITZ:
-        return euler_hurwitz(_need_int(req.s_or_q, "q"), x, N, ctx)
-    if f is Formula.STIRLING_ROUTE:
-        return stirling_route(_need_int(req.s_or_q, "q"), x, N, ctx)
-    if f is Formula.SHEN:
-        return shen_series(_need_int(req.s_or_q, "p"), N, ctx)
-    if f is Formula.MIXED_Q:
-        q = _need_int(req.s_or_q, "q")
-        kinds = {4: MixedKind.Z4_457, 5: MixedKind.Z5_457B, 6: MixedKind.Z6_459}
-        if q not in kinds:
-            raise DomainError("mixed-q supports q in {4, 5, 6}")
-        return mixed_q(kinds[q], x, N, ctx)
-    if f is Formula.CATALAN_RAMANUJAN:
-        return catalan_series(CatalanKind.RAMANUJAN_38, N, ctx)
-    if f is Formula.CATALAN_CENTRAL:
-        return catalan_series(CatalanKind.CENTRAL_38_1, N, ctx)
-    if f is Formula.ZETA2_DUP:
-        return catalan_series(CatalanKind.ZETA2_37, N, ctx)
-    if f is Formula.ZETA3_HALF:
-        return catalan_series(CatalanKind.ZETA3_HALF_45_6, N, ctx)
-    if f in (Formula.POLYLOG_14_3, Formula.POLYLOG_14_4):
-        which = (
-            PolylogIdentity.E14_3 if f is Formula.POLYLOG_14_3 else PolylogIdentity.E14_4
-        )
-        s = _need_int(req.s_or_q, "s")
-        res, _rhs = _polylog_identity(which, s, x, N, ctx)
-        return res
-    if f is Formula.DIGAMMA_HALF_SUM:
-        return digamma_half_sum(_need_int(req.s_or_q, "power"), N, ctx)
-    raise DomainError(f"unknown formula {f}")
+    spec, p, x = _resolve(req)
+    return spec.evaluate(p, x, req.N, req.ctx)
 
 
 def reference_value(req: EvalRequest) -> Optional[Real]:
     """Independent reference for a request, or None when unavailable."""
-    f, ctx = req.formula, req.ctx
-    x = Fraction(req.x) if req.x is not None else Fraction(1)
-    if f in (Formula.HASSE, Formula.HASSE_HURWITZ):
-        return hurwitz_ref(req.s_or_q, x, ctx) if float(req.s_or_q) > 1 else None
-    if f is Formula.SONDOW_ALT:
-        s = req.s_or_q
-        if float(s) == 1.0:
-            return const_log2(ctx)
-        if float(s) > 1:
-            return _eta_reference(s, Fraction(1), ctx)
-        return None
-    if f is Formula.ALT_HURWITZ:
-        return _eta_reference(req.s_or_q, x, ctx) if float(req.s_or_q) > 1 else None
-    if f is Formula.EULER_HURWITZ:
-        return hurwitz_ref(int(req.s_or_q) + 1, x, ctx)
-    if f is Formula.STIRLING_ROUTE:
-        return hurwitz_ref(int(req.s_or_q) + 1, x, ctx)
-    if f is Formula.SHEN:
-        return const_zeta(int(req.s_or_q) + 1, ctx)
-    if f is Formula.MIXED_Q:
-        return hurwitz_ref(int(req.s_or_q), x, ctx)
-    if f in (Formula.CATALAN_RAMANUJAN, Formula.CATALAN_CENTRAL):
-        return const_catalan(ctx)
-    if f is Formula.ZETA2_DUP:
-        return const_zeta(2, ctx)
-    if f is Formula.ZETA3_HALF:
-        return 7 * const_zeta(3, ctx)
-    if f in (Formula.POLYLOG_14_3, Formula.POLYLOG_14_4):
-        which = (
-            PolylogIdentity.E14_3 if f is Formula.POLYLOG_14_3 else PolylogIdentity.E14_4
-        )
-        _lhs, rhs = polylog_identity_check(which, int(req.s_or_q), x, 1, ctx)
-        return rhs
-    if f is Formula.DIGAMMA_HALF_SUM:
-        return digamma_half_target(int(req.s_or_q), ctx)
-    return None
-
-
-def _eta_reference(s, x: Fraction, ctx: PrecisionContext) -> Real:
-    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1."""
-    half = Fraction(1, 2)
-    a = hurwitz_ref(s, x * half, ctx)
-    b = hurwitz_ref(s, (1 + x) * half, ctx)
-    if ctx.mode is Mode.HIGH:
-        with working_precision(ctx.dps):
-            return +(2 ** (-mpf(s)) * (a - b))
-    return 2.0 ** (-float(s)) * (a - b)
+    spec, p, x = _resolve(req)
+    return spec.reference(p, x, req.ctx)
 
 
 def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRow]:
@@ -1108,13 +1042,9 @@ def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRo
             EvalRequest(formula=req.formula, s_or_q=req.s_or_q, x=req.x, N=N, ctx=req.ctx)
         )
         dt = time.perf_counter() - t0
-        if req.ctx.mode is Mode.HIGH:
-            with working_precision(req.ctx.dps):
-                err = abs(res.value - ref)
-                rel = err / abs(ref) if ref != 0 else +err
-        else:
+        with req.ctx.scope():
             err = abs(res.value - ref)
-            rel = err / abs(ref) if ref != 0 else err
+            rel = err / abs(ref) if ref != 0 else +err
         rows.append(
             ConvergenceRow(
                 N=N,

@@ -151,6 +151,44 @@ class TestEval:
         assert code == 2
         assert "sondow-alt takes no --q" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--formula", "hasse", "--s", "1e300"),
+            ("--formula", "hasse", "--s=-1e300"),
+            ("--formula", "sondow-alt", "--s", "1e300"),
+            ("--formula", "euler-hurwitz", "--q", "1000000000"),
+            ("--formula", "euler-hurwitz", "--q", "200", "--mode", "fast"),
+            ("--formula", "euler-hurwitz", "--q", "200", "--mode", "high"),
+        ],
+    )
+    def test_order_beyond_limit_exit_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv, "--terms", "10")
+        assert code == 3
+        assert out == ""
+        assert "order limit" in err and "<= 100" in err
+
+    @pytest.mark.parametrize("mode", ["fast", "high"])
+    def test_order_at_limit_evaluates(self, capsys, mode):
+        code, _, _ = run_cli(
+            capsys, "eval", "--formula", "euler-hurwitz", "--q", "100", "--terms", "10",
+            "--mode", mode,
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--formula", "euler-hurwitz", "--q", "1", "--x", "1/0", "--terms", "10"),
+            ("verify", "--id", "coppo_30", "--x", "1/0"),
+        ],
+    )
+    def test_zero_denominator_shift_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "x must be p/q with q ≠ 0" in err
+
 
 class TestConverge:
     def test_csv_header_and_exponent(self, capsys):
@@ -233,6 +271,31 @@ class TestVerifyCommand:
     def test_requires_mode(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--id", "fs_6_1", "--x", "1/2"), "fs_6_1 takes no --x"),
+            (("--id", "fs_6_1", "--m-max", "3", "--q-max", "2"), "fs_6_1 takes no --q-max, --m-max"),
+            (("--id", "e44_7", "--x", "1/2"), "e44_7 takes no --x"),
+            (("--all", "--n-max", "1"), "--all takes no --n-max"),
+            (("--id", "fs_6_1", "--all"), "--all or --id, not both"),
+        ],
+    )
+    def test_inapplicable_flags_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_profile_honoured_with_id(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--id", "fs_6_1", "--profile", "quick")
+        assert code == 0
+        assert out.splitlines()[-1] == "identities=1, reports=50, pass=50, fail=0, skip=0"
+        code, out, _ = run_cli(capsys, "verify", "--id", "fs_6_1", "--format", "json")
+        payload = json.loads(out)
+        assert payload["params"]["profile"] == "full"
+        assert len(payload["reports"]) == 200
 
     def test_all_quick_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--all", "--profile", "quick")

@@ -31,18 +31,18 @@ def within_tail(result, reference, factor=3.0) -> bool:
 class TestHurwitzRef:
     def test_at_one(self):
         with nu.working_precision(40):
-            assert abs(zs.hurwitz_ref(2, 1, HIGH) - nu.const_zeta(2, HIGH)) < mpmath.mpf(10) ** -28
+            assert abs(nu.hurwitz_zeta_em(2, 1, HIGH) - nu.const_zeta(2, HIGH)) < mpmath.mpf(10) ** -28
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_half_shift_doubling(self, s):
         with nu.working_precision(40):
-            got = zs.hurwitz_ref(s, F(1, 2), HIGH)
+            got = nu.hurwitz_zeta_em(s, F(1, 2), HIGH)
             want = (2**s - 1) * nu.const_zeta(s, HIGH)
             assert abs(got - want) < mpmath.mpf(10) ** -26
 
     def test_quarter_shift_catalan(self):
         with nu.working_precision(40):
-            got = zs.hurwitz_ref(2, F(1, 4), HIGH)
+            got = nu.hurwitz_zeta_em(2, F(1, 4), HIGH)
             want = nu.const_pi(HIGH) ** 2 + 8 * nu.const_catalan(HIGH)
             assert abs(got - want) < mpmath.mpf(10) ** -26
 
@@ -72,7 +72,7 @@ class TestHasse:
 
     def test_noninteger_within_tails(self):
         res = zs.hasse_hurwitz(2.5, F(1), 200, HIGH)
-        ref = zs.hurwitz_ref(2.5, F(1), HIGH)
+        ref = nu.hurwitz_zeta_em(2.5, F(1), HIGH)
         assert within_tail(res, ref)
 
     def test_rows_match_euler_terms_exactly(self):
@@ -83,6 +83,14 @@ class TestHasse:
             for n in range(40):
                 row = ha.coppo_lhs(n, q, x) / ((n + 1) * q)
                 assert row == terms[n]
+
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["FAST", "HIGH"])
+    def test_integer_s_is_the_euler_hurwitz_series(self, ctx):
+        for s, x in ((2, F(1, 4)), (3.0, F(1)), (5, F(7, 4))):
+            a = zs.hasse_hurwitz(s, x, 300, ctx)
+            b = zs.euler_hurwitz(int(s) - 1, x, 300, ctx)
+            assert (a.value, a.tail_estimate) == (b.value, b.tail_estimate)
 
 
 class TestEta:
@@ -126,7 +134,7 @@ class TestEulerHurwitz:
             for x in (F(1), F(1, 2), F(3, 2)):
                 a = zs.euler_hurwitz(q, x, 10**4, FAST)
                 b = zs.stirling_route(q, x, 10**4, FAST)
-                ref = zs.hurwitz_ref(q + 1, x, FAST)
+                ref = nu.hurwitz_zeta_em(q + 1, x, FAST)
                 assert abs(a.value - b.value) <= float(a.tail_estimate) + float(
                     b.tail_estimate
                 )
@@ -189,7 +197,7 @@ class TestMixed:
 
     def test_half_shift(self):
         res = zs.mixed_q(MixedKind.Z4_457, F(1, 2), 10**4, FAST)
-        assert within_tail(res, zs.hurwitz_ref(4, F(1, 2), FAST))
+        assert within_tail(res, nu.hurwitz_zeta_em(4, F(1, 2), FAST))
 
 
 class TestEulerSums:
@@ -269,11 +277,13 @@ class TestPolylog:
             zs.polylog(2, 1.0, FAST)
 
     def test_identity_14_4(self):
-        lhs, rhs = zs.polylog_identity_check(PolylogIdentity.E14_4, 2, F(1, 2), 80, HIGH)
+        lhs = zs.polylog_identity_lhs(PolylogIdentity.E14_4, 2, F(1, 2), 80, HIGH).value
+        rhs = zs.polylog_identity_target(PolylogIdentity.E14_4, 2, F(1, 2), HIGH)
         assert abs(float(lhs) - float(rhs)) < 1e-10
 
     def test_identity_14_3_within_tail(self):
-        lhs, rhs = zs.polylog_identity_check(PolylogIdentity.E14_3, 1, F(1, 2), 400, HIGH)
+        lhs = zs.polylog_identity_lhs(PolylogIdentity.E14_3, 1, F(1, 2), 400, HIGH).value
+        rhs = zs.polylog_identity_target(PolylogIdentity.E14_3, 1, F(1, 2), HIGH)
         # rows decay like (log n + c)/n^2; analytic tail at N = 400
         tail = zs._tail_from_last(_e14_3_row(400), 400, 1.0, 1, 1.0)
         assert abs(float(lhs) - float(rhs)) <= 3 * tail
@@ -405,9 +415,9 @@ class TestTailHonesty:
             zs.mixed_q(MixedKind.Z6_459, F(1), 2000, FAST),
         ]
         refs = [
-            zs.hurwitz_ref(2, F(1, 4), FAST),
-            zs.hurwitz_ref(3, F(1), FAST),
-            zs.hurwitz_ref(4, F(3, 2), FAST),
+            nu.hurwitz_zeta_em(2, F(1, 4), FAST),
+            nu.hurwitz_zeta_em(3, F(1), FAST),
+            nu.hurwitz_zeta_em(4, F(3, 2), FAST),
             nu.const_zeta(3, FAST),
             nu.const_catalan(FAST),
             nu.const_zeta(6, FAST),
