@@ -21,7 +21,12 @@ Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
 throughout.  Inner alternating binomial sums are computed exactly (integer
 s) or at cancellation-guarded precision (non-integer s); FAST-mode doubles
-would lose everything to terms as large as C(n, n/2).
+would lose everything to terms as large as C(n, n/2).  The other per-term
+factors are carried across terms too, at O(q) work per term: the Bell
+factor as symmetric-polynomial coefficients, the Stirling column as
+|s(k, j)|/k!, and the non-integer inner rows as a difference table.  The
+literal routes (``*_exact_terms``, ``combinatorics.bell_eval``) stay as the
+tests' references.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -45,6 +50,7 @@ from .numerics import (
     DomainError,
     Mode,
     NeumaierSum,
+    NumericError,
     PrecisionContext,
     Real,
     SeriesResult,
@@ -96,11 +102,10 @@ __all__ = [
 #: binomial sums need about 0.302*n extra digits to absorb cancellation.
 NONINTEGER_S_TERM_CAP = 400
 
-#: Largest |s| or q that :func:`evaluate` accepts.  The evaluators build
-#: factorials of the order as doubles -- the Bell arguments (q-2)! H^(q-1)
-#: in FAST mode, the tail surrogate's d! in both modes -- and these
-#: overflow near 170; an unbounded order also allocates order-sized lists
-#: per term.  100 leaves headroom for the x-dependent factors.
+#: Largest |s| or q that :func:`evaluate` accepts.  The tail surrogate
+#: builds d! (d up to the order) as a double, which overflows near 170; an
+#: unbounded order also costs order-sized work per term.  100 leaves
+#: headroom for the x-dependent factors 1/a^(j+1) next to the d!.
 MAX_ORDER = 100
 
 
@@ -206,8 +211,11 @@ def _tail_from_last(t_last: float, N: int, a: float, d: int, c: float) -> float:
     if lnc <= 0.0:
         lnc = 1.0
         c = lnc - math.log(N)
-    scale = t_last * N ** (1.0 + a) / lnc**d
-    return scale * _log_tail_integral(d, a, N, c)
+    try:
+        scale = t_last * N ** (1.0 + a) / lnc**d
+        return scale * _log_tail_integral(d, a, N, c)
+    except (OverflowError, ZeroDivisionError):  # reported by _finish
+        return math.inf
 
 
 def _spec_euler_tail(N: int, d: int) -> float:
@@ -234,8 +242,11 @@ def _poly_inner_exact(p: int, x: Fraction, n: int) -> Fraction:
 def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> list:
     """Rows of sum_k C(n,k)(-1)^k (k+x)^(-s_power) for n < N, non-integer s.
 
-    Computed at ctx.digits + 0.302 N guard digits; the binomial growth
-    C(n, n/2) ~ 2^n is what the guard absorbs.
+    Row n is ((1 - E)^n phi)_0 with phi_k = (k+x)^(-s_power) and E the
+    shift, so it is d[0] after n passes of the difference table
+    d[k] <- d[k] - d[k+1] (ascending k) over phi.  Computed at
+    ctx.digits + 0.302 N guard digits: a rounding error made in a pass
+    grows by up to 2 per later pass, and the guard absorbs that 2^n.
     """
     if N > NONINTEGER_S_TERM_CAP:
         raise DomainError(
@@ -246,14 +257,11 @@ def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> li
     with working_precision(guard):
         xv = mpf(x.numerator) / x.denominator
         sp = mpf(s_power)
-        phi = [(k + xv) ** (-sp) for k in range(N)]
+        d = [(k + xv) ** (-sp) for k in range(N)]
         for n in range(N):
-            c = mpf(1)
-            acc = phi[0]
-            for k in range(1, n + 1):
-                c = c * (n - k + 1) / k
-                acc += (c if k % 2 == 0 else -c) * phi[k]
-            rows.append(+acc)
+            rows.append(d[0])
+            for k in range(N - 1 - n):
+                d[k] = d[k] - d[k + 1]
     return rows
 
 
@@ -263,6 +271,8 @@ def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> li
 
 
 def _finish(ctx: PrecisionContext, acc: NeumaierSum, N: int, tail: float) -> SeriesResult:
+    if not math.isfinite(tail):
+        raise NumericError("the tail estimate overflowed a double")
     with ctx.scope():
         value = ctx.real(+acc.total)
     return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
@@ -275,52 +285,12 @@ def _require_positive_x(x) -> Fraction:
     return x
 
 
-def _bell_low_order(q: int, h: Sequence[float], signed: bool):
-    """Y_{q-1} of the harmonic Bell arguments, explicit for q <= 5.
-
-    Arguments are (j-1)! h_j, with alternating signs when ``signed``.
-    """
-    if q == 1:
-        return 1.0 if isinstance(h[0], float) else h[0] * 0 + 1
-    h1 = h[0]
-    if q == 2:
-        return h1
-    if signed:
-        if q == 3:
-            return h1 * h1 - h[1]
-        if q == 4:
-            return h1 * (h1 * h1 - 3 * h[1]) + 2 * h[2]
-        if q == 5:
-            h2 = h[1]
-            return (
-                h1 * h1 * (h1 * h1 - 6 * h2)
-                + 8 * h1 * h[2]
-                + 3 * h2 * h2
-                - 6 * h[3]
-            )
-    else:
-        if q == 3:
-            return h1 * h1 + h[1]
-        if q == 4:
-            return h1 * (h1 * h1 + 3 * h[1]) + 2 * h[2]
-        if q == 5:
-            h2 = h[1]
-            return (
-                h1 * h1 * (h1 * h1 + 6 * h2)
-                + 8 * h1 * h[2]
-                + 3 * h2 * h2
-                + 6 * h[3]
-            )
-    args = []
-    fact = 1
-    for j in range(1, q):
-        if j > 1:
-            fact *= j - 1
-        val = fact * h[j - 1]
-        if signed and j % 2 == 0:
-            val = -val
-        args.append(val)
-    return combinatorics.bell_eval(args)
+def _ratio_seed(x: Fraction, ctx: PrecisionContext) -> Real:
+    """R_1(x) = 1/x, the seed of the gamma-ratio recurrence."""
+    try:
+        return ctx.real(1 / x)
+    except OverflowError:
+        raise NumericError("the gamma-ratio seed 1/x overflowed a double") from None
 
 
 def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -328,6 +298,12 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 
     (1/q!) sum_{n>=1} (1/n) R_n(x) Y_{q-1}(0! H_n(x), ..., (q-2)! H_n^(q-1)(x))
     with R_n(x) the exact-recurrence gamma ratio.
+
+    Y_m(0! H_n^(1)(x), ..., (m-1)! H_n^(m)(x)) / m! is the complete
+    homogeneous symmetric polynomial h_m(b_0, ..., b_{n-1}), b_i = 1/(i+x),
+    the t^m coefficient of prod_i 1/(1 - b_i t).  The coefficients
+    a[m] = h_m are carried across n: a new b gives a[m] += b a[m-1] in
+    ascending m, and term n is R_n a[q-1] / (q n).  Every addend is positive.
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
@@ -335,23 +311,19 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 
     with ctx.scope():
         xv = ctx.real(x)
-        R = ctx.real(Fraction(1) / x)
-        inv_qfact = ctx.real(Fraction(1, math.factorial(q)))
-        h = [xv * 0] * max(q - 1, 1)
+        R = _ratio_seed(x, ctx)
+        a = [xv * 0 + 1] + [xv * 0] * (q - 1)
         acc = NeumaierSum(xv * 0)
         term = xv * 0
         for n in range(1, N + 1):
             if n > 1:
                 R = R * (n - 1) / (n - 1 + xv)
-            base = 1 / (n - 1 + xv)
-            p = base
-            for j in range(q - 1):
-                h[j] = h[j] + p
-                p = p * base
-            y = _bell_low_order(q, h, signed=False)
-            term = inv_qfact * R * y / n
+            b = 1 / (n - 1 + xv)
+            for m in range(1, q):
+                a[m] = a[m] + b * a[m - 1]
+            term = R * a[q - 1] / (q * n)
             acc.add(term)
-        c = float(h[0]) - math.log(N) if q > 1 else 0.0
+        c = float(a[1]) - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
         tail = _tail_from_last(float(term), N, float(x), q - 1, c)
         return _finish(ctx, acc, N, tail)
 
@@ -362,6 +334,12 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     (1/(q-1)!) sum (1/n) R_n(x)
         Y_{q-1}(H_{n-1}, -1! H_{n-1}^(2), ..., (-1)^q (q-2)! H_{n-1}^(q-1));
     the Bell arguments carry no x dependence at all.
+
+    With the alternating signs, Y_m / m! is the elementary symmetric
+    polynomial e_m(1, 1/2, ..., 1/(n-1)) = |s(n, m+1)| / (n-1)!.  The
+    coefficients a[m] = e_m are carried across n: after term n,
+    a[m] += a[m-1] / n in descending m, and term n is R_n a[q-1] / n.  Every
+    addend is non-negative, so the signed closed forms' cancellation is gone.
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
@@ -369,22 +347,18 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 
     with ctx.scope():
         xv = ctx.real(x)
-        R = ctx.real(Fraction(1) / x)
-        inv_fact = ctx.real(Fraction(1, math.factorial(q - 1)))
-        h = [xv * 0] * max(q - 1, 1)
+        R = _ratio_seed(x, ctx)
+        a = [xv * 0 + 1] + [xv * 0] * (q - 1)
         acc = NeumaierSum(xv * 0)
         term = xv * 0
         for n in range(1, N + 1):
             if n > 1:
                 R = R * (n - 1) / (n - 1 + xv)
-            y = _bell_low_order(q, h, signed=True)  # H_{n-1}: update after
-            term = inv_fact * R * y / n
+            term = R * a[q - 1] / n  # a holds e_m of 1, ..., 1/(n-1): update after
             acc.add(term)
-            p = 1.0 / n if isinstance(xv, float) else mpf(1) / n
-            for j in range(q - 1):
-                h[j] = h[j] + p
-                p = p / n
-        c = float(h[0]) - math.log(N) if q > 1 else 0.0
+            for m in range(q - 1, 0, -1):
+                a[m] = a[m] + a[m - 1] / n
+        c = float(a[1]) - math.log(N) if q > 1 else 0.0  # a[1] = H_N
         t_for_tail = float(term)
         if t_for_tail == 0.0:  # the q > 1 series starts with vanishing terms
             t_for_tail = float(R) / max(N, 1)
@@ -483,7 +457,10 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
         if _is_integer(s):
             w = Fraction(1, 2)
             for row in itertools.islice(harmonic.coppo_rhs_rows(int(s), x), N):
-                term = ctx.real(w * row[-1])
+                try:
+                    term = ctx.real(w * row[-1])
+                except OverflowError:
+                    raise NumericError("an exact inner row overflowed a double") from None
                 acc.add(term)
                 last = float(term)
                 w /= 2
@@ -514,35 +491,27 @@ def alt_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 
 
 def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
-    """zeta(p+1) = (-1)^p sum_k (-1)^k s(k,p) / (k k!), exact Stirling data.
+    """zeta(p+1) = (-1)^p sum_k (-1)^k s(k,p) / (k k!).
 
-    The signed terms are all positive; the unsigned Stirling column is
-    maintained by the integer recurrence u(k+1, j) = u(k, j-1) + k u(k, j).
+    The signed terms are all positive.  The column v_j = |s(k, j)| / k! is
+    carried across k by u(k+1, j) = u(k, j-1) + k u(k, j) divided by (k+1)!:
+    v_j <- (v_{j-1} + k v_j) / (k+1) in descending j.  Every v_j lies in
+    [0, 1], so doubles neither overflow nor cancel; term k is v_p / k.
     """
     if not isinstance(p, int) or p < 1:
         raise DomainError("p must be an integer >= 1")
 
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
-        u = [0] * (p + 1)
-        u[1] = 1  # |s(1, 1)|
-        kfact = 1
-        term_f = 0.0
+        v = [ctx.zero()] * (p + 1)
+        v[1] = ctx.real(1)  # |s(1, 1)| / 1!
+        term = ctx.zero()
         for k in range(1, N + 1):
-            if k > 1:
-                kfact *= k
-            denom = k * kfact
-            if ctx.mode is Mode.FAST:
-                term = u[p] / denom
-            else:
-                term = mpf(u[p]) / denom
+            term = v[p] / k
             acc.add(term)
-            term_f = float(term)
-            nxt = [0] * (p + 1)
-            for j in range(1, p + 1):
-                nxt[j] = u[j - 1] + k * u[j]
-            u = nxt
-        tail = _tail_from_last(term_f, N, 1.0, p - 1, 1.0)
+            for j in range(p, 0, -1):
+                v[j] = (v[j - 1] + k * v[j]) / (k + 1)
+        tail = _tail_from_last(float(term), N, 1.0, p - 1, 1.0)
         return _finish(ctx, acc, N, tail)
 
 
@@ -565,7 +534,7 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     with ctx.scope():
         xv = ctx.real(x)
         one = xv * 0 + 1
-        R = ctx.real(Fraction(1) / x)
+        R = _ratio_seed(x, ctx)
         H = xv * 0
         h1 = xv * 0
         h2 = xv * 0
@@ -1013,15 +982,30 @@ def _resolve(req: EvalRequest) -> Tuple[FormulaSpec, object, Fraction]:
 
 
 def evaluate(req: EvalRequest) -> SeriesResult:
-    """Evaluate one request; the single entry point used by the CLI."""
+    """Evaluate one request; the single entry point used by the CLI.
+
+    A :class:`NumericError` (a double that overflowed) is raised again with
+    the formula, its parameter and x in front of the message.
+    """
     spec, p, x = _resolve(req)
-    return spec.evaluate(p, x, req.N, req.ctx)
+    try:
+        return spec.evaluate(p, x, req.N, req.ctx)
+    except NumericError as exc:
+        at = [f"{spec.param} = {p}"] if spec.param is not None else []
+        at += [f"x = {x}"] if spec.takes_x else []
+        where = f" at {', '.join(at)}" if at else ""
+        raise NumericError(f"{req.formula.value}{where}: {exc}") from None
 
 
 def reference_value(req: EvalRequest) -> Optional[Real]:
-    """Independent reference for a request, or None when unavailable."""
+    """Independent reference for a request, or None when unavailable.
+
+    Computed under the request's precision scope, so that arithmetic on the
+    constants (7 zeta(3), the digamma targets) keeps HIGH-mode digits.
+    """
     spec, p, x = _resolve(req)
-    return spec.reference(p, x, req.ctx)
+    with req.ctx.scope():
+        return spec.reference(p, x, req.ctx)
 
 
 def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRow]:

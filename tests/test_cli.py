@@ -177,6 +177,29 @@ class TestEval:
         assert code == 0
 
     @pytest.mark.parametrize(
+        "formula, param, value, x",
+        [
+            ("euler-hurwitz", "q", "4", "1/1" + "0" * 120),  # x = 1/10^120
+            ("euler-hurwitz", "q", "4", "1/1" + "0" * 400),
+            ("stirling-route", "q", "4", "1/1" + "0" * 120),
+            ("mixed-q", "q", "5", "1/1" + "0" * 120),
+            ("euler-hurwitz", "q", "100", "1/64"),
+            ("alt-hurwitz", "s", "2", "1/1" + "0" * 400),
+        ],
+        ids=["eh-x1e-120", "eh-x1e-400", "sr-x1e-120", "mixed-x1e-120", "eh-q100-x1/64",
+             "alt-x1e-400"],
+    )
+    def test_overflow_names_the_request_exit_three(self, capsys, formula, param, value, x):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", formula, f"--{param}", value, "--x", x, "--terms", "10",
+            "--mode", "fast",
+        )
+        assert code == 3
+        assert out == ""
+        assert f"{formula} at {param} = {value}, x = {x}: " in err
+        assert "overflowed a double" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("eval", "--formula", "euler-hurwitz", "--q", "1", "--x", "1/0", "--terms", "10"),

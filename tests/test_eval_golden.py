@@ -14,6 +14,7 @@ in the change's notes) with
 
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -87,9 +88,44 @@ def test_golden_covers_every_formula():
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in _argvs())
 
 
+def _fields(line: str) -> dict:
+    """The JSON line's leaves, keyed by dotted path (``result.value``)."""
+    out = {}
+    for key, value in json.loads(line).items():
+        if isinstance(value, dict):
+            out.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            out[key] = value
+    return out
+
+
+def _changed_fields(old: str, new: str) -> str:
+    """One ``field: old -> new`` line per JSON field that differs."""
+    try:
+        a, b = _fields(old), _fields(new)
+    except ValueError:
+        return f"stdout is not one JSON line: {new!r}"
+    return "\n".join(
+        f"{k}: {a.get(k, '<absent>')} -> {b.get(k, '<absent>')}"
+        for k in sorted(set(a) | set(b))
+        if a.get(k) != b.get(k)
+    ) or "the JSON fields are equal; the text differs"
+
+
 @pytest.mark.parametrize("argv", list(_argvs()), ids=lambda a: " ".join(a[2:-4]) + f" {a[-3]}")
 def test_eval_stdout_matches_golden(argv):
-    assert _stdout(argv) == GOLDEN[" ".join(argv)] + "\n"
+    want = GOLDEN[" ".join(argv)] + "\n"
+    got = _stdout(argv)
+    assert got == want, "changed fields (golden -> now):\n" + _changed_fields(want, got)
+
+
+def test_changed_fields_lists_each_difference():
+    old = '{"result": {"value": "1.5", "tail_estimate": "0.1"}, "version": "0.1.0"}'
+    new = '{"result": {"value": "1.25", "tail_estimate": "0.1"}, "version": "0.2.0"}'
+    assert _changed_fields(old, new) == "result.value: 1.5 -> 1.25\nversion: 0.1.0 -> 0.2.0"
+    assert _changed_fields(old, old.replace(", ", ",")) == (
+        "the JSON fields are equal; the text differs"
+    )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz import numerics as nu
 from ehz import zeta_series as zs
@@ -187,6 +189,74 @@ class TestShen:
         assert within_tail(res, nu.const_zeta(4, FAST))
 
 
+EPS = 2.0**-52
+KERNEL_N = 300
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_sum(exact_terms, q: int, x: Fraction) -> Fraction:
+    return sum(exact_terms(q, x, KERNEL_N))
+
+
+def _assert_close_to_exact(value, exact: Fraction, ctx: PrecisionContext) -> None:
+    """FAST within 32 eps |S|; HIGH within 1e-30 |S| (compared at 50 digits)."""
+    if ctx.mode is Mode.FAST:
+        want = float(exact)
+        assert abs(value - want) <= 32 * EPS * abs(want), (value, want)
+        return
+    with nu.working_precision(50):
+        want = mpmath.mpf(exact.numerator) / exact.denominator
+        assert abs(value - want) <= mpmath.mpf(10) ** -30 * abs(want), (value, want)
+
+
+class TestKernelsMatchLiteralRoutes:
+    """The running recurrences of the evaluators against the literal
+    Bell-polynomial, Stirling-column and binomial-row routes."""
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(7, 4)], ids=str)
+    @pytest.mark.parametrize("q", range(1, 9))
+    @pytest.mark.parametrize(
+        "evaluator, exact_terms",
+        [
+            (zs.euler_hurwitz, zs.euler_hurwitz_exact_terms),
+            (zs.stirling_route, zs.stirling_route_exact_terms),
+        ],
+        ids=["euler-hurwitz", "stirling-route"],
+    )
+    def test_bell_series(self, evaluator, exact_terms, q, x, ctx):
+        res = evaluator(q, x, KERNEL_N, ctx)
+        _assert_close_to_exact(res.value, _exact_sum(exact_terms, q, x), ctx)
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_shen(self, p, ctx):
+        exact = sum(
+            Fraction(abs(co.stirling1(k, p)), k * math.factorial(k))
+            for k in range(1, KERNEL_N + 1)
+        )
+        _assert_close_to_exact(zs.shen_series(p, KERNEL_N, ctx).value, exact, ctx)
+
+    @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
+    def test_inner_rows(self, s_power, x):
+        N = 120
+        rows = zs._inner_rows_float(s_power, x, N, HIGH)
+        # the binomial-row loop the difference table replaced, at the same guard
+        with nu.working_precision(HIGH.digits + int(0.302 * N) + 10):
+            xv = mpmath.mpf(x.numerator) / x.denominator
+            phi = [(k + xv) ** -mpmath.mpf(s_power) for k in range(N)]
+            want = []
+            for n in range(N):
+                c = mpmath.mpf(1)
+                acc = phi[0]
+                for k in range(1, n + 1):
+                    c = c * (n - k + 1) / k
+                    acc += (c if k % 2 == 0 else -c) * phi[k]
+                want.append(acc)
+            for n, (got, ref) in enumerate(zip(rows, want)):
+                assert abs(got - ref) <= mpmath.mpf(10) ** -HIGH.dps * abs(ref), n
+
+
 class TestMixed:
     @pytest.mark.parametrize(
         "kind,q", [(MixedKind.Z4_457, 4), (MixedKind.Z5_457B, 5), (MixedKind.Z6_459, 6)]
@@ -343,6 +413,56 @@ class TestDigamma:
         assert type(value) is type(ref)
         assert value == ref
         assert repr(value) == repr(ref)
+
+
+def _eta(s, x):
+    return mpmath.mpf(2) ** -s * (mpmath.zeta(s, x / 2) - mpmath.zeta(s, (1 + x) / 2))
+
+
+#: (formula, parameter, x, the limit from mpmath's own functions)
+HIGH_REFERENCES = [
+    (Formula.HASSE, 2, F(1, 4), lambda: mpmath.zeta(2, mpmath.mpf(1) / 4)),
+    (Formula.HASSE_HURWITZ, 2.5, F(1, 2), lambda: mpmath.zeta(2.5, 0.5)),
+    (Formula.SONDOW_ALT, 1, None, lambda: mpmath.log(2)),
+    (Formula.SONDOW_ALT, 2.5, None, lambda: mpmath.altzeta(2.5)),
+    (Formula.ALT_HURWITZ, 2, F(3, 4), lambda: _eta(2, mpmath.mpf(3) / 4)),
+    (Formula.EULER_HURWITZ, 4, F(7, 4), lambda: mpmath.zeta(5, mpmath.mpf(7) / 4)),
+    (Formula.STIRLING_ROUTE, 3, F(1, 3), lambda: mpmath.zeta(4, mpmath.mpf(1) / 3)),
+    (Formula.SHEN, 2, None, lambda: mpmath.zeta(3)),
+    (Formula.MIXED_Q, 5, F(5, 4), lambda: mpmath.zeta(5, mpmath.mpf(5) / 4)),
+    (Formula.CATALAN_RAMANUJAN, None, None, lambda: mpmath.catalan),
+    (Formula.CATALAN_CENTRAL, None, None, lambda: mpmath.catalan),
+    (Formula.ZETA2_DUP, None, None, lambda: mpmath.zeta(2)),
+    (Formula.ZETA3_HALF, None, None, lambda: 7 * mpmath.zeta(3)),
+    (
+        Formula.POLYLOG_14_3, 2, F(1, 3),
+        lambda: -3 * mpmath.polylog(4, mpmath.mpf(1) / 3)
+        + mpmath.log(mpmath.mpf(1) / 3) * mpmath.polylog(3, mpmath.mpf(1) / 3),
+    ),
+    (Formula.POLYLOG_14_4, 1, F(1, 2), lambda: mpmath.polylog(2, 0.5)),
+    (
+        Formula.DIGAMMA_HALF_SUM, 2, None,
+        lambda: -(mpmath.euler * mpmath.pi**2 + 7 * mpmath.zeta(3)) / 8,
+    ),
+    (
+        Formula.DIGAMMA_HALF_SUM, 4, None,
+        lambda: -(
+            3 * mpmath.pi**2 * mpmath.zeta(3) + mpmath.pi**4 * mpmath.euler + 93 * mpmath.zeta(5)
+        ) / 96,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "formula, param, x, limit",
+    HIGH_REFERENCES,
+    ids=[f"{f.value} {p} {x}" for f, p, x, _ in HIGH_REFERENCES],
+)
+def test_high_reference_has_thirty_digits(formula, param, x, limit):
+    ref = zs.reference_value(EvalRequest(formula=formula, s_or_q=param, x=x, N=1, ctx=HIGH))
+    with nu.working_precision(40):
+        want = limit()
+        assert abs(ref - want) <= mpmath.mpf(10) ** -30 * abs(want), (ref, want)
 
 
 class TestConvergenceTable:
