@@ -1,10 +1,12 @@
-"""Golden-output regression test: ``ehz eval --format json`` stdout, pinned.
+"""Golden-output regression test: ``ehz eval --format json`` and
+``ehz verify --format json`` stdout, pinned.
 
-One small request per formula (N <= 200), in FAST and in HIGH mode, with
-the exact stdout each must print stored in ``eval_golden.txt`` (one
-``<argv>\\t<stdout>`` line per request).  Any change to an evaluator, the
-dispatch table, the precision scopes or the output formatting that moves a
-printed digit shows up here.
+One small request per formula (N <= 200), in FAST and in HIGH mode, and the
+quick profile of every NUMERIC identity, with the exact stdout each must
+print stored in ``eval_golden.txt`` (one ``<argv>\\t<stdout>`` line per
+request).  Any change to an evaluator, the dispatch table, the precision
+scopes, a verify gate or the output formatting that moves a printed digit
+shows up here.
 
 Regenerate the file (only when a change of output is intended, and say so
 in the change's notes) with
@@ -57,12 +59,28 @@ REQUESTS = (
     "digamma-half-sum --q 4 --terms 200",
 )
 
+#: the NUMERIC identities of the verify registry, each run at --profile quick
+NUMERIC_IDS = (
+    "shen_45_2", "alt_2", "alt_3", "alt_4", "alt_5", "zeta_3", "zeta_4", "zeta_5",
+    "e14_1", "e14_2", "e41", "e43", "e43_2", "e45_8", "e45_10", "catalan_equiv",
+    "zeta2_37", "zeta3_half_45_6", "digamma_48_1", "digamma_48_3",
+)
+
 
 def _argvs():
     for req in REQUESTS:
         formula, *rest = req.split()
         for mode in ("fast", "high"):
             yield ["eval", "--formula", formula, *rest, "--mode", mode, "--format", "json"]
+    for ident in NUMERIC_IDS:
+        yield ["verify", "--id", ident, "--profile", "quick", "--format", "json"]
+
+
+def _test_id(argv) -> str:
+    """``<formula and flags> <mode>`` for eval, ``verify <id>`` for verify."""
+    if argv[0] == "verify":
+        return f"verify {argv[2]}"
+    return " ".join(argv[2:-4]) + f" {argv[-3]}"
 
 
 def _stdout(argv) -> str:
@@ -82,21 +100,27 @@ GOLDEN = _golden() if os.path.exists(GOLDEN_PATH) else {}
 
 
 def test_golden_covers_every_formula():
+    from ehz.verify import _REGISTRY, Kind
     from ehz.zeta_series import Formula
 
     assert {r.split()[0] for r in REQUESTS} == {f.value for f in Formula}
+    assert list(NUMERIC_IDS) == [i.id for i in _REGISTRY if i.kind is Kind.NUMERIC]
     assert sorted(GOLDEN) == sorted(" ".join(a) for a in _argvs())
 
 
+def _leaves(value, path: str = ""):
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, value
+
+
 def _fields(line: str) -> dict:
-    """The JSON line's leaves, keyed by dotted path (``result.value``)."""
-    out = {}
-    for key, value in json.loads(line).items():
-        if isinstance(value, dict):
-            out.update((f"{key}.{k}", v) for k, v in value.items())
-        else:
-            out[key] = value
-    return out
+    """The JSON line's leaves, keyed by dotted path (``result.value``,
+    ``reports.0.lhs``)."""
+    return dict(_leaves(json.loads(line)))
 
 
 def _changed_fields(old: str, new: str) -> str:
@@ -112,7 +136,7 @@ def _changed_fields(old: str, new: str) -> str:
     ) or "the JSON fields are equal; the text differs"
 
 
-@pytest.mark.parametrize("argv", list(_argvs()), ids=lambda a: " ".join(a[2:-4]) + f" {a[-3]}")
+@pytest.mark.parametrize("argv", list(_argvs()), ids=_test_id)
 def test_eval_stdout_matches_golden(argv):
     want = GOLDEN[" ".join(argv)] + "\n"
     got = _stdout(argv)
