@@ -26,5 +26,4 @@ from .numerics import (  # noqa: F401
     const_gamma,
     const_pi,
     const_zeta,
-    sum_deterministic,
 )

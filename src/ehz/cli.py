@@ -6,7 +6,7 @@ Exit codes: 0 success (all PASS for verify), 1 verification failure,
 identical invocations except the wall-clock ``seconds`` column of
 ``converge``.  The optional environment variable ``EHZ_PRECISION``
 overrides the default working precision (30 digits) when ``--precision``
-is not given.
+is not given; either is capped at ``MAX_CONSTANT_DIGITS`` (300).
 """
 
 from __future__ import annotations
@@ -82,10 +82,12 @@ def _auto_mode(digits: int, terms: int) -> Mode:
 
 
 def _build_context(args, terms: int) -> PrecisionContext:
-    digits = args.precision
+    digits, source = args.precision, "--precision"
     if digits is None:
         env = os.environ.get("EHZ_PRECISION")
-        digits = int(env) if env else 30
+        digits, source = (int(env) if env else 30), "EHZ_PRECISION"
+    if digits > MAX_CONSTANT_DIGITS:
+        raise ValueError(f"{source} must be <= {MAX_CONSTANT_DIGITS}, got {digits}")
     mode_arg = getattr(args, "mode", "auto")
     if mode_arg == "fast":
         mode = Mode.FAST
@@ -192,6 +194,8 @@ def cmd_converge(args, out) -> int:
         budgets = [int(t) for t in args.terms.split(",") if t]
         if not budgets:
             raise ValueError("--terms requires N1,N2,...")
+        if min(budgets) < 1:
+            raise ValueError(f"--terms budgets must be >= 1, got {args.terms}")
         args.terms = max(budgets)  # context sizing uses the largest budget
         req = _make_request(args)
     except (ValueError, KeyError) as exc:

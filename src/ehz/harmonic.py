@@ -27,11 +27,9 @@ from .numerics import DomainError
 __all__ = [
     "H",
     "Hx",
-    "HarmonicTable",
     "alt_binom_sum",
     "alt_binom_sum_bell",
     "coppo_lhs",
-    "coppo_rhs",
     "coppo_rhs_rows",
     "coppo_sweep",
     "larcombe_check",
@@ -72,35 +70,6 @@ def Hx(n: int, m: int, x: Fraction) -> Fraction:
             raise DomainError(f"pole at k = {k}: x = {x} makes k + x vanish")
         total += Fraction(1, 1) / base**m
     return total
-
-
-class HarmonicTable:
-    """Immutable table of H_n^(m)(x) for 0 <= n <= n_max, 1 <= m <= m_max.
-
-    Built in one incremental pass: H_{n+1}^(m)(x) = H_n^(m)(x) + (n+x)^-m.
-    """
-
-    def __init__(self, n_max: int, m_max: int, x: Fraction = Fraction(1)):
-        x = Fraction(x)
-        if x.denominator == 1 and -(n_max - 1) <= x <= 0:
-            raise DomainError(f"x = {x} hits a pole below n_max = {n_max}")
-        self.n_max = n_max
-        self.m_max = m_max
-        self.x = x
-        rows: List[Tuple[Fraction, ...]] = [tuple(Fraction(0) for _ in range(m_max))]
-        cur = [Fraction(0)] * (m_max + 1)
-        for n in range(n_max):
-            inv = Fraction(1, 1) / (n + x)
-            p = inv
-            for m in range(1, m_max + 1):
-                cur[m] += p
-                p *= inv
-            rows.append(tuple(cur[1:]))
-        self._rows = tuple(rows)
-
-    def value(self, n: int, m: int) -> Fraction:
-        """H_n^(m)(x)."""
-        return self._rows[n][m - 1]
 
 
 def alt_binom_sum(n: int, m: int) -> Fraction:
@@ -160,23 +129,6 @@ def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
         num = num * d + t * den
         den *= d
     return Fraction(num, den)
-
-
-def coppo_rhs(n: int, q: int, x: Fraction) -> Fraction:
-    """Gamma-ratio times Bell-polynomial side of the same sum:
-
-    [n! / (x (x+1) ... (x+n))] * (1/(q-1)!) * Y_{q-1} of the shifted
-    harmonic numbers H_{n+1}^(j)(x); equals coppo_lhs exactly.
-    """
-    from .gamma_tools import RatioForm, gamma_ratio
-
-    if n < 0 or q < 1:
-        raise DomainError("coppo_rhs requires n >= 0 and q >= 1")
-    x = Fraction(x)
-    _check_coppo_pole(n, x)
-    ratio = gamma_ratio(n, x, RatioForm.N_PLUS_1)
-    hs = [Hx(n + 1, j, x) for j in range(1, q)]
-    return ratio * bell_of_shifted_harmonics(q - 1, hs)
 
 
 def coppo_rhs_rows(q_max: int, x: Fraction) -> Iterator[List[Fraction]]:

@@ -32,7 +32,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import mpmath
 from mpmath import mpf
@@ -45,7 +45,6 @@ __all__ = [
     "Real",
     "SeriesResult",
     "NeumaierSum",
-    "sum_deterministic",
     "bernoulli_even",
     "tangent_numbers",
     "hurwitz_zeta_em",
@@ -218,36 +217,6 @@ class NeumaierSum:
     @property
     def total(self):
         return self._sum + self._comp
-
-
-def sum_deterministic(terms: Iterable, ctx: PrecisionContext) -> Real:
-    """Compensated sum of a finite term sequence, taken in the given order.
-
-    Raises :class:`NumericError` if any term or the running total is
-    non-finite.
-    """
-    if ctx.mode is Mode.FAST:
-        acc = NeumaierSum(0.0)
-        for t in terms:
-            t = float(t)
-            if not math.isfinite(t):
-                raise NumericError("non-finite term in sum")
-            acc.add(t)
-        total = acc.total
-        if not math.isfinite(total):
-            raise NumericError("sum overflowed")
-        return total
-    with working_precision(ctx.dps):
-        acc = NeumaierSum(mpf(0))
-        for t in terms:
-            t = ctx.real(t) if not isinstance(t, mpmath.mpf) else t
-            if not mpmath.isfinite(t):
-                raise NumericError("non-finite term in sum")
-            acc.add(t)
-        total = acc.total
-        if not mpmath.isfinite(total):
-            raise NumericError("sum overflowed")
-        return total
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Registry of executable identities with parameter sweeps.
 
-EXACT identities compare BigRationals for strict equality; NUMERIC
-identities compare a partial sum against its target within a declared
-tolerance, normally three times the evaluator's tail estimate (plus a
-12-significant-digit floor for geometrically convergent series, whose
-analytic tails drop below double rounding noise).
+EXACT identities compare BigRationals for strict equality.
+
+A NUMERIC identity is a list of rows (params, formula, parameter, x,
+scale) over :data:`ehz.zeta_series.FORMULAS`: each row is evaluated in FAST
+mode through :func:`~ehz.zeta_series.evaluate` and
+:func:`~ehz.zeta_series.reference_value`, and scale times the partial sum
+must lie within max(3 scale tail, 1e-12 |scale reference|) of scale times
+the reference -- three tail estimates, with a 12-significant-digit floor
+for geometrically convergent series, whose tails drop below double
+rounding noise.  The term budget is the row's params["N"].  The one
+exception is catalan_equiv's last "cross" report, which compares the two
+Catalan series' tail-corrected partial sums with each other within 1e-3.
 
 Each identity checker returns both sides rather than a boolean: FAIL
 reports carry the sides verbatim, PASS reports carry them abbreviated.
@@ -18,11 +25,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import combinatorics, gamma_tools, harmonic, zeta_series
-from .numerics import DomainError, Mode, PrecisionContext, const_catalan, const_log2, const_zeta
-from .zeta_series import CatalanKind, EulerSumKind
+from .numerics import DomainError, Mode, PrecisionContext
+from .zeta_series import EvalRequest, Formula
 
 __all__ = ["Kind", "Profile", "Identity", "Report", "identity_ids", "run_identity", "run_all", "summarize"]
 
@@ -102,12 +109,7 @@ def _numeric_report(
     return Report(ident, params, repr(float(value)), repr(float(target)), status, info)
 
 
-def _tol(result, target: float, factor: float = 3.0, floor_rel: float = 1e-12) -> float:
-    return max(factor * float(result.tail_estimate), floor_rel * abs(target))
-
-
 _FAST = PrecisionContext(30, Mode.FAST)
-_ALT_KINDS = {2: EulerSumKind.ALT2, 3: EulerSumKind.ALT3, 4: EulerSumKind.ALT4, 5: EulerSumKind.ALT5}
 
 
 # ----------------------------------------------------------------------
@@ -316,135 +318,56 @@ def _run_nh_identity(p):
 
 
 # ----------------------------------------------------------------------
-# Numeric identity runners.
+# Numeric identities: rows through the formula table.
 # ----------------------------------------------------------------------
 
-
-def _run_shen(p):
-    for q in (1, 2, 3):
-        N = p["terms"] if q < 3 else min(p["terms"], 1000)
-        res = zeta_series.shen_series(q, N, _FAST)
-        target = const_zeta(q + 1, _FAST)
-        yield _numeric_report(
-            "shen_45_2",
-            {"p": str(q), "N": str(N)},
-            res.value,
-            target,
-            _tol(res, target),
-        )
+#: (report params, formula, its parameter, x, scale); the term budget is params["N"]
+Row = Tuple[Dict[str, str], Formula, object, Optional[int], int]
 
 
-def _run_zeta_display(q: int):
+def _run_rows(ident: str, rows: Callable[[int], List[Row]], cross: bool = False):
+    """Runner of a NUMERIC identity whose rows(N) are evaluated at the swept N.
+
+    Each row's partial sum times scale must lie within
+    max(3 scale tail, 1e-12 |scale reference|) of its reference times
+    scale.  With ``cross``, a last report compares the tail-corrected
+    partial sums of the two rows with each other, within 1e-3.
+    """
+
     def run(p):
-        res = zeta_series.euler_hurwitz(q, Fraction(1), p["terms"], _FAST)
-        target = const_zeta(q + 1, _FAST)
-        yield _numeric_report(
-            f"zeta_{q + 1}", {"N": str(p["terms"])}, res.value, target, _tol(res, target)
-        )
+        corrected = []
+        for params, formula, param, x, scale in rows(p["terms"]):
+            req = EvalRequest(formula, param, x, int(params["N"]), _FAST)
+            res = zeta_series.evaluate(req)
+            value = scale * res.value
+            target = scale * zeta_series.reference_value(req)
+            tail = scale * res.tail_estimate
+            tol = max(3 * tail, 1e-12 * abs(target))
+            yield _numeric_report(ident, params, value, target, tol)
+            corrected.append(value + tail)
+        if cross:
+            params = {"series": "cross", "N": str(p["terms"])}
+            detail = "tail-corrected partial sums"
+            yield _numeric_report(ident, params, *corrected, 1e-3, detail=detail)
 
     return run
 
 
-def _run_e14_1(p):
-    # (1/(s+1)) sum (1/n^2) [-S_n(s)] -> zeta(s+2), via the Bell brackets
-    for s in (1, 2, 3):
-        N = p["terms"]
-        H = H2 = H3 = 0.0
-        total = 0.0
-        for n in range(1, N + 1):
-            H += 1.0 / n
-            H2 += 1.0 / n**2
-            H3 += 1.0 / n**3
-            if s == 1:
-                br = H
-            elif s == 2:
-                br = (H * H + H2) / 2
-            else:
-                br = (H * (H * H + 3 * H2) + 2 * H3) / 6
-            total += br / n**2
-        value = total / (s + 1)
-        target = float(const_zeta(s + 2, _FAST))
-        tail = zeta_series._spec_euler_tail(N, s) / (s + 1)
-        yield _numeric_report(
-            "e14_1",
-            {"s": str(s), "N": str(N)},
-            value,
-            target,
-            max(3 * tail, 1e-12 * target),
-        )
+def _one_row(formula: Formula, param=None, x=None, scale: int = 1):
+    """Rows of an identity that is one formula at the swept N."""
+    return lambda N: [({"N": str(N)}, formula, param, x, scale)]
 
 
-def _run_e14_2(p):
-    for s in (1, 2, 3):
-        N = p["terms"]
-        if s == 1:
-            total = sum(1.0 / (n * 2.0**n) for n in range(1, N + 1))
-            target = float(const_log2(_FAST))
-            tol = max(6.0 / (N * 2.0**N), 1e-12 * target)
-            yield _numeric_report("e14_2", {"s": "1", "N": str(N)}, total, target, tol)
-            continue
-        kind = _ALT_KINDS[s]
-        res = zeta_series.euler_sum_partial(kind, N, _FAST)
-        target = zeta_series.euler_sum_target(kind, _FAST)
-        yield _numeric_report(
-            "e14_2", {"s": str(s), "N": str(N)}, res.value, target, _tol(res, target)
-        )
+def _s_rows(formula: Formula, shift: int, x=None):
+    """Rows s = 1, 2, 3 of one formula at parameter s + shift."""
+    return lambda N: [({"s": str(s), "N": str(N)}, formula, s + shift, x, 1) for s in (1, 2, 3)]
 
 
-def _run_euler_sum(ident: str, kind: EulerSumKind):
-    def run(p):
-        res = zeta_series.euler_sum_partial(kind, p["terms"], _FAST)
-        target = zeta_series.euler_sum_target(kind, _FAST)
-        yield _numeric_report(
-            ident, {"N": str(p["terms"])}, res.value, target, _tol(res, target)
-        )
-
-    return run
-
-
-def _run_catalan_equiv(p):
-    N = p["terms"]
-    g = float(const_catalan(_FAST))
-    a = zeta_series.catalan_series(CatalanKind.RAMANUJAN_38, N, _FAST)
-    b = zeta_series.catalan_series(CatalanKind.CENTRAL_38_1, N, _FAST)
-    yield _numeric_report("catalan_equiv", {"series": "ramanujan", "N": str(N)}, a.value, g, _tol(a, g))
-    yield _numeric_report("catalan_equiv", {"series": "central", "N": str(N)}, b.value, g, _tol(b, g))
-    corrected_a = float(a.value) + float(a.tail_estimate)
-    corrected_b = float(b.value) + float(b.tail_estimate)
-    yield _numeric_report(
-        "catalan_equiv",
-        {"series": "cross", "N": str(N)},
-        corrected_a,
-        corrected_b,
-        1e-3,
-        detail="tail-corrected partial sums",
-    )
-
-
-def _run_zeta_multiple(ident: str, kind: CatalanKind, scale: int, m: int):
-    """A central-binomial series against scale * zeta(m)."""
-
-    def run(p):
-        res = zeta_series.catalan_series(kind, p["terms"], _FAST)
-        target = scale * const_zeta(m, _FAST)
-        yield _numeric_report(ident, {"N": str(p["terms"])}, res.value, target, _tol(res, target))
-
-    return run
-
-
-def _run_digamma(power: int):
-    def run(p):
-        res = zeta_series.digamma_half_sum(power, p["terms"], _FAST)
-        target = zeta_series.digamma_half_target(power, _FAST)
-        yield _numeric_report(
-            f"digamma_48_{1 if power == 2 else 3}",
-            {"N": str(p["terms"])},
-            res.value,
-            target,
-            _tol(res, target),
-        )
-
-    return run
+def _shen_rows(N: int) -> List[Row]:
+    return [
+        ({"p": str(q), "N": str(min(N, 1000) if q == 3 else N)}, Formula.SHEN, q, None, 1)
+        for q in (1, 2, 3)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -574,92 +497,62 @@ def _registry() -> List[Identity]:
         {"n_max": 200},
         _run_nh_identity,
     )
-    add(
-        "shen_45_2",
-        Kind.NUMERIC,
-        "Stirling-number series for zeta(p+1)",
-        {"terms": 1000},
-        {"terms": 10000},
-        _run_shen,
-    )
+
+    def numeric(id_, desc, quick, full, rows, cross=False):
+        add(id_, Kind.NUMERIC, desc, {"terms": quick}, {"terms": full}, _run_rows(id_, rows, cross))
+
+    numeric("shen_45_2", "Stirling-number series for zeta(p+1)", 1000, 10000, _shen_rows)
     for s in (2, 3, 4, 5):
-        add(
-            f"alt_{s}",
-            Kind.NUMERIC,
-            "alternating zeta from harmonic Bell brackets with 1/(n 2^n) weights",
-            {"terms": 80},
-            {"terms": 80},
-            _run_euler_sum(f"alt_{s}", _ALT_KINDS[s]),
-        )
+        desc = "alternating zeta from harmonic Bell brackets with 1/(n 2^n) weights"
+        numeric(f"alt_{s}", desc, 80, 80, _one_row(Formula.SONDOW_ALT, s))
     for q in (2, 3, 4):
-        add(
-            f"zeta_{q + 1}",
-            Kind.NUMERIC,
-            "zeta display from the shifted-harmonic Bell series at x = 1",
-            {"terms": 2000},
-            {"terms": 10000},
-            _run_zeta_display(q),
-        )
-    add(
-        "e14_1",
-        Kind.NUMERIC,
-        "inner alternating sums summed against 1/n^2",
-        {"terms": 2000},
-        {"terms": 10000},
-        _run_e14_1,
+        desc = "zeta display from the shifted-harmonic Bell series at x = 1"
+        numeric(f"zeta_{q + 1}", desc, 2000, 10000, _one_row(Formula.EULER_HURWITZ, q, 1))
+    numeric(
+        "e14_1", "inner alternating sums summed against 1/n^2", 2000, 10000,
+        _s_rows(Formula.EULER_HURWITZ, 1, 1),
     )
-    add(
-        "e14_2",
-        Kind.NUMERIC,
-        "inner alternating sums summed against 1/(n 2^n)",
-        {"terms": 60},
-        {"terms": 60},
-        _run_e14_2,
+    numeric(
+        "e14_2", "inner alternating sums summed against 1/(n 2^n)", 60, 60,
+        _s_rows(Formula.SONDOW_ALT, 0),
     )
-    add("e41", Kind.NUMERIC, "quadratic Euler sum vs 3! zeta(4)", {"terms": 10000}, {"terms": 100000}, _run_euler_sum("e41", EulerSumKind.E41))
-    add("e43", Kind.NUMERIC, "cubic Euler sum vs 4! zeta(5)", {"terms": 10000}, {"terms": 100000}, _run_euler_sum("e43", EulerSumKind.E43))
-    add("e43_2", Kind.NUMERIC, "quartic Euler sum vs 5! zeta(6)", {"terms": 10000}, {"terms": 100000}, _run_euler_sum("e43_2", EulerSumKind.E43_2))
-    add("e45_8", Kind.NUMERIC, "four-sum combination vs 12 zeta(5)", {"terms": 10000}, {"terms": 100000}, _run_euler_sum("e45_8", EulerSumKind.E45_8))
-    add("e45_10", Kind.NUMERIC, "two-sum combination vs (1/2) 5! zeta(6)", {"terms": 10000}, {"terms": 100000}, _run_euler_sum("e45_10", EulerSumKind.E45_10))
-    add(
-        "catalan_equiv",
-        Kind.NUMERIC,
-        "the two central-binomial series for Catalan's constant",
-        {"terms": 10000},
-        {"terms": 100000},
-        _run_catalan_equiv,
+    for id_, q, desc in (
+        ("e41", 3, "quadratic Euler sum vs 3! zeta(4)"),
+        ("e43", 4, "cubic Euler sum vs 4! zeta(5)"),
+        ("e43_2", 5, "quartic Euler sum vs 5! zeta(6)"),
+    ):
+        numeric(id_, desc, 10000, 100000, _one_row(Formula.EULER_HURWITZ, q, 1, math.factorial(q)))
+    numeric(
+        "e45_8", "four-sum combination vs 12 zeta(5)", 10000, 100000,
+        _one_row(Formula.EULER_SUM_45_8),
     )
-    add(
-        "zeta2_37",
-        Kind.NUMERIC,
-        "duplication-formula central-binomial series for zeta(2)",
-        {"terms": 10000},
-        {"terms": 1000000},
-        _run_zeta_multiple("zeta2_37", CatalanKind.ZETA2_37, 1, 2),
+    numeric(
+        "e45_10", "two-sum combination vs (1/2) 5! zeta(6)", 10000, 100000,
+        _one_row(Formula.EULER_SUM_45_10),
     )
-    add(
-        "zeta3_half_45_6",
-        Kind.NUMERIC,
-        "central-binomial series for zeta(3, 1/2) = 7 zeta(3)",
-        {"terms": 10000},
-        {"terms": 10000},
-        _run_zeta_multiple("zeta3_half_45_6", CatalanKind.ZETA3_HALF_45_6, 7, 3),
+    numeric(
+        "catalan_equiv", "the two central-binomial series for Catalan's constant", 10000, 100000,
+        lambda N: [
+            ({"series": "ramanujan", "N": str(N)}, Formula.CATALAN_RAMANUJAN, None, None, 1),
+            ({"series": "central", "N": str(N)}, Formula.CATALAN_CENTRAL, None, None, 1),
+        ],
+        cross=True,
     )
-    add(
-        "digamma_48_1",
-        Kind.NUMERIC,
-        "digamma-weighted sum over odd squares",
-        {"terms": 10000},
-        {"terms": 100000},
-        _run_digamma(2),
+    numeric(
+        "zeta2_37", "duplication-formula central-binomial series for zeta(2)", 10000, 1000000,
+        _one_row(Formula.ZETA2_DUP),
     )
-    add(
-        "digamma_48_3",
-        Kind.NUMERIC,
-        "digamma-weighted sum over odd fourth powers",
-        {"terms": 1000},
-        {"terms": 1000},
-        _run_digamma(4),
+    numeric(
+        "zeta3_half_45_6", "central-binomial series for zeta(3, 1/2) = 7 zeta(3)", 10000, 10000,
+        _one_row(Formula.ZETA3_HALF),
+    )
+    numeric(
+        "digamma_48_1", "digamma-weighted sum over odd squares", 10000, 100000,
+        _one_row(Formula.DIGAMMA_HALF_SUM, 2),
+    )
+    numeric(
+        "digamma_48_3", "digamma-weighted sum over odd fourth powers", 1000, 1000,
+        _one_row(Formula.DIGAMMA_HALF_SUM, 4),
     )
     return ids
 
@@ -679,7 +572,7 @@ def _merge_overrides(
 
     Keys are n_max, q_max, m_max, terms and x (which replaces the list of
     shifts xs); None values are ignored.  An override the identity has no
-    sweep parameter for raises ValueError.
+    sweep parameter for, or an integer override below 1, raises ValueError.
     """
     p = dict(base)
     unknown = []
@@ -687,10 +580,15 @@ def _merge_overrides(
         if value is None:
             continue
         param = "xs" if key == "x" else key
+        flag = "--" + key.replace("_", "-")
         if param not in p:
-            unknown.append("--" + key.replace("_", "-"))
+            unknown.append(flag)
+        elif key == "x":
+            p[param] = [str(value)]
+        elif int(value) < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
         else:
-            p[param] = [str(value)] if key == "x" else int(value)
+            p[param] = int(value)
     if unknown:
         raise ValueError(f"{ident} takes no {', '.join(unknown)}")
     return p

@@ -19,14 +19,25 @@ compensated accumulation, so results are bit-reproducible per context.
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
-throughout.  Inner alternating binomial sums are computed exactly (integer
-s) or at cancellation-guarded precision (non-integer s); FAST-mode doubles
-would lose everything to terms as large as C(n, n/2).  The other per-term
-factors are carried across terms too, at O(q) work per term: the Bell
-factor as symmetric-polynomial coefficients, the Stirling column as
-|s(k, j)|/k!, and the non-integer inner rows as a difference table.  The
-literal routes (``*_exact_terms``, ``combinatorics.bell_eval``) stay as the
-tests' references.
+throughout.  Inner alternating binomial sums are never summed term by term
+in doubles, which would lose everything to terms as large as C(n, n/2):
+integer s uses their closed form, non-integer s a difference table at
+cancellation-guard precision.  The other per-term factors are carried
+across terms too, at O(q) work per term: the Bell factor as
+symmetric-polynomial coefficients, the Stirling column as |s(k, j)|/k!,
+and the non-integer inner rows as a difference table.  The literal routes
+(``*_exact_terms``, ``combinatorics.bell_eval``) stay as the tests'
+references.
+
+The eta double sums at integer s carry the same h_m recurrence as
+euler_hurwitz in the context's real type: inner row n - 1 is
+R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
+(``harmonic.coppo_rhs_rows``) are the tests' reference for it.  Most
+nonlinear Euler sums at x = 1 are other routes: E41, E43 and E43_2 are q!
+times euler_hurwitz(q, 1) for q = 3, 4, 5, and ALT2..ALT5 are sondow_alt
+at s = 2..5, so :func:`euler_sum_partial` returns those.  Only E45_8 and
+E45_10 are summed in their own loop; they are the formulas
+``euler-sum-45-8`` and ``euler-sum-45-10``.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -125,6 +136,8 @@ class Formula(enum.Enum):
     POLYLOG_14_3 = "polylog-14-3"
     POLYLOG_14_4 = "polylog-14-4"
     DIGAMMA_HALF_SUM = "digamma-half-sum"
+    EULER_SUM_45_8 = "euler-sum-45-8"
+    EULER_SUM_45_10 = "euler-sum-45-10"
 
 
 class MixedKind(enum.Enum):
@@ -448,22 +461,31 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_n 2^-(n+1) sum_k C(n,k)(-1)^k (k+x)^-s for s > 0, geometric tail.
 
-    Integer s: exact inner sums from their Coppo closed form, rounded once
-    per row.
+    Integer s: inner row n - 1 is R_n(x) h_{s-1}(b_0, ..., b_{n-1}),
+    b_i = 1/(i+x) (the Coppo closed form), carried across n as in
+    :func:`euler_hurwitz`: a new b gives a[m] += b a[m-1] in ascending m,
+    and term n is 2^-n R_n a[s-1].
     """
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         last = 0.0
         if _is_integer(s):
-            w = Fraction(1, 2)
-            for row in itertools.islice(harmonic.coppo_rhs_rows(int(s), x), N):
-                try:
-                    term = ctx.real(w * row[-1])
-                except OverflowError:
-                    raise NumericError("an exact inner row overflowed a double") from None
+            xv = ctx.real(x)
+            R = _ratio_seed(x, ctx)
+            a = [xv * 0 + 1] + [xv * 0] * (int(s) - 1)
+            w = xv * 0 + 1
+            for n in range(1, N + 1):
+                if n > 1:
+                    R = R * (n - 1) / (n - 1 + xv)
+                b = 1 / (n - 1 + xv)
+                for m in range(1, len(a)):
+                    a[m] = a[m] + b * a[m - 1]
+                w = w / 2
+                term = w * R * a[-1]
                 acc.add(term)
                 last = float(term)
-                w /= 2
+            if not math.isfinite(last):  # a[] only grows, so an overflow persists
+                raise NumericError("an inner row overflowed a double")
         else:
             rows = _inner_rows_float(s, x, N, ctx)
             w = mpf(1) / 2 if ctx.mode is Mode.HIGH else 0.5
@@ -568,13 +590,10 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         return _finish(ctx, acc, N, tail)
 
 
-_EULER_SUM_DEGREE = {
-    EulerSumKind.E41: 2,
-    EulerSumKind.E43: 3,
-    EulerSumKind.E43_2: 4,
-    EulerSumKind.E45_8: 3,
-    EulerSumKind.E45_10: 4,
-}
+#: E-kinds that are q! times the euler_hurwitz series at x = 1, by q
+_EULER_HURWITZ_Q = {EulerSumKind.E41: 3, EulerSumKind.E43: 4, EulerSumKind.E43_2: 5}
+#: ALT-kinds, which are the sondow_alt series, by s
+_ALT_S = {EulerSumKind.ALT2: 2, EulerSumKind.ALT3: 3, EulerSumKind.ALT4: 4, EulerSumKind.ALT5: 5}
 
 
 def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -583,77 +602,58 @@ def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> Seri
     The E-kinds return the unnormalized combinations whose limits are
     3! zeta(4), 4! zeta(5), 5! zeta(6), 12 zeta(5) and (1/2) 5! zeta(6);
     the ALT-kinds return the alternating-zeta series with 1/(n 2^n)
-    weights, whose limits are eta(2)..eta(5).  Tail estimates use the
-    analytic surrogate  integral (log t + 1)^d / t^2  for the E-kinds
-    (d the harmonic-power degree) and twice the last term for the
-    geometric ALT-kinds.
+    weights, whose limits are eta(2)..eta(5).
+
+    E41, E43 and E43_2 sum (H_n^q-bracket) / n^2, which is q! times the
+    :func:`euler_hurwitz` series at x = 1 (q = 3, 4, 5), so they return that
+    series scaled, value and tail.  ALT_s sums the same terms as
+    :func:`sondow_alt` at s and returns it.  E45_8 and E45_10 are summed
+    here, with the analytic surrogate  integral (log t + 1)^d / t^2  as tail
+    (d = 3, 4 the harmonic-power degree).
     """
     if not isinstance(kind, EulerSumKind):
         raise DomainError("unknown Euler-sum kind")
+    if kind in _ALT_S:
+        return sondow_alt(_ALT_S[kind], N, ctx)
+    if kind in _EULER_HURWITZ_Q:
+        q = _EULER_HURWITZ_Q[kind]
+        res = euler_hurwitz(q, 1, N, ctx)
+        scale = math.factorial(q)
+        with ctx.scope():
+            value = scale * res.value
+        return SeriesResult(
+            value=value, terms_used=N, tail_estimate=scale * res.tail_estimate, mode=ctx.mode
+        )
 
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         one = ctx.zero() + 1
-        H = H2 = H3 = H4 = ctx.zero()
-        last = 0.0
-        two_n = one  # 2^n, geometric kinds only
+        H = H2 = H3 = ctx.zero()
         for n in range(1, N + 1):
             H = H + one / n
             H2 = H2 + one / (n * n)
             H3 = H3 + one / (n * n * n)
-            if kind in (EulerSumKind.E43_2, EulerSumKind.ALT5):
-                H4 = H4 + one / (n * n * n * n)
-            if kind is EulerSumKind.E41:
-                term = (H * H + H2) / (n * n)
-            elif kind is EulerSumKind.E43:
-                term = (H * (H * H + 3 * H2) + 2 * H3) / (n * n)
-            elif kind is EulerSumKind.E43_2:
-                term = (
-                    H * H * (H * H + 6 * H2) + 8 * H * H3 + 3 * H2 * H2 + 6 * H4
-                ) / (n * n)
-            elif kind is EulerSumKind.E45_8:
+            if kind is EulerSumKind.E45_8:
                 term = (H * (H * H + H2)) / (n * n) - (H * H + H2) / (n * n * n)
-            elif kind is EulerSumKind.E45_10:
+            else:
                 term = (H * H * (H * H + 3 * H2) + 2 * H * H3) / (n * n) - (
                     H * (H * H + 3 * H2) + 2 * H3
                 ) / (n * n * n)
-            else:
-                two_n = two_n * 2
-                w = one / (n * two_n)
-                if kind is EulerSumKind.ALT2:
-                    term = H * w
-                elif kind is EulerSumKind.ALT3:
-                    term = (H * H + H2) * w / 2
-                elif kind is EulerSumKind.ALT4:
-                    term = (H * (H * H + 3 * H2) + 2 * H3) * w / 6
-                else:
-                    term = (
-                        (H * H * (H * H + 6 * H2) + 8 * H * H3 + 3 * H2 * H2 + 6 * H4)
-                        * w
-                        / 24
-                    )
             acc.add(term)
-            last = float(term)
-        if kind in _EULER_SUM_DEGREE:
-            tail = _spec_euler_tail(N, _EULER_SUM_DEGREE[kind])
-        else:
-            tail = 2.0 * abs(last)
+        tail = _spec_euler_tail(N, 3 if kind is EulerSumKind.E45_8 else 4)
         return _finish(ctx, acc, N, tail)
 
 
 def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
     """Limit of the corresponding euler_sum_partial series."""
-    if kind is EulerSumKind.E41:
-        return 6 * const_zeta(4, ctx)
-    if kind is EulerSumKind.E43:
-        return 24 * const_zeta(5, ctx)
-    if kind is EulerSumKind.E43_2:
-        return 120 * const_zeta(6, ctx)
+    if kind in _EULER_HURWITZ_Q:
+        q = _EULER_HURWITZ_Q[kind]
+        return math.factorial(q) * const_zeta(q + 1, ctx)
     if kind is EulerSumKind.E45_8:
         return 12 * const_zeta(5, ctx)
     if kind is EulerSumKind.E45_10:
         return 60 * const_zeta(6, ctx)
-    s = {EulerSumKind.ALT2: 2, EulerSumKind.ALT3: 3, EulerSumKind.ALT4: 4, EulerSumKind.ALT5: 5}[kind]
+    s = _ALT_S[kind]
     return (1 - ctx.real(Fraction(2)) ** (1 - s)) * const_zeta(s, ctx)
 
 
@@ -850,13 +850,19 @@ def _mixed_kind(q: int) -> MixedKind:
 
 
 def _eta_reference(s, x: Fraction, ctx: PrecisionContext) -> Optional[Real]:
-    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None."""
+    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None.
+
+    The difference is taken at ctx.digits in HIGH mode and rounded once, so
+    a FAST reference is not the difference of two rounded doubles.
+    """
     if float(s) <= 1:
         return None
-    a = hurwitz_zeta_em(s, x / 2, ctx)
-    b = hurwitz_zeta_em(s, (1 + x) / 2, ctx)
-    with ctx.scope():
-        return +(2 ** (-ctx.real(s)) * (a - b))
+    hi = PrecisionContext(ctx.digits, Mode.HIGH)
+    a = hurwitz_zeta_em(s, x / 2, hi)
+    b = hurwitz_zeta_em(s, (1 + x) / 2, hi)
+    with hi.scope():
+        eta = +(2 ** (-hi.real(s)) * (a - b))
+    return eta if ctx.mode is Mode.HIGH else float(eta)
 
 
 @dataclass(frozen=True)
@@ -892,6 +898,14 @@ def _central_binomial(kind: CatalanKind, target: Callable[[PrecisionContext], Re
         None, False,
         lambda p, x, N, ctx: catalan_series(kind, N, ctx),
         lambda p, x, ctx: target(ctx),
+    )
+
+
+def _euler_sum(kind: EulerSumKind) -> FormulaSpec:
+    return FormulaSpec(
+        None, False,
+        lambda p, x, N, ctx: euler_sum_partial(kind, N, ctx),
+        lambda p, x, ctx: euler_sum_target(kind, ctx),
     )
 
 
@@ -955,6 +969,8 @@ FORMULAS: Dict[Formula, FormulaSpec] = {
         lambda q, x, N, ctx: digamma_half_sum(q, N, ctx),
         lambda q, x, ctx: digamma_half_target(q, ctx),
     ),
+    Formula.EULER_SUM_45_8: _euler_sum(EulerSumKind.E45_8),
+    Formula.EULER_SUM_45_10: _euler_sum(EulerSumKind.E45_10),
 }
 
 

@@ -104,6 +104,32 @@ class TestEval:
         )
         assert "digits=22" in out
 
+    @pytest.mark.parametrize("value", ["301", "100000"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--formula", "shen", "--q", "2", "--terms", "10"),
+            ("converge", "--formula", "shen", "--q", "2", "--terms", "10,20"),
+        ],
+        ids=["eval", "converge"],
+    )
+    def test_precision_above_cap_usage_error(self, capsys, monkeypatch, argv, source, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluated before the precision was checked")
+
+        for name in ("evaluate", "reference_value", "convergence_table"):
+            monkeypatch.setattr(cli, name, no_work)
+        if source == "env":
+            monkeypatch.setenv("EHZ_PRECISION", value)
+        else:
+            argv += ("--precision", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        flag = "EHZ_PRECISION" if source == "env" else "--precision"
+        assert f"{flag} must be <= 300, got {value}" in err
+
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_s_usage_error(self, capsys, value):
@@ -185,9 +211,10 @@ class TestEval:
             ("mixed-q", "q", "5", "1/1" + "0" * 120),
             ("euler-hurwitz", "q", "100", "1/64"),
             ("alt-hurwitz", "s", "2", "1/1" + "0" * 400),
+            ("alt-hurwitz", "s", "4", "1/1" + "0" * 120),
         ],
         ids=["eh-x1e-120", "eh-x1e-400", "sr-x1e-120", "mixed-x1e-120", "eh-q100-x1/64",
-             "alt-x1e-400"],
+             "alt-x1e-400", "alt-s4-x1e-120"],
     )
     def test_overflow_names_the_request_exit_three(self, capsys, formula, param, value, x):
         code, out, err = run_cli(
@@ -269,6 +296,16 @@ class TestConverge:
         assert len(payload["rows"]) == 3
 
 
+    @pytest.mark.parametrize("terms", ["0,10", "-5,10"])
+    def test_budget_below_one_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "catalan-central", f"--terms={terms}"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--terms budgets must be >= 1, got {terms}" in err
+
+
 class TestVerifyCommand:
     def test_single_identity_pass(self, capsys):
         code, out, _ = run_cli(
@@ -310,6 +347,29 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "ident, flag, value",
+        [
+            ("e14_2", "--terms", "0"),
+            ("e41", "--terms", "0"),
+            ("zeta_3", "--terms", "0"),
+            ("e14_1", "--terms", "0"),
+            ("shen_45_2", "--terms", "0"),
+            ("alt_2", "--terms", "0"),
+            ("catalan_equiv", "--terms", "0"),
+            ("digamma_48_1", "--terms", "-3"),
+            ("fs_6_1", "--n-max", "0"),
+            ("e44_7", "--n-max", "-2"),
+            ("coppo_30", "--q-max", "0"),
+            ("fs_4_general", "--m-max", "0"),
+        ],
+    )
+    def test_sweep_override_below_one_usage_error(self, capsys, ident, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--id", ident, flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be >= 1, got {value}" in err
 
     def test_profile_honoured_with_id(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "fs_6_1", "--profile", "quick")

@@ -57,6 +57,8 @@ REQUESTS = (
     "polylog-14-4 --s 1 --x 1/2 --terms 100",
     "digamma-half-sum --q 2 --terms 200",
     "digamma-half-sum --q 4 --terms 200",
+    "euler-sum-45-8 --terms 200",
+    "euler-sum-45-10 --terms 200",
 )
 
 #: the NUMERIC identities of the verify registry, each run at --profile quick

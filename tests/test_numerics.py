@@ -28,33 +28,6 @@ class TestPrecisionContext:
         assert mp_abs_diff(v, mp_literal("0.333333333333333333333333333333333333333")) < 1e-38
 
 
-class TestSumDeterministic:
-    def test_empty(self):
-        assert nu.sum_deterministic([], FAST) == 0.0
-        assert nu.sum_deterministic([], HIGH) == 0
-
-    def test_cancellation(self):
-        assert nu.sum_deterministic([1.0, -1.0], FAST) == 0.0
-
-    def test_basel_partial_vs_exact_rational_oracle(self):
-        # independent oracle: exact rational partial sum, rounded once
-        exact = Fraction(0)
-        for k in range(1, 10**4 + 1):
-            exact += Fraction(1, k * k)
-        oracle = float(exact)
-        got = nu.sum_deterministic((1.0 / (k * k) for k in range(1, 10**4 + 1)), FAST)
-        assert abs(got - oracle) <= 5e-16
-        assert repr(got).startswith("1.64483407")
-
-    def test_nonfinite_term_raises(self):
-        with pytest.raises(nu.NumericError):
-            nu.sum_deterministic([1.0, float("inf")], FAST)
-
-    def test_bit_identical_repeat(self):
-        terms = [math.sin(k) / k for k in range(1, 500)]
-        assert nu.sum_deterministic(terms, FAST) == nu.sum_deterministic(terms, FAST)
-
-
 class TestBernoulli:
     def test_tangent_numbers(self):
         assert nu.tangent_numbers(5) == [1, 2, 16, 272, 7936]

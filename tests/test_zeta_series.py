@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -236,6 +237,16 @@ class TestKernelsMatchLiteralRoutes:
             for k in range(1, KERNEL_N + 1)
         )
         _assert_close_to_exact(zs.shen_series(p, KERNEL_N, ctx).value, exact, ctx)
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("x", [F(1), F(1, 2), F(7, 4)], ids=str)
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_eta_integer_s(self, s, x, ctx):
+        # 120 rows: the weights reach 2^-120, below HIGH's 1e-30 bound
+        N = 120
+        rows = itertools.islice(ha.coppo_rhs_rows(s, x), N)
+        exact = sum(Fraction(row[-1], 2 ** (n + 1)) for n, row in enumerate(rows))
+        _assert_close_to_exact(zs.alt_hurwitz(s, x, N, ctx).value, exact, ctx)
 
     @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
     def test_inner_rows(self, s_power, x):
