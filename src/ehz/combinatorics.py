@@ -247,12 +247,16 @@ def stirling1_closed(n: int, k: int) -> int:
     return val.numerator
 
 
+_STIRLING_BELL_ROWS: Dict[int, Tuple[int, ...]] = {}
+
+
 def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
     """s(n+1, r+1) for r = 0..r_max (default n) via one Bell recurrence.
 
     s(n+1, r+1) = (-1)^(n+r) (n!/r!) Y_r(H_n, -1! H_n^(2), ..., (-1)^(r-1) (r-1)! H_n^(r));
     the arguments of every Y_r are prefixes of one list, so a single
-    bell_eval_all pass yields the whole row.
+    bell_eval_all pass yields the whole row.  Whole rows are memoised and
+    sliced.
     """
     from .harmonic import H
 
@@ -260,13 +264,16 @@ def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
         r_max = n
     if n < 0 or r_max < 0 or r_max > n:
         raise DomainError("need n >= 0 and 0 <= r_max <= n")
-    args = [(-1) ** (m - 1) * math.factorial(m - 1) * H(n, m) for m in range(1, r_max + 1)]
-    row = []
-    for r, y in enumerate(bell_eval_all(args)):
-        val = Fraction((-1) ** (n + r) * Fraction(math.factorial(n), math.factorial(r)) * y)
-        assert val.denominator == 1, "Bell form of s(n+1,r+1) must be an integer"
-        row.append(val.numerator)
-    return row
+    with _STIRLING_LOCK:
+        if n not in _STIRLING_BELL_ROWS:
+            args = [(-1) ** (m - 1) * math.factorial(m - 1) * H(n, m) for m in range(1, n + 1)]
+            row = []
+            for r, y in enumerate(bell_eval_all(args)):
+                val = Fraction((-1) ** (n + r) * Fraction(math.factorial(n), math.factorial(r)) * y)
+                assert val.denominator == 1, "Bell form of s(n+1,r+1) must be an integer"
+                row.append(val.numerator)
+            _STIRLING_BELL_ROWS[n] = tuple(row)
+        return list(_STIRLING_BELL_ROWS[n][: r_max + 1])
 
 
 def stirling1_bell(n: int, r: int) -> int:

@@ -183,7 +183,8 @@ def larcombe_check(variant: int, m: int, n: int) -> Tuple[Fraction, Fraction]:
         raise DomainError("requires m >= 1 and n >= 0")
     front = math.comb(m + n, n)
     s = coppo_lhs(n, variant, Fraction(m))
-    h = [None] + [Hx(n + 1, j, Fraction(m)) for j in range(1, 4)]
+    # Hx(n + 1, j, m) for the j < variant this variant uses, from the H cache
+    h = [None] + [H(m + n, j) - H(m - 1, j) for j in range(1, variant)]
     if variant == 1:
         lhs = m * front * s
         rhs = Fraction(1)

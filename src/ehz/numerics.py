@@ -7,7 +7,8 @@ Two numeric backplanes are provided and selected through a
   Effective precision is the platform double width regardless of the
   requested digit count; intended for large term budgets (N up to 1e6).
 * ``HIGH`` -- software multiprecision (mpmath) at the requested number of
-  decimal digits; intended for tight-tolerance work at small N.
+  decimal digits; intended for tight-tolerance work at small N.  Sums are
+  exact and rounded once (:class:`NeumaierSum` from an mpf zero).
 
 mpmath keeps its working precision in global state, so every HIGH-mode
 computation in this package runs inside :func:`working_precision`, which
@@ -193,14 +194,18 @@ class SeriesResult:
 
 
 class NeumaierSum:
-    """Streaming compensated accumulator (Neumaier's variant of Kahan).
-
-    Works for floats and, under an active :func:`working_precision` block,
-    for mpf values.  Addition order is the caller's; identical input
-    sequences give bit-identical totals.
-    """
+    """Streaming accumulator: from a float zero, Neumaier's compensated sum
+    (Kahan's variant); from an mpf zero, exact adds (``mpmath.fadd(...,
+    exact=True)``) whose :attr:`total` is rounded once at the caller's working
+    precision.  The path is chosen when the sum is created.  Identical input
+    sequences give bit-identical totals."""
 
     __slots__ = ("_sum", "_comp")
+
+    def __new__(cls, zero=0.0):
+        if cls is NeumaierSum and isinstance(zero, mpf):
+            cls = _ExactSum
+        return super().__new__(cls)
 
     def __init__(self, zero=0.0):
         self._sum = zero
@@ -217,6 +222,19 @@ class NeumaierSum:
     @property
     def total(self):
         return self._sum + self._comp
+
+
+class _ExactSum(NeumaierSum):
+    """The mpf path of :class:`NeumaierSum`: exact adds, one rounding."""
+
+    __slots__ = ()
+
+    def add(self, term) -> None:
+        self._sum = mpmath.fadd(self._sum, term, exact=True)
+
+    @property
+    def total(self):
+        return +self._sum
 
 
 # ----------------------------------------------------------------------

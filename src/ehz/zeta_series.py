@@ -14,20 +14,23 @@ Every evaluator returns a :class:`SeriesResult` carrying the partial sum,
 the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
-series use twice the final term).  Summation is ascending-index with
-compensated accumulation, so results are bit-reproducible per context.
+series use twice the final term).  Summation is ascending-index, Neumaier
+compensated in FAST mode and exact (rounded once) in HIGH mode, so results
+are bit-reproducible per context.
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
 throughout.  Inner alternating binomial sums are never summed term by term
-in doubles, which would lose everything to terms as large as C(n, n/2):
-integer s uses their closed form, non-integer s a difference table at
-cancellation-guard precision.  The other per-term factors are carried
-across terms too, at O(q) work per term: the Bell factor as
-symmetric-polynomial coefficients, the Stirling column as |s(k, j)|/k!,
-and the non-integer inner rows as a difference table.  The literal routes
-(``*_exact_terms``, ``combinatorics.bell_eval``) stay as the tests'
-references.
+in doubles, which would lose everything to terms as large as C(n, n/2).
+Integer s uses their closed form.  Non-integer s swaps the double sum's two
+sums into one weighted sum over phi_k = (k+x)^-s, an O(N) dot product at
+cancellation-guard precision (:func:`_swapped_sum`).  The polylog identities
+carry their inner sums across rows by f_j(n) = f_j(n-1) + f_{j-1}(n)/n.  The
+other per-term factors are carried across terms too, at O(q) work per
+term: the Bell factor as symmetric-polynomial coefficients and the Stirling
+column as |s(k, j)|/k!.  The literal routes (exact terms from
+``combinatorics.bell_eval`` and ``harmonic.coppo_rhs_rows``, the
+binomial-row loop, the exact-Fraction polylog rows) live in the tests.
 
 The eta double sums at integer s carry the same h_m recurrence as
 euler_hurwitz in the context's real type: inner row n - 1 is
@@ -54,9 +57,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import mpmath
 from mpmath import mpf
 
-from . import combinatorics, harmonic
 from .numerics import (
     DomainError,
     Mode,
@@ -99,8 +102,6 @@ __all__ = [
     "polylog_identity_target",
     "digamma_half_sum",
     "digamma_half_target",
-    "euler_hurwitz_exact_terms",
-    "stirling_route_exact_terms",
     "convergence_table",
     "fit_convergence_exponent",
     "evaluate",
@@ -231,51 +232,47 @@ def _tail_from_last(t_last: float, N: int, a: float, d: int, c: float) -> float:
         return math.inf
 
 
-def _spec_euler_tail(N: int, d: int) -> float:
-    """integral_N^inf (log t + 1)^d / t^2 dt -- the fixed surrogate for the
-    nonlinear Euler sums at x = 1."""
-    return _log_tail_integral(d, 1.0, N, 1.0)
-
-
 # ----------------------------------------------------------------------
 # Inner sums of the double sums.
 # ----------------------------------------------------------------------
 
 
-def _poly_inner_exact(p: int, x: Fraction, n: int) -> Fraction:
-    """sum_k C(n,k)(-1)^k (k+x)^p for integer p >= 0 (vanishes for n > p)."""
-    if n > p:
-        return Fraction(0)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (-1) ** k * math.comb(n, k) * (k + x) ** p
-    return total
+def _eta_weights(N: int) -> Tuple[List[int], int, int]:
+    """(W, 2^N, 2^N): W_k / 2^N = sum_{n=k}^{N-1} C(n,k) 2^-(n+1) = P(Bin(N, 1/2) >= k+1),
+    the eta sum's weights once swapped; W_k = W_{k+1} + C(N, k+1)."""
+    return list(itertools.accumulate(math.comb(N, j) for j in range(N, 0, -1)))[::-1], 2**N, 2**N
 
 
-def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> list:
-    """Rows of sum_k C(n,k)(-1)^k (k+x)^(-s_power) for n < N, non-integer s.
+def _hasse_weights(N: int) -> Tuple[List[int], int, int]:
+    """(L V, L, N): V_k = sum_{n=k}^{N-1} C(n,k)/(n+1), the Hasse sum's weights
+    once swapped, over L = lcm(1..N); V_0 = H_N, V_{k+1} = C(N,k+1)/(k+1) - V_k."""
+    L = math.lcm(*range(1, N + 1))
+    terms = (L // k * math.comb(N, k) for k in range(1, N))
+    first = sum(L // n for n in range(1, N + 1))  # L H_N
+    return list(itertools.accumulate(terms, lambda v, t: t - v, initial=first)), L, N
 
-    Row n is ((1 - E)^n phi)_0 with phi_k = (k+x)^(-s_power) and E the
-    shift, so it is d[0] after n passes of the difference table
-    d[k] <- d[k] - d[k+1] (ascending k) over phi.  Computed at
-    ctx.digits + 0.302 N guard digits: a rounding error made in a pass
-    grows by up to 2 per later pass, and the guard absorbs that 2^n.
+
+def _swapped_sum(s_power, x: Fraction, N: int, ctx: PrecisionContext, weights, divisor=1):
+    """(sum_{k<N} (-1)^k c_k phi_k / d, r_{N-1} / w), both over ``divisor``, in
+    ctx's type, where (c, d, w) = weights(N), phi_k = (k+x)^(-s_power) and
+    r_{N-1} = sum_k (-1)^k C(N-1,k) phi_k: a non-integer-s double sum with
+    its two sums swapped, and its last term, whose outer weight is 1/w.
+    Both are exact dot products at ctx.digits + 0.302 N + 10 digits, rounded
+    once: the integer weights reach about 2^N and the sums are O(1).
     """
     if N > NONINTEGER_S_TERM_CAP:
         raise DomainError(
             f"non-integer exponents cap the term budget at {NONINTEGER_S_TERM_CAP}"
         )
-    guard = ctx.digits + int(0.302 * N) + 10
-    rows = []
-    with working_precision(guard):
+    c, d, w = weights(N)
+    d, w = d * Fraction(divisor), w * Fraction(divisor)
+    with working_precision(ctx.digits + int(0.302 * N) + 10):
         xv = mpf(x.numerator) / x.denominator
         sp = mpf(s_power)
-        d = [(k + xv) ** (-sp) for k in range(N)]
-        for n in range(N):
-            rows.append(d[0])
-            for k in range(N - 1 - n):
-                d[k] = d[k] - d[k + 1]
-    return rows
+        phi = [(-1) ** k * (k + xv) ** (-sp) for k in range(N)]
+        total = mpmath.fdot(c, phi) * d.denominator / d.numerator
+        last = mpmath.fdot([math.comb(N - 1, k) for k in range(N)], phi) * w.denominator / w.numerator
+    return ctx.real(total), ctx.real(last)
 
 
 # ----------------------------------------------------------------------
@@ -283,11 +280,11 @@ def _inner_rows_float(s_power, x: Fraction, N: int, ctx: PrecisionContext) -> li
 # ----------------------------------------------------------------------
 
 
-def _finish(ctx: PrecisionContext, acc: NeumaierSum, N: int, tail: float) -> SeriesResult:
+def _finish(ctx: PrecisionContext, total, N: int, tail: float) -> SeriesResult:
     if not math.isfinite(tail):
         raise NumericError("the tail estimate overflowed a double")
     with ctx.scope():
-        value = ctx.real(+acc.total)
+        value = ctx.real(+total)
     return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
 
 
@@ -338,7 +335,7 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
             acc.add(term)
         c = float(a[1]) - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
         tail = _tail_from_last(float(term), N, float(x), q - 1, c)
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -376,34 +373,7 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         if t_for_tail == 0.0:  # the q > 1 series starts with vanishing terms
             t_for_tail = float(R) / max(N, 1)
         tail = _tail_from_last(t_for_tail, N, float(x), q - 1, c)
-        return _finish(ctx, acc, N, tail)
-
-
-def euler_hurwitz_exact_terms(q: int, x, N: int) -> List[Fraction]:
-    """First N terms of the euler_hurwitz series as exact rationals.
-
-    Term m equals (1/q!) (1/m) R_m(x) Y_{q-1}(...H_m^(j)(x)...); also the
-    reindexed rows of the Hasse double sum with exact inner sums.
-    """
-    rows = itertools.islice(harmonic.coppo_rhs_rows(q, Fraction(x)), N)
-    return [Fraction(row[-1], (n + 1) * q) for n, row in enumerate(rows)]
-
-
-def stirling_route_exact_terms(q: int, x, N: int) -> List[Fraction]:
-    """First N terms of the stirling_route series as exact rationals."""
-    x = Fraction(x)
-    fact = math.factorial(q - 1)
-    ratio = Fraction(1)
-    out = []
-    for n in range(1, N + 1):
-        ratio = ratio / x if n == 1 else ratio * (n - 1) / (x + n - 1)
-        args = [
-            (-1) ** (j - 1) * math.factorial(j - 1) * harmonic.H(n - 1, j)
-            for j in range(1, q)
-        ]
-        y = combinatorics.bell_eval(args) if args else 1
-        out.append(Fraction(ratio * y, n * fact))
-    return out
+        return _finish(ctx, acc.total, N, tail)
 
 
 def _is_integer(s) -> bool:
@@ -419,9 +389,11 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     series with q = s - 1 (the inner sum's closed form is the gamma ratio
     times the Bell polynomial of shifted harmonic numbers), so that series
     is returned.  Integer s <= 0: the inner sums are exact polynomial sums
-    that vanish for n > 1 - s.  Non-integer s: inner sums are computed with
-    cancellation guard digits (term budget capped); below s = 1 convergence
-    is empirical and the tail estimate is the last-row magnitude.
+    that vanish for n > 1 - s; their exact sum is rounded once.  Non-integer
+    s: the two sums are swapped, sum_{k<N} (-1)^k phi_k V_k with
+    phi_k = (k+x)^(1-s) and V_k from :func:`_hasse_weights`, at cancellation
+    guard digits (term budget capped); below s = 1 convergence is empirical
+    and the tail estimate is the last-row magnitude.
     """
     x = _require_positive_x(x)
     s_is_int = _is_integer(s)
@@ -430,32 +402,20 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     if s_is_int and s >= 2:
         return euler_hurwitz(int(s) - 1, x, N, ctx)
 
-    with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
-        last_row = 0.0
-        if s_is_int:
-            si = int(s)
-            p = 1 - si  # inner is a degree-p polynomial sum; zero for n > p
-            inv = Fraction(1, si - 1)
-            for n in range(min(N, p + 1)):
-                row = ctx.real(inv * _poly_inner_exact(p, x, n) / (n + 1))
-                acc.add(row)
-                last_row = float(row)
-            tail = 0.0 if N > p else abs(last_row)
-            return _finish(ctx, acc, N, tail)
-        sf = float(s)
-        rows = _inner_rows_float(sf - 1, x, N, ctx)
-        inv = 1 / (mpf(s) - 1) if ctx.mode is Mode.HIGH else 1.0 / (sf - 1.0)
-        for n, r in enumerate(rows):
-            row = inv * (r if ctx.mode is Mode.HIGH else float(r)) / (n + 1)
-            acc.add(row)
-            last_row = abs(float(row))
-        if sf > 1:
-            d = max(int(math.ceil(sf)) - 2, 0)
-            tail = _tail_from_last(last_row, N, float(x), d, 1.0)
-        else:
-            tail = last_row
-        return _finish(ctx, acc, N, tail)
+    if s_is_int:
+        p = 1 - int(s)  # inner is a degree-p polynomial sum; zero for n > p
+        rows = [
+            sum((-1) ** k * math.comb(n, k) * (k + x) ** p for k in range(n + 1)) / (-p * (n + 1))
+            for n in range(min(N, p + 1))
+        ]
+        tail = 0.0 if N > p else abs(float(rows[-1]))
+        return _finish(ctx, sum(rows), N, tail)
+    sf = float(s)
+    total, last = _swapped_sum(sf - 1, x, N, ctx, _hasse_weights, Fraction(s) - 1)
+    last_row = abs(float(last))
+    if sf > 1:
+        last_row = _tail_from_last(last_row, N, float(x), max(math.ceil(sf) - 2, 0), 1.0)
+    return _finish(ctx, total, N, last_row)
 
 
 def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -465,36 +425,35 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     b_i = 1/(i+x) (the Coppo closed form), carried across n as in
     :func:`euler_hurwitz`: a new b gives a[m] += b a[m-1] in ascending m,
     and term n is 2^-n R_n a[s-1].
+
+    Non-integer s: the two sums are swapped (the Euler transform of Cohen,
+    Rodriguez Villegas and Zagier), sum_{k<N} (-1)^k phi_k W_k with
+    W_k = P(Bin(N, 1/2) >= k+1) in (0, 1] (:func:`_eta_weights`).  The tail
+    keeps its definition from the last term, 2^-N times inner row N - 1.
     """
+    if not _is_integer(s):
+        total, last = _swapped_sum(s, x, N, ctx, _eta_weights)
+        return _finish(ctx, total, N, 2.0 * abs(float(last)))
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
-        last = 0.0
-        if _is_integer(s):
-            xv = ctx.real(x)
-            R = _ratio_seed(x, ctx)
-            a = [xv * 0 + 1] + [xv * 0] * (int(s) - 1)
-            w = xv * 0 + 1
-            for n in range(1, N + 1):
-                if n > 1:
-                    R = R * (n - 1) / (n - 1 + xv)
-                b = 1 / (n - 1 + xv)
-                for m in range(1, len(a)):
-                    a[m] = a[m] + b * a[m - 1]
-                w = w / 2
-                term = w * R * a[-1]
-                acc.add(term)
-                last = float(term)
-            if not math.isfinite(last):  # a[] only grows, so an overflow persists
-                raise NumericError("an inner row overflowed a double")
-        else:
-            rows = _inner_rows_float(s, x, N, ctx)
-            w = mpf(1) / 2 if ctx.mode is Mode.HIGH else 0.5
-            for r in rows:
-                term = w * (r if ctx.mode is Mode.HIGH else float(r))
-                acc.add(term)
-                last = abs(float(term))
-                w /= 2
-        return _finish(ctx, acc, N, 2.0 * abs(last))
+        xv = ctx.real(x)
+        R = _ratio_seed(x, ctx)
+        a = [xv * 0 + 1] + [xv * 0] * (int(s) - 1)
+        w = xv * 0 + 1
+        term = xv * 0
+        for n in range(1, N + 1):
+            if n > 1:
+                R = R * (n - 1) / (n - 1 + xv)
+            b = 1 / (n - 1 + xv)
+            for m in range(1, len(a)):
+                a[m] = a[m] + b * a[m - 1]
+            w = w / 2
+            term = w * R * a[-1]
+            acc.add(term)
+        last = float(term)
+        if not math.isfinite(last):  # a[] only grows, so an overflow persists
+            raise NumericError("an inner row overflowed a double")
+        return _finish(ctx, acc.total, N, 2.0 * abs(last))
 
 
 def sondow_alt(s, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -534,7 +493,7 @@ def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
             for j in range(p, 0, -1):
                 v[j] = (v[j - 1] + k * v[j]) / (k + 1)
         tail = _tail_from_last(float(term), N, 1.0, p - 1, 1.0)
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -557,17 +516,12 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         xv = ctx.real(x)
         one = xv * 0 + 1
         R = _ratio_seed(x, ctx)
-        H = xv * 0
-        h1 = xv * 0
-        h2 = xv * 0
-        h3 = xv * 0
+        H = h1 = h2 = h3 = xv * 0
         acc = NeumaierSum(xv * 0)
-        if kind is MixedKind.Z4_457:
-            pref, d = one / 3, 2
-        elif kind is MixedKind.Z5_457B:
-            pref, d = one * 2 / 24, 3
-        else:
-            pref, d = one / 60, 4
+        pref, d = {
+            MixedKind.Z4_457: (one / 3, 2), MixedKind.Z5_457B: (one * 2 / 24, 3),
+            MixedKind.Z6_459: (one / 60, 4),
+        }[kind]
         term = xv * 0
         for n in range(1, N + 1):
             if n > 1:
@@ -587,7 +541,7 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
             acc.add(term)
         c = max(float(H) - math.log(N), float(h1) - math.log(N))
         tail = _tail_from_last(float(term), N, float(x), d, c)
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 #: E-kinds that are q! times the euler_hurwitz series at x = 1, by q
@@ -640,8 +594,9 @@ def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> Seri
                     H * (H * H + 3 * H2) + 2 * H3
                 ) / (n * n * n)
             acc.add(term)
-        tail = _spec_euler_tail(N, 3 if kind is EulerSumKind.E45_8 else 4)
-        return _finish(ctx, acc, N, tail)
+        # the fixed surrogate integral_N^inf (log t + 1)^d / t^2 dt
+        tail = _log_tail_integral(3 if kind is EulerSumKind.E45_8 else 4, 1.0, N, 1.0)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
@@ -671,17 +626,16 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
         one = ctx.zero() + 1
-        last = 0.0
+        term = ctx.zero()
         if kind is CatalanKind.RAMANUJAN_38:
             quarter_pi = const_pi(ctx) / 4
             b = one  # C(2n,n)^2 / 2^(4n)
             for n in range(N):
                 term = quarter_pi * b / (2 * n + 1)
                 acc.add(term)
-                last = float(term)
                 b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
-            tail = _tail_from_last(last, N, 1.0, 0, 0.0)
-            return _finish(ctx, acc, N, tail)
+            tail = _tail_from_last(float(term), N, 1.0, 0, 0.0)
+            return _finish(ctx, acc.total, N, tail)
         if kind in (CatalanKind.CENTRAL_38_1, CatalanKind.ZETA2_37):
             # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
             a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
@@ -689,14 +643,12 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
             for n in range(N):
                 term = c / (a * n + b)
                 acc.add(term)
-                last = float(term)
                 c = c * (2 * (n + 1)) / (2 * n + 3)
-            tail = _tail_from_last(last, N, 0.5, 0, 0.0)
-            return _finish(ctx, acc, N, tail)
+            tail = _tail_from_last(float(term), N, 0.5, 0, 0.0)
+            return _finish(ctx, acc.total, N, tail)
         # ZETA3_HALF_45_6: (1/2) sum [n H_n - 1]/n^2 * [2^n Gamma(n)]^2/Gamma(2n)
         R = one * 2  # equals R_n(1/2); the bracketed factor is 2 R_n
         H = ctx.zero()
-        term = ctx.zero()
         for n in range(1, N + 1):
             if n > 1:
                 R = R * (n - 1) / (n - 1 + 0.5)
@@ -705,7 +657,7 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
             acc.add(term)
         c_off = float(H) - math.log(N)
         tail = _tail_from_last(float(term), N, 0.5, 1, c_off)
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def polylog(s, y, ctx: PrecisionContext) -> Real:
@@ -750,30 +702,40 @@ def polylog_identity_lhs(
            -> -(s+1) Li_{s+2}(y) + log(y) Li_{s+1}(y)
     E14_4: sum (1/(n 2^n)) sum_k C(n,k) y^k/k^s -> Li_{s+1}(y)
 
-    Inner sums are exact rationals (the alternating one cancels
-    catastrophically in floats), rounded once per row.
+    Row n's inner sum f_s(n) = sum_{k=1}^n C(n,k) (+-y)^k / k^s is carried
+    across n: C(n,k) - C(n-1,k) = (k/n) C(n,k) gives
+    f_j(n) = f_j(n-1) + f_{j-1}(n)/n for j = 1..s in ascending j, with
+    f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) = expm1(n log1p(-y)) lies in
+    (-1, 0), so every f_j is a sum of negative terms and nothing cancels.
+    E14_4 carries g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
+    g_0(n) = ((1+y)/2)^n (-expm1(-n log1p(y))), so (3/2)^n never overflows.
     """
     y = _polylog_identity_args(which, s, y)
     alternating = which is PolylogIdentity.E14_3
+    lib = mpmath if ctx.mode is Mode.HIGH else math  # for expm1 and log1p
     with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
-        last = 0.0
-        two_n = 1
+        yv = ctx.real(y)
+        lg = lib.log1p(-yv if alternating else yv)
+        half = (1 + yv) / 2
+        one = yv * 0 + 1
+        power = one  # ((1+y)/2)^n
+        decay = one if alternating else one / 2  # carries f_j, or g_j = f_j / 2^n
+        f = [yv * 0] * (s + 1)
+        acc = NeumaierSum(yv * 0)
+        row = yv * 0
         for n in range(1, N + 1):
-            two_n *= 2
-            inner = Fraction(0)
-            c = 1
-            yk = Fraction(1)
-            for k in range(1, n + 1):
-                c = c * (n - k + 1) // k
-                yk *= y
-                t = Fraction(c, k**s) * yk
-                inner += -t if (alternating and k % 2) else t
-            row = inner / n**2 if alternating else inner / (n * two_n)
-            acc.add(ctx.real(row))
-            last = abs(float(row))
+            if alternating:
+                f[0] = lib.expm1(n * lg)
+            else:
+                power = power * half
+                f[0] = -power * lib.expm1(-n * lg)
+            for j in range(1, s + 1):
+                f[j] = f[j] * decay + f[j - 1] / n
+            row = f[s] / (n * n if alternating else n)
+            acc.add(row)
+        last = abs(float(row))
         tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:
@@ -809,7 +771,7 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
             hx.add(two / (2 * n + 1))
         c = float(psi0 + hx.total) - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
-        return _finish(ctx, acc, N, tail)
+        return _finish(ctx, acc.total, N, tail)
 
 
 def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:

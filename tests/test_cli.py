@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,16 @@ def strip_seconds_csv(text: str) -> str:
 
 
 class TestEval:
+    def test_python_dash_m(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehz", "eval", "--formula", "shen", "--q", "2", "--terms", "50"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "formula=shen" in proc.stdout
+
     def test_euler_hurwitz_near_zeta5(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--formula", "euler-hurwitz", "--q", "4", "--x", "1",

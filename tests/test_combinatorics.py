@@ -207,6 +207,12 @@ class TestStirling:
                 assert row[r] == co.stirling1_bell(n, r) == co.stirling1(n + 1, r + 1)
             assert co.stirling1_bell_row(n, n // 2) == row[: n // 2 + 1]
 
+    def test_bell_row_cache_hands_out_copies(self):
+        row = co.stirling1_bell_row(6)
+        want = list(row)
+        row[2] = 0
+        assert co.stirling1_bell_row(6) == want
+
 
 class TestFallingFactorial:
     def test_edges(self):

@@ -136,6 +136,13 @@ class TestLarcombe:
         with pytest.raises(DomainError):
             ha.larcombe_check(2, 0, 3)
 
+    def test_shifted_sums_from_the_h_column(self):
+        # larcombe_check reads Hx(n + 1, j, m) as H(m + n, j) - H(m - 1, j)
+        for m in range(1, 11):
+            for n in range(0, 51):
+                for j in (1, 2, 3):
+                    assert ha.Hx(n + 1, j, F(m)) == ha.H(m + n, j) - ha.H(m - 1, j)
+
 
 class TestSpiess:
     @pytest.mark.parametrize("variant", ["a", "b", "c"])

@@ -28,6 +28,39 @@ class TestPrecisionContext:
         assert mp_abs_diff(v, mp_literal("0.333333333333333333333333333333333333333")) < 1e-38
 
 
+class TestNeumaierSum:
+    def test_float_path_is_compensated(self):
+        acc = nu.NeumaierSum(0.0)
+        for t in (1e16, 1.0, -1e16, 1e-3):
+            acc.add(t)
+        assert acc.total == 1.001
+
+    def test_high_path_is_the_exact_sum_rounded_once(self):
+        with nu.working_precision(HIGH.dps):
+            terms = [
+                (-1) ** k * (k + mpmath.mpf(1) / 3) ** -1.5 * mpmath.mpf(10) ** (k % 7 - 3)
+                for k in range(300)
+            ]
+            acc = nu.NeumaierSum(HIGH.zero())
+            for t in terms:
+                acc.add(t)
+            # man_exp is (|mantissa|, exponent)
+            exact = sum(int(mpmath.sign(t)) * t.man_exp[0] * Fraction(2) ** t.man_exp[1] for t in terms)
+            # fdiv of two exact integers rounds once, to nearest
+            assert acc.total == mpmath.fdiv(exact.numerator, exact.denominator)
+
+    def test_high_path_rounds_past_a_tie(self):
+        # At 136 bits, 1 + 2^-136 + 2^-272 rounds up to 1 + 2^-135.  A
+        # compensated sum holds 2^-136 + 2^-272 in 136 bits as 2^-136 and
+        # then rounds the tie 1 + 2^-136 to even, down to 1.
+        with nu.working_precision(HIGH.dps):
+            assert mpmath.mp.prec == 136
+            acc = nu.NeumaierSum(HIGH.zero())
+            for t in (1, mpmath.ldexp(1, -137), mpmath.ldexp(1, -137) + mpmath.ldexp(1, -272)):
+                acc.add(mpmath.mpf(t))
+            assert acc.total == 1 + mpmath.ldexp(1, -135)
+
+
 class TestBernoulli:
     def test_tangent_numbers(self):
         assert nu.tangent_numbers(5) == [1, 2, 16, 272, 7936]

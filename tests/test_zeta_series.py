@@ -25,6 +25,35 @@ HIGH = PrecisionContext(30, Mode.HIGH)
 FAST = PrecisionContext(30, Mode.FAST)
 
 
+def euler_hurwitz_exact_terms(q: int, x, N: int) -> list:
+    """First N terms of the euler_hurwitz series as exact rationals (the
+    literal route of its h_m recurrence).
+
+    Term m equals (1/q!) (1/m) R_m(x) Y_{q-1}(...H_m^(j)(x)...); also the
+    reindexed rows of the Hasse double sum with exact inner sums.
+    """
+    rows = itertools.islice(ha.coppo_rhs_rows(q, Fraction(x)), N)
+    return [Fraction(row[-1], (n + 1) * q) for n, row in enumerate(rows)]
+
+
+def stirling_route_exact_terms(q: int, x, N: int) -> list:
+    """First N terms of the stirling_route series as exact rationals (the
+    literal route of its e_m recurrence, through ``bell_eval``)."""
+    x = Fraction(x)
+    fact = math.factorial(q - 1)
+    ratio = Fraction(1)
+    out = []
+    for n in range(1, N + 1):
+        ratio = ratio / x if n == 1 else ratio * (n - 1) / (x + n - 1)
+        args = [
+            (-1) ** (j - 1) * math.factorial(j - 1) * ha.H(n - 1, j)
+            for j in range(1, q)
+        ]
+        y = co.bell_eval(args) if args else 1
+        out.append(Fraction(ratio * y, n * fact))
+    return out
+
+
 def within_tail(result, reference, factor=3.0) -> bool:
     return abs(float(result.value) - float(reference)) <= factor * float(
         result.tail_estimate
@@ -82,11 +111,20 @@ class TestHasse:
         # the double sum's exact rows, reindexed, are the single-series
         # terms: brute-force binomial inner sums against the Bell form
         for q, x in ((1, F(1)), (2, F(1, 2)), (3, F(7, 4))):
-            terms = zs.euler_hurwitz_exact_terms(q, x, 40)
+            terms = euler_hurwitz_exact_terms(q, x, 40)
             for n in range(40):
                 row = ha.coppo_lhs(n, q, x) / ((n + 1) * q)
                 assert row == terms[n]
 
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["FAST", "HIGH"])
+    @pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(1), F(7, 4)], ids=str)
+    @pytest.mark.parametrize("s", [0, -1, -2, -3])
+    def test_nonpositive_integer_s_is_exact(self, s, x, ctx):
+        # zeta(s, x) = -B_{1-s}(x) / (1-s), rounded once
+        res = zs.hasse_hurwitz(s, x, 10, ctx)
+        assert res.value == ctx.real(-_bernoulli_poly(1 - s, x) / (1 - s))
+        assert res.tail_estimate == 0.0
 
     @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["FAST", "HIGH"])
     def test_integer_s_is_the_euler_hurwitz_series(self, ctx):
@@ -94,6 +132,14 @@ class TestHasse:
             a = zs.hasse_hurwitz(s, x, 300, ctx)
             b = zs.euler_hurwitz(int(s) - 1, x, 300, ctx)
             assert (a.value, a.tail_estimate) == (b.value, b.tail_estimate)
+
+
+def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_k C(n, k) B_k x^(n-k), with B_1 = -1/2."""
+    b = [F(1), F(-1, 2)] + [F(0)] * (n - 1)
+    for j, b2j in enumerate(nu.bernoulli_even(n // 2), start=1):
+        b[2 * j] = b2j
+    return sum(math.comb(n, k) * b[k] * x ** (n - k) for k in range(n + 1))
 
 
 class TestEta:
@@ -126,7 +172,7 @@ class TestEulerHurwitz:
 
     def test_exact_terms_q4_bracket_identity(self):
         # term n must equal (1/4!) ([H]^3 + 3 H^(2) H + 2 H^(3)) / n^2 exactly
-        terms = zs.euler_hurwitz_exact_terms(4, F(1), 1000)
+        terms = euler_hurwitz_exact_terms(4, F(1), 1000)
         for n in range(1, 1001):
             h1, h2, h3 = ha.H(n, 1), ha.H(n, 2), ha.H(n, 3)
             want = (h1**3 + 3 * h2 * h1 + 2 * h3) / (24 * n * n)
@@ -161,12 +207,12 @@ class TestEulerHurwitz:
 
 class TestStirlingRoute:
     def test_q1_identical_terms_to_euler_route(self):
-        a = zs.euler_hurwitz_exact_terms(1, F(2, 3), 50)
-        b = zs.stirling_route_exact_terms(1, F(2, 3), 50)
+        a = euler_hurwitz_exact_terms(1, F(2, 3), 50)
+        b = stirling_route_exact_terms(1, F(2, 3), 50)
         assert a == b
 
     def test_q2_unit_terms(self):
-        terms = zs.stirling_route_exact_terms(2, F(1), 30)
+        terms = stirling_route_exact_terms(2, F(1), 30)
         for n in range(1, 31):
             assert terms[n - 1] == ha.H(n - 1, 1) / Fraction(n * n)
 
@@ -220,8 +266,8 @@ class TestKernelsMatchLiteralRoutes:
     @pytest.mark.parametrize(
         "evaluator, exact_terms",
         [
-            (zs.euler_hurwitz, zs.euler_hurwitz_exact_terms),
-            (zs.stirling_route, zs.stirling_route_exact_terms),
+            (zs.euler_hurwitz, euler_hurwitz_exact_terms),
+            (zs.stirling_route, stirling_route_exact_terms),
         ],
         ids=["euler-hurwitz", "stirling-route"],
     )
@@ -250,22 +296,67 @@ class TestKernelsMatchLiteralRoutes:
 
     @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
     def test_inner_rows(self, s_power, x):
+        # the swapped sums of alt_hurwitz at s = s_power and hasse at
+        # s = s_power + 1 against the binomial-row loop they replaced, at
+        # the same guard, for values and tails
         N = 120
-        rows = zs._inner_rows_float(s_power, x, N, HIGH)
-        # the binomial-row loop the difference table replaced, at the same guard
         with nu.working_precision(HIGH.digits + int(0.302 * N) + 10):
             xv = mpmath.mpf(x.numerator) / x.denominator
             phi = [(k + xv) ** -mpmath.mpf(s_power) for k in range(N)]
-            want = []
+            rows = []
             for n in range(N):
                 c = mpmath.mpf(1)
                 acc = phi[0]
                 for k in range(1, n + 1):
                     c = c * (n - k + 1) / k
                     acc += (c if k % 2 == 0 else -c) * phi[k]
-                want.append(acc)
-            for n, (got, ref) in enumerate(zip(rows, want)):
-                assert abs(got - ref) <= mpmath.mpf(10) ** -HIGH.dps * abs(ref), n
+                rows.append(acc)
+            eta = mpmath.fsum(r / 2 ** (n + 1) for n, r in enumerate(rows))
+            hasse = mpmath.fsum(r / (n + 1) for n, r in enumerate(rows)) / s_power
+        eta_tail = 2 * abs(float(rows[-1])) / 2**N
+        d = max(math.ceil(s_power + 1) - 2, 0)
+        hasse_tail = zs._tail_from_last(abs(float(rows[-1])) / (s_power * N), N, float(x), d, 1.0)
+        for ctx in (FAST, HIGH):
+            got_eta = zs.alt_hurwitz(s_power, x, N, ctx)
+            got_hasse = zs.hasse_hurwitz(s_power + 1, x, N, ctx)
+            for got, want in ((got_eta.value, eta), (got_hasse.value, hasse)):
+                if ctx.mode is Mode.FAST:
+                    assert abs(got - float(want)) <= 4 * EPS * abs(float(want)), (got, want)
+                else:
+                    assert abs(got - want) <= mpmath.mpf(10) ** -30 * abs(want), (got, want)
+            assert got_eta.tail_estimate == pytest.approx(eta_tail, rel=1e-14)
+            assert got_hasse.tail_estimate == pytest.approx(hasse_tail, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 40])
+    def test_swapped_weights(self, N):
+        # sum_{n=k}^{N-1} C(n,k) 2^-(n+1) and sum_{n=k}^{N-1} C(n,k)/(n+1)
+        W, D, _ = zs._eta_weights(N)
+        V, L, _ = zs._hasse_weights(N)
+        assert len(W) == len(V) == N
+        for k in range(N):
+            col = [math.comb(n, k) for n in range(k, N)]
+            assert F(W[k], D) == sum(F(c, 2 ** (n + 1)) for n, c in enumerate(col, start=k))
+            assert F(V[k], L) == sum(F(c, n + 1) for n, c in enumerate(col, start=k))
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("y", [F(1, 4), F(1, 3), F(1, 2)], ids=str)
+    @pytest.mark.parametrize("s", range(1, 5))
+    @pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
+    def test_polylog_rows(self, which, s, y, ctx):
+        res = zs.polylog_identity_lhs(which, s, y, 120, ctx)
+        _assert_close_to_exact(res.value, _polylog_exact_sum(which, s, y, 120), ctx)
+
+
+@functools.lru_cache(maxsize=None)
+def _polylog_exact_sum(which: PolylogIdentity, s: int, y: Fraction, N: int) -> Fraction:
+    """The polylog identities' first N rows with exact-Fraction inner sums
+    sum_k C(n,k) (+-y)^k / k^s: the literal route of the row recurrence."""
+    z = -y if which is PolylogIdentity.E14_3 else y
+    total = F(0)
+    for n in range(1, N + 1):
+        inner = sum(F(math.comb(n, k), k**s) * z**k for k in range(1, n + 1))
+        total += inner / n**2 if which is PolylogIdentity.E14_3 else inner / (n * 2**n)
+    return total
 
 
 class TestMixed:
@@ -368,6 +459,19 @@ class TestPolylog:
         # rows decay like (log n + c)/n^2; analytic tail at N = 400
         tail = zs._tail_from_last(_e14_3_row(400), 400, 1.0, 1, 1.0)
         assert abs(float(lhs) - float(rhs)) <= 3 * tail
+
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
+    def test_identities_at_2000_terms(self, which, ctx):
+        # E14_4's (3/2)^n passes a double's range near n = 1750; the rows
+        # carry f / 2^n.  Its tail is geometric (about 1e-250 here), so the
+        # gate adds the kernel tests' rounding allowance to 3 tails.
+        res = zs.polylog_identity_lhs(which, 2, F(1, 2), 2000, ctx)
+        target = zs.polylog_identity_target(which, 2, F(1, 2), ctx)
+        rounding = (32 * EPS if ctx.mode is Mode.FAST else 1e-30) * abs(float(target))
+        assert math.isfinite(float(res.value))
+        assert abs(float(res.value) - float(target)) <= 3 * float(res.tail_estimate) + rounding
 
 
 def _e14_3_row(n: int) -> float:
