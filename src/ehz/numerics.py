@@ -159,7 +159,7 @@ class PrecisionContext:
             return float(mpf(value))
         with working_precision(self.dps):
             if isinstance(value, Fraction):
-                return mpf(value.numerator) / value.denominator
+                return mpmath.fdiv(value.numerator, value.denominator)  # rounded once
             return mpf(value)
 
     def zero(self) -> Real:

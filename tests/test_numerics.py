@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +27,16 @@ class TestPrecisionContext:
         assert FAST.real(Fraction(1, 2)) == 0.5
         v = HIGH.real(Fraction(1, 3))
         assert mp_abs_diff(v, mp_literal("0.333333333333333333333333333333333333333")) < 1e-38
+
+
+    def test_real_rounds_a_fraction_once(self):
+        # numerators wider than the working precision must not be rounded
+        # before the division
+        rng = random.Random(7)
+        for _ in range(40):
+            f = Fraction(rng.getrandbits(300) | 1, rng.getrandbits(200) | 1)
+            with nu.working_precision(HIGH.dps):
+                assert HIGH.real(f) == mpmath.fdiv(f.numerator, f.denominator), f
 
 
 class TestNeumaierSum:
