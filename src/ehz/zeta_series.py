@@ -705,33 +705,40 @@ def polylog_identity_lhs(
     Row n's inner sum f_s(n) = sum_{k=1}^n C(n,k) (+-y)^k / k^s is carried
     across n: C(n,k) - C(n-1,k) = (k/n) C(n,k) gives
     f_j(n) = f_j(n-1) + f_{j-1}(n)/n for j = 1..s in ascending j, with
-    f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) = expm1(n log1p(-y)) lies in
-    (-1, 0), so every f_j is a sum of negative terms and nothing cancels.
-    E14_4 carries g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
-    g_0(n) = ((1+y)/2)^n (-expm1(-n log1p(y))), so (3/2)^n never overflows.
+    f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) = (1-y)^n - 1 lies in (-1, 0),
+    so every f_j is a sum of negative terms and nothing cancels.  E14_4
+    carries g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
+    g_0(n) = ((1+y)/2)^n (1 - (1+y)^-n), so (3/2)^n never overflows.  The
+    powers are carried by multiplication; t - 1 for t = (1-y)^n or (1+y)^-n
+    is expm1 of n log t while t > 1/2, where the subtraction would cancel.
     """
     y = _polylog_identity_args(which, s, y)
     alternating = which is PolylogIdentity.E14_3
     lib = mpmath if ctx.mode is Mode.HIGH else math  # for expm1 and log1p
     with ctx.scope():
         yv = ctx.real(y)
-        lg = lib.log1p(-yv if alternating else yv)
+        # t = (1-y)^n for E14_3, (1+y)^-n for E14_4; u = t - 1 = expm1(n lg)
+        lg = lib.log1p(-yv) if alternating else -lib.log1p(yv)
+        step = ctx.real(1 - y if alternating else 1 / (1 + y))
         half = (1 + yv) / 2
-        one = yv * 0 + 1
-        power = one  # ((1+y)/2)^n
-        decay = one if alternating else one / 2  # carries f_j, or g_j = f_j / 2^n
+        t = power = yv * 0 + 1  # power = ((1+y)/2)^n
         f = [yv * 0] * (s + 1)
         acc = NeumaierSum(yv * 0)
         row = yv * 0
         for n in range(1, N + 1):
+            t = t * step
+            u = t - 1 if t <= 0.5 else lib.expm1(n * lg)  # t - 1 cancels while t > 1/2
             if alternating:
-                f[0] = lib.expm1(n * lg)
+                f[0] = u
+                for j in range(1, s + 1):
+                    f[j] = f[j] + f[j - 1] / n
+                row = f[s] / (n * n)
             else:
                 power = power * half
-                f[0] = -power * lib.expm1(-n * lg)
-            for j in range(1, s + 1):
-                f[j] = f[j] * decay + f[j - 1] / n
-            row = f[s] / (n * n if alternating else n)
+                f[0] = -power * u
+                for j in range(1, s + 1):
+                    f[j] = f[j] / 2 + f[j - 1] / n
+                row = f[s] / n
             acc.add(row)
         last = abs(float(row))
         tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
