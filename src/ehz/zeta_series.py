@@ -271,7 +271,8 @@ def _swapped_sum(s_power, x: Fraction, N: int, ctx: PrecisionContext, weights, d
         sp = mpf(s_power)
         phi = [(-1) ** k * (k + xv) ** (-sp) for k in range(N)]
         total = mpmath.fdot(c, phi) * d.denominator / d.numerator
-        last = mpmath.fdot([math.comb(N - 1, k) for k in range(N)], phi) * w.denominator / w.numerator
+        last = mpmath.fdot([math.comb(N - 1, k) for k in range(N)], phi)
+        last = last * w.denominator / w.numerator
     return ctx.real(total), ctx.real(last)
 
 
@@ -412,10 +413,10 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         return _finish(ctx, sum(rows), N, tail)
     sf = float(s)
     total, last = _swapped_sum(sf - 1, x, N, ctx, _hasse_weights, Fraction(s) - 1)
-    last_row = abs(float(last))
+    tail = abs(float(last))  # the last row
     if sf > 1:
-        last_row = _tail_from_last(last_row, N, float(x), max(math.ceil(sf) - 2, 0), 1.0)
-    return _finish(ctx, total, N, last_row)
+        tail = _tail_from_last(tail, N, float(x), max(math.ceil(sf) - 2, 0), 1.0)
+    return _finish(ctx, total, N, tail)
 
 
 def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -705,12 +706,10 @@ def polylog_identity_lhs(
     Row n's inner sum f_s(n) = sum_{k=1}^n C(n,k) (+-y)^k / k^s is carried
     across n: C(n,k) - C(n-1,k) = (k/n) C(n,k) gives
     f_j(n) = f_j(n-1) + f_{j-1}(n)/n for j = 1..s in ascending j, with
-    f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) = (1-y)^n - 1 lies in (-1, 0),
-    so every f_j is a sum of negative terms and nothing cancels.  E14_4
-    carries g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
-    g_0(n) = ((1+y)/2)^n (1 - (1+y)^-n), so (3/2)^n never overflows.  The
-    powers are carried by multiplication; t - 1 for t = (1-y)^n or (1+y)^-n
-    is expm1 of n log t while t > 1/2, where the subtraction would cancel.
+    f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) lies in (-1, 0), so every
+    f_j is a sum of negative terms and nothing cancels.  E14_4 carries
+    g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
+    g_0(n) = ((1+y)/2)^n (1 - (1+y)^-n), so (3/2)^n never overflows.
     """
     y = _polylog_identity_args(which, s, y)
     alternating = which is PolylogIdentity.E14_3
@@ -726,19 +725,12 @@ def polylog_identity_lhs(
         acc = NeumaierSum(yv * 0)
         row = yv * 0
         for n in range(1, N + 1):
-            t = t * step
+            t, power = t * step, power * half
             u = t - 1 if t <= 0.5 else lib.expm1(n * lg)  # t - 1 cancels while t > 1/2
-            if alternating:
-                f[0] = u
-                for j in range(1, s + 1):
-                    f[j] = f[j] + f[j - 1] / n
-                row = f[s] / (n * n)
-            else:
-                power = power * half
-                f[0] = -power * u
-                for j in range(1, s + 1):
-                    f[j] = f[j] / 2 + f[j - 1] / n
-                row = f[s] / n
+            f[0] = u if alternating else -power * u
+            for j in range(1, s + 1):
+                f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
+            row = f[s] / (n * n if alternating else n)
             acc.add(row)
         last = abs(float(row))
         tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last

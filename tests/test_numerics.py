@@ -56,7 +56,9 @@ class TestNeumaierSum:
             for t in terms:
                 acc.add(t)
             # man_exp is (|mantissa|, exponent)
-            exact = sum(int(mpmath.sign(t)) * t.man_exp[0] * Fraction(2) ** t.man_exp[1] for t in terms)
+            exact = sum(
+                int(mpmath.sign(t)) * t.man_exp[0] * Fraction(2) ** t.man_exp[1] for t in terms
+            )
             # fdiv of two exact integers rounds once, to nearest
             assert acc.total == mpmath.fdiv(exact.numerator, exact.denominator)
 
