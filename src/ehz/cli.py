@@ -6,7 +6,7 @@ Exit codes: 0 success (all PASS for verify), 1 verification failure,
 identical invocations except the wall-clock ``seconds`` column of
 ``converge``.  The optional environment variable ``EHZ_PRECISION``
 overrides the default working precision (30 digits) when ``--precision``
-is not given; either is capped at ``MAX_CONSTANT_DIGITS`` (300).
+is not given; either must lie in 15..``MAX_CONSTANT_DIGITS`` (300).
 """
 
 from __future__ import annotations
@@ -84,10 +84,14 @@ def _auto_mode(digits: int, terms: int) -> Mode:
 def _build_context(args, terms: int) -> PrecisionContext:
     digits, source = args.precision, "--precision"
     if digits is None:
-        env = os.environ.get("EHZ_PRECISION")
-        digits, source = (int(env) if env else 30), "EHZ_PRECISION"
-    if digits > MAX_CONSTANT_DIGITS:
-        raise ValueError(f"{source} must be <= {MAX_CONSTANT_DIGITS}, got {digits}")
+        env, source = os.environ.get("EHZ_PRECISION") or "30", "EHZ_PRECISION"
+        try:
+            digits = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    if not 15 <= digits <= MAX_CONSTANT_DIGITS:
+        bound = ">= 15" if digits < 15 else f"<= {MAX_CONSTANT_DIGITS}"
+        raise ValueError(f"{source} must be {bound}, got {digits}")
     mode_arg = getattr(args, "mode", "auto")
     if mode_arg == "fast":
         mode = Mode.FAST

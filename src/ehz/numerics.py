@@ -6,9 +6,9 @@ Two numeric backplanes are provided and selected through a
 * ``FAST`` -- native IEEE doubles with Neumaier compensated summation.
   Effective precision is the platform double width regardless of the
   requested digit count; intended for large term budgets (N up to 1e6).
-* ``HIGH`` -- software multiprecision (mpmath) at the requested number of
-  decimal digits; intended for tight-tolerance work at small N.  Sums are
-  exact and rounded once (:class:`NeumaierSum` from an mpf zero).
+* ``HIGH`` -- mpmath at the requested digits, for tight tolerances at small
+  N.  Sums are exact and rounded once (:class:`NeumaierSum` from an mpf
+  zero); the gamma-ratio series sum fixed-point integers, not mpfs.
 
 mpmath keeps its working precision in global state, so every HIGH-mode
 computation in this package runs inside :func:`working_precision`, which
@@ -289,9 +289,9 @@ def bernoulli_even(jmax: int) -> Sequence[Fraction]:
 def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:
     """zeta(s, x) for real s > 1, x > 0 by Euler--Maclaurin tail completion.
 
-    Direct sum to M terms, then the integral term, half-term correction and
-    Bernoulli corrections; M grows until the first omitted correction is
-    below the target accuracy of 10^-(digits+2).
+    Direct sum to M terms, then the integral, half-term and Bernoulli
+    corrections; M doubles until a correction is below 10^-(digits+4) of the
+    sum, skipping each M that :func:`_em_can_reach` rules out.
     """
     sf = float(s)
     xf = float(x)
@@ -306,13 +306,26 @@ def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:
         eps = mpf(10) ** (-(ctx.digits + 4))
         M = max(20, int(0.8 * dps) + 4)
         for _ in range(6):
-            value = _em_once(s_mp, x_mp, M, eps)
+            reachable = _em_can_reach(sf, xf, M, ctx.digits + 4)
+            value = _em_once(s_mp, x_mp, M, eps) if reachable else None
             if value is not None:
                 break
             M *= 2
         else:
             raise NumericError("Euler-Maclaurin tail failed to converge")
     return value if ctx.mode is Mode.HIGH else float(value)
+
+
+def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = 120) -> bool:
+    """False when _em_once at M must fail: correction j <= jmax is at least
+    2 (s)_{2j-1} / (2 pi (M+x))^(2j) (M+x)^(1-s), never below 10^-digits
+    (x^-s + x^(1-s) / (s-1)) >= 10^-digits zeta(s, x)."""
+    lb = math.log(M + x)
+    # log(10^-digits zeta bound) + 1 of slack, less the correction's j-free terms
+    target = -digits * math.log(10) - s * math.log(x) + math.log1p(x / (s - 1)) + 1.0
+    target += math.lgamma(s) - math.log(2) + (s - 1) * lb
+    c = math.log(2 * math.pi) + lb
+    return any(math.lgamma(s + 2 * j - 1) - 2 * j * c < target for j in range(1, jmax + 1))
 
 
 def _em_once(s_mp, x_mp, M: int, eps):

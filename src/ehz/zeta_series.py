@@ -14,9 +14,9 @@ Every evaluator returns a :class:`SeriesResult` carrying the partial sum,
 the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
-series use twice the final term).  Summation is ascending-index, Neumaier
-compensated in FAST mode and exact (rounded once) in HIGH mode, so results
-are bit-reproducible per context.
+series use twice the final term).  Summation is ascending-index: Neumaier
+compensated in FAST mode, exact and rounded once in HIGH mode (fixed-point
+integers for the gamma-ratio series), so results are bit-reproducible.
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
@@ -33,7 +33,7 @@ column as |s(k, j)|/k!.  The literal routes (exact terms from
 binomial-row loop, the exact-Fraction polylog rows) live in the tests.
 
 The eta double sums at integer s carry the same h_m recurrence as
-euler_hurwitz in the context's real type: inner row n - 1 is
+euler_hurwitz (:func:`_gamma_ratio_series`): inner row n - 1 is
 R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
 (``harmonic.coppo_rhs_rows``) are the tests' reference for it.  Most
 nonlinear Euler sums at x = 1 are other routes: E41, E43 and E43_2 are q!
@@ -304,6 +304,94 @@ def _ratio_seed(x: Fraction, ctx: PrecisionContext) -> Real:
         raise NumericError("the gamma-ratio seed 1/x overflowed a double") from None
 
 
+def _to_float(num: int, den: int) -> float:
+    """num/den correctly rounded, or inf (which the callers report)."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
+    """The gamma-ratio series' loop: (sum, last term, a[1], R_N).  ``kind`` is
+    "euler-hurwitz" (term n = R_n a[m-1] / (m n), a[j] = h_j of 1/(i+x)),
+    "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)) or "eta"
+    (2^-n R_n a[m-1], a[j] = h_j).  FAST sums doubles; HIGH is fixed-point."""
+    if ctx.mode is Mode.HIGH:
+        return _fixed_point_series(kind, m, x, N, ctx)
+    xv, R = float(x), _ratio_seed(x, ctx)
+    a = [1.0] + [0.0] * (m - 1)
+    acc, term, w = NeumaierSum(), 0.0, 1.0
+    elementary, eta = kind == "stirling-route", kind == "eta"
+    for n in range(1, N + 1):
+        den = n - 1 + xv
+        if n > 1:
+            R = R * (n - 1) / den
+        if elementary:
+            term = R * a[m - 1] / n
+            for j in range(m - 1, 0, -1):
+                a[j] = a[j] + a[j - 1] / n
+        else:
+            b = 1 / den
+            for j in range(1, m):
+                a[j] = a[j] + b * a[j - 1]
+            if eta:
+                w = w / 2
+            term = w * R * a[-1] if eta else R * a[m - 1] / (m * n)
+        acc.add(term)
+    return acc.total, term, a[1] if m > 1 else 0.0, R
+
+
+def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
+    """:func:`_gamma_ratio_series` in integers at scale 2^P, rounded once.
+
+    With x = p/d exact, each step is a floor: R_n = floor(R_{n-1} d(n-1) /
+    (d(n-1)+p)), a[j] += floor(a[j-1] d / (d(n-1)+p)) or floor(a[j-1] / n),
+    term n = floor(R_n a[m-1] / w_n).  R_n keeps P+1 significant bits (scale
+    2^(P+e)) for the tail's floats.  The exact sum is rounded once at ctx.dps.
+
+    Bound: each floor loses under one unit 2^-P and all quantities are
+    non-negative, so S' <= S; R_n loses at most n units, a[j] at most
+    n (a[0] + ... + a[j-1]).  With a[j] <= L^j, L = 1/x + 1 + bitlen(N), and
+    n / w_n <= 1: S - S' < E 2^-P, E = 2 N m (1 + 1/x) L^(m-1).  S is at
+    least its first non-zero term S_low, so P = ceil(dps log2 10)
+    + log2(E / S_low) + 4 gives (S - S') / S < 10^-dps / 4.
+    """
+    p, d = x.numerator, x.denominator
+    L = 1 / x + 1 + N.bit_length()
+    low = (1 / (m * math.prod(k + x for k in range(m))) if kind == "stirling-route"
+           else x**-m / (m if kind == "euler-hurwitz" else 2))  # S_low: term m, or term 1
+    ratio = 2 * N * m * (1 + 1 / x) * L ** (m - 1) / low  # E / S_low
+    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
+    P -= ratio.denominator.bit_length()
+    e = max(0, p.bit_length() - d.bit_length() + 1)
+    R = (d << (P + e)) // p  # R_n 2^(P+e)
+    a = [1 << P] + [0] * (m - 1)  # a[j] 2^P
+    w = m if kind == "euler-hurwitz" else 1
+    total = t = 0
+    for n in range(1, N + 1):
+        k = d * (n - 1)
+        if n > 1:
+            R = R * k // (k + p)
+            shift = max(0, P + 1 - R.bit_length())
+            R, e = R << shift, e + shift
+        if kind != "stirling-route":
+            for j in range(1, m):
+                a[j] += a[j - 1] * d // (k + p)
+        t = R * a[-1]  # R_n a[m-1] 2^(2P+e)
+        if kind == "eta":
+            total += t >> (P + e + n)
+        else:
+            total += (t >> (P + e)) // (w * n)
+        if kind == "stirling-route":  # a held e_j of 1, ..., 1/(n-1)
+            for j in range(m - 1, 0, -1):
+                a[j] += a[j - 1] // n
+    with ctx.scope():
+        value = mpmath.ldexp(mpf(total), -P)
+    last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
+    return value, last, _to_float(a[1], 1 << P) if m > 1 else 0.0, _to_float(R, 1 << (P + e))
+
+
 def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """zeta(q+1, x) by the Bell series in shifted harmonic numbers:
 
@@ -319,24 +407,9 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
     x = _require_positive_x(x)
-
-    with ctx.scope():
-        xv = ctx.real(x)
-        R = _ratio_seed(x, ctx)
-        a = [xv * 0 + 1] + [xv * 0] * (q - 1)
-        acc = NeumaierSum(xv * 0)
-        term = xv * 0
-        for n in range(1, N + 1):
-            if n > 1:
-                R = R * (n - 1) / (n - 1 + xv)
-            b = 1 / (n - 1 + xv)
-            for m in range(1, q):
-                a[m] = a[m] + b * a[m - 1]
-            term = R * a[q - 1] / (q * n)
-            acc.add(term)
-        c = float(a[1]) - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
-        tail = _tail_from_last(float(term), N, float(x), q - 1, c)
-        return _finish(ctx, acc.total, N, tail)
+    total, term, h1, _ = _gamma_ratio_series("euler-hurwitz", q, x, N, ctx)
+    c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
+    return _finish(ctx, total, N, _tail_from_last(term, N, float(x), q - 1, c))
 
 
 def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -355,26 +428,11 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
     x = _require_positive_x(x)
-
-    with ctx.scope():
-        xv = ctx.real(x)
-        R = _ratio_seed(x, ctx)
-        a = [xv * 0 + 1] + [xv * 0] * (q - 1)
-        acc = NeumaierSum(xv * 0)
-        term = xv * 0
-        for n in range(1, N + 1):
-            if n > 1:
-                R = R * (n - 1) / (n - 1 + xv)
-            term = R * a[q - 1] / n  # a holds e_m of 1, ..., 1/(n-1): update after
-            acc.add(term)
-            for m in range(q - 1, 0, -1):
-                a[m] = a[m] + a[m - 1] / n
-        c = float(a[1]) - math.log(N) if q > 1 else 0.0  # a[1] = H_N
-        t_for_tail = float(term)
-        if t_for_tail == 0.0:  # the q > 1 series starts with vanishing terms
-            t_for_tail = float(R) / max(N, 1)
-        tail = _tail_from_last(t_for_tail, N, float(x), q - 1, c)
-        return _finish(ctx, acc.total, N, tail)
+    total, term, h1, R = _gamma_ratio_series("stirling-route", q, x, N, ctx)
+    c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N
+    if term == 0.0:  # the q > 1 series starts with vanishing terms
+        term = R / max(N, 1)
+    return _finish(ctx, total, N, _tail_from_last(term, N, float(x), q - 1, c))
 
 
 def _is_integer(s) -> bool:
@@ -435,26 +493,10 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     if not _is_integer(s):
         total, last = _swapped_sum(s, x, N, ctx, _eta_weights)
         return _finish(ctx, total, N, 2.0 * abs(float(last)))
-    with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
-        xv = ctx.real(x)
-        R = _ratio_seed(x, ctx)
-        a = [xv * 0 + 1] + [xv * 0] * (int(s) - 1)
-        w = xv * 0 + 1
-        term = xv * 0
-        for n in range(1, N + 1):
-            if n > 1:
-                R = R * (n - 1) / (n - 1 + xv)
-            b = 1 / (n - 1 + xv)
-            for m in range(1, len(a)):
-                a[m] = a[m] + b * a[m - 1]
-            w = w / 2
-            term = w * R * a[-1]
-            acc.add(term)
-        last = float(term)
-        if not math.isfinite(last):  # a[] only grows, so an overflow persists
-            raise NumericError("an inner row overflowed a double")
-        return _finish(ctx, acc.total, N, 2.0 * abs(last))
+    total, last, _, _ = _gamma_ratio_series("eta", int(s), x, N, ctx)
+    if not math.isfinite(last):  # a[] only grows, so an overflow persists
+        raise NumericError("an inner row overflowed a double")
+    return _finish(ctx, total, N, 2.0 * abs(last))
 
 
 def sondow_alt(s, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -525,9 +567,10 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         }[kind]
         term = xv * 0
         for n in range(1, N + 1):
+            den = n - 1 + xv
             if n > 1:
-                R = R * (n - 1) / (n - 1 + xv)
-            base = 1 / (n - 1 + xv)
+                R = R * (n - 1) / den
+            base = 1 / den
             h1 = h1 + base
             h2 = h2 + base * base
             h3 = h3 + base * base * base

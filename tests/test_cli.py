@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ehz import cli
+from ehz import cli, numerics
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +142,31 @@ class TestEval:
         assert out == ""
         flag = "EHZ_PRECISION" if source == "env" else "--precision"
         assert f"{flag} must be <= 300, got {value}" in err
+
+    @pytest.mark.parametrize("value", ["14", "0", "-3", "10"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_precision_below_floor_names_its_source(self, capsys, monkeypatch, source, value):
+        argv = ["eval", "--formula", "shen", "--q", "2", "--terms", "10"]
+        if source == "env":
+            monkeypatch.setenv("EHZ_PRECISION", value)
+        else:
+            argv.append(f"--precision={value}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        flag = "EHZ_PRECISION" if source == "env" else "--precision"
+        assert f"{flag} must be >= 15, got {value}" in err
+
+    def test_non_integer_precision_names_its_source(self, capsys, monkeypatch):
+        argv = ["eval", "--formula", "shen", "--q", "2", "--terms", "10"]
+        monkeypatch.setenv("EHZ_PRECISION", "abc")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "EHZ_PRECISION must be an integer, got 'abc'" in err
+        with pytest.raises(SystemExit) as exc:  # argparse checks the flag's type
+            cli.main(argv + ["--precision=abc"])
+        assert exc.value.code == 2
+        assert "argument --precision: invalid int value: 'abc'" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -437,6 +462,17 @@ class TestConstants:
         assert lines[0] == "gamma=0.57721566490153286061"
         assert lines[1] == "pi=3.1415926535897932385"
         assert any(l.startswith("zeta10=") for l in lines)
+
+    @pytest.mark.parametrize("digits", ["50", "300"])
+    def test_one_euler_maclaurin_attempt_per_zeta(self, capsys, monkeypatch, digits):
+        # every zeta(m), m = 2..10, reaches its accuracy at the first M tried
+        calls = []
+        em_once = numerics._em_once
+        monkeypatch.setattr(numerics, "_em_once", lambda *a: calls.append(a[2]) or em_once(*a))
+        numerics.clear_caches()
+        code, _, _ = run_cli(capsys, "constants", "--digits", digits)
+        assert code == 0
+        assert len(calls) == 9, calls
 
     def test_five_digits_catalan(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--digits", "5")

@@ -245,14 +245,33 @@ def _exact_sum(exact_terms, q: int, x: Fraction) -> Fraction:
 
 
 def _assert_close_to_exact(value, exact: Fraction, ctx: PrecisionContext) -> None:
-    """FAST within 32 eps |S|; HIGH within 1e-30 |S| (compared at 50 digits)."""
+    """FAST within 32 eps |S|; HIGH within 10^-digits |S| (compared at
+    digits + 20)."""
     if ctx.mode is Mode.FAST:
         want = float(exact)
         assert abs(value - want) <= 32 * EPS * abs(want), (value, want)
         return
-    with nu.working_precision(50):
+    with nu.working_precision(ctx.digits + 20):
         want = mpmath.mpf(exact.numerator) / exact.denominator
-        assert abs(value - want) <= mpmath.mpf(10) ** -30 * abs(want), (value, want)
+        assert abs(value - want) <= mpmath.mpf(10) ** -ctx.digits * abs(want), (value, want)
+
+
+def _eta_exact_sum(s: int, x: Fraction, N: int) -> Fraction:
+    """The integer-s eta double sum's first N rows, from the exact Coppo rows."""
+    rows = itertools.islice(ha.coppo_rhs_rows(s, x), N)
+    return sum(Fraction(row[-1], 2 ** (n + 1)) for n, row in enumerate(rows))
+
+
+#: shifts far from 1, where the fixed-point kernel's precision rule adds bits
+WIDE_X = [F(1, 10**6), F(10**6)]
+BELL_SERIES = pytest.mark.parametrize(
+    "evaluator, exact_terms",
+    [
+        (zs.euler_hurwitz, euler_hurwitz_exact_terms),
+        (zs.stirling_route, stirling_route_exact_terms),
+    ],
+    ids=["euler-hurwitz", "stirling-route"],
+)
 
 
 class TestKernelsMatchLiteralRoutes:
@@ -262,15 +281,22 @@ class TestKernelsMatchLiteralRoutes:
     @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
     @pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(7, 4)], ids=str)
     @pytest.mark.parametrize("q", range(1, 9))
-    @pytest.mark.parametrize(
-        "evaluator, exact_terms",
-        [
-            (zs.euler_hurwitz, euler_hurwitz_exact_terms),
-            (zs.stirling_route, stirling_route_exact_terms),
-        ],
-        ids=["euler-hurwitz", "stirling-route"],
-    )
+    @BELL_SERIES
     def test_bell_series(self, evaluator, exact_terms, q, x, ctx):
+        res = evaluator(q, x, KERNEL_N, ctx)
+        _assert_close_to_exact(res.value, _exact_sum(exact_terms, q, x), ctx)
+
+    @pytest.mark.parametrize("x", WIDE_X, ids=str)
+    @pytest.mark.parametrize("q", range(1, 5))
+    @BELL_SERIES
+    def test_bell_series_wide_x_high(self, evaluator, exact_terms, q, x):
+        res = evaluator(q, x, KERNEL_N, HIGH)
+        _assert_close_to_exact(res.value, _exact_sum(exact_terms, q, x), HIGH)
+
+    @pytest.mark.parametrize("q, x", [(1, F(1, 3)), (4, F(7, 4)), (8, F(1, 2))], ids=str)
+    @BELL_SERIES
+    def test_bell_series_hundred_digits(self, evaluator, exact_terms, q, x):
+        ctx = PrecisionContext(100, Mode.HIGH)
         res = evaluator(q, x, KERNEL_N, ctx)
         _assert_close_to_exact(res.value, _exact_sum(exact_terms, q, x), ctx)
 
@@ -289,9 +315,41 @@ class TestKernelsMatchLiteralRoutes:
     def test_eta_integer_s(self, s, x, ctx):
         # 120 rows: the weights reach 2^-120, below HIGH's 1e-30 bound
         N = 120
-        rows = itertools.islice(ha.coppo_rhs_rows(s, x), N)
-        exact = sum(Fraction(row[-1], 2 ** (n + 1)) for n, row in enumerate(rows))
-        _assert_close_to_exact(zs.alt_hurwitz(s, x, N, ctx).value, exact, ctx)
+        _assert_close_to_exact(zs.alt_hurwitz(s, x, N, ctx).value, _eta_exact_sum(s, x, N), ctx)
+
+    @pytest.mark.parametrize("x", WIDE_X, ids=str)
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_eta_integer_s_wide_x_high(self, s, x):
+        N = 120
+        _assert_close_to_exact(zs.alt_hurwitz(s, x, N, HIGH).value, _eta_exact_sum(s, x, N), HIGH)
+
+    @pytest.mark.parametrize("s", [1, 4, 7])
+    def test_eta_integer_s_hundred_digits(self, s):
+        ctx, N, x = PrecisionContext(100, Mode.HIGH), 400, F(1, 2)  # 2^-400 < 1e-100
+        _assert_close_to_exact(zs.alt_hurwitz(s, x, N, ctx).value, _eta_exact_sum(s, x, N), ctx)
+
+    @pytest.mark.parametrize("x", [F(1, 4), F(7, 4)], ids=str)
+    @pytest.mark.parametrize("q", [1, 4, 7])
+    @pytest.mark.parametrize(
+        "evaluator", [zs.euler_hurwitz, zs.stirling_route, zs.alt_hurwitz],
+        ids=["euler-hurwitz", "stirling-route", "alt-hurwitz"],
+    )
+    def test_high_digits_agree_at_1e4(self, evaluator, q, x):
+        # HIGH at 30 digits against HIGH at 60, at the eval budget N = 1e4
+        lo = evaluator(q, x, 10**4, HIGH).value
+        hi = evaluator(q, x, 10**4, PrecisionContext(60, Mode.HIGH)).value
+        with nu.working_precision(80):
+            assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
+
+    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta"])
+    def test_kernel_at_max_order(self, kind):
+        # the kernel itself: at q = 100 and x = 1/64 the tail overflows a double
+        lo, hi = (
+            zs._fixed_point_series(kind, zs.MAX_ORDER, F(1, 64), KERNEL_N, ctx)[0]
+            for ctx in (HIGH, PrecisionContext(60, Mode.HIGH))
+        )
+        with nu.working_precision(80):
+            assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
 
     @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
     def test_inner_rows(self, s_power, x):
