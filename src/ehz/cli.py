@@ -195,11 +195,16 @@ CSV_HEADER = "N,partial_sum,reference,abs_error,rel_error,seconds"
 
 def cmd_converge(args, out) -> int:
     try:
-        budgets = [int(t) for t in args.terms.split(",") if t]
+        try:
+            budgets = [int(t) for t in args.terms.split(",") if t]
+        except ValueError:
+            raise ValueError(f"--terms budgets must be integers, got {args.terms!r}") from None
         if not budgets:
             raise ValueError("--terms requires N1,N2,...")
         if min(budgets) < 1:
             raise ValueError(f"--terms budgets must be >= 1, got {args.terms}")
+        if any(b <= a for a, b in zip(budgets, budgets[1:])):
+            raise ValueError(f"--terms budgets must be strictly increasing, got {args.terms}")
         args.terms = max(budgets)  # context sizing uses the largest budget
         req = _make_request(args)
     except (ValueError, KeyError) as exc:

@@ -27,20 +27,24 @@ sums into one weighted sum over phi_k = (k+x)^-s, an O(N) dot product at
 cancellation-guard precision (:func:`_swapped_sum`).  The polylog identities
 carry their inner sums across rows by f_j(n) = f_j(n-1) + f_{j-1}(n)/n.  The
 other per-term factors are carried across terms too, at O(q) work per
-term: the Bell factor as symmetric-polynomial coefficients and the Stirling
-column as |s(k, j)|/k!.  The literal routes (exact terms from
-``combinatorics.bell_eval`` and ``harmonic.coppo_rhs_rows``, the
-binomial-row loop, the exact-Fraction polylog rows) live in the tests.
+term: the Bell factor as symmetric-polynomial coefficients, which for the
+Stirling series are the column |s(k, j)|/(k-1)!.  The literal routes
+(exact terms from ``combinatorics.bell_eval``, ``combinatorics.stirling1``
+and ``harmonic.coppo_rhs_rows``, the mixed series' harmonic-number
+brackets, the binomial-row loop, the exact-Fraction polylog rows) live in
+the tests.
 
 The eta double sums at integer s carry the same h_m recurrence as
 euler_hurwitz (:func:`_gamma_ratio_series`): inner row n - 1 is
 R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
-(``harmonic.coppo_rhs_rows``) are the tests' reference for it.  Most
-nonlinear Euler sums at x = 1 are other routes: E41, E43 and E43_2 are q!
-times euler_hurwitz(q, 1) for q = 3, 4, 5, and ALT2..ALT5 are sondow_alt
-at s = 2..5, so :func:`euler_sum_partial` returns those.  Only E45_8 and
-E45_10 are summed in their own loop; they are the formulas
-``euler-sum-45-8`` and ``euler-sum-45-10``.
+(``harmonic.coppo_rhs_rows``) are the tests' reference for it.  So does
+the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2
+(:func:`_mixed_series`), of which mixed-q, zeta3-half, E45_8 and E45_10
+are multiples; the Shen series is stirling_route at x = 1.  The nonlinear
+Euler sums at x = 1 are all other routes: E41, E43 and E43_2 are q! times
+euler_hurwitz(q, 1) for q = 3, 4, 5, ALT2..ALT5 are sondow_alt at
+s = 2..5, and E45_8, E45_10 are 2 and 6 times the mixed series at x = 1,
+m = 3, 4 (the formulas ``euler-sum-45-8`` and ``euler-sum-45-10``).
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -81,7 +85,6 @@ __all__ = [
     "Formula",
     "EvalRequest",
     "ConvergenceRow",
-    "MixedKind",
     "EulerSumKind",
     "CatalanKind",
     "PolylogIdentity",
@@ -139,12 +142,6 @@ class Formula(enum.Enum):
     DIGAMMA_HALF_SUM = "digamma-half-sum"
     EULER_SUM_45_8 = "euler-sum-45-8"
     EULER_SUM_45_10 = "euler-sum-45-10"
-
-
-class MixedKind(enum.Enum):
-    Z4_457 = "Z4_457"
-    Z5_457B = "Z5_457b"
-    Z6_459 = "Z6_459"
 
 
 class EulerSumKind(enum.Enum):
@@ -313,16 +310,19 @@ def _to_float(num: int, den: int) -> float:
 
 
 def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
-    """The gamma-ratio series' loop: (sum, last term, a[1], R_N).  ``kind`` is
+    """The gamma-ratio series' loop: (sum, last term, h, R_N).  ``kind`` is
     "euler-hurwitz" (term n = R_n a[m-1] / (m n), a[j] = h_j of 1/(i+x)),
-    "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)) or "eta"
-    (2^-n R_n a[m-1], a[j] = h_j).  FAST sums doubles; HIGH is fixed-point."""
+    "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)), "eta"
+    (2^-n R_n a[m-1], a[j] = h_j) or "mixed" ((n H_n - 1) R_n a[m-1] / n^2,
+    a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
+    harmonic number behind the tail's log offset.  FAST sums doubles; HIGH is
+    fixed-point."""
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
     xv, R = float(x), _ratio_seed(x, ctx)
     a = [1.0] + [0.0] * (m - 1)
-    acc, term, w = NeumaierSum(), 0.0, 1.0
-    elementary, eta = kind == "stirling-route", kind == "eta"
+    acc, term, w, H = NeumaierSum(), 0.0, 1.0, 0.0
+    elementary, eta, mixed = kind == "stirling-route", kind == "eta", kind == "mixed"
     for n in range(1, N + 1):
         den = n - 1 + xv
         if n > 1:
@@ -337,9 +337,14 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
                 a[j] = a[j] + b * a[j - 1]
             if eta:
                 w = w / 2
-            term = w * R * a[-1] if eta else R * a[m - 1] / (m * n)
+                term = w * R * a[-1]
+            elif mixed:
+                H = H + 1 / n
+                term = (n * H - 1) * a[m - 1] * R / (n * n)
+            else:
+                term = R * a[m - 1] / (m * n)
         acc.add(term)
-    return acc.total, term, a[1] if m > 1 else 0.0, R
+    return acc.total, term, max(a[1] if m > 1 else 0.0, H), R
 
 
 def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
@@ -347,28 +352,38 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
 
     With x = p/d exact, each step is a floor: R_n = floor(R_{n-1} d(n-1) /
     (d(n-1)+p)), a[j] += floor(a[j-1] d / (d(n-1)+p)) or floor(a[j-1] / n),
-    term n = floor(R_n a[m-1] / w_n).  R_n keeps P+1 significant bits (scale
-    2^(P+e)) for the tail's floats.  The exact sum is rounded once at ctx.dps.
+    H_n = H_{n-1} + floor(1 / n), term n = floor(R_n a[m-1] / w_n), and for
+    "mixed", whose term n is R_n a[m-1] H_{n-1} / n, floor(floor(R_n a[m-1])
+    H_{n-1} / n).  R_n keeps P+1 significant bits (scale 2^(P+e)) for the
+    tail's floats.  The exact sum is rounded once at ctx.dps.
 
     Bound: each floor loses under one unit 2^-P and all quantities are
     non-negative, so S' <= S; R_n loses at most n units, a[j] at most
-    n (a[0] + ... + a[j-1]).  With a[j] <= L^j, L = 1/x + 1 + bitlen(N), and
-    n / w_n <= 1: S - S' < E 2^-P, E = 2 N m (1 + 1/x) L^(m-1).  S is at
-    least its first non-zero term S_low, so P = ceil(dps log2 10)
-    + log2(E / S_low) + 4 gives (S - S') / S < 10^-dps / 4.
+    n (a[0] + ... + a[j-1]), H_{n-1} under n.  With a[j] <= L^j,
+    H_n <= L, L = 1/x + 1 + bitlen(N), and n / w_n <= 1:
+    S - S' < E 2^-P, E = 2 N m (1 + 1/x) L^(m-1), and for "mixed"
+    E = 2 N (m + 2) (1 + 1/x) L^m.  S is at least its first non-zero term
+    S_low: term m for "stirling-route", term 2 >= x^-m / (2 (1 + x)) for
+    "mixed" (n H_n - 1 vanishes at n = 1), term 1 otherwise.  So
+    P = ceil(dps log2 10) + log2(E / S_low) + 4 gives (S - S') / S < 10^-dps / 4.
     """
     p, d = x.numerator, x.denominator
     L = 1 / x + 1 + N.bit_length()
-    low = (1 / (m * math.prod(k + x for k in range(m))) if kind == "stirling-route"
-           else x**-m / (m if kind == "euler-hurwitz" else 2))  # S_low: term m, or term 1
-    ratio = 2 * N * m * (1 + 1 / x) * L ** (m - 1) / low  # E / S_low
+    E = 2 * N * m * (1 + 1 / x) * L ** (m - 1)
+    if kind == "stirling-route":
+        low = 1 / (m * math.prod(k + x for k in range(m)))
+    elif kind == "mixed":
+        low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
+    else:
+        low = x**-m / (m if kind == "euler-hurwitz" else 2)
+    ratio = E / low
     P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
     P -= ratio.denominator.bit_length()
     e = max(0, p.bit_length() - d.bit_length() + 1)
     R = (d << (P + e)) // p  # R_n 2^(P+e)
     a = [1 << P] + [0] * (m - 1)  # a[j] 2^P
     w = m if kind == "euler-hurwitz" else 1
-    total = t = 0
+    total = t = H = 0  # H: H_{n-1} 2^P
     for n in range(1, N + 1):
         k = d * (n - 1)
         if n > 1:
@@ -379,6 +394,9 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
             for j in range(1, m):
                 a[j] += a[j - 1] * d // (k + p)
         t = R * a[-1]  # R_n a[m-1] 2^(2P+e)
+        if kind == "mixed":  # (n H_n - 1) / n^2 = H_{n-1} / n
+            t = (t >> P) * H
+            H += (1 << P) // n
         if kind == "eta":
             total += t >> (P + e + n)
         else:
@@ -389,7 +407,8 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     with ctx.scope():
         value = mpmath.ldexp(mpf(total), -P)
     last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
-    return value, last, _to_float(a[1], 1 << P) if m > 1 else 0.0, _to_float(R, 1 << (P + e))
+    h = max(a[1] if m > 1 else 0, H)
+    return value, last, _to_float(h, 1 << P), _to_float(R, 1 << (P + e))
 
 
 def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -517,29 +536,32 @@ def alt_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """zeta(p+1) = (-1)^p sum_k (-1)^k s(k,p) / (k k!).
 
-    The signed terms are all positive.  The column v_j = |s(k, j)| / k! is
-    carried across k by u(k+1, j) = u(k, j-1) + k u(k, j) divided by (k+1)!:
-    v_j <- (v_{j-1} + k v_j) / (k+1) in descending j.  Every v_j lies in
-    [0, 1], so doubles neither overflow nor cancel; term k is v_p / k.
+    The signed terms are all positive, and term k = |s(k,p)| / (k k!) is
+    term k of :func:`stirling_route` at q = p, x = 1: there R_k(1) = 1/k and
+    e_{p-1}(1, ..., 1/(k-1)) = |s(k,p)| / (k-1)!.  So that series is returned.
     """
     if not isinstance(p, int) or p < 1:
         raise DomainError("p must be an integer >= 1")
+    return stirling_route(p, 1, N, ctx)
 
+
+def _mixed_series(m: int, x: Fraction, N: int, ctx: PrecisionContext, scale: Fraction):
+    """scale * M(x), M(x) = sum_n (n H_n - 1) R_n(x) h_{m-1}(b_0, ..., b_{n-1}) / n^2,
+    b_i = 1/(i+x): the mixed series, value and tail scaled alike.
+
+    h_{m-1} is carried across n as in :func:`euler_hurwitz`.  M(x) tends to
+    (m+1) m / 2 zeta(m+2, x).
+    """
+    total, term, h, R = _gamma_ratio_series("mixed", m, x, N, ctx)
+    if term == 0.0:  # term 1 vanishes (n H_n = 1); R_1 b_0^(m-1) is it without that factor
+        term = R * float(x) ** (1 - m) / N
+    tail = _tail_from_last(term, N, float(x), m, h - math.log(N))
     with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
-        v = [ctx.zero()] * (p + 1)
-        v[1] = ctx.real(1)  # |s(1, 1)| / 1!
-        term = ctx.zero()
-        for k in range(1, N + 1):
-            term = v[p] / k
-            acc.add(term)
-            for j in range(p, 0, -1):
-                v[j] = (v[j - 1] + k * v[j]) / (k + 1)
-        tail = _tail_from_last(float(term), N, 1.0, p - 1, 1.0)
-        return _finish(ctx, acc.total, N, tail)
+        total = ctx.real(scale) * total
+    return _finish(ctx, total, N, float(scale) * tail)
 
 
-def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
+def mixed_q(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """The mixed series for zeta(4, x), zeta(5, x), zeta(6, x) whose terms
     couple the x-free factor [n H_n - 1] with shifted harmonic numbers:
 
@@ -550,48 +572,22 @@ def mixed_q(kind: MixedKind, x, N: int, ctx: PrecisionContext) -> SeriesResult:
 
     (The zeta(6, x) bracket carries coefficient 2 on H_n^(3)(x): it is the
     derivative of the zeta(5, x) bracket under d/dx H^(m) = -m H^(m+1).)
+    The brackets are 1, 2 and 6 times h_{q-3}(b_0, ..., b_{n-1}), so
+    zeta(q, x) = 2 / ((q-1)(q-2)) M(x) with M the series of
+    :func:`_mixed_series` at m = q - 2.
     """
-    if not isinstance(kind, MixedKind):
-        raise DomainError("unknown mixed-series kind")
+    if not isinstance(q, int) or q not in (4, 5, 6):
+        raise DomainError("mixed-q supports q in {4, 5, 6}")
     x = _require_positive_x(x)
-
-    with ctx.scope():
-        xv = ctx.real(x)
-        one = xv * 0 + 1
-        R = _ratio_seed(x, ctx)
-        H = h1 = h2 = h3 = xv * 0
-        acc = NeumaierSum(xv * 0)
-        pref, d = {
-            MixedKind.Z4_457: (one / 3, 2), MixedKind.Z5_457B: (one * 2 / 24, 3),
-            MixedKind.Z6_459: (one / 60, 4),
-        }[kind]
-        term = xv * 0
-        for n in range(1, N + 1):
-            den = n - 1 + xv
-            if n > 1:
-                R = R * (n - 1) / den
-            base = 1 / den
-            h1 = h1 + base
-            h2 = h2 + base * base
-            h3 = h3 + base * base * base
-            H = H + one / n
-            if kind is MixedKind.Z4_457:
-                bracket = h1
-            elif kind is MixedKind.Z5_457B:
-                bracket = h1 * h1 + h2
-            else:
-                bracket = h1 * (h1 * h1 + 3 * h2) + 2 * h3
-            term = pref * (n * H - 1) * bracket * R / (n * n)
-            acc.add(term)
-        c = max(float(H) - math.log(N), float(h1) - math.log(N))
-        tail = _tail_from_last(float(term), N, float(x), d, c)
-        return _finish(ctx, acc.total, N, tail)
+    return _mixed_series(q - 2, x, N, ctx, Fraction(2, (q - 1) * (q - 2)))
 
 
 #: E-kinds that are q! times the euler_hurwitz series at x = 1, by q
 _EULER_HURWITZ_Q = {EulerSumKind.E41: 3, EulerSumKind.E43: 4, EulerSumKind.E43_2: 5}
 #: ALT-kinds, which are the sondow_alt series, by s
 _ALT_S = {EulerSumKind.ALT2: 2, EulerSumKind.ALT3: 3, EulerSumKind.ALT4: 4, EulerSumKind.ALT5: 5}
+#: E45-kinds, scale times the mixed series at x = 1, as (m, scale)
+_MIXED_M = {EulerSumKind.E45_8: (3, 2), EulerSumKind.E45_10: (4, 6)}
 
 
 def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -605,42 +601,26 @@ def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> Seri
     E41, E43 and E43_2 sum (H_n^q-bracket) / n^2, which is q! times the
     :func:`euler_hurwitz` series at x = 1 (q = 3, 4, 5), so they return that
     series scaled, value and tail.  ALT_s sums the same terms as
-    :func:`sondow_alt` at s and returns it.  E45_8 and E45_10 are summed
-    here, with the analytic surrogate  integral (log t + 1)^d / t^2  as tail
-    (d = 3, 4 the harmonic-power degree).
+    :func:`sondow_alt` at s and returns it.  E45_8 sums
+    [n H_n - 1] (H_n^2 + H_n^(2)) / n^3, which is 12 times the mixed-q
+    series for zeta(5, 1), and E45_10 is 60 times the one for zeta(6, 1);
+    both return that mixed series (:func:`_mixed_series`) scaled.
     """
     if not isinstance(kind, EulerSumKind):
         raise DomainError("unknown Euler-sum kind")
     if kind in _ALT_S:
         return sondow_alt(_ALT_S[kind], N, ctx)
-    if kind in _EULER_HURWITZ_Q:
-        q = _EULER_HURWITZ_Q[kind]
-        res = euler_hurwitz(q, 1, N, ctx)
-        scale = math.factorial(q)
-        with ctx.scope():
-            value = scale * res.value
-        return SeriesResult(
-            value=value, terms_used=N, tail_estimate=scale * res.tail_estimate, mode=ctx.mode
-        )
-
+    if kind in _MIXED_M:
+        m, scale = _MIXED_M[kind]
+        return _mixed_series(m, Fraction(1), N, ctx, Fraction(scale))
+    q = _EULER_HURWITZ_Q[kind]
+    res = euler_hurwitz(q, 1, N, ctx)
+    scale = math.factorial(q)
     with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
-        one = ctx.zero() + 1
-        H = H2 = H3 = ctx.zero()
-        for n in range(1, N + 1):
-            H = H + one / n
-            H2 = H2 + one / (n * n)
-            H3 = H3 + one / (n * n * n)
-            if kind is EulerSumKind.E45_8:
-                term = (H * (H * H + H2)) / (n * n) - (H * H + H2) / (n * n * n)
-            else:
-                term = (H * H * (H * H + 3 * H2) + 2 * H * H3) / (n * n) - (
-                    H * (H * H + 3 * H2) + 2 * H3
-                ) / (n * n * n)
-            acc.add(term)
-        # the fixed surrogate integral_N^inf (log t + 1)^d / t^2 dt
-        tail = _log_tail_integral(3 if kind is EulerSumKind.E45_8 else 4, 1.0, N, 1.0)
-        return _finish(ctx, acc.total, N, tail)
+        value = scale * res.value
+    return SeriesResult(
+        value=value, terms_used=N, tail_estimate=scale * res.tail_estimate, mode=ctx.mode
+    )
 
 
 def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
@@ -662,10 +642,14 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
 
     Term ratios are exact small integers, applied multiplicatively; one
     rounding per step.  Normalized values are returned (targets G, zeta(2),
-    7 zeta(3)).
+    7 zeta(3)).  The zeta(3, 1/2) series, (1/2) sum [n H_n - 1]/n^2
+    [2^n Gamma(n)]^2/Gamma(2n), is the mixed series at x = 1/2, m = 1
+    (its bracketed factor is 2 R_n(1/2)), and returns that.
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
+    if kind is CatalanKind.ZETA3_HALF_45_6:
+        return _mixed_series(1, Fraction(1, 2), N, ctx, Fraction(1))
 
     with ctx.scope():
         acc = NeumaierSum(ctx.zero())
@@ -680,27 +664,14 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
                 b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
             tail = _tail_from_last(float(term), N, 1.0, 0, 0.0)
             return _finish(ctx, acc.total, N, tail)
-        if kind in (CatalanKind.CENTRAL_38_1, CatalanKind.ZETA2_37):
-            # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
-            a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
-            c = one * 2  # 2^(2n+1) (n!)^2 / (2n+1)!
-            for n in range(N):
-                term = c / (a * n + b)
-                acc.add(term)
-                c = c * (2 * (n + 1)) / (2 * n + 3)
-            tail = _tail_from_last(float(term), N, 0.5, 0, 0.0)
-            return _finish(ctx, acc.total, N, tail)
-        # ZETA3_HALF_45_6: (1/2) sum [n H_n - 1]/n^2 * [2^n Gamma(n)]^2/Gamma(2n)
-        R = one * 2  # equals R_n(1/2); the bracketed factor is 2 R_n
-        H = ctx.zero()
-        for n in range(1, N + 1):
-            if n > 1:
-                R = R * (n - 1) / (n - 1 + 0.5)
-            H = H + one / n
-            term = (n * H - 1) * R / (n * n)
+        # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
+        a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
+        c = one * 2  # 2^(2n+1) (n!)^2 / (2n+1)!
+        for n in range(N):
+            term = c / (a * n + b)
             acc.add(term)
-        c_off = float(H) - math.log(N)
-        tail = _tail_from_last(float(term), N, 0.5, 1, c_off)
+            c = c * (2 * (n + 1)) / (2 * n + 3)
+        tail = _tail_from_last(float(term), N, 0.5, 0, 0.0)
         return _finish(ctx, acc.total, N, tail)
 
 
@@ -844,15 +815,6 @@ def _need_int(v, name: str) -> int:
     return v
 
 
-_MIXED_KINDS = {4: MixedKind.Z4_457, 5: MixedKind.Z5_457B, 6: MixedKind.Z6_459}
-
-
-def _mixed_kind(q: int) -> MixedKind:
-    if q not in _MIXED_KINDS:
-        raise DomainError("mixed-q supports q in {4, 5, 6}")
-    return _MIXED_KINDS[q]
-
-
 def _eta_reference(s, x: Fraction, ctx: PrecisionContext) -> Optional[Real]:
     """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None.
 
@@ -953,7 +915,7 @@ FORMULAS: Dict[Formula, FormulaSpec] = {
     ),
     Formula.MIXED_Q: FormulaSpec(
         "q", True,
-        lambda q, x, N, ctx: mixed_q(_mixed_kind(q), x, N, ctx),
+        lambda q, x, N, ctx: mixed_q(q, x, N, ctx),
         lambda q, x, ctx: hurwitz_zeta_em(q, x, ctx),
     ),
     Formula.CATALAN_RAMANUJAN: _central_binomial(

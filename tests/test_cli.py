@@ -75,6 +75,30 @@ class TestEval:
         assert payload["version"] == "0.1.0"
         assert "value" in payload["result"]
 
+    @pytest.mark.parametrize("mode", ["fast", "high"])
+    @pytest.mark.parametrize("terms", [1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mixed-q", "--q", "4", "--x", "1/3"),
+            ("mixed-q", "--q", "5", "--x", "5/4"),
+            ("mixed-q", "--q", "6"),
+            ("zeta3-half",),
+            ("euler-sum-45-8",),
+            ("euler-sum-45-10",),
+            ("shen", "--q", "3"),
+        ],
+        ids=" ".join,
+    )
+    def test_vanishing_first_terms_keep_a_positive_tail(self, capsys, argv, terms, mode):
+        # these series' first terms are 0; a tail of 0 would claim N = 1 exact
+        code, out, _ = run_cli(
+            capsys, "eval", "--formula", *argv, "--terms", str(terms), "--mode", mode
+        )
+        assert code == 0
+        fields = dict(l.split("=", 1) for l in out.splitlines())
+        assert float(fields["tail_estimate"]) > 0.0
+
     def test_unknown_formula_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--formula", "nope", "--terms", "10")
         assert code == 2
@@ -342,6 +366,24 @@ class TestConverge:
         assert code == 2
         assert out == ""
         assert f"--terms budgets must be >= 1, got {terms}" in err
+
+    @pytest.mark.parametrize("terms", ["100,10", "10,10"])
+    def test_budgets_not_increasing_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "euler-hurwitz", "--q", "1", f"--terms={terms}"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--terms budgets must be strictly increasing, got {terms}" in err
+
+    @pytest.mark.parametrize("terms", ["10,abc", "1e3"])
+    def test_budget_not_integer_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "euler-hurwitz", "--q", "1", f"--terms={terms}"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--terms budgets must be integers, got '{terms}'" in err
 
 
 class TestVerifyCommand:

@@ -16,7 +16,6 @@ from ehz.zeta_series import (
     EulerSumKind,
     EvalRequest,
     Formula,
-    MixedKind,
     PolylogIdentity,
 )
 
@@ -52,6 +51,28 @@ def stirling_route_exact_terms(q: int, x, N: int) -> list:
         y = co.bell_eval(args) if args else 1
         out.append(Fraction(ratio * y, n * fact))
     return out
+
+
+def mixed_exact_terms(m: int, x, N: int) -> list:
+    """First N terms of the mixed series (n H_n - 1) R_n(x) h_{m-1} / n^2 as
+    exact rationals (the literal route of its h_m recurrence): the brackets
+    1, H_n(x), H_n(x)^2 + H_n^(2)(x) and H_n(x) (H_n(x)^2 + 3 H_n^(2)(x))
+    + 2 H_n^(3)(x) are (m-1)! h_{m-1} for m = 1..4."""
+    x = Fraction(x)
+    ratio, H, h1, h2, h3 = Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)
+    out = []
+    for n in range(1, N + 1):
+        ratio = ratio / x if n == 1 else ratio * (n - 1) / (x + n - 1)
+        b = 1 / (x + n - 1)
+        H, h1, h2, h3 = H + Fraction(1, n), h1 + b, h2 + b**2, h3 + b**3
+        bracket = (1, h1, h1**2 + h2, h1 * (h1**2 + 3 * h2) + 2 * h3)[m - 1]
+        out.append((n * H - 1) * ratio * bracket / (math.factorial(m - 1) * n * n))
+    return out
+
+
+def mixed_series(m: int, x, N: int, ctx):
+    """The mixed series at scale 1, in the evaluators' signature."""
+    return zs._mixed_series(m, Fraction(x), N, ctx, Fraction(1))
 
 
 def within_tail(result, reference, factor=3.0) -> bool:
@@ -301,6 +322,25 @@ class TestKernelsMatchLiteralRoutes:
         _assert_close_to_exact(res.value, _exact_sum(exact_terms, q, x), ctx)
 
     @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("x", [F(1, 3), F(1, 2), F(7, 4)], ids=str)
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_mixed_series(self, m, x, ctx):
+        res = mixed_series(m, x, KERNEL_N, ctx)
+        _assert_close_to_exact(res.value, _exact_sum(mixed_exact_terms, m, x), ctx)
+
+    @pytest.mark.parametrize("x", WIDE_X, ids=str)
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_mixed_series_wide_x_high(self, m, x):
+        res = mixed_series(m, x, KERNEL_N, HIGH)
+        _assert_close_to_exact(res.value, _exact_sum(mixed_exact_terms, m, x), HIGH)
+
+    @pytest.mark.parametrize("m, x", [(1, F(1, 2)), (2, F(1, 3)), (4, F(7, 4))], ids=str)
+    def test_mixed_series_hundred_digits(self, m, x):
+        ctx = PrecisionContext(100, Mode.HIGH)
+        res = mixed_series(m, x, KERNEL_N, ctx)
+        _assert_close_to_exact(res.value, _exact_sum(mixed_exact_terms, m, x), ctx)
+
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
     @pytest.mark.parametrize("p", range(1, 5))
     def test_shen(self, p, ctx):
         exact = sum(
@@ -331,8 +371,8 @@ class TestKernelsMatchLiteralRoutes:
     @pytest.mark.parametrize("x", [F(1, 4), F(7, 4)], ids=str)
     @pytest.mark.parametrize("q", [1, 4, 7])
     @pytest.mark.parametrize(
-        "evaluator", [zs.euler_hurwitz, zs.stirling_route, zs.alt_hurwitz],
-        ids=["euler-hurwitz", "stirling-route", "alt-hurwitz"],
+        "evaluator", [zs.euler_hurwitz, zs.stirling_route, zs.alt_hurwitz, mixed_series],
+        ids=["euler-hurwitz", "stirling-route", "alt-hurwitz", "mixed"],
     )
     def test_high_digits_agree_at_1e4(self, evaluator, q, x):
         # HIGH at 30 digits against HIGH at 60, at the eval budget N = 1e4
@@ -341,7 +381,7 @@ class TestKernelsMatchLiteralRoutes:
         with nu.working_precision(80):
             assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
 
-    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta"])
+    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta", "mixed"])
     def test_kernel_at_max_order(self, kind):
         # the kernel itself: at q = 100 and x = 1/64 the tail overflows a double
         lo, hi = (
@@ -417,15 +457,13 @@ def _polylog_exact_sum(which: PolylogIdentity, s: int, y: Fraction, N: int) -> F
 
 
 class TestMixed:
-    @pytest.mark.parametrize(
-        "kind,q", [(MixedKind.Z4_457, 4), (MixedKind.Z5_457B, 5), (MixedKind.Z6_459, 6)]
-    )
-    def test_unit_shift(self, kind, q):
-        res = zs.mixed_q(kind, F(1), 10**4, FAST)
+    @pytest.mark.parametrize("q", [4, 5, 6])
+    def test_unit_shift(self, q):
+        res = zs.mixed_q(q, F(1), 10**4, FAST)
         assert within_tail(res, nu.const_zeta(q, FAST))
 
     def test_half_shift(self):
-        res = zs.mixed_q(MixedKind.Z4_457, F(1, 2), 10**4, FAST)
+        res = zs.mixed_q(4, F(1, 2), 10**4, FAST)
         assert within_tail(res, nu.hurwitz_zeta_em(4, F(1, 2), FAST))
 
 
@@ -684,7 +722,7 @@ class TestFastHighAgreement:
         "make",
         [
             lambda ctx: zs.euler_hurwitz(3, F(1, 2), 2000, ctx),
-            lambda ctx: zs.mixed_q(MixedKind.Z5_457B, F(1), 2000, ctx),
+            lambda ctx: zs.mixed_q(5, F(1), 2000, ctx),
             lambda ctx: zs.catalan_series(CatalanKind.CENTRAL_38_1, 2000, ctx),
             lambda ctx: zs.euler_sum_partial(EulerSumKind.E41, 2000, ctx),
             lambda ctx: zs.shen_series(2, 2000, ctx),
@@ -705,7 +743,7 @@ class TestTailHonesty:
             zs.stirling_route(3, F(3, 2), 2000, FAST),
             zs.shen_series(2, 2000, FAST),
             zs.catalan_series(CatalanKind.CENTRAL_38_1, 2000, FAST),
-            zs.mixed_q(MixedKind.Z6_459, F(1), 2000, FAST),
+            zs.mixed_q(6, F(1), 2000, FAST),
         ]
         refs = [
             nu.hurwitz_zeta_em(2, F(1, 4), FAST),
