@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -147,3 +148,48 @@ class TestReportSerialization:
         r = verify._exact_report("x", {"n": "1"}, 12345678901234567890, 1)
         assert r.status == "FAIL"
         assert r.lhs == "12345678901234567890"
+
+
+#: sha256 of `verify --id <id> --profile quick --format json` stdout for every
+#: EXACT identity, pinned so that changes to the exact layer are checked byte
+#: for byte (the 23 outputs total about 460 KB).
+EXACT_QUICK_SHA256 = {
+    "fs_6_1": "df84079f27efa730291d93c12c58567f8e39d84080df3824f6b3f0d7cdd5637a",
+    "fs_6_2": "f7031ba45a806013b5f077005573a76f434ab0c8a9914130ac717b94a5818efd",
+    "fs_6_3": "e58ace7927b2b9582dd25660fdbcc9f9eef7e7a7599adb814e3cfaabeec3884f",
+    "fs_4_general": "b5b7ca989db542d3e5e99909e699ecf048c941e492710fe0bfd8f06a5f33f813",
+    "adamchik_7_1": "2b394a7bbbd867bdd35ba31d10debb78a728de2279365587fbfab7031dcc0b56",
+    "adamchik_7_2": "9a3f3682d25c13b1eb848fe7eff27d9749af4832b39ffeae530ca2d334f3e75b",
+    "adamchik_7_3": "dea1c72b240e5b955679ec9f27c2d1baf58143af72e8ae8f17048f4e9b76e3cd",
+    "spiess_15a": "06c96885f521b8cd2c2485026d9fb09def205a9ed6c4048e04f89abd6e6c6057",
+    "spiess_15b": "e0bbdd801f931b887316c840db16aacdb3006aa9977ddc5a8d4790470eaa82d9",
+    "spiess_15c": "1c93654a72cfdb59c893a8262133f349310b858c9e3ca2d5f0939c27d7de93c5",
+    "larcombe_16_1": "0ad32b3f352dee85fceb6a8fb3fe541ab9736313bfe457086117a7ab6cd9ec6b",
+    "larcombe_16_2": "752620df53a442d6f8d9fbbcb314f04a426d952a7bb70ead42c9e4f178369fe9",
+    "larcombe_16_3": "284b2a2ec3529a0b23ff5587b9238700d2184b4c22523720cbecb0dae36b8d5c",
+    "larcombe_16_4": "858cc955f48fc1baadb433cbaa7abfbb28158a38e7957f5943d8c8dd10c5a3e5",
+    "coppo_30": "a8edcd7e5827be804f5f1a35dd22dbef7fd77eeaf6545786b81c41e5242ba8e1",
+    "g_derivative": "31c75790e6aed0a8f7c6e54110256adf791214d3076ff3aa0b48c18f5ed69945",
+    "e44_3": "da4b1a23386f2a2b37aaa0cbe0079313a28d7a18732b9f8e88091f6ae8c6834f",
+    "e44_4": "dd87d985f662da172b914d965eef9347ad12a0ffc6173344e5c94a4917b560e7",
+    "e44_7": "5bd630b40684330436575e3197931d0cd671dbd328fb8d389679afe8341703a1",
+    "e44_8": "8ea35e81c12c1fcfda2113509145c7e28f3cc3691226b292555f9e6d136c60b8",
+    "e44_9": "a010b46b949c67ca3f1a6ba6b563e97c09a7b052ab89f79b62fbecbe13b4edf8",
+    "e44_10": "ebe2dda6006a0168e17dfbc79dc91d568369ecbbf560bc2c7af61d0d9c8c9ba0",
+    "nH_identity": "708b568c72474da98d47787b935207ea18693f75eed949f532d3d6ae0e0f56a7",
+}
+
+
+class TestExactOutputsPinned:
+    def test_every_exact_identity_is_pinned(self):
+        exact = {i.id for i in verify._REGISTRY if i.kind is verify.Kind.EXACT}
+        assert exact == set(EXACT_QUICK_SHA256)
+
+    @pytest.mark.parametrize("ident", sorted(EXACT_QUICK_SHA256))
+    def test_quick_json_bytes(self, capsys, ident):
+        from ehz import cli
+
+        code = cli.main(["verify", "--id", ident, "--profile", "quick", "--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_QUICK_SHA256[ident]
