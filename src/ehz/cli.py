@@ -2,7 +2,8 @@
 convergence benchmarking, and reference constants.
 
 Exit codes: 0 success (all PASS for verify), 1 verification failure,
-2 usage error, 3 numeric/domain error.  Output is byte-deterministic for
+2 usage error, 3 numeric/domain error, 141 output pipe closed by the
+reader.  Output is byte-deterministic for
 identical invocations except the wall-clock ``seconds`` column of
 ``converge``.  The optional environment variable ``EHZ_PRECISION``
 overrides the default working precision (30 digits) when ``--precision``
@@ -48,6 +49,7 @@ from .zeta_series import (
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal ends
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -409,20 +411,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "eval": cmd_eval,
+    "converge": cmd_converge,
+    "verify": cmd_verify,
+    "constants": cmd_constants,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    if args.command == "eval":
-        return cmd_eval(args, out)
-    if args.command == "converge":
-        return cmd_converge(args, out)
-    if args.command == "verify":
-        return cmd_verify(args, out)
-    if args.command == "constants":
-        return cmd_constants(args, out)
-    parser.print_help()
-    return USAGE_ERROR
+    if args.command not in _COMMANDS:
+        parser.print_help()
+        return USAGE_ERROR
+    try:
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

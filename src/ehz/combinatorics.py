@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -255,10 +256,12 @@ def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
 
     s(n+1, r+1) = (-1)^(n+r) (n!/r!) Y_r(H_n, -1! H_n^(2), ..., (-1)^(r-1) (r-1)! H_n^(r));
     the arguments of every Y_r are prefixes of one list, so a single
-    bell_eval_all pass yields the whole row.  Whole rows are memoised and
-    sliced.
+    bell_eval_all pass yields the whole row.  The arguments are scaled by
+    L = lcm(1..n) to integers (``harmonic.scaled_harmonics``), so Y_r comes
+    out as L^r Y_r and each entry is one exact division by r! L^r.  Whole
+    rows are memoised and sliced.
     """
-    from .harmonic import H
+    from .harmonic import scaled_harmonics
 
     if r_max is None:
         r_max = n
@@ -266,12 +269,15 @@ def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
         raise DomainError("need n >= 0 and 0 <= r_max <= n")
     with _STIRLING_LOCK:
         if n not in _STIRLING_BELL_ROWS:
-            args = [(-1) ** (m - 1) * math.factorial(m - 1) * H(n, m) for m in range(1, n + 1)]
+            L, rows = scaled_harmonics(n, n, 1)
+            hs = deque(rows, maxlen=1).pop()
+            args = [(-1) ** m * math.factorial(m) * hs[m] for m in range(n)]
+            nfact = math.factorial(n)
             row = []
             for r, y in enumerate(bell_eval_all(args)):
-                val = Fraction((-1) ** (n + r) * Fraction(math.factorial(n), math.factorial(r)) * y)
-                assert val.denominator == 1, "Bell form of s(n+1,r+1) must be an integer"
-                row.append(val.numerator)
+                val, rem = divmod((-1) ** (n + r) * nfact * y, math.factorial(r) * L**r)
+                assert rem == 0, "Bell form of s(n+1,r+1) must be an integer"
+                row.append(val)
             _STIRLING_BELL_ROWS[n] = tuple(row)
         return list(_STIRLING_BELL_ROWS[n][: r_max + 1])
 

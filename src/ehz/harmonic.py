@@ -15,7 +15,6 @@ asserted by the verification registry.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from fractions import Fraction
@@ -32,6 +31,7 @@ __all__ = [
     "coppo_lhs",
     "coppo_rhs_rows",
     "coppo_sweep",
+    "scaled_harmonics",
     "larcombe_check",
     "spiess_check",
     "adamchik_check",
@@ -131,43 +131,86 @@ def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def coppo_rhs_rows(q_max: int, x: Fraction) -> Iterator[List[Fraction]]:
-    """Closed-form side of the Coppo identity for n = 0, 1, 2, ... (unbounded).
+def scaled_harmonics(n: int, m_max: int, x) -> Tuple[int, Iterator[List[int]]]:
+    """Shifted harmonic numbers as integers over one common denominator.
+
+    Returns D = lcm of |x_q k + x_p| over k = 0..n-1, where x = x_p/x_q, and
+    an iterator over the prefixes i = 0..n of the rows
+    [D^j Hx(i, j, x) for j = 1..m_max].  Every entry is an integer, because
+    D^j / (k+x)^j = (x_q D / (x_q k + x_p))^j.
+
+    The complete Bell polynomials are weighted-homogeneous:
+    Y_m(c x_1, c^2 x_2, ..., c^m x_m) = c^m Y_m(x_1, ..., x_m).  So Bell rows
+    of these arguments are D^m times the rows of the unscaled ones, and they
+    run on plain integers until the caller divides once.
+    """
+    x = Fraction(x)
+    xp, xq = x.numerator, x.denominator
+    bases = [xq * k + xp for k in range(n)]
+    if 0 in bases:
+        raise DomainError(f"pole at k = {bases.index(0)}: x = {x} makes k + x vanish")
+    D = math.lcm(*bases)
+
+    def rows() -> Iterator[List[int]]:
+        acc = [0] * m_max
+        yield list(acc)
+        for b in bases:
+            u = xq * D // b
+            p = u
+            for j in range(m_max):
+                acc[j] += p
+                p *= u
+            yield list(acc)
+
+    return D, rows()
+
+
+def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fraction]]:
+    """Closed-form side of the Coppo identity for n = 0, 1, ..., n_max.
 
     Row n lists sum_k C(n,k) (-1)^k / (k+x)^q for q = 1..q_max, each as
     [n! / (x (x+1) ... (x+n))] * (1/(q-1)!) * Y_{q-1}(0! H_{n+1}(x), ...,
-    (q-2)! H_{n+1}^(q-1)(x)).  The gamma ratio and the shifted harmonic
-    numbers are carried from row to row, so row n costs O(q_max^2)
-    big-rational operations instead of a rebuild of every prefix.  x must
-    avoid the poles 0, -1, -2, ... of the rows the caller consumes.
+    (q-2)! H_{n+1}^(q-1)(x)).  The gamma ratio is carried as an integer
+    numerator and denominator and the harmonic numbers as the integers
+    A_j = D^j H_{n+1}^(j)(x) of :func:`scaled_harmonics`, so each Bell row
+    runs on integers and each entry is one division by D^(q-1) (q-1)!.
     """
     x = Fraction(x)
+    _check_coppo_pole(n_max, x)
+    xp, xq = x.numerator, x.denominator
     facts = [math.factorial(j) for j in range(q_max)]
-    hs = [Fraction(0)] * (q_max - 1) if q_max > 1 else []
-    ratio = Fraction(1)
-    for n in itertools.count():
-        inv = Fraction(1, 1) / (n + x)
-        p = inv
-        for j in range(q_max - 1):
-            hs[j] += p
-            p *= inv
-        ratio = ratio / x if n == 0 else ratio * n / (x + n)
+    D, rows = scaled_harmonics(n_max + 1, q_max - 1, x)
+    scales = [D**j * facts[j] for j in range(q_max)]
+    next(rows)  # the empty prefix: row n reads H_{n+1}
+    num, den = 1, 1  # n! x_q^(n+1) and prod_{k<=n} (x_q k + x_p)
+    for n, hs in enumerate(rows):
+        num *= xq * max(n, 1)
+        den *= xq * n + xp
         ys = combinatorics.bell_eval_all([facts[j] * hs[j] for j in range(q_max - 1)])
-        yield [Fraction(ratio * ys[q - 1] / facts[q - 1]) for q in range(1, q_max + 1)]
+        yield [Fraction(num * ys[j], den * scales[j]) for j in range(q_max)]
 
 
 def coppo_sweep(n_max: int, q_max: int, x: Fraction):
     """Yield (n, q, lhs, rhs) over the full grid n <= n_max, q <= q_max.
 
-    lhs is the brute-force binomial sum :func:`coppo_lhs`, the independent
-    oracle; rhs comes from :func:`coppo_rhs_rows`, so the whole grid costs
-    O(n_max^2 q_max) big-integer work.
+    lhs is the brute-force binomial sum, read from a difference table: with
+    D = lcm of |x_q k + x_p| over k <= n_max, f_k = (x_q D / (x_q k + x_p))^q
+    = D^q / (k+x)^q is an integer, and n passes of d[k] -= d[k+1] (Pascal's
+    rule) leave sum_k C(n,k) (-1)^k f_k in d[0].  rhs comes from
+    :func:`coppo_rhs_rows`.  The two sides share only x; the grid costs
+    O(n_max^2 q_max) integer operations and one division per entry and side.
     """
     x = Fraction(x)
     _check_coppo_pole(n_max, x)
-    for n, rhs in zip(range(n_max + 1), coppo_rhs_rows(q_max, x)):
-        for q in range(1, q_max + 1):
-            yield n, q, coppo_lhs(n, q, x), rhs[q - 1]
+    xp, xq = x.numerator, x.denominator
+    bases = [xq * k + xp for k in range(n_max + 1)]
+    D = math.lcm(*bases)
+    units = [xq * D // b for b in bases]
+    tables = [[u**q for u in units] for q in range(1, q_max + 1)]
+    for n, rhs in enumerate(coppo_rhs_rows(q_max, x, n_max)):
+        for q, d in enumerate(tables, 1):
+            yield n, q, Fraction(d[0], D**q), rhs[q - 1]
+        tables = [[a - b for a, b in zip(d, d[1:])] for d in tables]
 
 
 def larcombe_check(variant: int, m: int, n: int) -> Tuple[Fraction, Fraction]:
@@ -205,32 +248,37 @@ def spiess_check(variant: str, n: int) -> Tuple[Fraction, Fraction]:
 
     'a': sum 1/(k(n-k+1));  'b': weighted by H_{k-1};  'c': weighted by
     H_{k-1} H_{n-k}.  The right sides are cubic polynomials in the
-    generalized harmonic numbers at n.
+    generalized harmonic numbers at n.  The left side is one integer sum
+    over L = lcm(1..n+1): 1/(k(n-k+1)) = w_k / L^2 and h_j = L H_j.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
+    if variant not in ("a", "b", "c"):
+        raise DomainError("variant must be 'a', 'b' or 'c'")
     h1, h2, h3 = H(n, 1), H(n, 2), H(n, 3)
+    L, rows = scaled_harmonics(n + 1, 1, 1)
+    h = [row[0] for row in rows]
+    w = [0] + [(L // k) * (L // (n - k + 1)) for k in range(1, n + 1)]
     if variant == "a":
-        lhs = sum((Fraction(1, k * (n - k + 1)) for k in range(1, n + 1)), Fraction(0))
+        lhs = Fraction(sum(w), L**2)
         rhs = Fraction(2, n + 1) * h1
     elif variant == "b":
-        lhs = sum(
-            (Fraction(2) / (k * (n - k + 1)) * H(k - 1, 1) for k in range(2, n + 1)),
-            Fraction(0),
-        )
+        lhs = Fraction(2 * sum(w[k] * h[k - 1] for k in range(2, n + 1)), L**3)
         rhs = Fraction(3, n + 1) * (h1 * h1 - h2)
-    elif variant == "c":
-        lhs = sum(
-            (
-                Fraction(4) / (k * (n - k + 1)) * H(k - 1, 1) * H(n - k, 1)
-                for k in range(2, n + 1)
-            ),
-            Fraction(0),
-        )
-        rhs = Fraction(4, n + 1) * (h1**3 - 3 * h1 * h2 + 2 * h3)
     else:
-        raise DomainError("variant must be 'a', 'b' or 'c'")
+        lhs = Fraction(4 * sum(w[k] * h[k - 1] * h[n - k] for k in range(2, n + 1)), L**4)
+        rhs = Fraction(4, n + 1) * (h1**3 - 3 * h1 * h2 + 2 * h3)
     return lhs, rhs
+
+
+#: term k of the left side of each adamchik_check variant
+_ADAMCHIK_TERMS = {
+    1: lambda k: H(k, 1) / k,
+    2: lambda k: H(k, 2) / k + H(k, 1) / k**2,
+    3: lambda k: (H(k, 1) ** 2 + H(k, 2)) / k,
+}
+_ADAMCHIK_SUMS: Dict[int, List[Fraction]] = {}
+_ADAMCHIK_LOCK = threading.Lock()
 
 
 def adamchik_check(variant: int, n: int) -> Tuple[Fraction, Fraction]:
@@ -241,19 +289,25 @@ def adamchik_check(variant: int, n: int) -> Tuple[Fraction, Fraction]:
     3: sum H_k^2/k + sum H_k^(2)/k  = H_n^3/3 + H_n H_n^(2) + 2 H_n^(3)/3
        (variant 3 also equals -2 S_n(3) and the nested double sum;
        callers may check those separately)
+
+    The left sides are prefix sums, cached per variant and extended
+    incrementally like :func:`H`'s columns.
     """
     if variant not in (1, 2, 3):
         raise DomainError("variant must be in 1..3")
     if n < 1:
         raise DomainError("n must be >= 1")
+    with _ADAMCHIK_LOCK:
+        sums = _ADAMCHIK_SUMS.setdefault(variant, [Fraction(0)])
+        term = _ADAMCHIK_TERMS[variant]
+        while len(sums) <= n:
+            sums.append(sums[-1] + term(len(sums)))
+        lhs = sums[n]
     h1, h2, h3 = H(n, 1), H(n, 2), H(n, 3)
     if variant == 1:
-        lhs = sum((H(k, 1) / k for k in range(1, n + 1)), Fraction(0))
         rhs = (h1 * h1 + h2) / 2
     elif variant == 2:
-        lhs = sum((H(k, 2) / k + H(k, 1) / k**2 for k in range(1, n + 1)), Fraction(0))
         rhs = h3 + h1 * h2
     else:
-        lhs = sum(((H(k, 1) ** 2 + H(k, 2)) / k for k in range(1, n + 1)), Fraction(0))
         rhs = Fraction(1, 3) * h1**3 + h1 * h2 + Fraction(2, 3) * h3
     return lhs, rhs

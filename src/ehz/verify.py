@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -94,7 +95,8 @@ def _short(v, limit: int = 48) -> str:
 
 def _exact_report(ident: str, params: Dict[str, str], lhs, rhs) -> Report:
     if lhs == rhs:
-        return Report(ident, params, _short(lhs), _short(rhs), "PASS")
+        text = _short(lhs)  # the sides are equal: format once
+        return Report(ident, params, text, text, "PASS")
     return Report(ident, params, str(lhs), str(rhs), "FAIL", "exact mismatch")
 
 
@@ -194,10 +196,9 @@ def _run_coppo(p):
     for x in xs:
         try:
             sweep = harmonic.coppo_sweep(p["n_max"], p["q_max"], x)
+            xs = str(x)
             for n, q, lhs, rhs in sweep:
-                yield _exact_report(
-                    "coppo_30", {"n": str(n), "q": str(q), "x": str(x)}, lhs, rhs
-                )
+                yield _exact_report("coppo_30", {"n": str(n), "q": str(q), "x": xs}, lhs, rhs)
         except DomainError as exc:
             yield Report("coppo_30", {"x": str(x)}, "", "", "SKIP", f"pole: {exc}")
 
@@ -250,12 +251,15 @@ def _pochhammer(u: Fraction, n: int) -> Fraction:
 
 
 def _bell_signed_harmonic_row(n: int, u: Fraction) -> List[Fraction]:
-    """Y_r(H_n(u), -1! H_n^(2)(u), ..., (-1)^(r-1) (r-1)! H_n^(r)(u)) for r = 0..n."""
-    args = [
-        (-1) ** (j - 1) * math.factorial(j - 1) * harmonic.Hx(n, j, u)
-        for j in range(1, n + 1)
-    ]
-    return combinatorics.bell_eval_all(args)
+    """Y_r(H_n(u), -1! H_n^(2)(u), ..., (-1)^(r-1) (r-1)! H_n^(r)(u)) for r = 0..n.
+
+    The arguments are integers over D (``harmonic.scaled_harmonics``), so
+    the Bell row comes out as D^r Y_r and each entry is divided once.
+    """
+    D, rows = harmonic.scaled_harmonics(n, n, u)
+    hs = deque(rows, maxlen=1).pop()
+    args = [(-1) ** j * math.factorial(j) * hs[j] for j in range(n)]
+    return [Fraction(y, D**r) for r, y in enumerate(combinatorics.bell_eval_all(args))]
 
 
 def _run_e44_7(p):

@@ -395,6 +395,27 @@ class TestVerifyCommand:
         assert code == 0
         assert "fail=0" in out.splitlines()[-1]
 
+    def test_closed_pipe_exits_quietly(self):
+        # the JSON (about 1.4 MB) outgrows the pipe buffer, so the write
+        # after the reader has gone fails with EPIPE
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ehz", "verify", "--id", "coppo_30", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            head = proc.stdout.read(200)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head.startswith(b'{"command": "verify"')
+        assert err == b""
+        assert code == cli.BROKEN_PIPE
+
     def test_m_max_override(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "fs_4_general", "--n-max", "5", "--m-max", "3"

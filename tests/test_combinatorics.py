@@ -200,9 +200,9 @@ class TestStirling:
                 assert co.stirling1_bell(n - 1, r) == co.stirling1(n, r + 1)
 
     def test_bell_row_matches_single_entries(self):
-        for n in range(0, 31):
+        for n in range(0, 81):
             row = co.stirling1_bell_row(n)
-            assert len(row) == n + 1
+            assert row == list(co.stirling1_row(n + 1)[1:])
             for r in range(0, n + 1):
                 assert row[r] == co.stirling1_bell(n, r) == co.stirling1(n + 1, r + 1)
             assert co.stirling1_bell_row(n, n // 2) == row[: n // 2 + 1]

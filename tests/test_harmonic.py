@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +8,33 @@ from ehz import harmonic as ha
 from ehz.numerics import DomainError
 
 F = Fraction
+
+#: shifts of the coppo_30 sweeps; the negative ones flip the sign of x_q k + x_p
+COPPO_SHIFTS = [F(1), F(1, 2), F(1, 3), F(2), F(7, 4), F(-1, 2), F(-7, 3)]
+
+
+def spiess_literal(variant: str, n: int) -> Fraction:
+    """The left side of spiess_check as a literal Fraction sum."""
+    if variant == "a":
+        terms = (F(1, k * (n - k + 1)) for k in range(1, n + 1))
+    elif variant == "b":
+        terms = (F(2, k * (n - k + 1)) * ha.H(k - 1, 1) for k in range(2, n + 1))
+    else:
+        terms = (
+            F(4, k * (n - k + 1)) * ha.H(k - 1, 1) * ha.H(n - k, 1) for k in range(2, n + 1)
+        )
+    return sum(terms, F(0))
+
+
+def adamchik_literal(variant: int, n: int) -> Fraction:
+    """The left side of adamchik_check as a literal Fraction sum."""
+    if variant == 1:
+        terms = (ha.H(k, 1) / k for k in range(1, n + 1))
+    elif variant == 2:
+        terms = (ha.H(k, 2) / k + ha.H(k, 1) / k**2 for k in range(1, n + 1))
+    else:
+        terms = ((ha.H(k, 1) ** 2 + ha.H(k, 2)) / k for k in range(1, n + 1))
+    return sum(terms, F(0))
 
 
 class TestH:
@@ -88,7 +114,7 @@ class TestCoppo:
 
     def test_rhs_equals_lhs(self):
         for x in (F(1), F(1, 2), F(2), F(-1, 2)):
-            for n, row in zip(range(16), ha.coppo_rhs_rows(4, x)):
+            for n, row in enumerate(ha.coppo_rhs_rows(4, x, 15)):
                 for q in range(1, 5):
                     assert ha.coppo_lhs(n, q, x) == row[q - 1]
 
@@ -98,7 +124,7 @@ class TestCoppo:
         n, x = 6, F(1, 3)
         ratio = gamma_ratio(n, x, RatioForm.N_PLUS_1)
         h1, h2 = ha.Hx(n + 1, 1, x), ha.Hx(n + 1, 2, x)
-        row = next(itertools.islice(ha.coppo_rhs_rows(3, x), n, None))
+        row = list(ha.coppo_rhs_rows(3, x, n))[n]
         assert row[2] == ratio * (h1 * h1 + h2) / 2
 
     def test_pole_errors(self):
@@ -108,10 +134,32 @@ class TestCoppo:
             list(ha.coppo_sweep(4, 2, F(0)))
 
     def test_sweep_matches_pointwise(self):
-        rows = list(ha.coppo_sweep(10, 4, F(1, 2)))
-        assert len(rows) == 11 * 4
-        for n, q, lhs, rhs in rows:
-            assert lhs == rhs == ha.coppo_lhs(n, q, F(1, 2))
+        # the difference-table side against the literal binomial sum
+        for x in COPPO_SHIFTS:
+            rows = list(ha.coppo_sweep(40, 8, x))
+            assert len(rows) == 41 * 8
+            for n, q, lhs, rhs in rows:
+                assert lhs == rhs == ha.coppo_lhs(n, q, x), (n, q, x)
+
+
+class TestScaledHarmonics:
+    @pytest.mark.parametrize("x", COPPO_SHIFTS, ids=str)
+    def test_rows_are_scaled_shifted_harmonics(self, x):
+        D, rows = ha.scaled_harmonics(12, 4, x)
+        for i, row in enumerate(rows):
+            assert all(isinstance(a, int) for a in row)
+            assert [F(a, D**j) for j, a in enumerate(row, 1)] == [
+                ha.Hx(i, j, x) for j in range(1, 5)
+            ]
+        assert i == 12
+
+    def test_common_denominator(self):
+        assert ha.scaled_harmonics(10, 1, F(1))[0] == math.lcm(*range(1, 11))
+        assert ha.scaled_harmonics(3, 1, F(-7, 3))[0] == 7 * 4 * 1
+
+    def test_pole(self):
+        with pytest.raises(DomainError, match="pole at k = 2"):
+            ha.scaled_harmonics(4, 2, F(-2))
 
 
 class TestLarcombe:
@@ -147,17 +195,27 @@ class TestLarcombe:
 class TestSpiess:
     @pytest.mark.parametrize("variant", ["a", "b", "c"])
     def test_sweep(self, variant):
-        for n in range(0, 40):
+        for n in range(0, 61):
             lhs, rhs = ha.spiess_check(variant, n)
-            assert lhs == rhs
+            assert lhs == rhs == spiess_literal(variant, n)
 
 
 class TestAdamchik:
     @pytest.mark.parametrize("variant", [1, 2, 3])
     def test_sweep(self, variant):
-        for n in range(1, 40):
+        for n in range(1, 61):
             lhs, rhs = ha.adamchik_check(variant, n)
-            assert lhs == rhs
+            assert lhs == rhs == adamchik_literal(variant, n)
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_prefix_cache_out_of_order(self, monkeypatch, variant):
+        monkeypatch.setattr(ha, "_ADAMCHIK_SUMS", {})
+        late = ha.adamchik_check(variant, 50)
+        early = ha.adamchik_check(variant, 10)
+        assert late[0] == adamchik_literal(variant, 50)
+        assert early[0] == adamchik_literal(variant, 10)
+        assert ha.adamchik_check(variant, 50) == late
+        assert len(ha._ADAMCHIK_SUMS[variant]) == 51
 
     def test_third_equals_minus_two_s3(self):
         for n in range(1, 25):

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -105,6 +107,26 @@ class TestRunIdentity:
         a = verify.run_identity("larcombe_16_2", {"n_max": 5})
         b = verify.run_identity("larcombe_16_2", {"n_max": 5})
         assert [r.params for r in a] == [r.params for r in b]
+
+
+class TestExactRoutes:
+    @pytest.mark.parametrize("u", ["1", "1/2", "3", "-7/3"])
+    def test_bell_signed_harmonic_row_matches_fraction_route(self, u):
+        from ehz import harmonic
+
+        u = Fraction(u)
+        for n in range(0, 13):
+            args = [
+                (-1) ** (j - 1) * math.factorial(j - 1) * harmonic.Hx(n, j, u)
+                for j in range(1, n + 1)
+            ]
+            assert verify._bell_signed_harmonic_row(n, u) == co.bell_eval_all(args)
+
+    def test_pass_report_formats_each_side_once(self):
+        big = Fraction(10**60 + 1, 3)
+        r = verify._exact_report("x", {"n": "1"}, big, Fraction(big))
+        assert r.status == "PASS"
+        assert r.lhs == r.rhs == verify._short(big)
 
 
 class TestRunAll:
