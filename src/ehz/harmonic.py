@@ -176,7 +176,6 @@ def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fractio
     runs on integers and each entry is one division by D^(q-1) (q-1)!.
     """
     x = Fraction(x)
-    _check_coppo_pole(n_max, x)
     xp, xq = x.numerator, x.denominator
     facts = [math.factorial(j) for j in range(q_max)]
     D, rows = scaled_harmonics(n_max + 1, q_max - 1, x)

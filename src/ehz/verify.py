@@ -196,9 +196,9 @@ def _run_coppo(p):
     for x in xs:
         try:
             sweep = harmonic.coppo_sweep(p["n_max"], p["q_max"], x)
-            xs = str(x)
+            xtext = str(x)
             for n, q, lhs, rhs in sweep:
-                yield _exact_report("coppo_30", {"n": str(n), "q": str(q), "x": xs}, lhs, rhs)
+                yield _exact_report("coppo_30", {"n": str(n), "q": str(q), "x": xtext}, lhs, rhs)
         except DomainError as exc:
             yield Report("coppo_30", {"x": str(x)}, "", "", "SKIP", f"pole: {exc}")
 
