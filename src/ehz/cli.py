@@ -3,11 +3,11 @@ convergence benchmarking, and reference constants.
 
 Exit codes: 0 success (all PASS for verify), 1 verification failure,
 2 usage error, 3 numeric/domain error, 141 output pipe closed by the
-reader.  Output is byte-deterministic for
-identical invocations except the wall-clock ``seconds`` column of
-``converge``.  The optional environment variable ``EHZ_PRECISION``
-overrides the default working precision (30 digits) when ``--precision``
-is not given; either must lie in 15..``MAX_CONSTANT_DIGITS`` (300).
+reader.  Output is byte-deterministic for identical invocations except the
+wall-clock ``seconds`` column of ``converge``.  The optional environment
+variable ``EHZ_PRECISION`` overrides the default working precision (30
+digits) when ``--precision`` is not given; either must lie in
+15..``MAX_CONSTANT_DIGITS`` (300).
 """
 
 from __future__ import annotations
@@ -431,7 +431,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout early (``| head``).  Point stdout at
         # devnull so that the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return BROKEN_PIPE
     return code
 
