@@ -5,17 +5,17 @@ Everything here is exact: inputs are integers or Fractions unless a caller
 explicitly evaluates over floats/mpf (the ring operations are generic).
 The two Bell-polynomial routes (partition sum and the binomial recurrence)
 and the three Stirling routes (recurrence, harmonic closed forms, Bell
-form) are kept independent so they can check one another.
+form) are kept independent so they can check one another; the recurrence
+is the one place that expands a falling or rising factorial.  Truncated
+power series are plain tuples: entry m is the coefficient of x^m.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 
@@ -23,7 +23,6 @@ from .numerics import DomainError
 
 __all__ = [
     "Partition",
-    "PowerSeriesCoeffs",
     "enumerate_partitions",
     "partition_count",
     "bell_coefficients",
@@ -35,7 +34,6 @@ __all__ = [
     "stirling1_closed",
     "stirling1_bell",
     "stirling1_bell_row",
-    "falling_factorial_coeffs",
     "log_power_coeffs",
     "log_to_exp_series",
     "series_pow_alpha",
@@ -44,26 +42,6 @@ __all__ = [
 
 #: Multiplicity vector (k_1, ..., k_n) with sum j*k_j = n.
 Partition = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PowerSeriesCoeffs:
-    """Truncated power series: ``coeffs[m]`` is the coefficient of x^m."""
-
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, m: int):
-        return self.coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
 
 
 def enumerate_partitions(n: int) -> List[Partition]:
@@ -195,7 +173,11 @@ _STIRLING_LOCK = threading.Lock()
 
 
 def stirling1_row(n: int) -> Tuple[int, ...]:
-    """Row (s(n,0), ..., s(n,n)) from s(n+1,k) = s(n,k-1) - n s(n,k)."""
+    """Row (s(n,0), ..., s(n,n)) from s(n+1,k) = s(n,k-1) - n s(n,k).
+
+    Entry k is the coefficient of x^k in x (x-1) ... (x-n+1); its absolute
+    value is the coefficient of x^k in x (x+1) ... (x+n-1).
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
     with _STIRLING_LOCK:
@@ -251,35 +233,30 @@ def stirling1_closed(n: int, k: int) -> int:
 _STIRLING_BELL_ROWS: Dict[int, Tuple[int, ...]] = {}
 
 
-def stirling1_bell_row(n: int, r_max: Optional[int] = None) -> List[int]:
-    """s(n+1, r+1) for r = 0..r_max (default n) via one Bell recurrence.
+def stirling1_bell_row(n: int) -> List[int]:
+    """s(n+1, r+1) for r = 0..n via one Bell recurrence.
 
     s(n+1, r+1) = (-1)^(n+r) (n!/r!) Y_r(H_n, -1! H_n^(2), ..., (-1)^(r-1) (r-1)! H_n^(r));
     the arguments of every Y_r are prefixes of one list, so a single
-    bell_eval_all pass yields the whole row.  The arguments are scaled by
-    L = lcm(1..n) to integers (``harmonic.scaled_harmonics``), so Y_r comes
-    out as L^r Y_r and each entry is one exact division by r! L^r.  Whole
-    rows are memoised and sliced.
+    Bell row (``harmonic.signed_bell_row`` at x = 1) yields the whole row.
+    That row comes out as L^r Y_r with L = lcm(1..n), so each entry is one
+    exact division by r! L^r.  Whole rows are memoised.
     """
-    from .harmonic import scaled_harmonics
+    from .harmonic import signed_bell_row
 
-    if r_max is None:
-        r_max = n
-    if n < 0 or r_max < 0 or r_max > n:
-        raise DomainError("need n >= 0 and 0 <= r_max <= n")
+    if n < 0:
+        raise DomainError("n must be >= 0")
     with _STIRLING_LOCK:
         if n not in _STIRLING_BELL_ROWS:
-            L, rows = scaled_harmonics(n, n, 1)
-            hs = deque(rows, maxlen=1).pop()
-            args = [(-1) ** m * math.factorial(m) * hs[m] for m in range(n)]
+            L, ys = signed_bell_row(n, 1)
             nfact = math.factorial(n)
             row = []
-            for r, y in enumerate(bell_eval_all(args)):
+            for r, y in enumerate(ys):
                 val, rem = divmod((-1) ** (n + r) * nfact * y, math.factorial(r) * L**r)
                 assert rem == 0, "Bell form of s(n+1,r+1) must be an integer"
                 row.append(val)
             _STIRLING_BELL_ROWS[n] = tuple(row)
-        return list(_STIRLING_BELL_ROWS[n][: r_max + 1])
+        return list(_STIRLING_BELL_ROWS[n])
 
 
 def stirling1_bell(n: int, r: int) -> int:
@@ -289,24 +266,10 @@ def stirling1_bell(n: int, r: int) -> int:
         raise DomainError("n and r must be >= 0")
     if r > n:
         return 0
-    return stirling1_bell_row(n, r)[-1]
+    return stirling1_bell_row(n)[r]
 
 
-def falling_factorial_coeffs(n: int) -> PowerSeriesCoeffs:
-    """Exact coefficients of x(x-1)...(x-n+1); entry k equals s(n, k)."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    coeffs = [1]
-    for i in range(n):
-        nxt = [0] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= i * c
-        coeffs = nxt
-    return PowerSeriesCoeffs(tuple(coeffs))
-
-
-def log_power_coeffs(k: int, N: int) -> PowerSeriesCoeffs:
+def log_power_coeffs(k: int, N: int) -> tuple:
     """Coefficients of log^k(1+x) through x^N by exact Cauchy products.
 
     The x^n coefficient equals k! s(n, k) / n! for n >= k and 0 below.
@@ -326,7 +289,7 @@ def log_power_coeffs(k: int, N: int) -> PowerSeriesCoeffs:
             for j in range(1, N - i + 1):
                 nxt[i + j] += ai * base[j]
         acc = nxt
-    return PowerSeriesCoeffs(tuple(acc))
+    return tuple(acc)
 
 
 def _exp_of(b0):
@@ -339,11 +302,11 @@ def _exp_of(b0):
     return mpmath.exp(b0)
 
 
-def log_to_exp_series(b0, b: Sequence, N: int) -> PowerSeriesCoeffs:
+def log_to_exp_series(b0, b: Sequence, N: int) -> tuple:
     """Coefficients a_0..a_N of f from log f = b0 + sum b_n x^n / n.
 
     Solves n a_n = sum_{k=1}^{n} b_k a_{n-k} exactly; a_0 = exp(b0).
-    ``b`` supplies b_1..b_N (index 0 unused if it has length N+1).
+    ``b`` supplies b_1..b_N.
     """
     bs = _b_list(b, N)
     a0 = _exp_of(b0)
@@ -354,20 +317,17 @@ def log_to_exp_series(b0, b: Sequence, N: int) -> PowerSeriesCoeffs:
         for k in range(2, n + 1):
             acc = acc + bs[k] * a[n - k]
         a.append(Fraction(acc, n) if exact else acc / n)
-    return PowerSeriesCoeffs(tuple(a))
+    return tuple(a)
 
 
 def _b_list(b: Sequence, N: int) -> list:
-    seq = list(b.coeffs) if isinstance(b, PowerSeriesCoeffs) else list(b)
-    # Accept either b_1..b_N or a length-(N+1) list whose slot 0 is ignored.
-    if len(seq) == N:
-        seq = [None] + seq
-    if len(seq) < N + 1:
+    """[None, b_1, ..., b_N], so that entry k is b_k."""
+    if len(b) != N:
         raise DomainError(f"need b_1..b_{N}")
-    return seq
+    return [None, *b]
 
 
-def series_pow_alpha(b0, b: Sequence, alpha, N: int) -> PowerSeriesCoeffs:
+def series_pow_alpha(b0, b: Sequence, alpha, N: int) -> tuple:
     """Coefficients of f^alpha: scale every b_k by alpha, then exponentiate.
 
     alpha = 1 reproduces log_to_exp_series; alpha = -1 gives the reciprocal

@@ -2,16 +2,18 @@
 determinant bracket, reciprocal-gamma Taylor coefficients, and the
 asymptotic estimate for Stirling numbers of the first kind.
 
-No general-purpose Gamma evaluator lives here: ratios are exact rational
-products, and derivatives are taken only at the two special points 1 and
-1/2 where the polygamma values reduce to zeta values.  The symbol zeta(1)
+No general-purpose Gamma evaluator lives here: the ratio
+g(x) = n! / (x (x+1) ... (x+n)) is an exact rational product whose poles
+``harmonic.check_pole`` reports, its expanded denominator is read from
+``combinatorics.stirling1_row``, and derivatives of Gamma are taken only at
+the two special points 1 and 1/2 where the polygamma values reduce to zeta
+values.  Series coefficients are plain tuples.  The symbol zeta(1)
 stands for Euler's gamma *only* inside determinant-bracket argument lists,
 mirroring the convention the bracket identities require.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import List
@@ -19,7 +21,7 @@ from typing import List
 import mpmath
 
 from . import combinatorics
-from .harmonic import Hx
+from .harmonic import Hx, check_pole
 from .numerics import (
     DomainError,
     Mode,
@@ -32,7 +34,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "RatioForm",
     "gamma_ratio",
     "gamma_ratio_derivative_sides",
     "gamma_deriv_at_1",
@@ -45,55 +46,37 @@ __all__ = [
 ]
 
 
-class RatioForm(enum.Enum):
-    #: n! / (x (x+1) ... (x+n)) -- the (n+1)-term denominator.
-    N_PLUS_1 = "N_PLUS_1"
-    #: (n-1)! / (x (x+1) ... (x+n-1)) -- the n-term denominator.
-    N = "N"
-
-
-def gamma_ratio(n: int, x: Fraction, form: RatioForm = RatioForm.N_PLUS_1) -> Fraction:
-    """Exact rational gamma ratio g(x) in either denominator form.
+def gamma_ratio(n: int, x: Fraction) -> Fraction:
+    """Exact rational gamma ratio g(x) = n! / (x (x+1) ... (x+n)).
 
     Poles (x a non-positive integer inside the product) raise DomainError.
-    The two forms differ exactly by the factor (x + n).
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     x = Fraction(x)
-    top = n if form is RatioForm.N_PLUS_1 else n - 1
-    if form is RatioForm.N and n < 1:
-        raise DomainError("N form requires n >= 1")
-    if x.denominator == 1 and -top <= x <= 0:
-        raise DomainError(f"pole: x = {x} is a non-positive integer in the product")
-    num = math.factorial(n) if form is RatioForm.N_PLUS_1 else math.factorial(n - 1)
+    check_pole(n + 1, x)
     den = Fraction(1)
-    for k in range(top + 1):
+    for k in range(n + 1):
         den *= x + k
-    return num / den
+    return math.factorial(n) / den
 
 
 def gamma_ratio_derivative_sides(n: int, x: Fraction):
-    """Both sides of g'(x) = -g(x) H_{n+1}(x) for the N_PLUS_1 form.
+    """Both sides of g'(x) = -g(x) H_{n+1}(x).
 
     The left side differentiates the product form exactly: with
-    P(x) = prod (x+k), g = n!/P and g' = -n! P'/P^2, where P' is obtained
-    from the expanded polynomial coefficients.  The right side uses the
-    telescoped harmonic sum.  Returns (lhs, rhs) as exact rationals.
+    P(x) = prod_{k=0}^{n} (x+k), g = n!/P and g' = -n! P'/P^2, where the
+    coefficient of x^k in P is |s(n+1, k)|.  The right side uses the
+    telescoped harmonic sum.  Returns (lhs, rhs) as exact rationals; a pole
+    raises DomainError.
     """
     x = Fraction(x)
-    # expand P(x) = prod_{k=0}^{n} (x + k) exactly
-    coeffs = [1]
-    for k in range(n + 1):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] += k * c
-        coeffs = nxt
+    check_pole(n + 1, x)
+    coeffs = [abs(c) for c in combinatorics.stirling1_row(n + 1)]
     p = sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
     dp = sum(Fraction(i * c) * x ** (i - 1) for i, c in enumerate(coeffs) if i)
     lhs = -math.factorial(n) * dp / p**2
-    rhs = -gamma_ratio(n, x, RatioForm.N_PLUS_1) * Hx(n + 1, 1, x)
+    rhs = -gamma_ratio(n, x) * Hx(n + 1, 1, x)
     return lhs, rhs
 
 
@@ -194,7 +177,7 @@ def wilf_asymptotic(n: int, k: int, ctx: PrecisionContext) -> Real:
         return +total
 
 
-def pochhammer_ratio_coeffs(n: int, u: Fraction, N: int) -> combinatorics.PowerSeriesCoeffs:
+def pochhammer_ratio_coeffs(n: int, u: Fraction, N: int) -> tuple:
     """Exact coefficients of (u+x)_n / (u)_n as a series in x.
 
     log of the ratio is sum_m (-1)^(m-1) H_n^(m)(u) x^m / m, so the
@@ -204,13 +187,12 @@ def pochhammer_ratio_coeffs(n: int, u: Fraction, N: int) -> combinatorics.PowerS
     if n < 1:
         raise DomainError("n must be >= 1")
     u = Fraction(u)
-    if u.denominator == 1 and -(n - 1) <= u <= 0:
-        raise DomainError(f"pole: u = {u} lies in the rising factorial")
+    check_pole(n, u)
     b = [(-1) ** (m - 1) * Hx(n, m, u) for m in range(1, N + 1)]
     return combinatorics.log_to_exp_series(Fraction(0), b, N)
 
 
-def loggamma_taylor(N: int, ctx: PrecisionContext) -> combinatorics.PowerSeriesCoeffs:
+def loggamma_taylor(N: int, ctx: PrecisionContext) -> tuple:
     """Taylor coefficients of log Gamma(1+x) through x^N.
 
     Coefficient of x is -gamma; coefficient of x^m for m >= 2 is
@@ -225,4 +207,4 @@ def loggamma_taylor(N: int, ctx: PrecisionContext) -> combinatorics.PowerSeriesC
         coeffs = [ctx.zero(), -const_gamma(ctx)]
         for m in range(2, N + 1):
             coeffs.append((-1) ** m * const_zeta(m, ctx) / m)
-        return combinatorics.PowerSeriesCoeffs(tuple(+c for c in coeffs))
+        return tuple(+c for c in coeffs)

@@ -1,6 +1,13 @@
 """Exact generalized harmonic numbers, shifted harmonic functions, the
 alternating binomial sums S_n(m), and the Coppo binomial/Bell identity.
 
+Shifted harmonic numbers are computed once, as integers over a common
+denominator (:func:`scaled_harmonics`), and every Bell row of them runs on
+those integers (:func:`signed_bell_row`, :func:`alt_binom_sum_bell`,
+:func:`coppo_rhs_rows`).  :func:`check_pole` is the one pole check of the
+exact layer.  :func:`Hx` and :func:`coppo_lhs` are the literal sums; they
+stay as independent oracles for the scaled routes.
+
 Everything in this module is exact rational arithmetic: binomial
 coefficients come from math.comb (arbitrary-precision integers) and no
 float ever enters a computation.  The alternating sums suffer catastrophic
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
@@ -26,16 +34,17 @@ from .numerics import DomainError
 __all__ = [
     "H",
     "Hx",
+    "check_pole",
     "alt_binom_sum",
     "alt_binom_sum_bell",
     "coppo_lhs",
     "coppo_rhs_rows",
     "coppo_sweep",
     "scaled_harmonics",
+    "signed_bell_row",
     "larcombe_check",
     "spiess_check",
     "adamchik_check",
-    "bell_of_shifted_harmonics",
 ]
 
 _H_CACHE: Dict[int, List[Fraction]] = {}
@@ -52,6 +61,12 @@ def H(n: int, m: int) -> Fraction:
             j = len(col)
             col.append(col[j - 1] + Fraction(1, j**m))
         return col[n]
+
+
+def check_pole(n: int, x: Fraction) -> None:
+    """Raise DomainError naming k if k + x vanishes for some k = 0..n-1."""
+    if x.denominator == 1 and -n < x <= 0:
+        raise DomainError(f"pole at k = {-x}: x = {x} makes k + x vanish")
 
 
 def Hx(n: int, m: int, x: Fraction) -> Fraction:
@@ -87,26 +102,20 @@ def alt_binom_sum(n: int, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def bell_of_shifted_harmonics(m: int, hs: List[Fraction]) -> Fraction:
-    """(1/m!) Y_m(0! h_1, 1! h_2, ..., (m-1)! h_m) for given h_j values."""
-    args = [math.factorial(j - 1) * hs[j - 1] for j in range(1, m + 1)]
-    return Fraction(combinatorics.bell_eval(args), math.factorial(m))
-
-
 def alt_binom_sum_bell(n: int, m: int) -> Fraction:
-    """-S_n(m) from the Bell polynomial of generalized harmonic numbers,
+    """S_n(m) from the Bell polynomial of generalized harmonic numbers,
 
-    -(1/m!) Y_m(0! H_n, 1! H_n^(2), ..., (m-1)! H_n^(m)), negated to match
-    alt_binom_sum exactly.
+    -(1/m!) Y_m(0! H_n, 1! H_n^(2), ..., (m-1)! H_n^(m)), so it equals
+    alt_binom_sum exactly.  The arguments are the integers L^j H_n^(j) of
+    :func:`scaled_harmonics`, so Y_m comes out as L^m Y_m and is divided
+    once.
     """
     if n < 1 or m < 1:
         raise DomainError("alt_binom_sum_bell requires n, m >= 1")
-    return -bell_of_shifted_harmonics(m, [H(n, j) for j in range(1, m + 1)])
-
-
-def _check_coppo_pole(n: int, x: Fraction) -> None:
-    if x.denominator == 1 and -n <= x <= 0:
-        raise DomainError(f"pole at k = {-x}: x = {x} lies in 0, -1, ..., -{n}")
+    L, rows = scaled_harmonics(n, m, 1)
+    hs = deque(rows, maxlen=1).pop()
+    y = combinatorics.bell_eval_all([math.factorial(j) * hs[j] for j in range(m)])[m]
+    return Fraction(-y, math.factorial(m) * L**m)
 
 
 def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
@@ -114,7 +123,7 @@ def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
     if n < 0 or q < 1:
         raise DomainError("coppo_lhs requires n >= 0 and q >= 1")
     x = Fraction(x)
-    _check_coppo_pole(n, x)
+    check_pole(n + 1, x)
     xp, xq = x.numerator, x.denominator
     xqq = xq**q
     num, den = 0, 1
@@ -145,10 +154,9 @@ def scaled_harmonics(n: int, m_max: int, x) -> Tuple[int, Iterator[List[int]]]:
     run on plain integers until the caller divides once.
     """
     x = Fraction(x)
+    check_pole(n, x)
     xp, xq = x.numerator, x.denominator
     bases = [xq * k + xp for k in range(n)]
-    if 0 in bases:
-        raise DomainError(f"pole at k = {bases.index(0)}: x = {x} makes k + x vanish")
     D = math.lcm(*bases)
 
     def rows() -> Iterator[List[int]]:
@@ -163,6 +171,19 @@ def scaled_harmonics(n: int, m_max: int, x) -> Tuple[int, Iterator[List[int]]]:
             yield list(acc)
 
     return D, rows()
+
+
+def signed_bell_row(n: int, x) -> Tuple[int, List[int]]:
+    """D and the Bell row D^r Y_r for r = 0..n, where Y_r has the arguments
+    H_n(x), -1! H_n^(2)(x), ..., (-1)^(r-1) (r-1)! H_n^(r)(x).
+
+    D is the common denominator of :func:`scaled_harmonics`; entry r
+    divided by D^r is Y_r.
+    """
+    D, rows = scaled_harmonics(n, n, x)
+    hs = deque(rows, maxlen=1).pop()
+    args = [(-1) ** j * math.factorial(j) * hs[j] for j in range(n)]
+    return D, combinatorics.bell_eval_all(args)
 
 
 def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fraction]]:
@@ -200,7 +221,7 @@ def coppo_sweep(n_max: int, q_max: int, x: Fraction):
     O(n_max^2 q_max) integer operations and one division per entry and side.
     """
     x = Fraction(x)
-    _check_coppo_pole(n_max, x)
+    check_pole(n_max + 1, x)
     xp, xq = x.numerator, x.denominator
     bases = [xq * k + xp for k in range(n_max + 1)]
     D = math.lcm(*bases)

@@ -1,6 +1,9 @@
 """Registry of executable identities with parameter sweeps.
 
-EXACT identities compare BigRationals for strict equality.
+EXACT identities compare BigRationals for strict equality.  A stateless
+one is a grid of points and a function of a point that returns both sides
+(:func:`_exact`); the identities whose runners carry state from one point
+to the next (running sums, cached rows, a shared sweep) keep their loops.
 
 A NUMERIC identity is a list of rows (params, formula, parameter, x,
 scale) over :data:`ehz.zeta_series.FORMULAS`: each row is evaluated in FAST
@@ -22,8 +25,8 @@ silently omitted.  Reports come back in registry order.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -63,17 +66,6 @@ class Report:
             "status": self.status,
             "detail": self.detail,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Report":
-        return Report(
-            identity=d["identity"],
-            params=dict(d["params"]),
-            lhs=d["lhs"],
-            rhs=d["rhs"],
-            status=d["status"],
-            detail=d.get("detail", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -119,28 +111,51 @@ _FAST = PrecisionContext(30, Mode.FAST)
 # ----------------------------------------------------------------------
 
 
-def _run_fs_closed(m: int):
+def _exact(ident: str, grid: Callable[[Dict[str, object]], Iterator[dict]], sides: Callable):
+    """Runner of a stateless EXACT identity: one report per grid point.
+
+    ``grid(p)`` yields the points of the sweep p, each a dict of keyword
+    arguments of ``sides``, which returns (lhs, rhs); the report params are
+    the point's values as strings, in its key order.  A DomainError gives a
+    SKIP report.
+    """
+
     def run(p):
-        for n in range(1, p["n_max"] + 1):
-            lhs = -harmonic.alt_binom_sum(n, m)
-            h1, h2, h3 = harmonic.H(n, 1), harmonic.H(n, 2), harmonic.H(n, 3)
-            if m == 1:
-                rhs = h1
-            elif m == 2:
-                rhs = (h1 * h1 + h2) / 2
-            else:
-                rhs = h1**3 / 6 + h1 * h2 / 2 + h3 / 3
-            yield _exact_report(f"fs_6_{m}", {"n": str(n)}, lhs, rhs)
+        for point in grid(p):
+            params = {k: str(v) for k, v in point.items()}
+            try:
+                lhs, rhs = sides(**point)
+            except DomainError as exc:
+                yield Report(ident, params, "", "", "SKIP", str(exc))
+                continue
+            yield _exact_report(ident, params, lhs, rhs)
 
     return run
 
 
-def _run_fs_4_general(p):
-    for n in range(1, p["n_max"] + 1):
-        for m in range(1, p["m_max"] + 1):
-            lhs = harmonic.alt_binom_sum(n, m)
-            rhs = harmonic.alt_binom_sum_bell(n, m)
-            yield _exact_report("fs_4_general", {"n": str(n), "m": str(m)}, lhs, rhs)
+def _grid(**starts: int):
+    """Grid over the product of the axes name = start..p[name + "_max"],
+    the first axis outermost."""
+
+    def grid(p):
+        axes = [range(start, p[f"{name}_max"] + 1) for name, start in starts.items()]
+        for values in itertools.product(*axes):
+            yield dict(zip(starts, values))
+
+    return grid
+
+
+def _fs_6(m: int, n: int):
+    """-S_n(m) and its closed form in H_n, H_n^(2), H_n^(3), for m = 1, 2, 3."""
+    lhs = -harmonic.alt_binom_sum(n, m)
+    h1, h2, h3 = harmonic.H(n, 1), harmonic.H(n, 2), harmonic.H(n, 3)
+    if m == 1:
+        rhs = h1
+    elif m == 2:
+        rhs = (h1 * h1 + h2) / 2
+    else:
+        rhs = h1**3 / 6 + h1 * h2 / 2 + h3 / 3
+    return lhs, rhs
 
 
 def _run_adamchik(variant: int):
@@ -170,27 +185,6 @@ def _run_adamchik(variant: int):
     return run
 
 
-def _run_spiess(variant: str):
-    def run(p):
-        for n in range(1, p["n_max"] + 1):
-            lhs, rhs = harmonic.spiess_check(variant, n)
-            yield _exact_report(f"spiess_15{variant}", {"n": str(n)}, lhs, rhs)
-
-    return run
-
-
-def _run_larcombe(variant: int):
-    def run(p):
-        for m in range(1, p["m_max"] + 1):
-            for n in range(0, p["n_max"] + 1):
-                lhs, rhs = harmonic.larcombe_check(variant, m, n)
-                yield _exact_report(
-                    f"larcombe_16_{variant}", {"m": str(m), "n": str(n)}, lhs, rhs
-                )
-
-    return run
-
-
 def _run_coppo(p):
     xs = [Fraction(v) for v in p["xs"]]
     for x in xs:
@@ -203,44 +197,35 @@ def _run_coppo(p):
             yield Report("coppo_30", {"x": str(x)}, "", "", "SKIP", f"pole: {exc}")
 
 
-def _run_g_derivative(p):
-    for x in [Fraction(v) for v in p["xs"]]:
+def _g_derivative_grid(p):
+    for x in p["xs"]:
         for n in range(0, p["n_max"] + 1, max(1, p["n_max"] // 10)):
-            try:
-                lhs, rhs = gamma_tools.gamma_ratio_derivative_sides(n, x)
-            except DomainError as exc:
-                yield Report(
-                    "g_derivative", {"n": str(n), "x": str(x)}, "", "", "SKIP", str(exc)
-                )
-                continue
-            yield _exact_report("g_derivative", {"n": str(n), "x": str(x)}, lhs, rhs)
+            yield {"n": n, "x": Fraction(x)}
 
 
-def _run_e44_3(p):
-    for n in range(2, p["n_max"] + 1):
-        coeffs = gamma_tools.pochhammer_ratio_coeffs(n - 1, Fraction(1), 3)
-        h1, h2, h3 = harmonic.H(n - 1, 1), harmonic.H(n - 1, 2), harmonic.H(n - 1, 3)
-        expect = (
-            Fraction(1),
-            h1,
-            (h1 * h1 - h2) / 2,
-            (h1**3 - 3 * h1 * h2 + 2 * h3) / 6,
-        )
-        yield _exact_report("e44_3", {"n": str(n)}, tuple(coeffs), expect)
+def _e44_3(n: int):
+    coeffs = gamma_tools.pochhammer_ratio_coeffs(n - 1, Fraction(1), 3)
+    h1, h2, h3 = harmonic.H(n - 1, 1), harmonic.H(n - 1, 2), harmonic.H(n - 1, 3)
+    expect = (
+        Fraction(1),
+        h1,
+        (h1 * h1 - h2) / 2,
+        (h1**3 - 3 * h1 * h2 + 2 * h3) / 6,
+    )
+    return coeffs, expect
 
 
-def _run_e44_4(p):
-    for n in range(2, p["n_max"] + 1):
-        b = [(-1) ** m * harmonic.H(n - 1, m) for m in range(1, 4)]
-        coeffs = combinatorics.log_to_exp_series(Fraction(0), b, 3)
-        h1, h2, h3 = harmonic.H(n - 1, 1), harmonic.H(n - 1, 2), harmonic.H(n - 1, 3)
-        expect = (
-            Fraction(1),
-            -h1,
-            (h1 * h1 + h2) / 2,
-            -(h1**3 + 3 * h1 * h2 + 2 * h3) / 6,
-        )
-        yield _exact_report("e44_4", {"n": str(n)}, tuple(coeffs), expect)
+def _e44_4(n: int):
+    b = [(-1) ** m * harmonic.H(n - 1, m) for m in range(1, 4)]
+    coeffs = combinatorics.log_to_exp_series(Fraction(0), b, 3)
+    h1, h2, h3 = harmonic.H(n - 1, 1), harmonic.H(n - 1, 2), harmonic.H(n - 1, 3)
+    expect = (
+        Fraction(1),
+        -h1,
+        (h1 * h1 + h2) / 2,
+        -(h1**3 + 3 * h1 * h2 + 2 * h3) / 6,
+    )
+    return coeffs, expect
 
 
 def _pochhammer(u: Fraction, n: int) -> Fraction:
@@ -250,23 +235,11 @@ def _pochhammer(u: Fraction, n: int) -> Fraction:
     return acc
 
 
-def _bell_signed_harmonic_row(n: int, u: Fraction) -> List[Fraction]:
-    """Y_r(H_n(u), -1! H_n^(2)(u), ..., (-1)^(r-1) (r-1)! H_n^(r)(u)) for r = 0..n.
-
-    The arguments are integers over D (``harmonic.scaled_harmonics``), so
-    the Bell row comes out as D^r Y_r and each entry is divided once.
-    """
-    D, rows = harmonic.scaled_harmonics(n, n, u)
-    hs = deque(rows, maxlen=1).pop()
-    args = [(-1) ** j * math.factorial(j) * hs[j] for j in range(n)]
-    return [Fraction(y, D**r) for r, y in enumerate(combinatorics.bell_eval_all(args))]
-
-
 def _run_e44_7(p):
     for u in [Fraction(v) for v in p["us"]]:
         for n in range(1, p["n_max"] + 1):
             row = combinatorics.stirling1_row(n)
-            bell = _bell_signed_harmonic_row(n, u)
+            D, bell = harmonic.signed_bell_row(n, u)
             for r in range(0, n + 1):
                 lhs = math.factorial(r) * sum(
                     (
@@ -275,7 +248,7 @@ def _run_e44_7(p):
                     ),
                     Fraction(0),
                 )
-                rhs = _pochhammer(u, n) * bell[r]
+                rhs = _pochhammer(u, n) * Fraction(bell[r], D**r)
                 yield _exact_report(
                     "e44_7", {"n": str(n), "r": str(r), "u": str(u)}, lhs, rhs
                 )
@@ -284,24 +257,27 @@ def _run_e44_7(p):
 def _run_e44_8(p):
     for n in range(1, p["n_max"] + 1):
         row = combinatorics.stirling1_row(n)
-        bell = _bell_signed_harmonic_row(n, Fraction(1))
+        D, bell = harmonic.signed_bell_row(n, 1)
         for r in range(0, n + 1):
             lhs = sum(
                 Fraction((-1) ** (n + k) * row[k] * math.comb(k, r))
                 for k in range(r, n + 1)
             )
-            rhs = Fraction(math.factorial(n), math.factorial(r)) * bell[r]
+            rhs = Fraction(math.factorial(n) * bell[r], math.factorial(r) * D**r)
             yield _exact_report("e44_8", {"n": str(n), "r": str(r)}, lhs, rhs)
 
 
-def _run_e44_9(p):
+def _e44_9_grid(p):
     for n in range(1, p["n_max"] + 1):
-        row = combinatorics.stirling1_row(n)
-        nxt = combinatorics.stirling1_row(n + 1)
         for r in range(0, n + 1):
-            lhs = (-1) ** (n + r) * nxt[r + 1]
-            rhs = sum((-1) ** (n + k) * row[k] * math.comb(k, r) for k in range(r, n + 1))
-            yield _exact_report("e44_9", {"n": str(n), "r": str(r)}, lhs, rhs)
+            yield {"n": n, "r": r}
+
+
+def _e44_9(n: int, r: int):
+    row = combinatorics.stirling1_row(n)
+    lhs = (-1) ** (n + r) * combinatorics.stirling1_row(n + 1)[r + 1]
+    rhs = sum((-1) ** (n + k) * row[k] * math.comb(k, r) for k in range(r, n + 1))
+    return lhs, rhs
 
 
 def _run_e44_10(p):
@@ -385,22 +361,25 @@ def _registry() -> List[Identity]:
     def add(id_, kind, desc, quick, full, runner):
         ids.append(Identity(id_, kind, desc, quick, full, runner))
 
+    def exact(id_, desc, quick, full, grid, sides):
+        add(id_, Kind.EXACT, desc, quick, full, _exact(id_, grid, sides))
+
     for m in (1, 2, 3):
-        add(
+        exact(
             f"fs_6_{m}",
-            Kind.EXACT,
             f"alternating binomial sum of order {m} vs harmonic closed form",
             {"n_max": 50},
             {"n_max": 200},
-            _run_fs_closed(m),
+            _grid(n=1),
+            lambda n, m=m: _fs_6(m, n),
         )
-    add(
+    exact(
         "fs_4_general",
-        Kind.EXACT,
         "alternating binomial sums vs Bell polynomials of harmonic numbers",
         {"n_max": 30, "m_max": 6},
         {"n_max": 100, "m_max": 8},
-        _run_fs_4_general,
+        _grid(n=1, m=1),
+        lambda n, m: (harmonic.alt_binom_sum(n, m), harmonic.alt_binom_sum_bell(n, m)),
     )
     for v in (1, 2, 3):
         add(
@@ -412,22 +391,22 @@ def _registry() -> List[Identity]:
             _run_adamchik(v),
         )
     for v in "abc":
-        add(
+        exact(
             f"spiess_15{v}",
-            Kind.EXACT,
             "harmonic convolution identity",
             {"n_max": 50},
             {"n_max": 200},
-            _run_spiess(v),
+            _grid(n=1),
+            lambda n, v=v: harmonic.spiess_check(v, n),
         )
     for v in (1, 2, 3, 4):
-        add(
+        exact(
             f"larcombe_16_{v}",
-            Kind.EXACT,
             "scaled alternating binomial identity",
             {"m_max": 5, "n_max": 20},
             {"m_max": 10, "n_max": 50},
-            _run_larcombe(v),
+            _grid(m=1, n=0),
+            lambda m, n, v=v: harmonic.larcombe_check(v, m, n),
         )
     add(
         "coppo_30",
@@ -437,29 +416,29 @@ def _registry() -> List[Identity]:
         {"n_max": 200, "q_max": 8, "xs": ["1", "1/2", "1/3", "2", "7/4", "-1/2"]},
         _run_coppo,
     )
-    add(
+    exact(
         "g_derivative",
-        Kind.EXACT,
         "derivative of the rational gamma ratio vs -g H_{n+1}(x)",
         {"n_max": 20, "xs": ["1", "1/2", "7/4"]},
         {"n_max": 50, "xs": ["1", "1/2", "1/3", "2", "7/4", "-1/2"]},
-        _run_g_derivative,
+        _g_derivative_grid,
+        lambda n, x: gamma_tools.gamma_ratio_derivative_sides(n, x),
     )
-    add(
+    exact(
         "e44_3",
-        Kind.EXACT,
         "rising-factorial ratio series coefficients (direct orientation)",
         {"n_max": 20},
         {"n_max": 40},
-        _run_e44_3,
+        _grid(n=2),
+        _e44_3,
     )
-    add(
+    exact(
         "e44_4",
-        Kind.EXACT,
         "rising-factorial ratio series coefficients (reciprocal orientation)",
         {"n_max": 20},
         {"n_max": 40},
-        _run_e44_4,
+        _grid(n=2),
+        _e44_4,
     )
     add(
         "e44_7",
@@ -477,13 +456,13 @@ def _registry() -> List[Identity]:
         {"n_max": 30},
         _run_e44_8,
     )
-    add(
+    exact(
         "e44_9",
-        Kind.EXACT,
         "Stirling recurrence under binomial convolution",
         {"n_max": 20},
         {"n_max": 30},
-        _run_e44_9,
+        _e44_9_grid,
+        _e44_9,
     )
     add(
         "e44_10",

@@ -316,7 +316,8 @@ def test_criterion_13_verify_full():
     reports = verify.run_all(verify.Profile.FULL)
     elapsed = time.time() - t0
     stats = verify.summarize(reports)
-    ok = stats["fail"] == 0 and elapsed < 600.0
+    ok = stats["fail"] == stats["skip"] == 0 and elapsed < 600.0
     report(13, "verify --all --profile full", ok, f"{stats['reports']} reports, {elapsed:.0f}s")
     assert stats["fail"] == 0, [r for r in reports if r.status == "FAIL"][:5]
+    assert stats["skip"] == 0, [r for r in reports if r.status == "SKIP"][:5]
     assert elapsed < 600.0

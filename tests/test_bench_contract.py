@@ -1,0 +1,59 @@
+"""The names the benchmark's span tracer (bench/spans.py) wraps must exist,
+and a traced verify run must reach them through their modules."""
+
+import importlib
+import importlib.util
+import os
+import pkgutil
+from collections import Counter
+
+import pytest
+
+import ehz
+from ehz import cli
+
+SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(spans):
+    for mod_name, fn_name, _ in spans.TRACED:
+        module = importlib.import_module(f"ehz.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"ehz.{mod_name}.{fn_name}"
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(ehz.__path__):
+        module = importlib.import_module(f"ehz.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"ehz.{info.name}.{name}"
+
+
+@pytest.mark.parametrize(
+    "ident, span",
+    [
+        ("g_derivative", "gamma_tools.gamma_ratio_derivative_sides"),
+        ("e44_3", "gamma_tools.pochhammer_ratio_coeffs"),
+        ("fs_4_general", "harmonic.alt_binom_sum"),
+    ],
+)
+def test_traced_verify_records_spans(spans, capsys, ident, span):
+    for mod_name, _, _ in spans.TRACED:
+        importlib.import_module(f"ehz.{mod_name}")
+    log = spans.SpanLog()
+    replaced = spans.install(log)
+    try:
+        assert cli.main(["verify", "--id", ident, "--profile", "quick"]) == 0
+    finally:
+        for module, attr, original in replaced:
+            setattr(module, attr, original)
+    capsys.readouterr()
+    counts = Counter(log.names[i] for i in log.name_id)
+    assert counts[span] >= 1, sorted(counts)

@@ -416,6 +416,21 @@ class TestVerifyCommand:
         assert err == b""
         assert code == cli.BROKEN_PIPE
 
+    @pytest.mark.parametrize("x", ["-1", "0"])
+    def test_pole_shift_skips_without_traceback(self, x):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehz", "verify", "--id", "g_derivative", "--x", x],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        passing = 1 if x == "-1" else 0
+        assert proc.stdout.splitlines()[-1] == (
+            f"identities=1, reports=11, pass={passing}, fail=0, skip={11 - passing}"
+        )
+
     def test_m_max_override(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "fs_4_general", "--n-max", "5", "--m-max", "3"

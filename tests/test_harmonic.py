@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz.numerics import DomainError
 
@@ -95,6 +96,14 @@ class TestAltBinomSum:
             for m in range(1, 7):
                 assert ha.alt_binom_sum(n, m) == ha.alt_binom_sum_bell(n, m)
 
+    def test_bell_route_matches_fraction_bell(self):
+        # -(1/m!) Y_m(0! H_n, 1! H_n^(2), ..., (m-1)! H_n^(m)) on Fractions
+        for n in range(1, 61):
+            for m in range(1, 11):
+                args = [math.factorial(j - 1) * ha.H(n, j) for j in range(1, m + 1)]
+                want = -F(co.bell_eval(args), math.factorial(m))
+                assert ha.alt_binom_sum_bell(n, m) == want, (n, m)
+
 
 class TestCoppo:
     def test_lhs_simple(self):
@@ -119,10 +128,10 @@ class TestCoppo:
                     assert ha.coppo_lhs(n, q, x) == row[q - 1]
 
     def test_rhs_q3_shape(self):
-        from ehz.gamma_tools import RatioForm, gamma_ratio
+        from ehz.gamma_tools import gamma_ratio
 
         n, x = 6, F(1, 3)
-        ratio = gamma_ratio(n, x, RatioForm.N_PLUS_1)
+        ratio = gamma_ratio(n, x)
         h1, h2 = ha.Hx(n + 1, 1, x), ha.Hx(n + 1, 2, x)
         row = list(ha.coppo_rhs_rows(3, x, n))[n]
         assert row[2] == ratio * (h1 * h1 + h2) / 2
@@ -160,6 +169,31 @@ class TestScaledHarmonics:
     def test_pole(self):
         with pytest.raises(DomainError, match="pole at k = 2"):
             ha.scaled_harmonics(4, 2, F(-2))
+
+
+class TestSignedBellRow:
+    @pytest.mark.parametrize("u", ["1", "1/2", "3", "-7/3", "1/1000000"])
+    def test_matches_fraction_route(self, u):
+        u = F(u)
+        for n in range(0, 13):
+            args = [
+                (-1) ** (j - 1) * math.factorial(j - 1) * ha.Hx(n, j, u)
+                for j in range(1, n + 1)
+            ]
+            D, ys = ha.signed_bell_row(n, u)
+            assert all(isinstance(y, int) for y in ys)
+            assert [F(y, D**r) for r, y in enumerate(ys)] == co.bell_eval_all(args)
+
+
+class TestCheckPole:
+    def test_names_k_inside_the_range(self):
+        for n, x in ((1, 0), (3, -2), (8, -7)):
+            with pytest.raises(DomainError, match=f"pole at k = {-x}: x = {x} "):
+                ha.check_pole(n, F(x))
+
+    def test_points_off_the_range_pass(self):
+        for n, x in ((0, F(0)), (3, F(-3)), (3, F(1)), (3, F(-1, 2)), (5, F(-7, 3))):
+            ha.check_pole(n, x)
 
 
 class TestLarcombe:
