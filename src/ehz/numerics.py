@@ -7,8 +7,12 @@ Two numeric backplanes are provided and selected through a
   Effective precision is the platform double width regardless of the
   requested digit count; intended for large term budgets (N up to 1e6).
 * ``HIGH`` -- mpmath at the requested digits, for tight tolerances at small
-  N.  Sums are exact and rounded once (:class:`NeumaierSum` from an mpf
-  zero); the gamma-ratio series sum fixed-point integers, not mpfs.
+  N.  Sums are exact and rounded once; the gamma-ratio series sum
+  fixed-point integers, not mpfs.
+
+Series loops are generators of terms, summed by :func:`compensated_sum`:
+Neumaier's step over doubles from a float zero, exact adds rounded once
+from an mpf zero.
 
 mpmath keeps its working precision in global state, so every HIGH-mode
 computation in this package runs inside :func:`working_precision`, which
@@ -33,7 +37,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -45,6 +49,7 @@ __all__ = [
     "PrecisionContext",
     "Real",
     "SeriesResult",
+    "compensated_sum",
     "NeumaierSum",
     "bernoulli_even",
     "tangent_numbers",
@@ -193,12 +198,38 @@ class SeriesResult:
             raise NumericError("tail_estimate must be finite and non-negative")
 
 
+def compensated_sum(terms: Iterable, zero=0.0) -> Tuple[Real, Real]:
+    """(sum, last term) of ``terms`` in order; ``zero`` when there are none.
+
+    From a float zero the sum is Neumaier's compensated sum (Kahan's
+    variant); from an mpf zero every add is exact (``mpmath.fadd(...,
+    exact=True)``) and the sum is rounded once at the caller's working
+    precision.  The step is inlined in one loop, and equal term sequences
+    give bit-identical sums.
+    """
+    s = last = zero
+    if isinstance(zero, mpf):
+        for last in terms:
+            s = mpmath.fadd(s, last, exact=True)
+        return +s, last
+    c = zero * 0
+    for last in terms:
+        t = s + last
+        if abs(s) >= abs(last):
+            c += (s - t) + last
+        else:
+            c += (last - t) + s
+        s = t
+    return s + c, last
+
+
 class NeumaierSum:
-    """Streaming accumulator: from a float zero, Neumaier's compensated sum
-    (Kahan's variant); from an mpf zero, exact adds (``mpmath.fadd(...,
-    exact=True)``) whose :attr:`total` is rounded once at the caller's working
-    precision.  The path is chosen when the sum is created.  Identical input
-    sequences give bit-identical totals."""
+    """Streaming form of :func:`compensated_sum`, for a running total that is
+    read between adds (digamma_half_sum's H_n(1/2), which enters every term);
+    a plain sum goes through :func:`compensated_sum`.  From a float zero,
+    Neumaier's step; from an mpf zero, exact adds whose :attr:`total` is
+    rounded once.  Each :attr:`total` equals compensated_sum's over the terms
+    added so far."""
 
     __slots__ = ("_sum", "_comp")
 
@@ -329,11 +360,9 @@ def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = 120) -> b
 
 
 def _em_once(s_mp, x_mp, M: int, eps):
-    acc = NeumaierSum(mpf(0))
-    for k in range(M):
-        acc.add((k + x_mp) ** (-s_mp))
+    head, _ = compensated_sum(((k + x_mp) ** (-s_mp) for k in range(M)), mpf(0))
     base = M + x_mp
-    total = acc.total + base ** (1 - s_mp) / (s_mp - 1) + base ** (-s_mp) / 2
+    total = head + base ** (1 - s_mp) / (s_mp - 1) + base ** (-s_mp) / 2
     # Bernoulli corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * base^(-s-2j+1)
     jmax = 120
     bs = bernoulli_even(jmax)
@@ -385,17 +414,17 @@ def _gamma_em(dps: int):
 
 def _atan_recip(q: int):
     """arctan(1/q) by its alternating Taylor series (exact-integer powers)."""
-    one = mpf(1)
     q2 = q * q
-    term = one / q
-    total = NeumaierSum(mpf(0))
-    k = 0
     eps = mpf(10) ** (-(mpmath.mp.dps + 2))
-    while abs(term) > eps:
-        total.add(term if k % 2 == 0 else -term)
-        k += 1
-        term = term / q2 * (2 * k - 1) / (2 * k + 1)
-    return total.total
+
+    def terms():
+        term, k = mpf(1) / q, 0
+        while abs(term) > eps:
+            yield term if k % 2 == 0 else -term
+            k += 1
+            term = term / q2 * (2 * k - 1) / (2 * k + 1)
+
+    return compensated_sum(terms(), mpf(0))[0]
 
 
 def _pi_machin(dps: int):

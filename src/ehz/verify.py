@@ -194,7 +194,7 @@ def _run_coppo(p):
             for n, q, lhs, rhs in sweep:
                 yield _exact_report("coppo_30", {"n": str(n), "q": str(q), "x": xtext}, lhs, rhs)
         except DomainError as exc:
-            yield Report("coppo_30", {"x": str(x)}, "", "", "SKIP", f"pole: {exc}")
+            yield Report("coppo_30", {"x": str(x)}, "", "", "SKIP", str(exc))
 
 
 def _g_derivative_grid(p):

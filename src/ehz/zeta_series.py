@@ -14,9 +14,12 @@ Every evaluator returns a :class:`SeriesResult` carrying the partial sum,
 the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
-series use twice the final term).  Summation is ascending-index: Neumaier
-compensated in FAST mode, exact and rounded once in HIGH mode (fixed-point
-integers for the gamma-ratio series), so results are bit-reproducible.
+series use twice the final term).  Each series loop is a generator of its
+terms in ascending index, summed by ``numerics.compensated_sum``: Neumaier
+compensated in FAST mode, exact and rounded once in HIGH mode (the HIGH
+gamma-ratio series sum fixed-point integers instead), so results are
+bit-reproducible.  FAST generators count n in doubles (see
+:func:`_gamma_ratio_series`).
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
@@ -72,6 +75,7 @@ from .numerics import (
     PrecisionContext,
     Real,
     SeriesResult,
+    compensated_sum,
     const_catalan,
     const_gamma,
     const_log2,
@@ -315,36 +319,96 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)), "eta"
     (2^-n R_n a[m-1], a[j] = h_j) or "mixed" ((n H_n - 1) R_n a[m-1] / n^2,
     a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
-    harmonic number behind the tail's log offset.  FAST sums doubles; HIGH is
-    fixed-point."""
+    harmonic number behind the tail's log offset.  HIGH is fixed-point.
+
+    FAST sums the doubles of one generator per kind.  The generators count n
+    in doubles (n += 1.0) and form m n and n n as products of doubles: every
+    counter is an exact integer below 2^53, and each product rounds once, to
+    the double nearest the exact integer, as the int-to-float conversion of
+    the integer product did.  So every term is bit for bit the one that int
+    counters give.
+    """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
-    xv, R = float(x), _ratio_seed(x, ctx)
-    a = [1.0] + [0.0] * (m - 1)
-    acc, term, w, H = NeumaierSum(), 0.0, 1.0, 0.0
-    elementary, eta, mixed = kind == "stirling-route", kind == "eta", kind == "mixed"
-    for n in range(1, N + 1):
-        den = n - 1 + xv
-        if n > 1:
-            R = R * (n - 1) / den
-        if elementary:
-            term = R * a[m - 1] / n
-            for j in range(m - 1, 0, -1):
-                a[j] = a[j] + a[j - 1] / n
-        else:
-            b = 1 / den
-            for j in range(1, m):
-                a[j] = a[j] + b * a[j - 1]
-            if eta:
-                w = w / 2
-                term = w * R * a[-1]
-            elif mixed:
-                H = H + 1 / n
-                term = (n * H - 1) * a[m - 1] * R / (n * n)
-            else:
-                term = R * a[m - 1] / (m * n)
-        acc.add(term)
-    return acc.total, term, max(a[1] if m > 1 else 0.0, H), R
+    a, end = [1.0] + [0.0] * (m - 1), []
+    terms = _FAST_TERMS[kind](a, _ratio_seed(x, ctx), float(x), N, end)
+    total, term = compensated_sum(terms)
+    R, H = end
+    return total, term, max(a[1] if m > 1 else 0.0, H), R
+
+
+# The FAST terms of _gamma_ratio_series.  Each generator advances R and a
+# in place, with n - 1 in ``n`` at the top of the loop, and leaves R_N and
+# H_N (0.0 but for "mixed") in ``end`` once exhausted.
+
+
+def _stirling_terms(a, R, xv, N, end):
+    js = range(len(a) - 1, 0, -1)
+    n = 0.0
+    for _ in range(N):
+        if n:
+            R = R * n / (n + xv)
+        n += 1.0
+        yield R * a[-1] / n
+        for j in js:  # descending: a[j-1] is still e_{j-1} of 1, ..., 1/(n-1)
+            a[j] = a[j] + a[j - 1] / n
+    end += R, 0.0
+
+
+def _euler_hurwitz_terms(a, R, xv, N, end):
+    js, m = range(1, len(a)), float(len(a))
+    n = mn = 0.0
+    for _ in range(N):
+        den = n + xv
+        if n:
+            R = R * n / den
+        b, prev = 1 / den, 1.0
+        for j in js:
+            prev = a[j] = a[j] + b * prev
+        n += 1.0
+        mn += m
+        yield R * a[-1] / mn
+    end += R, 0.0
+
+
+def _eta_terms(a, R, xv, N, end):
+    js = range(1, len(a))
+    n, w = 0.0, 1.0
+    for _ in range(N):
+        den = n + xv
+        if n:
+            R = R * n / den
+        b, prev = 1 / den, 1.0
+        for j in js:
+            prev = a[j] = a[j] + b * prev
+        n += 1.0
+        w = w / 2
+        yield w * R * a[-1]
+    end += R, 0.0
+
+
+def _mixed_terms(a, R, xv, N, end):
+    js = range(1, len(a))
+    n = H = 0.0
+    for _ in range(N):
+        den = n + xv
+        if n:
+            R = R * n / den
+        b, prev = 1 / den, 1.0
+        for j in js:
+            prev = a[j] = a[j] + b * prev
+        n += 1.0
+        H = H + 1 / n
+        yield (n * H - 1) * a[-1] * R / (n * n)
+    end += R, H
+
+
+_FAST_TERMS = {
+    "stirling-route": _stirling_terms,
+    "euler-hurwitz": _euler_hurwitz_terms,
+    "eta": _eta_terms,
+    "mixed": _mixed_terms,
+}
 
 
 def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
@@ -652,27 +716,42 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
         return _mixed_series(1, Fraction(1, 2), N, ctx, Fraction(1))
 
     with ctx.scope():
-        acc = NeumaierSum(ctx.zero())
         one = ctx.zero() + 1
-        term = ctx.zero()
+        unit = 1.0 if ctx.mode is Mode.FAST else 1
         if kind is CatalanKind.RAMANUJAN_38:
-            quarter_pi = const_pi(ctx) / 4
-            b = one  # C(2n,n)^2 / 2^(4n)
-            for n in range(N):
-                term = quarter_pi * b / (2 * n + 1)
-                acc.add(term)
-                b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
-            tail = _tail_from_last(float(term), N, 1.0, 0, 0.0)
-            return _finish(ctx, acc.total, N, tail)
-        # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
-        a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
-        c = one * 2  # 2^(2n+1) (n!)^2 / (2n+1)!
-        for n in range(N):
-            term = c / (a * n + b)
-            acc.add(term)
-            c = c * (2 * (n + 1)) / (2 * n + 3)
-        tail = _tail_from_last(float(term), N, 0.5, 0, 0.0)
-        return _finish(ctx, acc.total, N, tail)
+            terms, decay = _ramanujan_terms(const_pi(ctx) / 4, one, N, unit), 1.0
+        else:  # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
+            a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
+            terms, decay = _central_terms(one * 2, a, b, N, unit), 0.5
+        total, term = compensated_sum(terms, ctx.zero())
+        return _finish(ctx, total, N, _tail_from_last(float(term), N, decay, 0, 0.0))
+
+
+# The catalan_series terms.  Their integer factors are counters of the
+# type of ``unit``: Python ints in HIGH mode, and in FAST mode doubles,
+# exact integers below 2^53 whose products round once, as the int-to-float
+# conversion of the integer product did.
+
+
+def _ramanujan_terms(quarter_pi, b, N, unit):
+    """quarter_pi b_n / (2n+1), b_n = C(2n,n)^2 / 2^(4n) from b_0 = b."""
+    odd, n1, two = unit, unit, 2 * unit  # 2n+1, n+1
+    for _ in range(N):
+        yield quarter_pi * b / odd
+        b = b * (odd * odd) / (4 * n1 * n1)
+        odd += two
+        n1 += unit
+
+
+def _central_terms(c, a, b, N, unit):
+    """c_n / (a n + b), c_n = 2^(2n+1) (n!)^2 / (2n+1)! from c_0 = c."""
+    den, step, even, odd, two = b * unit, a * unit, 2 * unit, 3 * unit, 2 * unit
+    for _ in range(N):  # even = 2 (n+1), odd = 2n + 3
+        yield c / den
+        c = c * even / odd
+        den += step
+        even += two
+        odd += two
 
 
 def polylog(s, y, ctx: PrecisionContext) -> Real:
@@ -687,13 +766,15 @@ def polylog(s, y, ctx: PrecisionContext) -> Real:
 
     with ctx.scope():
         yv = ctx.real(Fraction(y) if isinstance(y, (int, Fraction)) else y)
-        sv = ctx.real(s)
-        acc = NeumaierSum(yv * 0)
-        p = yv * 0 + 1
-        for k in range(1, N + 1):
-            p = p * yv
-            acc.add(p / (k ** sv if not float(s).is_integer() else k ** int(s)))
-        return +acc.total
+        e = int(s) if float(s).is_integer() else ctx.real(s)
+
+        def terms():
+            p = yv * 0 + 1
+            for k in range(1, N + 1):
+                p = p * yv
+                yield p / k**e
+
+        return +compensated_sum(terms(), yv * 0)[0]
 
 
 def _polylog_identity_args(which: PolylogIdentity, s, y) -> Fraction:
@@ -734,21 +815,22 @@ def polylog_identity_lhs(
         lg = lib.log1p(-yv) if alternating else -lib.log1p(yv)
         step = ctx.real(1 - y if alternating else 1 / (1 + y))
         half = (1 + yv) / 2
-        t = power = yv * 0 + 1  # power = ((1+y)/2)^n
-        f = [yv * 0] * (s + 1)
-        acc = NeumaierSum(yv * 0)
-        row = yv * 0
-        for n in range(1, N + 1):
-            t, power = t * step, power * half
-            u = t - 1 if t <= 0.5 else lib.expm1(n * lg)  # t - 1 cancels while t > 1/2
-            f[0] = u if alternating else -power * u
-            for j in range(1, s + 1):
-                f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
-            row = f[s] / (n * n if alternating else n)
-            acc.add(row)
+
+        def rows():
+            t = power = yv * 0 + 1  # power = ((1+y)/2)^n
+            f = [yv * 0] * (s + 1)
+            for n in range(1, N + 1):
+                t, power = t * step, power * half
+                u = t - 1 if t <= 0.5 else lib.expm1(n * lg)  # t - 1 cancels while t > 1/2
+                f[0] = u if alternating else -power * u
+                for j in range(1, s + 1):
+                    f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
+                yield f[s] / (n * n if alternating else n)
+
+        total, row = compensated_sum(rows(), yv * 0)
         last = abs(float(row))
         tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
-        return _finish(ctx, acc.total, N, tail)
+        return _finish(ctx, total, N, tail)
 
 
 def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:
@@ -766,25 +848,27 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_{n=0}^{N-1} psi(n + 1/2) / (2n+1)^power for power in {2, 4}.
 
     psi(n + 1/2) = -gamma - 2 log 2 + H_n(1/2) with the shifted harmonic
-    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a compensated sum
-    of the context's real type.
+    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a running
+    compensated sum (:class:`~ehz.numerics.NeumaierSum`) of the context's
+    real type.
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
 
     with ctx.scope():
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
-        acc = NeumaierSum(ctx.zero())
         hx = NeumaierSum(ctx.zero())
         two = ctx.real(2)
-        term = ctx.zero()
-        for n in range(N):
-            term = (psi0 + hx.total) / (2 * n + 1) ** power
-            acc.add(term)
-            hx.add(two / (2 * n + 1))
+
+        def terms():
+            for odd in range(1, 2 * N, 2):  # 2n + 1
+                yield (psi0 + hx.total) / odd**power
+                hx.add(two / odd)
+
+        total, term = compensated_sum(terms(), ctx.zero())
         c = float(psi0 + hx.total) - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
-        return _finish(ctx, acc.total, N, tail)
+        return _finish(ctx, total, N, tail)
 
 
 def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:

@@ -1,5 +1,6 @@
 """The names the benchmark's span tracer (bench/spans.py) wraps must exist,
-and a traced verify run must reach them through their modules."""
+a traced verify run must reach them through their modules, and a traced
+FAST eval must sum its series inside the traced evaluator."""
 
 import importlib
 import importlib.util
@@ -57,3 +58,39 @@ def test_traced_verify_records_spans(spans, capsys, ident, span):
     capsys.readouterr()
     counts = Counter(log.names[i] for i in log.name_id)
     assert counts[span] >= 1, sorted(counts)
+
+
+@pytest.mark.parametrize(
+    "formula, param",
+    [
+        ("euler-hurwitz", ("--q", "3", "--x", "3/4")),
+        ("stirling-route", ("--q", "3", "--x", "3/4")),
+        ("mixed-q", ("--q", "4", "--x", "3/4")),
+        ("catalan-ramanujan", ()),
+        ("catalan-central", ()),
+        ("zeta2-dup", ()),
+        ("digamma-half-sum", ("--q", "2")),
+    ],
+)
+def test_traced_fast_eval_sums_inside_the_evaluator(spans, capsys, formula, param):
+    # us_per_term divides the outermost formula span (evaluate's) by N; the
+    # evaluator's own span, nested in it, must hold the summation too.
+    for mod_name, _, _ in spans.TRACED:
+        importlib.import_module(f"ehz.{mod_name}")
+    log = spans.SpanLog()
+    replaced = spans.install(log)
+    try:
+        argv = ["eval", "--formula", formula, *param, "--terms", "20000", "--mode", "fast"]
+        assert cli.main(argv) == 0
+    finally:
+        for module, attr, original in replaced:
+            setattr(module, attr, original)
+    capsys.readouterr()
+    name = f"zeta_series.{formula}.fast"
+    found = [i for i, n in enumerate(log.name_id) if log.names[n] == name]
+    assert len(found) == 2, sorted(set(log.names))  # evaluate, then the evaluator
+    inner = next(i for i in found if log.parent[i] in found)
+    outer = log.parent[inner]
+    inner_s = log.end[inner] - log.start[inner]
+    assert 0 < log.end[outer] - log.start[outer] < 2 * inner_s
+    assert spans.layer_metrics(log)[f"{name}.us_per_term"] > 0

@@ -431,6 +431,14 @@ class TestVerifyCommand:
             f"identities=1, reports=11, pass={passing}, fail=0, skip={11 - passing}"
         )
 
+    def test_coppo_pole_skip_detail(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--id", "coppo_30", "--x", "0", "--n-max", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "SKIP coppo_30 x=0  [pole at k = 0: x = 0 makes k + x vanish] lhs= rhs=",
+            "identities=1, reports=1, pass=0, fail=0, skip=1",
+        ]
+
     def test_m_max_override(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "fs_4_general", "--n-max", "5", "--m-max", "3"

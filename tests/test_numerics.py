@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -72,6 +73,88 @@ class TestNeumaierSum:
             for t in (1, mpmath.ldexp(1, -137), mpmath.ldexp(1, -137) + mpmath.ldexp(1, -272)):
                 acc.add(mpmath.mpf(t))
             assert acc.total == 1 + mpmath.ldexp(1, -135)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def _streaming(terms):
+    """The streaming reference: NeumaierSum's adds, one per term."""
+    acc = nu.NeumaierSum(0.0)
+    for t in terms:
+        acc.add(t)
+    return acc.total
+
+
+INF, NAN = math.inf, math.nan
+
+#: float term sequences: empty, one term, mixed signs, inf, nan, signed
+#: zeros, and sums whose compensation term carries the result
+EDGE_SEQUENCES = {
+    "empty": [],
+    "one": [0.1],
+    "one_negative": [-2.5e-300],
+    "mixed_signs": [(-1) ** k * 10.0 ** (k % 23 - 11) / (k + 1) for k in range(200)],
+    "cancelling": [1e16, 1.0, -1e16, 1e-3],
+    "inf": [1.0, INF, 2.0],
+    "inf_minus_inf": [INF, -INF],
+    "overflow": [1e308, 1e308],
+    "nan": [1.0, NAN, 3.0],
+    "negative_zero": [-0.0],
+    "negative_zeros": [-0.0, -0.0],
+    "signed_zeros": [0.0, -0.0, -0.0],
+    "small_after_large": [1.0] + [1e-16] * 1000,
+    "large_after_small": [1e-16] * 1000 + [1.0],
+}
+
+
+class TestCompensatedSum:
+    def test_float_path_is_compensated(self):
+        assert nu.compensated_sum([1e16, 1.0, -1e16, 1e-3]) == (1.001, 1e-3)
+
+    @pytest.mark.parametrize("name", list(EDGE_SEQUENCES))
+    def test_float_path_matches_streaming_adds_bit_for_bit(self, name):
+        terms = EDGE_SEQUENCES[name]
+        total, last = nu.compensated_sum(iter(terms))
+        assert _bits(total) == _bits(_streaming(terms))
+        assert _bits(last) == _bits(terms[-1] if terms else 0.0)
+
+    def test_compensation_carries_what_plain_adds_lose(self):
+        terms = EDGE_SEQUENCES["small_after_large"]
+        naive = 0.0
+        for t in terms:
+            naive += t
+        assert naive == 1.0
+        assert nu.compensated_sum(terms)[0] == math.fsum(terms) > 1.0
+
+    def test_empty_sums_are_the_zero(self):
+        assert nu.compensated_sum([]) == (0.0, 0.0)
+        with nu.working_precision(HIGH.dps):
+            total, last = nu.compensated_sum([], HIGH.zero())
+        assert isinstance(total, mpmath.mpf) and isinstance(last, mpmath.mpf)
+        assert total == last == 0
+
+    def test_high_path_is_the_exact_sum_rounded_once(self):
+        with nu.working_precision(HIGH.dps):
+            terms = [
+                (-1) ** k * (k + mpmath.mpf(1) / 3) ** -1.5 * mpmath.mpf(10) ** (k % 7 - 3)
+                for k in range(300)
+            ]
+            total, last = nu.compensated_sum(iter(terms), HIGH.zero())
+            exact = sum(
+                int(mpmath.sign(t)) * t.man_exp[0] * Fraction(2) ** t.man_exp[1] for t in terms
+            )
+            assert total == mpmath.fdiv(exact.numerator, exact.denominator)
+        assert last is terms[-1]
+
+    def test_high_path_rounds_past_a_tie(self):
+        # as TestNeumaierSum: one rounding of the exact 1 + 2^-136 + 2^-272
+        with nu.working_precision(HIGH.dps):
+            assert mpmath.mp.prec == 136
+            terms = [1, mpmath.ldexp(1, -137), mpmath.ldexp(1, -137) + mpmath.ldexp(1, -272)]
+            total, _ = nu.compensated_sum((mpmath.mpf(t) for t in terms), HIGH.zero())
+            assert total == 1 + mpmath.ldexp(1, -135)
 
 
 class TestBernoulli:
