@@ -189,6 +189,26 @@ EXACT_QUICK_SHA256 = {
 }
 
 
+#: sha256 of `verify --id <id> --profile full --format json` stdout for the
+#: identities whose sweeps compare integer cross-products and reduce only the
+#: printed side, so that the full grids stay byte-identical too.
+EXACT_FULL_SHA256 = {
+    "coppo_30": "b00ce2e113c9c53da6f0e51c0c1b6687397407994e9c0f460fdb36ce570db1ad",
+    "e44_7": "248b636311bd84843ffd13984aaff17d0c61b5bc7c3c0f1c02f648bd07f4ce71",
+    "g_derivative": "3439daef44334ef57cb25b0016c02192ac9a8188ad3f916e6c27905078975ef5",
+    "fs_4_general": "c11250e5f7f3f36292f0e5df53c737f6ff1286333881b9ec6b4c67f36add5eeb",
+}
+
+
+def _json_sha256(capsys, ident: str, profile: str) -> str:
+    from ehz import cli
+
+    code = cli.main(["verify", "--id", ident, "--profile", profile, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 class TestExactOutputsPinned:
     def test_every_exact_identity_is_pinned(self):
         exact = {i.id for i in verify._REGISTRY if i.kind is verify.Kind.EXACT}
@@ -196,9 +216,8 @@ class TestExactOutputsPinned:
 
     @pytest.mark.parametrize("ident", sorted(EXACT_QUICK_SHA256))
     def test_quick_json_bytes(self, capsys, ident):
-        from ehz import cli
+        assert _json_sha256(capsys, ident, "quick") == EXACT_QUICK_SHA256[ident]
 
-        code = cli.main(["verify", "--id", ident, "--profile", "quick", "--format", "json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_QUICK_SHA256[ident]
+    @pytest.mark.parametrize("ident", sorted(EXACT_FULL_SHA256))
+    def test_full_json_bytes(self, capsys, ident):
+        assert _json_sha256(capsys, ident, "full") == EXACT_FULL_SHA256[ident]
