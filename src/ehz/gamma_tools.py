@@ -66,16 +66,19 @@ def gamma_ratio_derivative_sides(n: int, x: Fraction):
 
     The left side differentiates the product form exactly: with
     P(x) = prod_{k=0}^{n} (x+k), g = n!/P and g' = -n! P'/P^2, where the
-    coefficient of x^k in P is |s(n+1, k)|.  The right side uses the
+    coefficient of x^k in P is |s(n+1, k)|.  For x = a/b, P and P' are the
+    integer sums p = b^(n+1) P(x) and dp = b^n P'(x), so the left side is
+    one reduced Fraction -n! dp b^(n+2) / p^2.  The right side uses the
     telescoped harmonic sum.  Returns (lhs, rhs) as exact rationals; a pole
     raises DomainError.
     """
     x = Fraction(x)
     check_pole(n + 1, x)
+    a, b = x.numerator, x.denominator
     coeffs = [abs(c) for c in combinatorics.stirling1_row(n + 1)]
-    p = sum(Fraction(c) * x**i for i, c in enumerate(coeffs))
-    dp = sum(Fraction(i * c) * x ** (i - 1) for i, c in enumerate(coeffs) if i)
-    lhs = -math.factorial(n) * dp / p**2
+    p = sum(c * a**i * b ** (n + 1 - i) for i, c in enumerate(coeffs))
+    dp = sum(i * c * a ** (i - 1) * b ** (n + 1 - i) for i, c in enumerate(coeffs) if i)
+    lhs = Fraction(-math.factorial(n) * dp * b ** (n + 2), p**2)
     rhs = -gamma_ratio(n, x) * Hx(n + 1, 1, x)
     return lhs, rhs
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
@@ -106,15 +105,18 @@ def alt_binom_sum_bell(n: int, m: int) -> Fraction:
     """S_n(m) from the Bell polynomial of generalized harmonic numbers,
 
     -(1/m!) Y_m(0! H_n, 1! H_n^(2), ..., (m-1)! H_n^(m)), so it equals
-    alt_binom_sum exactly.  The arguments are the integers L^j H_n^(j) of
-    :func:`scaled_harmonics`, so Y_m comes out as L^m Y_m and is divided
-    once.
+    alt_binom_sum exactly.  The arguments are the integers L^j H_n^(j),
+    L = lcm(1..n), read from the cached columns of :func:`H`, so Y_m comes
+    out as L^m Y_m and is divided once.
     """
     if n < 1 or m < 1:
         raise DomainError("alt_binom_sum_bell requires n, m >= 1")
-    L, rows = scaled_harmonics(n, m, 1)
-    hs = deque(rows, maxlen=1).pop()
-    y = combinatorics.bell_eval_all([math.factorial(j) * hs[j] for j in range(m)])[m]
+    L = math.lcm(*range(1, n + 1))
+    args = []
+    for j in range(m):
+        h = H(n, j + 1)
+        args.append(math.factorial(j) * L ** (j + 1) // h.denominator * h.numerator)
+    y = combinatorics.bell_eval_all(args)[m]
     return Fraction(-y, math.factorial(m) * L**m)
 
 
@@ -140,6 +142,18 @@ def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
+def _units(n: int, x) -> Tuple[int, List[int]]:
+    """D = lcm of |x_q k + x_p| over k = 0..n-1, where x = x_p/x_q, and the
+    integers u_k = x_q D / (x_q k + x_p) = D / (k+x); a pole raises
+    DomainError."""
+    x = Fraction(x)
+    check_pole(n, x)
+    xp, xq = x.numerator, x.denominator
+    bases = [xq * k + xp for k in range(n)]
+    D = math.lcm(*bases)
+    return D, [xq * D // b for b in bases]
+
+
 def scaled_harmonics(n: int, m_max: int, x) -> Tuple[int, Iterator[List[int]]]:
     """Shifted harmonic numbers as integers over one common denominator.
 
@@ -153,17 +167,12 @@ def scaled_harmonics(n: int, m_max: int, x) -> Tuple[int, Iterator[List[int]]]:
     of these arguments are D^m times the rows of the unscaled ones, and they
     run on plain integers until the caller divides once.
     """
-    x = Fraction(x)
-    check_pole(n, x)
-    xp, xq = x.numerator, x.denominator
-    bases = [xq * k + xp for k in range(n)]
-    D = math.lcm(*bases)
+    D, units = _units(n, x)
 
     def rows() -> Iterator[List[int]]:
         acc = [0] * m_max
         yield list(acc)
-        for b in bases:
-            u = xq * D // b
+        for u in units:
             p = u
             for j in range(m_max):
                 acc[j] += p
@@ -180,10 +189,33 @@ def signed_bell_row(n: int, x) -> Tuple[int, List[int]]:
     D is the common denominator of :func:`scaled_harmonics`; entry r
     divided by D^r is Y_r.
     """
-    D, rows = scaled_harmonics(n, n, x)
-    hs = deque(rows, maxlen=1).pop()
-    args = [(-1) ** j * math.factorial(j) * hs[j] for j in range(n)]
+    D, units = _units(n, x)
+    args = []
+    powers = units
+    for j in range(n):
+        args.append((-1) ** j * math.factorial(j) * sum(powers))
+        powers = [p * u for p, u in zip(powers, units)]
     return D, combinatorics.bell_eval_all(args)
+
+
+def _coppo_rhs_ints(q_max: int, x: Fraction, n_max: int) -> Tuple[int, Iterator[tuple]]:
+    """D of :func:`scaled_harmonics` and, for n = 0..n_max, the integers
+    (num, den, ys) of row n of :func:`coppo_rhs_rows`: entry q of that row
+    is num ys[q-1] / (den D^(q-1) (q-1)!)."""
+    x = Fraction(x)
+    xp, xq = x.numerator, x.denominator
+    facts = [math.factorial(j) for j in range(q_max - 1)]
+    D, rows = scaled_harmonics(n_max + 1, q_max - 1, x)
+
+    def ints() -> Iterator[Tuple[int, int, List[int]]]:
+        next(rows)  # the empty prefix: row n reads H_{n+1}
+        num, den = 1, 1  # n! x_q^(n+1) and prod_{k<=n} (x_q k + x_p)
+        for n, hs in enumerate(rows):
+            num *= xq * max(n, 1)
+            den *= xq * n + xp
+            yield num, den, combinatorics.bell_eval_all([f * h for f, h in zip(facts, hs)])
+
+    return D, ints()
 
 
 def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fraction]]:
@@ -196,17 +228,9 @@ def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fractio
     A_j = D^j H_{n+1}^(j)(x) of :func:`scaled_harmonics`, so each Bell row
     runs on integers and each entry is one division by D^(q-1) (q-1)!.
     """
-    x = Fraction(x)
-    xp, xq = x.numerator, x.denominator
-    facts = [math.factorial(j) for j in range(q_max)]
-    D, rows = scaled_harmonics(n_max + 1, q_max - 1, x)
-    scales = [D**j * facts[j] for j in range(q_max)]
-    next(rows)  # the empty prefix: row n reads H_{n+1}
-    num, den = 1, 1  # n! x_q^(n+1) and prod_{k<=n} (x_q k + x_p)
-    for n, hs in enumerate(rows):
-        num *= xq * max(n, 1)
-        den *= xq * n + xp
-        ys = combinatorics.bell_eval_all([facts[j] * hs[j] for j in range(q_max - 1)])
+    D, rows = _coppo_rhs_ints(q_max, x, n_max)
+    scales = [D**j * math.factorial(j) for j in range(q_max)]
+    for num, den, ys in rows:
         yield [Fraction(num * ys[j], den * scales[j]) for j in range(q_max)]
 
 
@@ -216,20 +240,30 @@ def coppo_sweep(n_max: int, q_max: int, x: Fraction):
     lhs is the brute-force binomial sum, read from a difference table: with
     D = lcm of |x_q k + x_p| over k <= n_max, f_k = (x_q D / (x_q k + x_p))^q
     = D^q / (k+x)^q is an integer, and n passes of d[k] -= d[k+1] (Pascal's
-    rule) leave sum_k C(n,k) (-1)^k f_k in d[0].  rhs comes from
-    :func:`coppo_rhs_rows`.  The two sides share only x; the grid costs
-    O(n_max^2 q_max) integer operations and one division per entry and side.
+    rule) leave d0 = sum_k C(n,k) (-1)^k f_k = D^q lhs in d[0].  rhs is
+    entry q of row n of :func:`coppo_rhs_rows`, taken as its integers
+    num Y_{q-1} / (den D^(q-1) (q-1)!).  The two sides share only x and D.
+
+    The sides are compared by cross-multiplication,
+    d0 den (q-1)! == num Y_{q-1} D, and only the yielded Fractions are
+    reduced: on a match lhs and rhs are one Fraction d0/D^q, on a mismatch
+    each side is reduced on its own.  The grid costs O(n_max^2 q_max)
+    integer operations and one reduction per entry.
     """
     x = Fraction(x)
-    check_pole(n_max + 1, x)
-    xp, xq = x.numerator, x.denominator
-    bases = [xq * k + xp for k in range(n_max + 1)]
-    D = math.lcm(*bases)
-    units = [xq * D // b for b in bases]
+    D, rows = _coppo_rhs_ints(q_max, x, n_max)
+    _, units = _units(n_max + 1, x)
+    facts = [math.factorial(j) for j in range(q_max)]
+    powers = [D**q for q in range(q_max + 1)]
     tables = [[u**q for u in units] for q in range(1, q_max + 1)]
-    for n, rhs in enumerate(coppo_rhs_rows(q_max, x, n_max)):
+    for n, (num, den, ys) in enumerate(rows):
+        right = num * D
         for q, d in enumerate(tables, 1):
-            yield n, q, Fraction(d[0], D**q), rhs[q - 1]
+            lhs = Fraction(d[0], powers[q])
+            if d[0] * den * facts[q - 1] == right * ys[q - 1]:
+                yield n, q, lhs, lhs
+            else:
+                yield n, q, lhs, Fraction(num * ys[q - 1], den * powers[q - 1] * facts[q - 1])
         tables = [[a - b for a, b in zip(d, d[1:])] for d in tables]
 
 

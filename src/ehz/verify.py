@@ -1,9 +1,13 @@
 """Registry of executable identities with parameter sweeps.
 
-EXACT identities compare BigRationals for strict equality.  A stateless
-one is a grid of points and a function of a point that returns both sides
-(:func:`_exact`); the identities whose runners carry state from one point
-to the next (running sums, cached rows, a shared sweep) keep their loops.
+EXACT identities compare BigRationals for strict equality.  Where both
+sides are integers over known scales (``coppo_30``, ``e44_7``), they are
+compared by integer cross-multiplication, and only the printed sides are
+reduced to Fractions: one per PASS report, both sides of a FAIL.  A
+stateless EXACT identity is a grid of points and a function of a point
+that returns both sides (:func:`_exact`); the identities whose runners
+carry state from one point to the next (running sums, cached rows, a
+shared sweep) keep their loops.
 
 A NUMERIC identity is a list of rows (params, formula, parameter, x,
 scale) over :data:`ehz.zeta_series.FORMULAS`: each row is evaluated in FAST
@@ -228,27 +232,31 @@ def _e44_4(n: int):
     return coeffs, expect
 
 
-def _pochhammer(u: Fraction, n: int) -> Fraction:
-    acc = Fraction(1)
-    for j in range(n):
-        acc *= u + j
-    return acc
-
-
 def _run_e44_7(p):
+    # With u = a/b both sides are integers over known scales: the left side
+    # is r! S / b^(n-r) with S = sum_k |s(n,k)| C(k,r) a^(k-r) b^(n-k), the
+    # right side (u)_n Y_r = P bell[r] / (b^n D^r) with P = prod (a + j b).
+    # They are equal iff r! S (b D)^r == P bell[r]; only the printed sides
+    # are reduced.
     for u in [Fraction(v) for v in p["us"]]:
+        a, b = u.numerator, u.denominator
         for n in range(1, p["n_max"] + 1):
             row = combinatorics.stirling1_row(n)
             D, bell = harmonic.signed_bell_row(n, u)
+            poch = math.prod(a + j * b for j in range(n))
+            apow = [a**i for i in range(n + 1)]
+            bpow = [b**i for i in range(n + 1)]
             for r in range(0, n + 1):
-                lhs = math.factorial(r) * sum(
-                    (
-                        Fraction((-1) ** (n + k) * row[k] * math.comb(k, r)) * u ** (k - r)
-                        for k in range(r, n + 1)
-                    ),
-                    Fraction(0),
+                s = sum(
+                    (-1) ** (n + k) * row[k] * math.comb(k, r) * apow[k - r] * bpow[n - k]
+                    for k in range(r, n + 1)
                 )
-                rhs = _pochhammer(u, n) * Fraction(bell[r], D**r)
+                left = math.factorial(r) * s
+                lhs = Fraction(left, bpow[n - r])
+                if left * (b * D) ** r == poch * bell[r]:
+                    rhs = lhs
+                else:
+                    rhs = Fraction(poch * bell[r], bpow[n] * D**r)
                 yield _exact_report(
                     "e44_7", {"n": str(n), "r": str(r), "u": str(u)}, lhs, rhs
                 )

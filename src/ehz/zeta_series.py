@@ -59,6 +59,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1028,7 +1029,8 @@ def _resolve(req: EvalRequest) -> Tuple[FormulaSpec, object, Fraction]:
     """The request's spec, checked parameter and shift (1 when absent).
 
     A q parameter must be an integer; any parameter must satisfy
-    |s| or |q| <= MAX_ORDER.
+    |s| or |q| <= MAX_ORDER.  A nonzero shift must lie in the range of
+    normal doubles, because every tail estimate takes x as a double.
     """
     spec = FORMULAS.get(req.formula)
     if spec is None:
@@ -1044,6 +1046,9 @@ def _resolve(req: EvalRequest) -> Tuple[FormulaSpec, object, Fraction]:
                 f"{spec.param} = {p} is beyond the order limit |{spec.param}| <= {MAX_ORDER}"
             )
     x = Fraction(req.x) if req.x is not None else Fraction(1)
+    lo, hi = sys.float_info.min, sys.float_info.max
+    if spec.takes_x and x and not lo <= abs(x) <= hi:
+        raise DomainError(f"x = {x} is outside the double range {lo!r} <= |x| <= {hi!r}")
     return spec, p, x
 
 

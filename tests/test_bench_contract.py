@@ -43,6 +43,8 @@ def test_every_exported_name_exists():
         ("g_derivative", "gamma_tools.gamma_ratio_derivative_sides"),
         ("e44_3", "gamma_tools.pochhammer_ratio_coeffs"),
         ("fs_4_general", "harmonic.alt_binom_sum"),
+        ("coppo_30", "harmonic.coppo_sweep"),
+        ("e44_7", "combinatorics.stirling1_row"),
     ],
 )
 def test_traced_verify_records_spans(spans, capsys, ident, span):
@@ -58,6 +60,8 @@ def test_traced_verify_records_spans(spans, capsys, ident, span):
     capsys.readouterr()
     counts = Counter(log.names[i] for i in log.name_id)
     assert counts[span] >= 1, sorted(counts)
+    # the per-layer metric reads the span's self time, which must not read 0
+    assert spans.layer_metrics(log)[f"{span}.self_s"] > 0
 
 
 @pytest.mark.parametrize(

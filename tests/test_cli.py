@@ -14,6 +14,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: the range of normal doubles a nonzero shift x must lie in, as the error names it
+DOUBLE_RANGE = f"{sys.float_info.min!r} <= |x| <= {sys.float_info.max!r}"
+
+
 def strip_seconds_csv(text: str) -> str:
     lines = []
     for line in text.splitlines():
@@ -268,15 +272,12 @@ class TestEval:
         "formula, param, value, x",
         [
             ("euler-hurwitz", "q", "4", "1/1" + "0" * 120),  # x = 1/10^120
-            ("euler-hurwitz", "q", "4", "1/1" + "0" * 400),
             ("stirling-route", "q", "4", "1/1" + "0" * 120),
             ("mixed-q", "q", "5", "1/1" + "0" * 120),
             ("euler-hurwitz", "q", "100", "1/64"),
-            ("alt-hurwitz", "s", "2", "1/1" + "0" * 400),
             ("alt-hurwitz", "s", "4", "1/1" + "0" * 120),
         ],
-        ids=["eh-x1e-120", "eh-x1e-400", "sr-x1e-120", "mixed-x1e-120", "eh-q100-x1/64",
-             "alt-x1e-400", "alt-s4-x1e-120"],
+        ids=["eh-x1e-120", "sr-x1e-120", "mixed-x1e-120", "eh-q100-x1/64", "alt-s4-x1e-120"],
     )
     def test_overflow_names_the_request_exit_three(self, capsys, formula, param, value, x):
         code, out, err = run_cli(
@@ -287,6 +288,26 @@ class TestEval:
         assert out == ""
         assert f"{formula} at {param} = {value}, x = {x}: " in err
         assert "overflowed a double" in err
+
+    @pytest.mark.parametrize("mode", ["fast", "high"])
+    @pytest.mark.parametrize(
+        "formula, param",
+        [
+            ("euler-hurwitz", ("--q", "2")),
+            ("stirling-route", ("--q", "2")),
+            ("mixed-q", ("--q", "4")),
+            ("hasse", ("--s", "2")),
+            ("alt-hurwitz", ("--s", "2")),
+        ],
+    )
+    @pytest.mark.parametrize("x", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["x1e400", "x1e-400"])
+    def test_shift_beyond_double_range_exit_three(self, capsys, formula, param, x, mode):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", formula, *param, "--x", x, "--terms", "10", "--mode", mode,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"numeric error: x = {x} is outside the double range {DOUBLE_RANGE}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -336,6 +357,16 @@ class TestConverge:
         errs = [float(r[3]) for r in rows]
         assert errs[1] < errs[0] / 100
         assert errs[2] <= errs[1]
+
+    @pytest.mark.parametrize("x", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["x1e400", "x1e-400"])
+    def test_shift_beyond_double_range_exit_three(self, capsys, x):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "euler-hurwitz", "--q", "2", "--x", x,
+            "--terms", "10,20",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"numeric error: x = {x} is outside the double range {DOUBLE_RANGE}\n"
 
     def test_byte_identical_excluding_seconds(self, capsys):
         args = (

@@ -23,8 +23,9 @@ def test_sweep_matches_literal_sums_off_the_poles(p, d, n_max, q_max):
     assume(not (x.denominator == 1 and -n_max <= x <= 0))
     rows = list(ha.coppo_sweep(n_max, q_max, x))
     assert len(rows) == (n_max + 1) * q_max
+    rhs_rows = list(ha.coppo_rhs_rows(q_max, x, n_max))
     for n, q, lhs, rhs in rows:
-        assert lhs == rhs == ha.coppo_lhs(n, q, x)
+        assert lhs == rhs == ha.coppo_lhs(n, q, x) == rhs_rows[n][q - 1]
     D, prefixes = ha.scaled_harmonics(n_max + 1, q_max, x)
     for i, row in enumerate(prefixes):
         assert [Fraction(a, D**j) for j, a in enumerate(row, 1)] == [

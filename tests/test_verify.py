@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -150,6 +151,80 @@ class TestRunAll:
         reports = verify.run_all(Profile.QUICK)
         failing = {r.identity for r in reports if r.status == "FAIL"}
         assert "coppo_30" in failing
+
+
+def _bump_bell_y2(monkeypatch):
+    """Add 1 to Y_2 of every Bell row, so one side of each check is off."""
+    real = co.bell_eval_all
+
+    def corrupted(xs):
+        ys = real(xs)
+        if len(ys) >= 3:
+            ys[2] += 1
+        return ys
+
+    monkeypatch.setattr(co, "bell_eval_all", corrupted)
+
+
+class TestCrossMultipliedMismatches:
+    """The integer cross-checks reduce both sides of a mismatch, so a FAIL
+    report prints each side as str() of its reduced Fraction."""
+
+    def test_coppo_mismatch_prints_reduced_sides(self, monkeypatch):
+        from ehz import harmonic as ha
+
+        _bump_bell_y2(monkeypatch)
+        x = Fraction(1, 3)
+        reports = verify.run_identity("coppo_30", {"n_max": 6, "q_max": 4, "x": "1/3"})
+        rows = list(ha.coppo_rhs_rows(4, x, 6))  # the same corrupted Bell rows
+        assert len(reports) == 7 * 4
+        for r in reports:
+            n, q = int(r.params["n"]), int(r.params["q"])
+            if q != 3:
+                assert r.status == "PASS"
+                continue
+            assert r.status == "FAIL"
+            assert r.lhs == str(ha.coppo_lhs(n, q, x))
+            assert r.rhs == str(rows[n][q - 1]) != r.lhs
+
+    def test_e44_7_mismatch_prints_reduced_sides(self, monkeypatch):
+        from ehz import harmonic as ha
+
+        _bump_bell_y2(monkeypatch)
+        reports = verify.run_identity("e44_7", {"n_max": 5})
+        assert len(reports) == 3 * sum(n + 1 for n in range(1, 6))
+        for r in reports:
+            n, k_r, u = int(r.params["n"]), int(r.params["r"]), Fraction(r.params["u"])
+            if k_r != 2:
+                assert r.status == "PASS"
+                continue
+            row = co.stirling1_row(n)
+            lhs = math.factorial(k_r) * sum(
+                Fraction((-1) ** (n + k) * row[k] * math.comb(k, k_r)) * u ** (k - k_r)
+                for k in range(k_r, n + 1)
+            )
+            D, bell = ha.signed_bell_row(n, u)
+            rhs = math.prod(u + j for j in range(n)) * Fraction(bell[k_r], D**k_r)
+            assert r.status == "FAIL"
+            assert (r.lhs, r.rhs) == (str(lhs), str(rhs))
+
+    def test_g_derivative_mismatch_prints_reduced_sides(self, monkeypatch):
+        from ehz import gamma_tools as gt
+        from ehz import harmonic as ha
+
+        real = co.stirling1_row
+        monkeypatch.setattr(co, "stirling1_row", lambda n: real(n)[:-1] + (2,))  # x^n gets 2
+        reports = verify.run_identity("g_derivative", {"n_max": 5, "x": "7/4"})
+        assert [r.params["n"] for r in reports] == [str(n) for n in range(6)]
+        x = Fraction(7, 4)
+        for n, r in enumerate(reports):
+            coeffs = [abs(c) for c in co.stirling1_row(n + 1)]
+            p = sum(c * x**i for i, c in enumerate(coeffs))
+            dp = sum(i * c * x ** (i - 1) for i, c in enumerate(coeffs) if i)
+            lhs = -math.factorial(n) * dp / p**2
+            rhs = -gt.gamma_ratio(n, x) * ha.Hx(n + 1, 1, x)
+            assert r.status == "FAIL"
+            assert (r.lhs, r.rhs) == (str(lhs), str(rhs))
 
 
 class TestReportSerialization:
