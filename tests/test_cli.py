@@ -291,19 +291,20 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["fast", "high"])
     @pytest.mark.parametrize(
-        "formula, param",
+        "formula, param, value",
         [
-            ("euler-hurwitz", ("--q", "2")),
-            ("stirling-route", ("--q", "2")),
-            ("mixed-q", ("--q", "4")),
-            ("hasse", ("--s", "2")),
-            ("alt-hurwitz", ("--s", "2")),
+            ("euler-hurwitz", "q", "2"),
+            ("stirling-route", "q", "2"),
+            ("mixed-q", "q", "4"),
+            ("hasse", "s", "2"),
+            ("alt-hurwitz", "s", "2"),
         ],
     )
     @pytest.mark.parametrize("x", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["x1e400", "x1e-400"])
-    def test_shift_beyond_double_range_exit_three(self, capsys, formula, param, x, mode):
+    def test_shift_beyond_double_range_exit_three(self, capsys, formula, param, value, x, mode):
         code, out, err = run_cli(
-            capsys, "eval", "--formula", formula, *param, "--x", x, "--terms", "10", "--mode", mode,
+            capsys, "eval", "--formula", formula, f"--{param}", value, "--x", x, "--terms", "10",
+            "--mode", mode,
         )
         assert code == 3
         assert out == ""
