@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import mpmath
 
@@ -233,35 +233,43 @@ def stirling1_closed(n: int, k: int) -> int:
 _STIRLING_BELL_ROWS: Dict[int, Tuple[int, ...]] = {}
 
 
-def stirling1_bell_row(n: int) -> List[int]:
+def stirling1_bell_row(n: int) -> List[Union[int, Fraction]]:
     """s(n+1, r+1) for r = 0..n via one Bell recurrence.
 
     s(n+1, r+1) = (-1)^(n+r) (n!/r!) Y_r(H_n, -1! H_n^(2), ..., (-1)^(r-1) (r-1)! H_n^(r));
     the arguments of every Y_r are prefixes of one list, so a single
     Bell row (``harmonic.signed_bell_row`` at x = 1) yields the whole row.
     That row comes out as L^r Y_r with L = lcm(1..n), so each entry is one
-    exact division by r! L^r.  Whole rows are memoised.
+    exact division by r! L^r.  An entry that does not divide exactly is
+    returned as its exact Fraction, for the caller to report against
+    s(n+1, r+1); only rows of integers are memoised.
     """
     from .harmonic import signed_bell_row
 
     if n < 0:
         raise DomainError("n must be >= 0")
     with _STIRLING_LOCK:
-        if n not in _STIRLING_BELL_ROWS:
-            L, ys = signed_bell_row(n, 1)
-            nfact = math.factorial(n)
-            row = []
-            for r, y in enumerate(ys):
-                val, rem = divmod((-1) ** (n + r) * nfact * y, math.factorial(r) * L**r)
-                assert rem == 0, "Bell form of s(n+1,r+1) must be an integer"
-                row.append(val)
+        if n in _STIRLING_BELL_ROWS:
+            return list(_STIRLING_BELL_ROWS[n])
+        L, ys = signed_bell_row(n, 1)
+        nfact = math.factorial(n)
+        row, integral = [], True
+        for r, y in enumerate(ys):
+            num, den = (-1) ** (n + r) * nfact * y, math.factorial(r) * L**r
+            val, rem = divmod(num, den)
+            if rem:
+                val, integral = Fraction(num, den), False
+            row.append(val)
+        if integral:
             _STIRLING_BELL_ROWS[n] = tuple(row)
-        return list(_STIRLING_BELL_ROWS[n])
+        return row
 
 
-def stirling1_bell(n: int, r: int) -> int:
+def stirling1_bell(n: int, r: int) -> Union[int, Fraction]:
     """s(n+1, r+1) via the Bell polynomial of signed harmonic numbers;
-    r > n returns 0, matching s(n,k) = 0 above the diagonal."""
+    r > n returns 0, matching s(n,k) = 0 above the diagonal.  A Bell form
+    that is not an integer comes back as its Fraction
+    (:func:`stirling1_bell_row`)."""
     if n < 0 or r < 0:
         raise DomainError("n and r must be >= 0")
     if r > n:

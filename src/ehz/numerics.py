@@ -10,9 +10,13 @@ Two numeric backplanes are provided and selected through a
   N.  Sums are exact and rounded once; the gamma-ratio series sum
   fixed-point integers, not mpfs.
 
-Series loops are generators of terms, summed by :func:`compensated_sum`:
-Neumaier's step over doubles from a float zero, exact adds rounded once
-from an mpf zero.
+The FAST kernels of the hot series (the gamma-ratio series, the
+central-binomial series, the digamma sum) add their own terms by Neumaier's
+step, written out in each loop (``ehz.zeta_series``).  Every other series
+loop -- the HIGH loops, the polylogarithm sums, Euler--Maclaurin's head
+and the arctangent series behind pi -- is a generator of terms summed by
+:func:`compensated_sum`: Neumaier's step over doubles from a float zero,
+exact adds rounded once from an mpf zero.
 
 mpmath keeps its working precision in global state, so every HIGH-mode
 computation in this package runs inside :func:`working_precision`, which
@@ -50,7 +54,6 @@ __all__ = [
     "Real",
     "SeriesResult",
     "compensated_sum",
-    "NeumaierSum",
     "bernoulli_even",
     "tangent_numbers",
     "hurwitz_zeta_em",
@@ -221,51 +224,6 @@ def compensated_sum(terms: Iterable, zero=0.0) -> Tuple[Real, Real]:
             c += (last - t) + s
         s = t
     return s + c, last
-
-
-class NeumaierSum:
-    """Streaming form of :func:`compensated_sum`, for a running total that is
-    read between adds (digamma_half_sum's H_n(1/2), which enters every term);
-    a plain sum goes through :func:`compensated_sum`.  From a float zero,
-    Neumaier's step; from an mpf zero, exact adds whose :attr:`total` is
-    rounded once.  Each :attr:`total` equals compensated_sum's over the terms
-    added so far."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __new__(cls, zero=0.0):
-        if cls is NeumaierSum and isinstance(zero, mpf):
-            cls = _ExactSum
-        return super().__new__(cls)
-
-    def __init__(self, zero=0.0):
-        self._sum = zero
-        self._comp = zero * 0
-
-    def add(self, term) -> None:
-        t = self._sum + term
-        if abs(self._sum) >= abs(term):
-            self._comp += (self._sum - t) + term
-        else:
-            self._comp += (term - t) + self._sum
-        self._sum = t
-
-    @property
-    def total(self):
-        return self._sum + self._comp
-
-
-class _ExactSum(NeumaierSum):
-    """The mpf path of :class:`NeumaierSum`: exact adds, one rounding."""
-
-    __slots__ = ()
-
-    def add(self, term) -> None:
-        self._sum = mpmath.fadd(self._sum, term, exact=True)
-
-    @property
-    def total(self):
-        return +self._sum
 
 
 # ----------------------------------------------------------------------

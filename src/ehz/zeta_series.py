@@ -14,12 +14,14 @@ Every evaluator returns a :class:`SeriesResult` carrying the partial sum,
 the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
-series use twice the final term).  Each series loop is a generator of its
-terms in ascending index, summed by ``numerics.compensated_sum``: Neumaier
-compensated in FAST mode, exact and rounded once in HIGH mode (the HIGH
-gamma-ratio series sum fixed-point integers instead), so results are
-bit-reproducible.  FAST generators count n in doubles (see
-:func:`_gamma_ratio_series`).
+series use twice the final term).  Terms are summed in ascending index, so
+results are bit-reproducible.  The FAST kernels of the gamma-ratio series,
+the central-binomial series and the digamma sum add their own terms by
+Neumaier's step, with no abs() in the compare where every term is >= 0, and
+count n in doubles (see :func:`_gamma_ratio_series`).  Every other loop is a
+generator of its terms, summed by ``numerics.compensated_sum``: Neumaier
+compensated from a float zero, exact and rounded once from an mpf zero (the
+HIGH gamma-ratio series sum fixed-point integers instead).
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
@@ -71,7 +73,6 @@ from mpmath import mpf
 from .numerics import (
     DomainError,
     Mode,
-    NeumaierSum,
     NumericError,
     PrecisionContext,
     Real,
@@ -322,43 +323,56 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
     harmonic number behind the tail's log offset.  HIGH is fixed-point.
 
-    FAST sums the doubles of one generator per kind.  The generators count n
-    in doubles (n += 1.0) and form m n and n n as products of doubles: every
-    counter is an exact integer below 2^53, and each product rounds once, to
-    the double nearest the exact integer, as the int-to-float conversion of
-    the integer product did.  So every term is bit for bit the one that int
-    counters give.
+    FAST runs one kernel per kind (:data:`_FAST_KERNELS`).  The kernels count
+    n in doubles (n += 1.0) and form m n and n n as products of doubles:
+    every counter is an exact integer below 2^53, and each product rounds
+    once, to the double nearest the exact integer, as the int-to-float
+    conversion of the integer product did.  So every term is bit for bit the
+    one that int counters give.
+
+    Each kernel adds its own terms by Neumaier's step, written out in its
+    loop, with ``s >= t`` where ``numerics.compensated_sum`` compares
+    ``abs(s) >= abs(t)``.  Every term is >= 0, since x > 0 makes R_n, every
+    1/(i+x), every a[j] and every weight non-negative, and n H_n - 1 >= 0;
+    so the running sum s is >= 0 too, and the two compares agree on every
+    such pair, inf and nan included (a compare with nan is False either
+    way).  The sums are bit for bit compensated_sum's.
     """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
-    a, end = [1.0] + [0.0] * (m - 1), []
-    terms = _FAST_TERMS[kind](a, _ratio_seed(x, ctx), float(x), N, end)
-    total, term = compensated_sum(terms)
-    R, H = end
+    a = [1.0] + [0.0] * (m - 1)
+    total, term, R, H = _FAST_KERNELS[kind](a, _ratio_seed(x, ctx), float(x), N)
     return total, term, max(a[1] if m > 1 else 0.0, H), R
 
 
-# The FAST terms of _gamma_ratio_series.  Each generator advances R and a
-# in place, with n - 1 in ``n`` at the top of the loop, and leaves R_N and
-# H_N (0.0 but for "mixed") in ``end`` once exhausted.
+# The FAST kernels of _gamma_ratio_series.  Each sums terms n = 1..N of one
+# kind and returns (sum, last term, R_N, H_N), H_N being 0.0 but for
+# "mixed".  They advance R and a[] with n - 1 in ``n`` at the top of the
+# loop; a[] is updated in place.
 
 
-def _stirling_terms(a, R, xv, N, end):
+def _stirling_fast(a, R, xv, N):
     js = range(len(a) - 1, 0, -1)
-    n = 0.0
+    n = s = c = t = 0.0
     for _ in range(N):
         if n:
             R = R * n / (n + xv)
         n += 1.0
-        yield R * a[-1] / n
+        t = R * a[-1] / n
+        u = s + t
+        if s >= t:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
         for j in js:  # descending: a[j-1] is still e_{j-1} of 1, ..., 1/(n-1)
             a[j] = a[j] + a[j - 1] / n
-    end += R, 0.0
+    return s + c, t, R, 0.0
 
 
-def _euler_hurwitz_terms(a, R, xv, N, end):
+def _euler_hurwitz_fast(a, R, xv, N):
     js, m = range(1, len(a)), float(len(a))
-    n = mn = 0.0
+    n = mn = s = c = t = 0.0
     for _ in range(N):
         den = n + xv
         if n:
@@ -368,13 +382,20 @@ def _euler_hurwitz_terms(a, R, xv, N, end):
             prev = a[j] = a[j] + b * prev
         n += 1.0
         mn += m
-        yield R * a[-1] / mn
-    end += R, 0.0
+        t = R * a[-1] / mn
+        u = s + t
+        if s >= t:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+    return s + c, t, R, 0.0
 
 
-def _eta_terms(a, R, xv, N, end):
+def _eta_fast(a, R, xv, N):
     js = range(1, len(a))
-    n, w = 0.0, 1.0
+    n = s = c = t = 0.0
+    w = 1.0
     for _ in range(N):
         den = n + xv
         if n:
@@ -384,13 +405,19 @@ def _eta_terms(a, R, xv, N, end):
             prev = a[j] = a[j] + b * prev
         n += 1.0
         w = w / 2
-        yield w * R * a[-1]
-    end += R, 0.0
+        t = w * R * a[-1]
+        u = s + t
+        if s >= t:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+    return s + c, t, R, 0.0
 
 
-def _mixed_terms(a, R, xv, N, end):
+def _mixed_fast(a, R, xv, N):
     js = range(1, len(a))
-    n = H = 0.0
+    n = H = s = c = t = 0.0
     for _ in range(N):
         den = n + xv
         if n:
@@ -400,15 +427,21 @@ def _mixed_terms(a, R, xv, N, end):
             prev = a[j] = a[j] + b * prev
         n += 1.0
         H = H + 1 / n
-        yield (n * H - 1) * a[-1] * R / (n * n)
-    end += R, H
+        t = (n * H - 1) * a[-1] * R / (n * n)
+        u = s + t
+        if s >= t:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+    return s + c, t, R, H
 
 
-_FAST_TERMS = {
-    "stirling-route": _stirling_terms,
-    "euler-hurwitz": _euler_hurwitz_terms,
-    "eta": _eta_terms,
-    "mixed": _mixed_terms,
+_FAST_KERNELS = {
+    "stirling-route": _stirling_fast,
+    "euler-hurwitz": _euler_hurwitz_fast,
+    "eta": _eta_fast,
+    "mixed": _mixed_fast,
 }
 
 
@@ -710,49 +743,97 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     7 zeta(3)).  The zeta(3, 1/2) series, (1/2) sum [n H_n - 1]/n^2
     [2^n Gamma(n)]^2/Gamma(2n), is the mixed series at x = 1/2, m = 1
     (its bracketed factor is 2 R_n(1/2)), and returns that.
+
+    FAST runs :func:`_ramanujan_fast` or :func:`_central_fast`, which add
+    their own positive terms as the kernels of :func:`_gamma_ratio_series`
+    do; HIGH sums the terms of :func:`_ramanujan_terms` or
+    :func:`_central_terms` exactly.
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
     if kind is CatalanKind.ZETA3_HALF_45_6:
         return _mixed_series(1, Fraction(1, 2), N, ctx, Fraction(1))
 
+    fast = ctx.mode is Mode.FAST
     with ctx.scope():
         one = ctx.zero() + 1
-        unit = 1.0 if ctx.mode is Mode.FAST else 1
         if kind is CatalanKind.RAMANUJAN_38:
-            terms, decay = _ramanujan_terms(const_pi(ctx) / 4, one, N, unit), 1.0
+            quarter_pi, decay = const_pi(ctx) / 4, 1.0
+            if fast:
+                total, term = _ramanujan_fast(quarter_pi, N)
+            else:
+                total, term = compensated_sum(_ramanujan_terms(quarter_pi, one, N), ctx.zero())
         else:  # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
             a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
-            terms, decay = _central_terms(one * 2, a, b, N, unit), 0.5
-        total, term = compensated_sum(terms, ctx.zero())
+            decay = 0.5
+            if fast:
+                total, term = _central_fast(a, b, N)
+            else:
+                total, term = compensated_sum(_central_terms(one * 2, a, b, N), ctx.zero())
         return _finish(ctx, total, N, _tail_from_last(float(term), N, decay, 0, 0.0))
 
 
-# The catalan_series terms.  Their integer factors are counters of the
-# type of ``unit``: Python ints in HIGH mode, and in FAST mode doubles,
-# exact integers below 2^53 whose products round once, as the int-to-float
-# conversion of the integer product did.
+# The catalan_series terms.  The HIGH generators count in Python ints, so
+# their integer factors stay exact at any N.  The FAST kernels count in
+# doubles, exact integers below 2^53 whose products round once, as the
+# int-to-float conversion of the integer product did, and return (sum,
+# last term).
 
 
-def _ramanujan_terms(quarter_pi, b, N, unit):
+def _ramanujan_terms(quarter_pi, b, N):
     """quarter_pi b_n / (2n+1), b_n = C(2n,n)^2 / 2^(4n) from b_0 = b."""
-    odd, n1, two = unit, unit, 2 * unit  # 2n+1, n+1
+    odd, n1 = 1, 1  # 2n+1, n+1
     for _ in range(N):
         yield quarter_pi * b / odd
         b = b * (odd * odd) / (4 * n1 * n1)
-        odd += two
-        n1 += unit
+        odd += 2
+        n1 += 1
 
 
-def _central_terms(c, a, b, N, unit):
+def _ramanujan_fast(quarter_pi, N):
+    b = odd = n1 = 1.0
+    s = c = t = 0.0
+    for _ in range(N):
+        t = quarter_pi * b / odd
+        u = s + t
+        if s >= t:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+        b = b * (odd * odd) / (4 * n1 * n1)
+        odd += 2.0
+        n1 += 1.0
+    return s + c, t
+
+
+def _central_terms(c, a, b, N):
     """c_n / (a n + b), c_n = 2^(2n+1) (n!)^2 / (2n+1)! from c_0 = c."""
-    den, step, even, odd, two = b * unit, a * unit, 2 * unit, 3 * unit, 2 * unit
+    den, even, odd = b, 2, 3
     for _ in range(N):  # even = 2 (n+1), odd = 2n + 3
         yield c / den
         c = c * even / odd
+        den += a
+        even += 2
+        odd += 2
+
+
+def _central_fast(a, b, N):
+    c, den, step, even, odd = 2.0, float(b), float(a), 2.0, 3.0
+    s = r = t = 0.0
+    for _ in range(N):
+        t = c / den
+        u = s + t
+        if s >= t:
+            r += (s - u) + t
+        else:
+            r += (t - u) + s
+        s = u
+        c = c * even / odd
         den += step
-        even += two
-        odd += two
+        even += 2.0
+        odd += 2.0
+    return s + r, t
 
 
 def polylog(s, y, ctx: PrecisionContext) -> Real:
@@ -849,27 +930,57 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_{n=0}^{N-1} psi(n + 1/2) / (2n+1)^power for power in {2, 4}.
 
     psi(n + 1/2) = -gamma - 2 log 2 + H_n(1/2) with the shifted harmonic
-    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a running
-    compensated sum (:class:`~ehz.numerics.NeumaierSum`) of the context's
-    real type.
+    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a running sum of
+    the context's real type, which every term reads: in FAST a Neumaier
+    pair inside :func:`_digamma_fast`, in HIGH exact adds read rounded once
+    per term.  The denominators are integer powers odd**power, which a
+    float power could round twice.
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
 
     with ctx.scope():
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
-        hx = NeumaierSum(ctx.zero())
-        two = ctx.real(2)
+        if ctx.mode is Mode.FAST:
+            total, term, h = _digamma_fast(psi0, power, N)
+        else:
+            h, two = ctx.zero(), ctx.real(2)
 
-        def terms():
-            for odd in range(1, 2 * N, 2):  # 2n + 1
-                yield (psi0 + hx.total) / odd**power
-                hx.add(two / odd)
+            def terms():
+                nonlocal h
+                for odd in range(1, 2 * N, 2):  # 2n + 1
+                    yield (psi0 + +h) / odd**power
+                    h = mpmath.fadd(h, two / odd, exact=True)
 
-        total, term = compensated_sum(terms(), ctx.zero())
-        c = float(psi0 + hx.total) - math.log(N) if N > 1 else 1.0
+            total, term = compensated_sum(terms(), ctx.zero())
+            h = +h
+        c = float(psi0 + h) - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
         return _finish(ctx, total, N, tail)
+
+
+def _digamma_fast(psi0, power, N):
+    """digamma_half_sum's FAST loop: (sum, last term, H_N(1/2)).  The terms
+    change sign, so the outer Neumaier step compares abs() as
+    ``numerics.compensated_sum`` does; the addends 2/(2n+1) of H_n(1/2) are
+    positive, so its pair (hs, hc) compares without abs()."""
+    s = c = t = hs = hc = 0.0
+    for odd in range(1, 2 * N, 2):  # 2n + 1
+        t = (psi0 + (hs + hc)) / odd**power
+        u = s + t
+        if abs(s) >= abs(t):
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+        b = 2.0 / odd
+        u = hs + b
+        if hs >= b:
+            hc += (hs - u) + b
+        else:
+            hc += (b - u) + hs
+        hs = u
+    return s + c, t, hs + hc
 
 
 def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:

@@ -291,6 +291,29 @@ class TestEval:
 
     @pytest.mark.parametrize("mode", ["fast", "high"])
     @pytest.mark.parametrize(
+        "formula, param, value, cause",
+        [
+            ("euler-hurwitz", "q", "3", "the tail estimate overflowed a double"),
+            ("euler-hurwitz", "q", "7", "the tail estimate overflowed a double"),
+            ("stirling-route", "q", "3", "the tail estimate overflowed a double"),
+            ("mixed-q", "q", "5", "the tail estimate overflowed a double"),
+            ("alt-hurwitz", "s", "3", "an inner row overflowed a double"),
+            ("alt-hurwitz", "s", "7", "an inner row overflowed a double"),
+        ],
+    )
+    def test_smallest_normal_shift_overflow_exit_three(self, capsys, formula, param, value, cause, mode):
+        # x = 2^-1022 is inside the double range, but the FAST terms reach
+        # inf (h_j of the 1/(i+x) for j >= 2) and the tails overflow
+        x = f"1/{2**1022}"
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", formula, f"--{param}", value, "--x", x, "--terms", "10",
+            "--mode", mode,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: {formula} at {param} = {value}, x = {x}: {cause}\n"
+
+    @pytest.mark.parametrize("mode", ["fast", "high"])
+    @pytest.mark.parametrize(
         "formula, param, value",
         [
             ("euler-hurwitz", "q", "2"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import mp_abs_diff, mp_literal
+from conftest import NeumaierSum, mp_abs_diff, mp_literal
 from ehz import numerics as nu
 from ehz.numerics import Mode, PrecisionContext
 
@@ -41,8 +41,10 @@ class TestPrecisionContext:
 
 
 class TestNeumaierSum:
+    """The ORACLE streaming sum of conftest, which the summing loops are held to."""
+
     def test_float_path_is_compensated(self):
-        acc = nu.NeumaierSum(0.0)
+        acc = NeumaierSum(0.0)
         for t in (1e16, 1.0, -1e16, 1e-3):
             acc.add(t)
         assert acc.total == 1.001
@@ -53,7 +55,7 @@ class TestNeumaierSum:
                 (-1) ** k * (k + mpmath.mpf(1) / 3) ** -1.5 * mpmath.mpf(10) ** (k % 7 - 3)
                 for k in range(300)
             ]
-            acc = nu.NeumaierSum(HIGH.zero())
+            acc = NeumaierSum(HIGH.zero())
             for t in terms:
                 acc.add(t)
             # man_exp is (|mantissa|, exponent)
@@ -69,7 +71,7 @@ class TestNeumaierSum:
         # then rounds the tie 1 + 2^-136 to even, down to 1.
         with nu.working_precision(HIGH.dps):
             assert mpmath.mp.prec == 136
-            acc = nu.NeumaierSum(HIGH.zero())
+            acc = NeumaierSum(HIGH.zero())
             for t in (1, mpmath.ldexp(1, -137), mpmath.ldexp(1, -137) + mpmath.ldexp(1, -272)):
                 acc.add(mpmath.mpf(t))
             assert acc.total == 1 + mpmath.ldexp(1, -135)
@@ -80,8 +82,8 @@ def _bits(v):
 
 
 def _streaming(terms):
-    """The streaming reference: NeumaierSum's adds, one per term."""
-    acc = nu.NeumaierSum(0.0)
+    """The streaming reference: the ORACLE NeumaierSum's adds, one per term."""
+    acc = NeumaierSum(0.0)
     for t in terms:
         acc.add(t)
     return acc.total

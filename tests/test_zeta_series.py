@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import NeumaierSum
 from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz import numerics as nu
@@ -607,7 +608,7 @@ class TestDigamma:
 
         def reference():
             psi0 = -nu.const_gamma(ctx) - 2 * nu.const_log2(ctx)
-            acc = nu.NeumaierSum(ctx.zero())
+            acc = NeumaierSum(ctx.zero())
             hx = F(0)
             for n in range(N):
                 acc.add((psi0 + ctx.real(hx)) / (2 * n + 1) ** power)
