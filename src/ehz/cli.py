@@ -220,19 +220,18 @@ def cmd_converge(args, out) -> int:
     exponent = fit_convergence_exponent(rows)
     d = req.ctx.digits
     exp_str = repr(exponent) if exponent is not None else "nan"
+    cells = [  # the columns of CSV_HEADER, in its order
+        {
+            "N": r.N,
+            "partial_sum": _fmt_real(r.partial, d),
+            "reference": _fmt_real(r.reference, d),
+            "abs_error": repr(float(r.abs_error)),
+            "rel_error": repr(float(r.rel_error)),
+            "seconds": f"{r.elapsed_seconds:.6f}",
+        }
+        for r in rows
+    ]
     if args.format == "json":
-        payload_rows = [
-            {
-                "N": r.N,
-                "partial_sum": _fmt_real(r.partial, d),
-                "reference": _fmt_real(r.reference, d),
-                "abs_error": repr(float(r.abs_error)),
-                "rel_error": repr(float(r.rel_error)),
-                "seconds": f"{r.elapsed_seconds:.6f}",
-            }
-            for r in rows
-        ]
-        payload_rows.append({"exponent": exp_str})
         payload = {
             "command": "converge",
             "params": {
@@ -243,19 +242,14 @@ def cmd_converge(args, out) -> int:
                 "digits": str(d),
                 "mode": req.ctx.mode.value,
             },
-            "rows": payload_rows,
+            "rows": cells + [{"exponent": exp_str}],
             "version": __version__,
         }
         _json_dump(payload, out)
     else:
         _emit(CSV_HEADER, out)
-        for r in rows:
-            _emit(
-                f"{r.N},{_fmt_real(r.partial, d)},{_fmt_real(r.reference, d)},"
-                f"{repr(float(r.abs_error))},{repr(float(r.rel_error))},"
-                f"{r.elapsed_seconds:.6f}",
-                out,
-            )
+        for row in cells:
+            _emit(",".join(str(v) for v in row.values()), out)
         _emit(f"# exponent,{exp_str}", out)
     return 0
 

@@ -110,7 +110,8 @@ def bell_coefficients(n: int) -> Dict[Partition, int]:
             if k:
                 denom *= math.factorial(k) * math.factorial(j) ** k
         q, r = divmod(nfact, denom)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"{part} is not a partition of {n}: {denom} does not divide {n}!")
         coeffs[part] = q
     return coeffs
 
@@ -203,10 +204,11 @@ def stirling1(n: int, k: int) -> int:
     return stirling1_row(n)[k]
 
 
-def stirling1_closed(n: int, k: int) -> int:
+def stirling1_closed(n: int, k: int) -> Union[int, Fraction]:
     """s(n, k) for k <= 4 from the harmonic-number closed forms.
 
-    The result is asserted to be an integer; it must equal stirling1(n, k).
+    The result must equal stirling1(n, k); a closed form that is not an
+    integer comes back as its exact Fraction, for the caller to compare.
     """
     from .harmonic import H
 
@@ -226,8 +228,7 @@ def stirling1_closed(n: int, k: int) -> int:
         h1, h2, h3 = H(n - 1, 1), H(n - 1, 2), H(n - 1, 3)
         val = (-1) ** n * Fraction(f, 6) * (h1**3 - 3 * h1 * h2 + 2 * h3)
     val = Fraction(val)
-    assert val.denominator == 1, "harmonic closed form must be an integer"
-    return val.numerator
+    return val.numerator if val.denominator == 1 else val
 
 
 _STIRLING_BELL_ROWS: Dict[int, Tuple[int, ...]] = {}
@@ -376,38 +377,18 @@ def det_bracket(a: Sequence):
     """The n x n banded determinant [a_1, ..., a_n]; empty input gives 1.
 
     Satisfies n! a_n = a_0 [b_1, -b_2, ..., (-1)^(n+1) b_n] against
-    log_to_exp_series.  Exact inputs use fraction-free (Bareiss)
-    elimination; floating inputs use partially pivoted elimination.
+    log_to_exp_series.  One partially pivoted elimination serves every
+    ring: int and Fraction inputs run it on Fractions, so their result is
+    the exact determinant; floating inputs run it in their own type.
     """
     n = len(a)
     if n == 0:
         return 1
     if n == 1:
         return a[0]
-    m = _bracket_matrix(a)
     if all(isinstance(v, (int, Fraction)) for v in a):
-        return _det_bareiss(m)
-    return _det_pivoted(m)
-
-
-def _det_bareiss(m: list):
-    n = len(m)
-    m = [[Fraction(v) if not isinstance(v, Fraction) else v for v in row] for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        a = [Fraction(v) for v in a]
+    return _det_pivoted(_bracket_matrix(a))
 
 
 def _det_pivoted(m: list):

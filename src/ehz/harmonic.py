@@ -77,12 +77,10 @@ def Hx(n: int, m: int, x: Fraction) -> Fraction:
     if n < 0 or m < 1:
         raise DomainError("Hx requires n >= 0 and m >= 1")
     x = Fraction(x)
+    check_pole(n, x)
     total = Fraction(0)
     for k in range(n):
-        base = k + x
-        if base == 0:
-            raise DomainError(f"pole at k = {k}: x = {x} makes k + x vanish")
-        total += Fraction(1, 1) / base**m
+        total += 1 / (k + x) ** m
     return total
 
 

@@ -5,9 +5,13 @@ sides are integers over known scales (``coppo_30``, ``e44_7``), they are
 compared by integer cross-multiplication, and only the printed sides are
 reduced to Fractions: one per PASS report, both sides of a FAIL.  A
 stateless EXACT identity is a grid of points and a function of a point
-that returns both sides (:func:`_exact`); the identities whose runners
-carry state from one point to the next (running sums, cached rows, a
-shared sweep) keep their loops.
+that returns both sides (:func:`_exact`); a row that several points read
+is memoised where it is built (``combinatorics.stirling1_row``,
+``stirling1_bell_row``, ``harmonic.H``).  Four EXACT identities keep a
+loop, because their points share work that no memo holds: ``coppo_30``
+reads one difference table per shift, ``adamchik_7_3`` carries its nested
+double sum across n, ``e44_7`` builds one Bell row and one set of scales
+per (n, u), and ``nH_identity`` carries its running sum of H_k.
 
 A NUMERIC identity is a list of rows (params, formula, parameter, x,
 scale) over :data:`ehz.zeta_series.FORMULAS`: each row is evaluated in FAST
@@ -162,31 +166,26 @@ def _fs_6(m: int, n: int):
     return lhs, rhs
 
 
-def _run_adamchik(variant: int):
-    def run(p):
-        ident = f"adamchik_7_{variant}"
-        inner = Fraction(0)  # sum_{j<=n} H_j / j
-        dbl = Fraction(0)  # sum_{k<=n} (1/k) sum_{j<=k} H_j / j
-        for n in range(1, p["n_max"] + 1):
-            lhs, rhs = harmonic.adamchik_check(variant, n)
-            if variant == 3:
-                inner += harmonic.H(n, 1) / n
-                dbl += inner / n
-                # the same quantity equals -2 S_n(3) and twice the nested double sum
-                alt = -2 * harmonic.alt_binom_sum(n, 3)
-                if lhs == rhs and not (lhs == alt == 2 * dbl):
-                    yield Report(
-                        ident,
-                        {"n": str(n)},
-                        str(lhs),
-                        f"-2S_n(3)={alt}, double={2 * dbl}",
-                        "FAIL",
-                        "cross-forms disagree",
-                    )
-                    continue
-            yield _exact_report(ident, {"n": str(n)}, lhs, rhs)
-
-    return run
+def _run_adamchik_7_3(p):
+    inner = Fraction(0)  # sum_{j<=n} H_j / j
+    dbl = Fraction(0)  # sum_{k<=n} (1/k) sum_{j<=k} H_j / j
+    for n in range(1, p["n_max"] + 1):
+        lhs, rhs = harmonic.adamchik_check(3, n)
+        inner += harmonic.H(n, 1) / n
+        dbl += inner / n
+        # the same quantity equals -2 S_n(3) and twice the nested double sum
+        alt = -2 * harmonic.alt_binom_sum(n, 3)
+        if lhs == rhs and not (lhs == alt == 2 * dbl):
+            yield Report(
+                "adamchik_7_3",
+                {"n": str(n)},
+                str(lhs),
+                f"-2S_n(3)={alt}, double={2 * dbl}",
+                "FAIL",
+                "cross-forms disagree",
+            )
+            continue
+        yield _exact_report("adamchik_7_3", {"n": str(n)}, lhs, rhs)
 
 
 def _run_coppo(p):
@@ -262,38 +261,31 @@ def _run_e44_7(p):
                 )
 
 
-def _run_e44_8(p):
-    for n in range(1, p["n_max"] + 1):
-        row = combinatorics.stirling1_row(n)
-        D, bell = harmonic.signed_bell_row(n, 1)
-        for r in range(0, n + 1):
-            lhs = sum(
-                Fraction((-1) ** (n + k) * row[k] * math.comb(k, r))
-                for k in range(r, n + 1)
-            )
-            rhs = Fraction(math.factorial(n) * bell[r], math.factorial(r) * D**r)
-            yield _exact_report("e44_8", {"n": str(n), "r": str(r)}, lhs, rhs)
+def _triangle(n0: int):
+    """Grid over the (n, r) triangle n = n0..p["n_max"], r = 0..n."""
+
+    def grid(p):
+        for n in range(n0, p["n_max"] + 1):
+            for r in range(0, n + 1):
+                yield {"n": n, "r": r}
+
+    return grid
 
 
-def _e44_9_grid(p):
-    for n in range(1, p["n_max"] + 1):
-        for r in range(0, n + 1):
-            yield {"n": n, "r": r}
+def _stirling_binomial(n: int, r: int) -> int:
+    """sum_k (-1)^(n+k) s(n,k) C(k,r): the left side of (4.8), the right of (4.9)."""
+    row = combinatorics.stirling1_row(n)
+    return sum((-1) ** (n + k) * row[k] * math.comb(k, r) for k in range(r, n + 1))
+
+
+def _e44_8(n: int, r: int):
+    # (n!/r!) Y_r(H_n, -1! H_n^(2), ...) is (-1)^(n+r) s(n+1, r+1) in its Bell form
+    return _stirling_binomial(n, r), (-1) ** (n + r) * combinatorics.stirling1_bell(n, r)
 
 
 def _e44_9(n: int, r: int):
-    row = combinatorics.stirling1_row(n)
-    lhs = (-1) ** (n + r) * combinatorics.stirling1_row(n + 1)[r + 1]
-    rhs = sum((-1) ** (n + k) * row[k] * math.comb(k, r) for k in range(r, n + 1))
-    return lhs, rhs
-
-
-def _run_e44_10(p):
-    for n in range(0, p["n_max"] + 1):
-        row = combinatorics.stirling1_bell_row(n)
-        for r in range(0, n + 1):
-            rhs = combinatorics.stirling1(n + 1, r + 1)
-            yield _exact_report("e44_10", {"n": str(n), "r": str(r)}, row[r], rhs)
+    lhs = (-1) ** (n + r) * combinatorics.stirling1(n + 1, r + 1)
+    return lhs, _stirling_binomial(n, r)
 
 
 def _run_nh_identity(p):
@@ -389,15 +381,23 @@ def _registry() -> List[Identity]:
         _grid(n=1, m=1),
         lambda n, m: (harmonic.alt_binom_sum(n, m), harmonic.alt_binom_sum_bell(n, m)),
     )
-    for v in (1, 2, 3):
-        add(
+    for v in (1, 2):
+        exact(
             f"adamchik_7_{v}",
-            Kind.EXACT,
             "finite Euler-sum identity",
             {"n_max": 50},
             {"n_max": 200},
-            _run_adamchik(v),
+            _grid(n=1),
+            lambda n, v=v: harmonic.adamchik_check(v, n),
         )
+    add(
+        "adamchik_7_3",
+        Kind.EXACT,
+        "finite Euler-sum identity",
+        {"n_max": 50},
+        {"n_max": 200},
+        _run_adamchik_7_3,
+    )
     for v in "abc":
         exact(
             f"spiess_15{v}",
@@ -456,29 +456,29 @@ def _registry() -> List[Identity]:
         {"n_max": 20, "us": ["1", "1/2", "3"]},
         _run_e44_7,
     )
-    add(
+    exact(
         "e44_8",
-        Kind.EXACT,
         "binomial-weighted Stirling sums at unit shift",
         {"n_max": 20},
         {"n_max": 30},
-        _run_e44_8,
+        _triangle(1),
+        _e44_8,
     )
     exact(
         "e44_9",
         "Stirling recurrence under binomial convolution",
         {"n_max": 20},
         {"n_max": 30},
-        _e44_9_grid,
+        _triangle(1),
         _e44_9,
     )
-    add(
+    exact(
         "e44_10",
-        Kind.EXACT,
         "Stirling numbers from Bell polynomials of harmonic numbers",
         {"n_max": 30},
         {"n_max": 50},
-        _run_e44_10,
+        _triangle(0),
+        lambda n, r: (combinatorics.stirling1_bell(n, r), combinatorics.stirling1(n + 1, r + 1)),
     )
     add(
         "nH_identity",
@@ -601,11 +601,7 @@ def run_identity(
 
 def run_all(profile: Profile = Profile.QUICK) -> List[Report]:
     """Run every registered identity; QUICK caps the sweeps for speed."""
-    out: List[Report] = []
-    for identity in _REGISTRY:
-        params = identity.quick if profile is Profile.QUICK else identity.full
-        out.extend(identity.runner(dict(params)))
-    return out
+    return [r for i in _REGISTRY for r in run_identity(i.id, None, profile)]
 
 
 def summarize(reports: List[Report]) -> Dict[str, int]:

@@ -292,6 +292,12 @@ def _finish(ctx: PrecisionContext, total, N: int, tail: float) -> SeriesResult:
     return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
 
 
+def _require_terms(N: int) -> None:
+    """Every evaluator sums N >= 1 terms: an empty sum has no tail to report."""
+    if N < 1:
+        raise DomainError(f"the term budget N must be >= 1, got N = {N}")
+
+
 def _require_positive_x(x) -> Fraction:
     x = Fraction(x)
     if x <= 0:
@@ -523,6 +529,7 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
+    _require_terms(N)
     x = _require_positive_x(x)
     total, term, h1, _ = _gamma_ratio_series("euler-hurwitz", q, x, N, ctx)
     c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
@@ -544,6 +551,7 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
+    _require_terms(N)
     x = _require_positive_x(x)
     total, term, h1, R = _gamma_ratio_series("stirling-route", q, x, N, ctx)
     c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N
@@ -571,6 +579,7 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     guard digits (term budget capped); below s = 1 convergence is empirical
     and the tail estimate is the last-row magnitude.
     """
+    _require_terms(N)
     x = _require_positive_x(x)
     s_is_int = _is_integer(s)
     if float(s) == 1.0:
@@ -607,6 +616,7 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     W_k = P(Bin(N, 1/2) >= k+1) in (0, 1] (:func:`_eta_weights`).  The tail
     keeps its definition from the last term, 2^-N times inner row N - 1.
     """
+    _require_terms(N)
     if not _is_integer(s):
         total, last = _swapped_sum(s, x, N, ctx, _eta_weights)
         return _finish(ctx, total, N, 2.0 * abs(float(last)))
@@ -650,6 +660,7 @@ def _mixed_series(m: int, x: Fraction, N: int, ctx: PrecisionContext, scale: Fra
     h_{m-1} is carried across n as in :func:`euler_hurwitz`.  M(x) tends to
     (m+1) m / 2 zeta(m+2, x).
     """
+    _require_terms(N)
     total, term, h, R = _gamma_ratio_series("mixed", m, x, N, ctx)
     if term == 0.0:  # term 1 vanishes (n H_n = 1); R_1 b_0^(m-1) is it without that factor
         term = R * float(x) ** (1 - m) / N
@@ -751,6 +762,7 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
+    _require_terms(N)
     if kind is CatalanKind.ZETA3_HALF_45_6:
         return _mixed_series(1, Fraction(1, 2), N, ctx, Fraction(1))
 
@@ -889,6 +901,7 @@ def polylog_identity_lhs(
     g_0(n) = ((1+y)/2)^n (1 - (1+y)^-n), so (3/2)^n never overflows.
     """
     y = _polylog_identity_args(which, s, y)
+    _require_terms(N)
     alternating = which is PolylogIdentity.E14_3
     lib = mpmath if ctx.mode is Mode.HIGH else math  # for expm1 and log1p
     with ctx.scope():
@@ -938,6 +951,7 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
+    _require_terms(N)
 
     with ctx.scope():
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)

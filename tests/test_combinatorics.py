@@ -1,5 +1,9 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -305,7 +309,54 @@ class TestExpSeries:
             assert abs(a[1] - g) < mpmath.mpf(10) ** -25
 
 
+def leibniz_det(m) -> Fraction:
+    """ORACLE: the determinant as the signed sum over all permutations."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def bracket_matrix(a) -> list:
+    """The banded matrix of [a_1, ..., a_n]: a_(j-i+1) on and above the
+    diagonal, n - i on the subdiagonal of row i (0-based), zero below."""
+    n = len(a)
+    return [
+        [a[j - i] if j >= i else (n - i if j == i - 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class TestDetBracket:
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_exact_matches_leibniz_expansion(self, kind):
+        rng = random.Random(17)
+        for n in range(1, 7):
+            for _ in range(4):
+                if kind == "int":
+                    a = [rng.randint(-9, 9) for _ in range(n)]
+                else:
+                    a = rand_fractions(rng, n)
+                got = co.det_bracket(a)
+                assert got == leibniz_det(bracket_matrix(a))
+                assert isinstance(got, (int, Fraction))
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        # a_1 = 0 puts 0 at (0, 0); the subdiagonal entry 2 below it is the pivot
+        for a in ([0, 1, 1], [0, Fraction(1, 2), Fraction(-3, 4)], [0, 0, 5, 7]):
+            assert co.det_bracket(a) == leibniz_det(bracket_matrix(a)) != 0
+
+    def test_singular_bracket_is_zero(self):
+        # [a_1, a_2] = a_1^2 - a_2, so [1, 1] and [2, 4] vanish; so does [0, 0, 0]
+        for a in ([1, 1], [2, 4], [Fraction(1, 2), Fraction(1, 4)], [0, 0, 0]):
+            assert leibniz_det(bracket_matrix(a)) == 0
+            assert co.det_bracket(a) == 0
+
     def test_trivial(self):
         assert co.det_bracket([]) == 1
         assert co.det_bracket([Fraction(5, 7)]) == Fraction(5, 7)
@@ -327,3 +378,39 @@ class TestDetBracket:
                 [b[k] if k % 2 == 0 else -b[k] for k in range(n)]
             )
             assert math.factorial(n) * a[n] == bracket
+
+
+#: run with and without -O: a wrong closed form comes back as its Fraction,
+#: a weight that is not a partition raises, and neither rests on an assert
+_CORRUPTED_CHECKS = """
+from fractions import Fraction
+from ehz import combinatorics as co, harmonic as ha
+real_H = ha.H
+ha.H = lambda n, m: real_H(n, m) + Fraction(1, 7)
+print(repr(co.stirling1_closed(6, 3)))
+ha.H = real_H
+co.enumerate_partitions = lambda n: [(3, 0)]
+try:
+    print(co.bell_coefficients(2))
+except ArithmeticError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+class TestChecksSurviveOptimize:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+    def test_corrupted_inputs(self, flags):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _CORRUPTED_CHECKS],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        closed, bell = proc.stdout.splitlines()
+        # s(6, 3) = -((H_5 + 1/7)^2 - (H_5^(2) + 1/7)) 5!/2 with H_5 = 137/60, H_5^(2) = 5269/3600
+        h1, h2 = Fraction(137, 60) + Fraction(1, 7), Fraction(5269, 3600) + Fraction(1, 7)
+        expect = -60 * (h1 * h1 - h2)
+        assert expect.denominator != 1 and co.stirling1(6, 3) == -225
+        assert closed == repr(expect)
+        assert bell.startswith("ArithmeticError (3, 0) is not a partition of 2")

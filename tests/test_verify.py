@@ -148,11 +148,11 @@ class TestRunAll:
             return ys
 
         monkeypatch.setattr(co, "bell_eval_all", corrupted)
-        # rows memoised by earlier tests would hide the damage from e44_10
+        # rows memoised by earlier tests would hide the damage from e44_8 and e44_10
         monkeypatch.setattr(co, "_STIRLING_BELL_ROWS", {})
         reports = verify.run_all(Profile.QUICK)
         failing = {r.identity for r in reports if r.status == "FAIL"}
-        assert {"coppo_30", "e44_10"} <= failing
+        assert {"coppo_30", "e44_8", "e44_10"} <= failing
         assert co._STIRLING_BELL_ROWS.keys() <= {0, 1}  # no damaged row is memoised
 
 

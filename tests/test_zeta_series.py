@@ -676,6 +676,47 @@ def test_high_reference_has_thirty_digits(formula, param, x, limit):
         assert abs(ref - want) <= mpmath.mpf(10) ** -30 * abs(want), (ref, want)
 
 
+#: every public evaluator, as a call at term budget N
+EMPTY_SUM_CALLS = {
+    "euler_hurwitz": lambda N, ctx: zs.euler_hurwitz(2, 1, N, ctx),
+    "stirling_route": lambda N, ctx: zs.stirling_route(2, F(1, 2), N, ctx),
+    "hasse_hurwitz s=-2": lambda N, ctx: zs.hasse_hurwitz(-2, 1, N, ctx),
+    "hasse_hurwitz s=2": lambda N, ctx: zs.hasse_hurwitz(2, 1, N, ctx),
+    "hasse_hurwitz s=2.5": lambda N, ctx: zs.hasse_hurwitz(2.5, 1, N, ctx),
+    "sondow_alt s=2": lambda N, ctx: zs.sondow_alt(2, N, ctx),
+    "sondow_alt s=2.5": lambda N, ctx: zs.sondow_alt(2.5, N, ctx),
+    "alt_hurwitz": lambda N, ctx: zs.alt_hurwitz(2, F(1, 2), N, ctx),
+    "shen_series": lambda N, ctx: zs.shen_series(2, N, ctx),
+    "mixed_q": lambda N, ctx: zs.mixed_q(4, F(1, 3), N, ctx),
+    **{
+        f"euler_sum_partial {k.value}": lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx)
+        for k in EulerSumKind
+    },
+    **{
+        f"catalan_series {k.value}": lambda N, ctx, k=k: zs.catalan_series(k, N, ctx)
+        for k in CatalanKind
+    },
+    **{
+        f"polylog_identity_lhs {w.value}":
+            lambda N, ctx, w=w: zs.polylog_identity_lhs(w, 2, F(1, 2), N, ctx)
+        for w in PolylogIdentity
+    },
+    "digamma_half_sum 2": lambda N, ctx: zs.digamma_half_sum(2, N, ctx),
+    "digamma_half_sum 4": lambda N, ctx: zs.digamma_half_sum(4, N, ctx),
+}
+
+
+@pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+@pytest.mark.parametrize("name", list(EMPTY_SUM_CALLS))
+def test_empty_sum_is_a_domain_error(name, ctx):
+    # N = 0 would sum nothing and report an exact 0; each evaluator names N
+    call = EMPTY_SUM_CALLS[name]
+    for N in (0, -1):
+        with pytest.raises(nu.DomainError, match=f"N must be >= 1, got N = {N}"):
+            call(N, ctx)
+    assert call(1, ctx).terms_used == 1
+
+
 class TestConvergenceTable:
     def test_euler_hurwitz_unit_exponent(self):
         req = EvalRequest(formula=Formula.EULER_HURWITZ, s_or_q=1, x=F(1), N=1, ctx=FAST)
