@@ -287,6 +287,9 @@ def cmd_verify(args, out) -> int:
     except (KeyError, ValueError) as exc:
         _emit(f"error: {exc}", sys.stderr)
         return USAGE_ERROR
+    except NumericError as exc:  # raised while an identity ran, which it names
+        _emit(f"numeric error: {exc}", sys.stderr)
+        return NUMERIC_ERROR
     stats = summarize(reports)
     if args.format == "json":
         payload = {

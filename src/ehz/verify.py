@@ -32,6 +32,7 @@ silently omitted.  Reports come back in registry order.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import itertools
 import math
@@ -40,7 +41,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import combinatorics, gamma_tools, harmonic, zeta_series
-from .numerics import DomainError, Mode, PrecisionContext
+from .numerics import DomainError, Mode, NumericError, PrecisionContext
 from .zeta_series import EvalRequest, Formula
 
 __all__ = ["Kind", "Profile", "Identity", "Report", "identity_ids", "run_identity", "run_all", "summarize"]
@@ -86,8 +87,20 @@ class Identity:
     runner: Callable[[Dict[str, object]], Iterator[Report]]
 
 
+def _text(v) -> str:
+    """str(v); decimal writes an int or Fraction with more digits than str() takes."""
+    try:
+        return str(v)
+    except ValueError:
+        if not isinstance(v, (int, Fraction)):
+            raise
+        if v.denominator != 1:
+            return f"{_text(v.numerator)}/{_text(v.denominator)}"
+        return str(decimal.Decimal(v.numerator))
+
+
 def _short(v, limit: int = 48) -> str:
-    s = str(v)
+    s = _text(v)
     if len(s) <= limit:
         return s
     return s[: limit - 10] + f"...[{len(s)} chars]"
@@ -97,7 +110,7 @@ def _exact_report(ident: str, params: Dict[str, str], lhs, rhs) -> Report:
     if lhs == rhs:
         text = _short(lhs)  # the sides are equal: format once
         return Report(ident, params, text, text, "PASS")
-    return Report(ident, params, str(lhs), str(rhs), "FAIL", "exact mismatch")
+    return Report(ident, params, _text(lhs), _text(rhs), "FAIL", "exact mismatch")
 
 
 def _numeric_report(
@@ -179,8 +192,8 @@ def _run_adamchik_7_3(p):
             yield Report(
                 "adamchik_7_3",
                 {"n": str(n)},
-                str(lhs),
-                f"-2S_n(3)={alt}, double={2 * dbl}",
+                _text(lhs),
+                f"-2S_n(3)={_text(alt)}, double={_text(2 * dbl)}",
                 "FAIL",
                 "cross-forms disagree",
             )
@@ -590,13 +603,18 @@ def run_identity(
     overrides: Optional[Dict[str, object]] = None,
     profile: Profile = Profile.FULL,
 ) -> List[Report]:
-    """Run one registered identity over its sweep; deterministic order."""
+    """Run one registered identity over its sweep; deterministic order.  A bad
+    id or override raises KeyError or ValueError before any work; an error
+    raised while it runs is raised again as a NumericError naming the id."""
     if ident not in _BY_ID:
         raise KeyError(f"unknown identity: {ident}")
     identity = _BY_ID[ident]
     base = identity.full if profile is Profile.FULL else identity.quick
     params = _merge_overrides(ident, base, overrides)
-    return list(identity.runner(params))
+    try:
+        return list(identity.runner(params))
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        raise NumericError(f"{ident}: {exc}") from exc
 
 
 def run_all(profile: Profile = Profile.QUICK) -> List[Report]:

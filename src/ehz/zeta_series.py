@@ -43,13 +43,11 @@ The eta double sums at integer s carry the same h_m recurrence as
 euler_hurwitz (:func:`_gamma_ratio_series`): inner row n - 1 is
 R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
 (``harmonic.coppo_rhs_rows``) are the tests' reference for it.  So does
-the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2
-(:func:`_mixed_series`), of which mixed-q, zeta3-half, E45_8 and E45_10
-are multiples; the Shen series is stirling_route at x = 1.  The nonlinear
-Euler sums at x = 1 are all other routes: E41, E43 and E43_2 are q! times
-euler_hurwitz(q, 1) for q = 3, 4, 5, ALT2..ALT5 are sondow_alt at
-s = 2..5, and E45_8, E45_10 are 2 and 6 times the mixed series at x = 1,
-m = 3, 4 (the formulas ``euler-sum-45-8`` and ``euler-sum-45-10``).
+the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2, of which mixed-q,
+zeta3-half, E45_8 and E45_10 are multiples; the Shen series is
+stirling_route at x = 1, and the nonlinear Euler sums at x = 1 are these
+series scaled (:data:`_EULER_SUMS`).  :func:`_gamma_ratio_result` gives
+all of them their tail, scale and final rounding.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -515,6 +513,29 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     return value, last, _to_float(h, 1 << P), _to_float(R, 1 << (P + e))
 
 
+def _gamma_ratio_result(kind: str, m: int, x, N: int, ctx: PrecisionContext, scale=1):
+    """scale times the :func:`_gamma_ratio_series` sum, with its tail: the one
+    place that finishes a gamma-ratio series.  The tail is twice the last
+    term for "eta", else :func:`_tail_from_last` of order m - 1 (m for
+    "mixed") at offset h - log N, which starts from R_N / N for a zero last
+    term of "stirling-route" and from R_N x^(1-m) / N for one of "mixed"."""
+    _require_terms(N)
+    x = _require_positive_x(x)
+    total, term, h, R = _gamma_ratio_series(kind, m, x, N, ctx)
+    if kind == "eta":
+        if not math.isfinite(term):  # a[] only grows, so an overflow persists
+            raise NumericError("an inner row overflowed a double")
+        tail = 2.0 * abs(term)
+    else:
+        if term == 0.0 and kind != "euler-hurwitz":  # a series whose first terms vanish
+            term = R * (float(x) ** (1 - m) if kind == "mixed" else 1.0) / N
+        order = m if kind == "mixed" else m - 1
+        tail = _tail_from_last(term, N, float(x), order, h - math.log(N))
+    with ctx.scope():
+        total = ctx.real(scale) * total
+    return _finish(ctx, total, N, float(scale) * tail)
+
+
 def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """zeta(q+1, x) by the Bell series in shifted harmonic numbers:
 
@@ -529,11 +550,7 @@ def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
-    _require_terms(N)
-    x = _require_positive_x(x)
-    total, term, h1, _ = _gamma_ratio_series("euler-hurwitz", q, x, N, ctx)
-    c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N(x)
-    return _finish(ctx, total, N, _tail_from_last(term, N, float(x), q - 1, c))
+    return _gamma_ratio_result("euler-hurwitz", q, x, N, ctx)
 
 
 def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -551,13 +568,7 @@ def stirling_route(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """
     if not isinstance(q, int) or q < 1:
         raise DomainError("q must be an integer >= 1")
-    _require_terms(N)
-    x = _require_positive_x(x)
-    total, term, h1, R = _gamma_ratio_series("stirling-route", q, x, N, ctx)
-    c = h1 - math.log(N) if q > 1 else 0.0  # a[1] = H_N
-    if term == 0.0:  # the q > 1 series starts with vanishing terms
-        term = R / max(N, 1)
-    return _finish(ctx, total, N, _tail_from_last(term, N, float(x), q - 1, c))
+    return _gamma_ratio_result("stirling-route", q, x, N, ctx)
 
 
 def _is_integer(s) -> bool:
@@ -620,10 +631,7 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     if not _is_integer(s):
         total, last = _swapped_sum(s, x, N, ctx, _eta_weights)
         return _finish(ctx, total, N, 2.0 * abs(float(last)))
-    total, last, _, _ = _gamma_ratio_series("eta", int(s), x, N, ctx)
-    if not math.isfinite(last):  # a[] only grows, so an overflow persists
-        raise NumericError("an inner row overflowed a double")
-    return _finish(ctx, total, N, 2.0 * abs(last))
+    return _gamma_ratio_result("eta", int(s), x, N, ctx)
 
 
 def sondow_alt(s, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -653,23 +661,6 @@ def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     return stirling_route(p, 1, N, ctx)
 
 
-def _mixed_series(m: int, x: Fraction, N: int, ctx: PrecisionContext, scale: Fraction):
-    """scale * M(x), M(x) = sum_n (n H_n - 1) R_n(x) h_{m-1}(b_0, ..., b_{n-1}) / n^2,
-    b_i = 1/(i+x): the mixed series, value and tail scaled alike.
-
-    h_{m-1} is carried across n as in :func:`euler_hurwitz`.  M(x) tends to
-    (m+1) m / 2 zeta(m+2, x).
-    """
-    _require_terms(N)
-    total, term, h, R = _gamma_ratio_series("mixed", m, x, N, ctx)
-    if term == 0.0:  # term 1 vanishes (n H_n = 1); R_1 b_0^(m-1) is it without that factor
-        term = R * float(x) ** (1 - m) / N
-    tail = _tail_from_last(term, N, float(x), m, h - math.log(N))
-    with ctx.scope():
-        total = ctx.real(scale) * total
-    return _finish(ctx, total, N, float(scale) * tail)
-
-
 def mixed_q(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     """The mixed series for zeta(4, x), zeta(5, x), zeta(6, x) whose terms
     couple the x-free factor [n H_n - 1] with shifted harmonic numbers:
@@ -682,67 +673,53 @@ def mixed_q(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     (The zeta(6, x) bracket carries coefficient 2 on H_n^(3)(x): it is the
     derivative of the zeta(5, x) bracket under d/dx H^(m) = -m H^(m+1).)
     The brackets are 1, 2 and 6 times h_{q-3}(b_0, ..., b_{n-1}), so
-    zeta(q, x) = 2 / ((q-1)(q-2)) M(x) with M the series of
-    :func:`_mixed_series` at m = q - 2.
+    zeta(q, x) = 2 / ((q-1)(q-2)) M(x) with M(x) the "mixed" kind of
+    :func:`_gamma_ratio_series` at m = q - 2, which tends to
+    (m+1) m / 2 zeta(m+2, x).
     """
     if not isinstance(q, int) or q not in (4, 5, 6):
         raise DomainError("mixed-q supports q in {4, 5, 6}")
-    x = _require_positive_x(x)
-    return _mixed_series(q - 2, x, N, ctx, Fraction(2, (q - 1) * (q - 2)))
+    return _gamma_ratio_result("mixed", q - 2, x, N, ctx, Fraction(2, (q - 1) * (q - 2)))
 
 
-#: E-kinds that are q! times the euler_hurwitz series at x = 1, by q
-_EULER_HURWITZ_Q = {EulerSumKind.E41: 3, EulerSumKind.E43: 4, EulerSumKind.E43_2: 5}
-#: ALT-kinds, which are the sondow_alt series, by s
-_ALT_S = {EulerSumKind.ALT2: 2, EulerSumKind.ALT3: 3, EulerSumKind.ALT4: 4, EulerSumKind.ALT5: 5}
-#: E45-kinds, scale times the mixed series at x = 1, as (m, scale)
-_MIXED_M = {EulerSumKind.E45_8: (3, 2), EulerSumKind.E45_10: (4, 6)}
+#: The nonlinear Euler sums at x = 1, as (kind, m, scale) of :func:`_gamma_ratio_result`
+_EULER_SUMS = {
+    EulerSumKind.E41: ("euler-hurwitz", 3, 6),
+    EulerSumKind.E43: ("euler-hurwitz", 4, 24),
+    EulerSumKind.E43_2: ("euler-hurwitz", 5, 120),
+    EulerSumKind.E45_8: ("mixed", 3, 2),
+    EulerSumKind.E45_10: ("mixed", 4, 6),
+    **{EulerSumKind(f"ALT{s}"): ("eta", s, 1) for s in (2, 3, 4, 5)},
+}
 
 
 def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> SeriesResult:
-    """Partial sums of the named nonlinear Euler sums (x = 1 family).
+    """Partial sums of the named nonlinear Euler sums (x = 1 family), each a
+    gamma-ratio series scaled (:data:`_EULER_SUMS`).
 
     The E-kinds return the unnormalized combinations whose limits are
-    3! zeta(4), 4! zeta(5), 5! zeta(6), 12 zeta(5) and (1/2) 5! zeta(6);
-    the ALT-kinds return the alternating-zeta series with 1/(n 2^n)
-    weights, whose limits are eta(2)..eta(5).
-
-    E41, E43 and E43_2 sum (H_n^q-bracket) / n^2, which is q! times the
-    :func:`euler_hurwitz` series at x = 1 (q = 3, 4, 5), so they return that
-    series scaled, value and tail.  ALT_s sums the same terms as
-    :func:`sondow_alt` at s and returns it.  E45_8 sums
-    [n H_n - 1] (H_n^2 + H_n^(2)) / n^3, which is 12 times the mixed-q
-    series for zeta(5, 1), and E45_10 is 60 times the one for zeta(6, 1);
-    both return that mixed series (:func:`_mixed_series`) scaled.
+    3! zeta(4), 4! zeta(5), 5! zeta(6), 12 zeta(5) and (1/2) 5! zeta(6).
+    E41, E43 and E43_2 sum (H_n^q-bracket) / n^2, q! times the
+    :func:`euler_hurwitz` series (q = 3, 4, 5); E45_8 sums
+    [n H_n - 1] (H_n^2 + H_n^(2)) / n^3, 12 times the mixed-q series for
+    zeta(5, 1), and E45_10 is 60 times the one for zeta(6, 1).  The
+    ALT-kinds are the :func:`sondow_alt` series, with limits eta(2)..eta(5).
     """
     if not isinstance(kind, EulerSumKind):
         raise DomainError("unknown Euler-sum kind")
-    if kind in _ALT_S:
-        return sondow_alt(_ALT_S[kind], N, ctx)
-    if kind in _MIXED_M:
-        m, scale = _MIXED_M[kind]
-        return _mixed_series(m, Fraction(1), N, ctx, Fraction(scale))
-    q = _EULER_HURWITZ_Q[kind]
-    res = euler_hurwitz(q, 1, N, ctx)
-    scale = math.factorial(q)
-    with ctx.scope():
-        value = scale * res.value
-    return SeriesResult(
-        value=value, terms_used=N, tail_estimate=scale * res.tail_estimate, mode=ctx.mode
-    )
+    series, m, scale = _EULER_SUMS[kind]
+    return _gamma_ratio_result(series, m, 1, N, ctx, scale)
 
 
 def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
-    """Limit of the corresponding euler_sum_partial series."""
-    if kind in _EULER_HURWITZ_Q:
-        q = _EULER_HURWITZ_Q[kind]
-        return math.factorial(q) * const_zeta(q + 1, ctx)
-    if kind is EulerSumKind.E45_8:
-        return 12 * const_zeta(5, ctx)
-    if kind is EulerSumKind.E45_10:
-        return 60 * const_zeta(6, ctx)
-    s = _ALT_S[kind]
-    return (1 - ctx.real(Fraction(2)) ** (1 - s)) * const_zeta(s, ctx)
+    """Limit of the corresponding euler_sum_partial series: scale zeta(m+1),
+    scale (m+1) m / 2 zeta(m+2) for "mixed", or eta(m)."""
+    series, m, scale = _EULER_SUMS[kind]
+    if series == "eta":
+        return (1 - ctx.real(Fraction(2)) ** (1 - m)) * const_zeta(m, ctx)
+    if series == "mixed":  # the mixed series tends to (m+1) m / 2 zeta(m+2)
+        return scale * (m + 1) * m // 2 * const_zeta(m + 2, ctx)
+    return scale * const_zeta(m + 1, ctx)
 
 
 def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -764,7 +741,7 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
         raise DomainError("unknown catalan-series kind")
     _require_terms(N)
     if kind is CatalanKind.ZETA3_HALF_45_6:
-        return _mixed_series(1, Fraction(1, 2), N, ctx, Fraction(1))
+        return _gamma_ratio_result("mixed", 1, Fraction(1, 2), N, ctx)
 
     fast = ctx.mode is Mode.FAST
     with ctx.scope():

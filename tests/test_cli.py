@@ -575,6 +575,40 @@ class TestVerifyCommand:
         assert set(payload) == {"command", "params", "reports", "version"}
         assert all(r["status"] == "PASS" for r in payload["reports"])
 
+    def test_sides_beyond_the_int_str_limit_print(self, capsys):
+        # at n = 100, q = 8, x = 1/3 the sides pass 640 digits, the lowest
+        # limit on int-to-str conversion that Python accepts
+        argv = ["verify", "--id", "coppo_30", "--x", "1/3", "--n-max", "100", "--q-max", "8"]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, *argv)
+            sys.set_int_max_str_digits(0)
+            assert run_cli(capsys, *argv) == (code, out, err)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "identities=1, reports=808, pass=808, fail=0, skip=0"
+
+    @pytest.mark.parametrize("argv", [("--id", "coppo_30", "--n-max", "5"), ("--all",)], ids=str)
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_error_while_running_exits_three_naming_the_identity(
+        self, capsys, monkeypatch, argv, error
+    ):
+        from ehz import harmonic
+
+        real = harmonic.coppo_sweep
+
+        def failing(n_max, q_max, x):
+            for i, report in enumerate(real(n_max, q_max, x)):
+                if i == 3:
+                    raise error("boom")
+                yield report
+
+        monkeypatch.setattr(harmonic, "coppo_sweep", failing)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (3, "", "numeric error: coppo_30: boom\n")
+
     def test_failures_exit_one(self, capsys, monkeypatch):
         from ehz import combinatorics as co
 

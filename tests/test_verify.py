@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -235,6 +236,21 @@ class TestReportSerialization:
         r = verify._exact_report("x", {"n": "1"}, 12345678901234567890, 1)
         assert r.status == "FAIL"
         assert r.lhs == "12345678901234567890"
+
+    def test_sides_beyond_the_int_str_limit(self):
+        # 5,072 digits over 4,343: str() of either part raises at the default limit
+        big = Fraction(7**6000 + 2, 3**9100 + 1)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            short = verify._short(big)
+            failed = verify._exact_report("x", {"n": "1"}, big, big + 1)
+            sys.set_int_max_str_digits(0)
+            want = str(big), str(big + 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert short == want[0][:38] + f"...[{len(want[0])} chars]"
+        assert (failed.status, failed.lhs, failed.rhs) == ("FAIL", *want)
 
 
 #: sha256 of `verify --id <id> --profile quick --format json` stdout for every

@@ -23,6 +23,10 @@ F = Fraction
 HIGH = PrecisionContext(30, Mode.HIGH)
 FAST = PrecisionContext(30, Mode.FAST)
 
+#: FAST and HIGH, each at 30 and 60 digits
+ROUTE_CTX = [PrecisionContext(d, mode) for mode in (Mode.FAST, Mode.HIGH) for d in (30, 60)]
+ROUTE_CTX_IDS = [f"{c.mode.value.lower()}{c.digits}" for c in ROUTE_CTX]
+
 
 def euler_hurwitz_exact_terms(q: int, x, N: int) -> list:
     """First N terms of the euler_hurwitz series as exact rationals (the
@@ -72,7 +76,7 @@ def mixed_exact_terms(m: int, x, N: int) -> list:
 
 def mixed_series(m: int, x, N: int, ctx):
     """The mixed series at scale 1, in the evaluators' signature."""
-    return zs._mixed_series(m, Fraction(x), N, ctx, Fraction(1))
+    return zs._gamma_ratio_result("mixed", m, x, N, ctx)
 
 
 def within_tail(result, reference, factor=3.0) -> bool:
@@ -145,13 +149,6 @@ class TestHasse:
         res = zs.hasse_hurwitz(s, x, 10, ctx)
         assert res.value == ctx.real(-_bernoulli_poly(1 - s, x) / (1 - s))
         assert res.tail_estimate == 0.0
-
-    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["FAST", "HIGH"])
-    def test_integer_s_is_the_euler_hurwitz_series(self, ctx):
-        for s, x in ((2, F(1, 4)), (3.0, F(1)), (5, F(7, 4))):
-            a = zs.hasse_hurwitz(s, x, 300, ctx)
-            b = zs.euler_hurwitz(int(s) - 1, x, 300, ctx)
-            assert (a.value, a.tail_estimate) == (b.value, b.tail_estimate)
 
 
 def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
@@ -495,6 +492,23 @@ class TestEulerSums:
         assert abs(norm_a - z6) <= 3 * float(a.tail_estimate) / 120
         assert abs(norm_b - z6) <= 3 * float(b.tail_estimate) / 60
 
+    @pytest.mark.parametrize("ctx", ROUTE_CTX, ids=ROUTE_CTX_IDS)
+    def test_targets_are_the_closed_forms(self, ctx):
+        with ctx.scope():
+            z = {s: nu.const_zeta(s, ctx) for s in (2, 3, 4, 5, 6)}
+            want = {
+                EulerSumKind.E41: 6 * z[4],
+                EulerSumKind.E43: 24 * z[5],
+                EulerSumKind.E43_2: 120 * z[6],
+                EulerSumKind.E45_8: 12 * z[5],
+                EulerSumKind.E45_10: 60 * z[6],
+                **{
+                    EulerSumKind(f"ALT{s}"): (1 - ctx.real(F(2)) ** (1 - s)) * z[s]
+                    for s in (2, 3, 4, 5)
+                },
+            }
+            assert {k: zs.euler_sum_target(k, ctx) for k in EulerSumKind} == want
+
     def test_integer_q_rejects_fractional(self):
         req = EvalRequest(formula=Formula.EULER_HURWITZ, s_or_q=2.5, x=F(1), N=10, ctx=FAST)
         with pytest.raises(nu.DomainError):
@@ -715,6 +729,91 @@ def test_empty_sum_is_a_domain_error(name, ctx):
         with pytest.raises(nu.DomainError, match=f"N must be >= 1, got N = {N}"):
             call(N, ctx)
     assert call(1, ctx).terms_used == 1
+
+
+#: name: (call, route, scale), where call(N, ctx) sums scale times route(N, ctx)'s series
+SAME_SERIES = {
+    **{
+        k.value: (
+            lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx),
+            lambda N, ctx, q=q: zs.euler_hurwitz(q, 1, N, ctx),
+            math.factorial(q),
+        )
+        for k, q in ((EulerSumKind.E41, 3), (EulerSumKind.E43, 4), (EulerSumKind.E43_2, 5))
+    },
+    **{
+        f"ALT{s}": (
+            lambda N, ctx, s=s: zs.euler_sum_partial(EulerSumKind(f"ALT{s}"), N, ctx),
+            lambda N, ctx, s=s: zs.sondow_alt(s, N, ctx),
+            1,
+        )
+        for s in (2, 3, 4, 5)
+    },
+    **{
+        k.value: (
+            lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx),
+            lambda N, ctx, m=m: mixed_series(m, 1, N, ctx),
+            scale,
+        )
+        for k, m, scale in ((EulerSumKind.E45_8, 3, 2), (EulerSumKind.E45_10, 4, 6))
+    },
+    "zeta3-half": (
+        lambda N, ctx: zs.catalan_series(CatalanKind.ZETA3_HALF_45_6, N, ctx),
+        lambda N, ctx: mixed_series(1, F(1, 2), N, ctx),
+        1,
+    ),
+    **{
+        f"shen {p}": (
+            lambda N, ctx, p=p: zs.shen_series(p, N, ctx),
+            lambda N, ctx, p=p: zs.stirling_route(p, 1, N, ctx),
+            1,
+        )
+        for p in (1, 3, 5)
+    },
+    **{
+        f"hasse {s} {x}": (
+            lambda N, ctx, s=s, x=x: zs.hasse_hurwitz(s, x, N, ctx),
+            lambda N, ctx, s=s, x=x: zs.euler_hurwitz(int(s) - 1, x, N, ctx),
+            1,
+        )
+        for s, x in ((2, F(1, 4)), (3.0, F(1)), (5, F(7, 4)))
+    },
+}
+
+
+@pytest.mark.parametrize("ctx", ROUTE_CTX, ids=ROUTE_CTX_IDS)
+@pytest.mark.parametrize("name", list(SAME_SERIES))
+def test_series_is_its_route_scaled_bit_for_bit(name, ctx):
+    call, route, scale = SAME_SERIES[name]
+    for N in (1, 7, 300):
+        got, base = call(N, ctx), route(N, ctx)
+        with ctx.scope():
+            value = ctx.real(scale) * base.value
+        assert (got.value, got.tail_estimate) == (value, scale * base.tail_estimate), N
+
+
+@pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+@pytest.mark.parametrize("x", [F(1, 3), F(7, 4)], ids=str)
+def test_tail_when_every_term_vanishes(x, ctx):
+    # stirling-route at N < q and mixed at N = 1 sum only zero terms; their
+    # tails start from R_N / N, times x^(1-m) for "mixed"
+    for kind, m, N, evaluator in (
+        ("stirling-route", 4, 2, zs.stirling_route),
+        ("mixed", 2, 1, mixed_series),
+    ):
+        res = evaluator(m, x, N, ctx)
+        total, term, h, R = zs._gamma_ratio_series(kind, m, x, N, ctx)
+        assert total == 0 and term == 0.0
+        start, order = (R / N, m - 1) if kind == "stirling-route" else (R * float(x) ** (1 - m) / N, m)
+        tail = zs._tail_from_last(start, N, float(x), order, h - math.log(N))
+        assert res.value == 0 and 0 < res.tail_estimate == tail
+
+
+@pytest.mark.parametrize("s", [2, 3, 7])
+def test_eta_inner_row_overflow_is_reported(s):
+    # at x = 2^-1022, h_j (j >= 2) of 1/(i+x) overflows a double
+    with pytest.raises(nu.NumericError, match="an inner row overflowed a double"):
+        zs.alt_hurwitz(s, F(1, 2**1022), 10, FAST)
 
 
 class TestConvergenceTable:
