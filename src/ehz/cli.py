@@ -13,6 +13,7 @@ digits) when ``--precision`` is not given; either must lie in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,7 +67,11 @@ def _parse_s(text: str):
     try:
         return int(text)
     except ValueError:
+        pass
+    try:
         s = float(text)
+    except ValueError:
+        raise ValueError(f"--s must be a number, got {text!r}") from None
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {text!r}")
     return s
@@ -284,8 +289,8 @@ def cmd_verify(args, out) -> int:
         else:
             _emit("error: verify requires --all or --id", sys.stderr)
             return USAGE_ERROR
-    except (KeyError, ValueError) as exc:
-        _emit(f"error: {exc}", sys.stderr)
+    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
+        _emit(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", sys.stderr)
         return USAGE_ERROR
     except NumericError as exc:  # raised while an identity ran, which it names
         _emit(f"numeric error: {exc}", sys.stderr)
@@ -416,8 +421,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built at the first :func:`main` call."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command not in _COMMANDS:
         parser.print_help()

@@ -3,9 +3,11 @@
 Two numeric backplanes are provided and selected through a
 :class:`PrecisionContext`:
 
-* ``FAST`` -- native IEEE doubles with Neumaier compensated summation.
-  Effective precision is the platform double width regardless of the
-  requested digit count; intended for large term budgets (N up to 1e6).
+* ``FAST`` -- native IEEE doubles with Neumaier compensated summation,
+  for large term budgets (N up to 1e6).  The requested digit count is not
+  honoured: every operation rounds to a double, and a series' relative
+  rounding error grows with N, about as sqrt(N) 2^-52 (40 to 400 times
+  2^-52 for the gamma-ratio series at N = 1e6).
 * ``HIGH`` -- mpmath at the requested digits, for tight tolerances at small
   N.  Sums are exact and rounded once; the gamma-ratio series sum
   fixed-point integers, not mpfs.
@@ -128,8 +130,9 @@ def working_precision(dps: int) -> Iterator[None]:
 class PrecisionContext:
     """Immutable precision request: decimal digits plus backplane mode.
 
-    ``digits`` must be >= 15.  In FAST mode the effective precision is the
-    platform double width regardless of ``digits``.
+    ``digits`` must be >= 15.  FAST mode ignores ``digits``: it rounds every
+    operation to a double, and a series' relative error grows with its term
+    count N, about as sqrt(N) times 2^-52.
     """
 
     digits: int = 30

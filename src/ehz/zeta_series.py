@@ -327,7 +327,7 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
     harmonic number behind the tail's log offset.  HIGH is fixed-point.
 
-    FAST runs one kernel per kind (:data:`_FAST_KERNELS`).  The kernels count
+    FAST runs one kernel per (kind, m) (:func:`_fast_kernel`).  They count
     n in doubles (n += 1.0) and form m n and n n as products of doubles:
     every counter is an exact integer below 2^53, and each product rounds
     once, to the double nearest the exact integer, as the int-to-float
@@ -344,109 +344,65 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
-    a = [1.0] + [0.0] * (m - 1)
-    total, term, R, H = _FAST_KERNELS[kind](a, _ratio_seed(x, ctx), float(x), N)
-    return total, term, max(a[1] if m > 1 else 0.0, H), R
+    total, term, R, a1, H = _fast_kernel(kind, m)(_ratio_seed(x, ctx), float(x), N)
+    return total, term, max(a1, H), R
 
 
-# The FAST kernels of _gamma_ratio_series.  Each sums terms n = 1..N of one
-# kind and returns (sum, last term, R_N, H_N), H_N being 0.0 but for
-# "mixed".  They advance R and a[] with n - 1 in ``n`` at the top of the
-# loop; a[] is updated in place.
-
-
-def _stirling_fast(a, R, xv, N):
-    js = range(len(a) - 1, 0, -1)
-    n = s = c = t = 0.0
-    for _ in range(N):
-        if n:
-            R = R * n / (n + xv)
-        n += 1.0
-        t = R * a[-1] / n
-        u = s + t
-        if s >= t:
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-        for j in js:  # descending: a[j-1] is still e_{j-1} of 1, ..., 1/(n-1)
-            a[j] = a[j] + a[j - 1] / n
-    return s + c, t, R, 0.0
-
-
-def _euler_hurwitz_fast(a, R, xv, N):
-    js, m = range(1, len(a)), float(len(a))
-    n = mn = s = c = t = 0.0
-    for _ in range(N):
-        den = n + xv
-        if n:
-            R = R * n / den
-        b, prev = 1 / den, 1.0
-        for j in js:
-            prev = a[j] = a[j] + b * prev
-        n += 1.0
-        mn += m
-        t = R * a[-1] / mn
-        u = s + t
-        if s >= t:
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-    return s + c, t, R, 0.0
-
-
-def _eta_fast(a, R, xv, N):
-    js = range(1, len(a))
-    n = s = c = t = 0.0
-    w = 1.0
-    for _ in range(N):
-        den = n + xv
-        if n:
-            R = R * n / den
-        b, prev = 1 / den, 1.0
-        for j in js:
-            prev = a[j] = a[j] + b * prev
-        n += 1.0
-        w = w / 2
-        t = w * R * a[-1]
-        u = s + t
-        if s >= t:
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-    return s + c, t, R, 0.0
-
-
-def _mixed_fast(a, R, xv, N):
-    js = range(1, len(a))
-    n = H = s = c = t = 0.0
-    for _ in range(N):
-        den = n + xv
-        if n:
-            R = R * n / den
-        b, prev = 1 / den, 1.0
-        for j in js:
-            prev = a[j] = a[j] + b * prev
-        n += 1.0
-        H = H + 1 / n
-        t = (n * H - 1) * a[-1] * R / (n * n)
-        u = s + t
-        if s >= t:
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-    return s + c, t, R, H
-
-
+# The FAST kernels of _gamma_ratio_series, one per (kind, m), built by
+# _fast_kernel.  Per kind: its extra state, its step after ``n += 1.0`` and
+# its term, in which {a} is the factor a[m-1] (empty for m = 1).
 _FAST_KERNELS = {
-    "stirling-route": _stirling_fast,
-    "euler-hurwitz": _euler_hurwitz_fast,
-    "eta": _eta_fast,
-    "mixed": _mixed_fast,
+    "euler-hurwitz": ("mn = 0.0", "mn += {m}.0", "t = R{a} / mn"),
+    "stirling-route": ("", "", "t = R{a} / n"),
+    "eta": ("w = 1.0", "w = w / 2.0", "t = w * R{a}"),
+    "mixed": ("", "H = H + 1.0 / n", "t = (n * H - 1.0){a} * R / (n * n)"),
 }
+_NEUMAIER = [  # s >= t compares as abs(s) >= abs(t) does, every term being >= 0
+    "u = s + t",
+    "if s >= t:",
+    "    c += (s - u) + t",
+    "else:",
+    "    c += (t - u) + s",
+    "s = u",
+]
+_KERNELS: Dict[Tuple[str, int], Callable] = {}
+
+
+def _fast_kernel(kind: str, m: int) -> Callable:
+    """The FAST kernel of :func:`_gamma_ratio_series` for ``kind`` and order
+    m in 1..MAX_ORDER, compiled at its first request and cached.
+
+    kernel(R_1, x, N) sums terms n = 1..N and returns (sum, last term, R_N,
+    a[1], H_N), a[1] being 0.0 for m = 1 and H_N 0.0 but for "mixed".  Its
+    loop is straight-line: a[1..m-1] are the locals a1..a{m-1}, and a[0] =
+    1.0 is left out of its products (b 1.0 == b and R 1.0 == R, bit for
+    bit).  R and a[] advance with n - 1 in ``n`` at the top of the loop.
+    The source is made from the integer m and :data:`_FAST_KERNELS` only.
+    """
+    if not (isinstance(m, int) and 1 <= m <= MAX_ORDER):
+        raise ValueError(f"kernel order must lie in 1..{MAX_ORDER}, got {m!r}")
+    key = (kind, m)
+    if key not in _KERNELS:
+        init, step, term = _FAST_KERNELS[kind]
+        a = ["1.0"] + [f"a{j}" for j in range(1, m)]
+        times = lambda j: f" * {a[j]}" if j else ""  # the factor a[j]
+        if kind == "stirling-route":  # a[] after the term, descending: a[j-1] is still old
+            head = ["if n:", "    R = R * n / (n + xv)"]
+            tail = [f"{a[j]} = {a[j]} + {a[j - 1]} / n" for j in range(m - 1, 0, -1)]
+        else:  # a[] before the term, ascending: a[j-1] is already new
+            head = ["den = n + xv", "if n:", "    R = R * n / den"] + ["b = 1.0 / den"] * (m > 1)
+            head += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
+            tail = []
+        body = head + ["n += 1.0", step.format(m=m), term.format(a=times(m - 1))]
+        state = " = ".join(["n", "H", "s", "c", "t"] + a[1:])
+        lines = ["def kernel(R, xv, N):", f"    {state} = 0.0", "    " + init, "    for _ in range(N):"]
+        lines += ["        " + line for line in body + _NEUMAIER + tail]
+        lines += [f"    return s + c, t, R, {a[1] if m > 1 else '0.0'}, H"]
+        source = "\n".join(line for line in lines if line.strip())
+        namespace: dict = {}
+        exec(compile(source, f"<fast kernel {kind} m={m}>", "exec"), namespace)
+        _KERNELS[key] = namespace["kernel"]
+    return _KERNELS[key]
 
 
 def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
@@ -766,7 +722,10 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
 # their integer factors stay exact at any N.  The FAST kernels count in
 # doubles, exact integers below 2^53 whose products round once, as the
 # int-to-float conversion of the integer product did, and return (sum,
-# last term).
+# last term) for N >= 1.  They take term 1 as Neumaier's first step from
+# 0 (sum t, compensation t - t, inf and nan included) and then drop the
+# step's compare: every later term is positive and no larger than the
+# first, so s >= t.
 
 
 def _ramanujan_terms(quarter_pi, b, N):
@@ -781,18 +740,16 @@ def _ramanujan_terms(quarter_pi, b, N):
 
 def _ramanujan_fast(quarter_pi, N):
     b = odd = n1 = 1.0
-    s = c = t = 0.0
-    for _ in range(N):
-        t = quarter_pi * b / odd
-        u = s + t
-        if s >= t:
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-        b = b * (odd * odd) / (4 * n1 * n1)
+    s = t = quarter_pi * b / odd
+    c = t - t
+    for _ in range(N - 1):
+        b = b * (odd * odd) / (4.0 * n1 * n1)
         odd += 2.0
         n1 += 1.0
+        t = quarter_pi * b / odd
+        u = s + t
+        c += (s - u) + t
+        s = u
     return s + c, t
 
 
@@ -808,20 +765,17 @@ def _central_terms(c, a, b, N):
 
 
 def _central_fast(a, b, N):
-    c, den, step, even, odd = 2.0, float(b), float(a), 2.0, 3.0
-    s = r = t = 0.0
-    for _ in range(N):
-        t = c / den
-        u = s + t
-        if s >= t:
-            r += (s - u) + t
-        else:
-            r += (t - u) + s
-        s = u
-        c = c * even / odd
+    c, den, step, even = 2.0, float(b), float(a), 2.0
+    s = t = c / den
+    r = t - t
+    for _ in range(N - 1):
+        c = c * even / (even + 1.0)
         den += step
         even += 2.0
-        odd += 2.0
+        t = c / den
+        u = s + t
+        r += (s - u) + t
+        s = u
     return s + r, t
 
 

@@ -205,6 +205,16 @@ class TestEval:
         assert code == 2
         assert "s must be finite" in err
 
+    @pytest.mark.parametrize("command", ["eval", "converge"])
+    @pytest.mark.parametrize("value", ["x", "1/2", ""])
+    def test_non_numeric_s_names_the_flag(self, capsys, command, value):
+        code, out, err = run_cli(
+            capsys, command, "--formula", "hasse", f"--s={value}", "--terms", "10"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --s must be a number, got {value!r}\n"
+
     @pytest.mark.parametrize(
         "command, formula, param",
         [
@@ -506,6 +516,7 @@ class TestVerifyCommand:
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--id", "no_such")
         assert code == 2
+        assert err == "error: unknown identity: no_such\n"
 
     def test_requires_mode(self, capsys):
         code, _, err = run_cli(capsys, "verify")
@@ -657,3 +668,27 @@ class TestConstants:
     def test_over_cap(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--digits", "1000000")
         assert code == 2
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, "constants", "--digits", "5")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_not_built_at_import(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import ehz.cli as c; print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"

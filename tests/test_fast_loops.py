@@ -1,10 +1,11 @@
 """The FAST series kernels against the streaming loops they replaced, bit
 for bit.
 
-The kernels of ``zs._gamma_ratio_series`` (one per kind, ``zs._FAST_KERNELS``),
-the FAST paths of ``zs.catalan_series`` and ``zs.digamma_half_sum`` add
-their own terms by Neumaier's step.  Where every term is >= 0 their
-compare is ``s >= t``, not ``abs(s) >= abs(t)``; digamma's outer sum, whose
+The kernels of ``zs._gamma_ratio_series`` (one per kind and order, built by
+``zs._fast_kernel``), the FAST paths of ``zs.catalan_series`` and
+``zs.digamma_half_sum`` add their own terms by Neumaier's step.  Where every
+term is >= 0 their compare is ``s >= t``, not ``abs(s) >= abs(t)`` (the
+central-binomial kernels drop it after term 1); digamma's outer sum, whose
 terms change sign, keeps abs().  ``zs.polylog_identity_lhs`` is summed by
 ``numerics.compensated_sum``.
 
@@ -147,6 +148,34 @@ def test_gamma_ratio_series_matches_streaming_loop(kind, m):
         for N in (0, 1, 2, 3, 50, 2000):
             got = zs._gamma_ratio_series(kind, m, x, N, FAST)
             assert bits(*got) == bits(*gamma_ratio_series(kind, m, x, N)), (x, N)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gamma_ratio_series_matches_streaming_loop_at_the_largest_order(kind):
+    for x in (F(1, 4), F(7, 4)):
+        for N in (0, 1, 2, 3, 50):
+            got = zs._gamma_ratio_series(kind, zs.MAX_ORDER, x, N, FAST)
+            assert bits(*got) == bits(*gamma_ratio_series(kind, zs.MAX_ORDER, x, N)), (x, N)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kernel_is_built_once_per_kind_and_order(kind):
+    kernel = zs._fast_kernel(kind, 5)
+    assert zs._fast_kernel(kind, 5) is kernel
+    assert zs._fast_kernel(kind, 6) is not kernel
+
+
+@pytest.mark.parametrize("m", [0, zs.MAX_ORDER + 1, -1, 2.0, "3"])
+def test_the_kernel_builder_rejects_an_order_outside_its_range(m):
+    built = dict(zs._KERNELS)
+    with pytest.raises(ValueError, match="kernel order"):
+        zs._fast_kernel("euler-hurwitz", m)
+    assert zs._KERNELS == built
+
+
+def test_the_kernel_builder_rejects_an_unknown_kind():
+    with pytest.raises(KeyError):
+        zs._fast_kernel("hasse", 2)
 
 
 #: the smallest normal double, the least shift x that evaluate accepts

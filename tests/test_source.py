@@ -87,3 +87,28 @@ def test_src_holds_no_new_code_the_cli_cannot_reach():
     assert ("zeta_series", "_gamma_ratio_result") in reached  # the scan follows calls
     unreached = functions - reached
     assert unreached <= UNREACHED_FROM_CLI, sorted(unreached - UNREACHED_FROM_CLI)
+
+
+def _builtin_name(func):
+    """The name a call's target gives a builtin: ``f`` or ``builtins.f``
+    (``re.compile`` is not the builtin)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "builtins":
+        return func.attr
+    return None
+
+
+def test_code_is_compiled_only_by_the_fast_kernel_builder():
+    # the builder's source comes from an integer order and fixed snippets;
+    # no other code may run exec, eval or compile
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:  # a top-level statement and the function it may define
+            for sub in ast.walk(node):
+                name = _builtin_name(sub.func) if isinstance(sub, ast.Call) else None
+                if name in ("exec", "eval", "compile"):
+                    calls.add((path.stem, getattr(node, "name", None), name))
+    builder = ("zeta_series", "_fast_kernel")
+    assert calls == {builder + ("exec",), builder + ("compile",)}
