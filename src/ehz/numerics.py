@@ -9,14 +9,13 @@ Two numeric backplanes are provided and selected through a
   rounding error grows with N, about as sqrt(N) 2^-52 (40 to 400 times
   2^-52 for the gamma-ratio series at N = 1e6).
 * ``HIGH`` -- mpmath at the requested digits, for tight tolerances at small
-  N.  Sums are exact and rounded once; the gamma-ratio series sum
-  fixed-point integers, not mpfs.
+  N.  Sums are exact and rounded once; the gamma-ratio series and the
+  reference values below sum fixed-point integers, not mpfs.
 
 The FAST kernels of the hot series (the gamma-ratio series, the
 central-binomial series, the digamma sum) add their own terms by Neumaier's
-step, written out in each loop (``ehz.zeta_series``).  Every other series
-loop -- the HIGH loops, the polylogarithm sums, Euler--Maclaurin's head
-and the arctangent series behind pi -- is a generator of terms summed by
+step, written out in each loop (``ehz.zeta_series``).  The other series
+loops of ``ehz.zeta_series`` are generators of terms summed by
 :func:`compensated_sum`: Neumaier's step over doubles from a float zero,
 exact adds rounded once from an mpf zero.
 
@@ -26,13 +25,14 @@ holds a re-entrant lock while the precision is altered.  All operations are
 otherwise pure functions of immutable inputs and are safe to call from
 multiple threads.
 
-Reference constants (pi, gamma, Catalan's G, zeta(m)) are computed from
-scratch -- Machin's arctangent formula for pi, Euler--Maclaurin tail
-completion with exact Bernoulli numbers for zeta and gamma, and a
-binomial-accelerated series for G -- and are cross-checked against 50-digit
-stored literals by the test suite.  Summation order is ascending index
-everywhere; repeated calls with equal arguments return bit-identical
-values.
+The reference values -- zeta(s, x) and the constants pi (Machin), gamma
+and zeta(m) (Euler--Maclaurin with exact Bernoulli numbers) and Catalan's G
+(a binomial-accelerated series) -- are sums of integers at scale 2^P, each
+a floor losing under one unit of 2^-P, rounded once to an mpf; P keeps 32
+bits beyond the value's digits (:data:`_GUARD_BITS`).  The tests check
+them against 50-digit literals and ``mpmath.zeta``.  Summation order is
+ascending index everywhere; repeated calls with equal arguments return
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -233,49 +233,96 @@ def compensated_sum(terms: Iterable, zero=0.0) -> Tuple[Real, Real]:
 # Exact Bernoulli numbers via the tangent-number triangle.
 # ----------------------------------------------------------------------
 
+_TANGENTS: list = []  # T_1, T_2, ... built so far
+_TANGENT_COLUMN: list = []  # the triangle's last column, which ends with _TANGENTS[-1]
 _BERNOULLI_CACHE: list = []
-_BERNOULLI_LOCK = threading.Lock()
+_BERNOULLI_LOCK = threading.RLock()
 
 
 def tangent_numbers(m: int) -> list:
-    """First ``m`` tangent numbers T_1..T_m (exact integers).
+    """First ``m`` tangent numbers T_1..T_m (exact integers); T_1 = 1,
+    T_2 = 2, T_3 = 16, ...
 
-    Computed with the Knuth--Buckholtz in-place triangle; T_1 = 1, T_2 = 2,
-    T_3 = 16, ...
+    Pass k of the Knuth--Buckholtz in-place triangle sets t[i] = (i-k)
+    t[i-1] + (i-k+2) t[i] for i >= k, from t[i] = (i-1)!, and T_i is t[i]
+    after pass i.  Column j lists t[j] after passes 1..j, so it ends with
+    T_j and needs only column j - 1: the cached triangle grows by the
+    columns it lacks and never redoes one.
     """
-    if m < 1:
-        return []
-    t = [0] * (m + 1)
-    t[1] = 1
-    for k in range(2, m + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    with _BERNOULLI_LOCK:
+        col = _TANGENT_COLUMN
+        for j in range(len(_TANGENTS) + 1, m + 1):
+            new = [(j - 1) * col[0] if col else 1]
+            for k in range(2, j + 1):
+                new.append((j - k) * (col[k - 1] if k < j else 0) + (j - k + 2) * new[-1])
+            col[:] = new
+            _TANGENTS.append(new[-1])
+        return _TANGENTS[: max(m, 0)]
 
 
 def bernoulli_even(jmax: int) -> Sequence[Fraction]:
     """Exact B_2, B_4, ..., B_{2 jmax} from the tangent numbers.
 
-    Uses B_{2n} = (-1)^(n-1) * 2n * T_n / (4^n (4^n - 1)).
+    Uses B_{2n} = (-1)^(n-1) * 2n * T_n / (4^n (4^n - 1)).  The table grows
+    to the largest jmax asked for, so callers ask for the corrections their
+    loop can use.
     """
     with _BERNOULLI_LOCK:
-        if len(_BERNOULLI_CACHE) < jmax:
-            ts = tangent_numbers(jmax)
-            fresh = []
-            for n in range(1, jmax + 1):
-                p = 4**n
-                b = Fraction((-1) ** (n - 1) * 2 * n * ts[n - 1], p * (p - 1))
-                fresh.append(b)
-            _BERNOULLI_CACHE[:] = fresh
-        return list(_BERNOULLI_CACHE[:jmax])
+        ts = tangent_numbers(jmax)
+        for n in range(len(_BERNOULLI_CACHE) + 1, jmax + 1):
+            b = Fraction((-1) ** (n - 1) * 2 * n * ts[n - 1], 4**n * (4**n - 1))
+            _BERNOULLI_CACHE.append(b)
+        return _BERNOULLI_CACHE[:jmax]
 
 
 # ----------------------------------------------------------------------
-# Euler--Maclaurin engines (reference oracles only; the series under study
-# are summed term by term elsewhere).
+# Reference values in integers at scale 2^P (reference oracles only; the
+# series under study are summed term by term elsewhere).
 # ----------------------------------------------------------------------
+
+#: Bits kept beyond a value's digits: every engine below loses fewer than
+#: 2^16 units of 2^-P at up to 300 digits, under 2^-12 of the last bit of
+#: the mpf it is rounded to.
+_GUARD_BITS = 32
+
+#: Bernoulli corrections the zeta(s, x) engine may add before M doubles.
+_EM_JMAX = 120
+
+
+def _scale_bits(dps: int) -> int:
+    """P for a value of order 1 wanted at ``dps`` digits."""
+    return math.ceil(dps * math.log2(10)) + _GUARD_BITS
+
+
+def _fixed(value, P: int) -> int:
+    """floor(2^P value()) for an mpmath expression value() > 0, evaluated
+    to within 2^-10 of a unit: at P + 30 bits, and again at 20 bits more
+    than the bits of 2^P value() when value() exceeds 2^10."""
+    bits = P + 30
+    while True:
+        with working_precision(math.ceil(bits * math.log10(2)) + 1):
+            v = value()
+            if mpmath.mag(v) + P + 20 <= bits:
+                return int(mpmath.floor(mpmath.ldexp(v, P)))
+        bits = mpmath.mag(v) + P + 20
+
+
+def _unfixed(v: int, P: int, dps: int):
+    """v 2^-P as an mpf at ``dps`` digits: the engines' one rounding."""
+    with working_precision(dps):
+        return mpmath.ldexp(mpf(v), -P)
+
+
+def _inv_powers(s: Fraction, x: Fraction, ks, P: int) -> list:
+    """[floor(2^P (k+x)^-s) for k in ks]: the only code that knows whether
+    s is an integer.  Integer s is exact; other s take the mpf power at
+    2^-10 of a unit, so their floor loses under 1 + 2^-10 units."""
+    p, d = x.numerator, x.denominator
+    if s.denominator == 1:
+        top = d ** s.numerator << P
+        return [top // (d * k + p) ** s.numerator for k in ks]
+    sv = lambda: mpf(s.numerator) / s.denominator
+    return [_fixed(lambda k=k: (mpf(d * k + p) / d) ** -sv(), P) for k in ks]
 
 
 def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:
@@ -283,34 +330,31 @@ def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:
 
     Direct sum to M terms, then the integral, half-term and Bernoulli
     corrections; M doubles until a correction is below 10^-(digits+4) of the
-    sum, skipping each M that :func:`_em_can_reach` rules out.
+    sum, skipping each M that :func:`_em_can_reach` rules out.  Each attempt
+    (:func:`_em_attempt`) sums integers at scale 2^P, s and x exact
+    rationals, and rounds once to an mpf at ctx.dps + 5 digits.  The
+    remainder is a small multiple of the last correction (F. Johansson,
+    Numer. Algorithms 69, 2015); the tests hold the value to 10^-(digits+3)
+    relative against ``mpmath.zeta``.
     """
-    sf = float(s)
-    xf = float(x)
-    if sf <= 1.0:
+    if float(s) <= 1.0:
         raise DomainError("hurwitz zeta reference requires s > 1")
-    if xf <= 0.0:
+    if float(x) <= 0.0:
         raise DomainError("hurwitz zeta reference requires x > 0")
-    dps = ctx.dps + 5
-    with working_precision(dps):
-        s_mp = mpf(s) if not isinstance(s, Fraction) else mpf(s.numerator) / s.denominator
-        x_mp = mpf(x) if not isinstance(x, Fraction) else mpf(x.numerator) / x.denominator
-        eps = mpf(10) ** (-(ctx.digits + 4))
-        M = max(20, int(0.8 * dps) + 4)
-        for _ in range(6):
-            reachable = _em_can_reach(sf, xf, M, ctx.digits + 4)
-            value = _em_once(s_mp, x_mp, M, eps) if reachable else None
+    s, x = Fraction(s), Fraction(x)
+    M = max(20, int(0.8 * (ctx.dps + 5)) + 4)
+    for _ in range(6):
+        if _em_can_reach(float(s), float(x), M, ctx.digits + 4):
+            value = _em_attempt(s, x, M, ctx.digits + 4, ctx.dps + 5)
             if value is not None:
-                break
-            M *= 2
-        else:
-            raise NumericError("Euler-Maclaurin tail failed to converge")
-    return value if ctx.mode is Mode.HIGH else float(value)
+                return value if ctx.mode is Mode.HIGH else float(value)
+        M *= 2
+    raise NumericError("Euler-Maclaurin tail failed to converge")
 
 
-def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = 120) -> bool:
-    """False when _em_once at M must fail: correction j <= jmax is at least
-    2 (s)_{2j-1} / (2 pi (M+x))^(2j) (M+x)^(1-s), never below 10^-digits
+def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = _EM_JMAX) -> bool:
+    """False when _em_attempt at M must fail: correction j <= jmax is at
+    least 2 (s)_{2j-1} / (2 pi (M+x))^(2j) (M+x)^(1-s), never below 10^-digits
     (x^-s + x^(1-s) / (s-1)) >= 10^-digits zeta(s, x)."""
     lb = math.log(M + x)
     # log(10^-digits zeta bound) + 1 of slack, less the correction's j-free terms
@@ -320,91 +364,100 @@ def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = 120) -> b
     return any(math.lgamma(s + 2 * j - 1) - 2 * j * c < target for j in range(1, jmax + 1))
 
 
-def _em_once(s_mp, x_mp, M: int, eps):
-    head, _ = compensated_sum(((k + x_mp) ** (-s_mp) for k in range(M)), mpf(0))
-    base = M + x_mp
-    total = head + base ** (1 - s_mp) / (s_mp - 1) + base ** (-s_mp) / 2
-    # Bernoulli corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * base^(-s-2j+1)
-    jmax = 120
-    bs = bernoulli_even(jmax)
-    poch = s_mp  # (s)_{2j-1} built incrementally
-    power = base ** (-s_mp - 1)
-    fact = mpf(2)  # (2j)!
-    inv_b2 = 1 / (base * base)
-    prev = None
-    for j in range(1, jmax + 1):
-        b = mpf(bs[j - 1].numerator) / bs[j - 1].denominator
-        term = b / fact * poch * power
-        total += term
-        at = abs(term)
-        if at < eps * abs(total):
-            return total
-        if prev is not None and at > prev:
+def _em_attempt(s: Fraction, x: Fraction, M: int, digits: int, dps: int):
+    """One Euler--Maclaurin sum for zeta(s, x), or None once the corrections
+    grow (M must rise).  With x = p/d and W = floor(2^(P+g) (M+x)^-s):
+
+    sum_{k<M} floor(2^P (k+x)^-s) + floor(W (M+x) / ((s-1) 2^g))
+    + floor(W / 2^(g+1)) + sum_j floor(W c_j / 2^g), where the exact
+    c_j = B_2j (s)_{2j-1} d^(2j-1) / ((2j)! (dM+p)^(2j-1)) run until one
+    term is below 10^-digits of the sum.  Each floor loses under a unit of
+    2^-P (1 + 2^-10 for a non-integer power) and W's floor under 1/2 in
+    all, as 2^g > 4 (M+x) / (s-1).  P adds the bits of 1/zeta_low,
+    zeta_low = max(x^-s, x^(1-s) / (s-1)) <= zeta(s, x), to :func:`_scale_bits`.
+    """
+    p, d, a, b = x.numerator, x.denominator, s.numerator, s.denominator
+    lx, sf = math.log2(p) - math.log2(d), a / b
+    P = _scale_bits(dps) + max(0, math.ceil(min(sf * lx, (sf - 1) * lx + math.log2(sf - 1))))
+    base = d * M + p  # M + x = base / d
+    g = (base * b // (d * (a - b))).bit_length() + 2
+    W = _inv_powers(s, x, [M], P + g)[0]
+    total = sum(_inv_powers(s, x, range(M), P)) + (W >> (g + 1))
+    total += W * base * b // (d * (a - b) << g)
+    num, den, ten, prev = a * d, 2 * b * base, 10**digits, None  # num / den = c_j / B_2j
+    for j, B in enumerate(bernoulli_even(_EM_JMAX), start=1):
+        t = W * B.numerator * num // (B.denominator * den << g)
+        total += t
+        if abs(t) * ten < total:
+            return _unfixed(total, P, dps)
+        if prev is not None and abs(t) > prev:
             return None  # divergent regime: raise M and retry
-        prev = at
-        poch *= (s_mp + 2 * j - 1) * (s_mp + 2 * j)
-        power *= inv_b2
-        fact *= (2 * j + 1) * (2 * j + 2)
+        prev = abs(t)
+        num *= (a + (2 * j - 1) * b) * (a + 2 * j * b) * d * d
+        den *= (2 * j + 1) * (2 * j + 2) * b * b * base * base
     return None
 
 
 def _gamma_em(dps: int):
-    """Euler's constant at ``dps`` digits: H_M - ln M - 1/(2M) + EM tail."""
-    with working_precision(dps + 5):
-        M = max(30, int(0.45 * dps) + 10)
-        h = Fraction(0)
-        for k in range(1, M + 1):
-            h += Fraction(1, k)
-        g = mpf(h.numerator) / h.denominator - mpmath.ln(M) - mpf(1) / (2 * M)
-        eps = mpf(10) ** (-(dps + 3))
-        m2 = mpf(M) ** 2
-        power = m2
-        prev = None
-        for j, b in enumerate(bernoulli_even(240), start=1):
-            term = (mpf(b.numerator) / b.denominator) / (2 * j) / power
-            g += term
-            at = abs(term)
-            if at < eps:
-                return +g
-            if prev is not None and at > prev:
-                break
-            prev = at
-            power *= m2
-        raise NumericError("gamma tail did not reach target accuracy; raise M")
+    """Euler's constant at ``dps`` digits: H_M - ln M - 1/(2M) + EM tail, as
+    sum_k floor(2^P / k), ln M floored from mpmath and the corrections
+    floor(2^P B_2j / (2j M^(2j))) until one is below 10^-(dps+3).  Those
+    take the first J Bernoulli numbers, J where the bound 2 zeta(2) (2j-1)!
+    / (2 pi M)^(2j) on correction j is below that (at most 240).
+    """
+    M = max(30, int(0.45 * dps) + 10)
+    P, c = _scale_bits(dps + 5), math.log(2 * math.pi * M)
+    cut = (dps + 3) * math.log(10) + math.log(math.pi**2 / 3) + 1.0  # 2 zeta(2), and e spare
+    J = next((j for j in range(1, 241) if math.lgamma(2 * j) - 2 * j * c < -cut), 240)
+    one, ten, power, prev = 1 << P, 10 ** (dps + 3), 1, None
+    g = sum(one // k for k in range(1, M + 1)) - _fixed(lambda: mpmath.ln(M), P) - one // (2 * M)
+    for j, B in enumerate(bernoulli_even(J), start=1):
+        power *= M * M
+        t = (B.numerator << P) // (B.denominator * 2 * j * power)
+        g += t
+        if abs(t) * ten < one:
+            return _unfixed(g, P, dps + 5)
+        if prev is not None and abs(t) > prev:
+            break
+        prev = abs(t)
+    raise NumericError("gamma tail did not reach target accuracy; raise M")
 
 
-def _atan_recip(q: int):
-    """arctan(1/q) by its alternating Taylor series (exact-integer powers)."""
-    q2 = q * q
-    eps = mpf(10) ** (-(mpmath.mp.dps + 2))
-
-    def terms():
-        term, k = mpf(1) / q, 0
-        while abs(term) > eps:
-            yield term if k % 2 == 0 else -term
+def _pi_fixed(P: int) -> int:
+    """2^P pi by Machin's formula 16 arctan(1/5) - 4 arctan(1/239), each
+    arctan(1/q) the sum of floor(2^P / q^(2k+1)) // (2k+1) with alternating
+    signs: under 2 units lost per term, 8 P in all."""
+    def atan_recip(q):
+        power = total = (1 << P) // q
+        k = 0
+        while power:
             k += 1
-            term = term / q2 * (2 * k - 1) / (2 * k + 1)
+            power //= q * q
+            total += (-1) ** k * (power // (2 * k + 1))
+        return total
 
-    return compensated_sum(terms(), mpf(0))[0]
+    return 16 * atan_recip(5) - 4 * atan_recip(239)
 
 
 def _pi_machin(dps: int):
-    with working_precision(dps + 5):
-        return +(16 * _atan_recip(5) - 4 * _atan_recip(239))
+    P = _scale_bits(dps + 5)
+    return _unfixed(_pi_fixed(P), P, dps + 5)
 
 
 def _catalan_series(dps: int):
     """G = 3/8 * sum 1/((2n+1)^2 C(2n,n)) + pi/8 * ln(2 + sqrt 3).
 
-    The series term decays like 4^-n, so n runs to about 1.7 * dps.
+    The series term decays like 4^-n, so n runs to about 1.7 * dps.  In
+    integers at scale 2^P: one floor per term, pi from :func:`_pi_fixed`
+    and ln(2 + sqrt 3) floored from mpmath.
     """
-    with working_precision(dps + 5):
-        nmax = int(1.8 * dps) + 10
-        s = Fraction(0)
-        for n in range(nmax):
-            s += Fraction(1, (2 * n + 1) ** 2 * math.comb(2 * n, n))
-        part = mpf(s.numerator) / s.denominator
-        return +(mpf(3) / 8 * part + _pi_machin(dps) / 8 * mpmath.ln(2 + mpmath.sqrt(3)))
+    P = _scale_bits(dps + 5)
+    s, c = 0, 1  # c = C(2n, n)
+    for n in range(int(1.8 * dps) + 10):
+        s += (1 << P) // ((2 * n + 1) ** 2 * c)
+        c = c * 2 * (2 * n + 1) // (n + 1)
+    log = _fixed(lambda: mpmath.ln(2 + mpmath.sqrt(3)), P)
+    return _unfixed((3 * s << P) + _pi_fixed(P) * log, 2 * P + 3, dps + 5)
 
 
 # ----------------------------------------------------------------------
@@ -474,3 +527,5 @@ def clear_caches() -> None:
         _CONST_CACHE.clear()
     with _BERNOULLI_LOCK:
         _BERNOULLI_CACHE.clear()
+        _TANGENTS.clear()
+        _TANGENT_COLUMN.clear()

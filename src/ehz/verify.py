@@ -85,6 +85,7 @@ class Identity:
     quick: Dict[str, object]
     full: Dict[str, object]
     runner: Callable[[Dict[str, object]], Iterator[Report]]
+    caps: Dict[str, int]  # the largest override of each integer sweep parameter
 
 
 def _text(v) -> str:
@@ -371,11 +372,14 @@ def _shen_rows(N: int) -> List[Row]:
 def _registry() -> List[Identity]:
     ids: List[Identity] = []
 
-    def add(id_, kind, desc, quick, full, runner):
-        ids.append(Identity(id_, kind, desc, quick, full, runner))
+    def add(id_, kind, desc, quick, full, runner, caps=None):
+        # an override may ask for up to 4 times the full sweep, unless caps says
+        # less (the times quoted are single runs on a 2-vCPU host)
+        caps = {k: 4 * v for k, v in full.items() if isinstance(v, int)} | (caps or {})
+        ids.append(Identity(id_, kind, desc, quick, full, runner, caps))
 
-    def exact(id_, desc, quick, full, grid, sides):
-        add(id_, Kind.EXACT, desc, quick, full, _exact(id_, grid, sides))
+    def exact(id_, desc, quick, full, grid, sides, caps=None):
+        add(id_, Kind.EXACT, desc, quick, full, _exact(id_, grid, sides), caps)
 
     for m in (1, 2, 3):
         exact(
@@ -393,6 +397,7 @@ def _registry() -> List[Identity]:
         {"n_max": 100, "m_max": 8},
         _grid(n=1, m=1),
         lambda n, m: (harmonic.alt_binom_sum(n, m), harmonic.alt_binom_sum_bell(n, m)),
+        {"m_max": 12},  # over 60 s at m_max 32 with n_max 400
     )
     for v in (1, 2):
         exact(
@@ -436,6 +441,7 @@ def _registry() -> List[Identity]:
         {"n_max": 50, "q_max": 5, "xs": ["1", "1/2"]},
         {"n_max": 200, "q_max": 8, "xs": ["1", "1/2", "1/3", "2", "7/4", "-1/2"]},
         _run_coppo,
+        {"n_max": 400, "q_max": 16},  # 4 s each alone, 31 s together; 29 s at n_max 800
     )
     exact(
         "g_derivative",
@@ -476,6 +482,7 @@ def _registry() -> List[Identity]:
         {"n_max": 30},
         _triangle(1),
         _e44_8,
+        {"n_max": 80},  # 0.9 s; 6.5 s at 120
     )
     exact(
         "e44_9",
@@ -492,6 +499,7 @@ def _registry() -> List[Identity]:
         {"n_max": 50},
         _triangle(0),
         lambda n, r: (combinatorics.stirling1_bell(n, r), combinatorics.stirling1(n + 1, r + 1)),
+        {"n_max": 100},  # 2.3 s; over 40 s at 200
     )
     add(
         "nH_identity",
@@ -570,15 +578,16 @@ def identity_ids() -> List[str]:
 
 
 def _merge_overrides(
-    ident: str, base: Dict[str, object], overrides: Optional[Dict[str, object]]
+    identity: Identity, base: Dict[str, object], overrides: Optional[Dict[str, object]]
 ) -> Dict[str, object]:
     """The sweep parameters with the given overrides applied.
 
     Keys are n_max, q_max, m_max, terms and x (which replaces the list of
     shifts xs); None values are ignored.  An override the identity has no
-    sweep parameter for, or an integer override below 1, raises ValueError.
+    sweep parameter for, or an integer override below 1 or above the
+    identity's cap, raises ValueError.
     """
-    p = dict(base)
+    ident, p = identity.id, dict(base)
     unknown = []
     for key, value in (overrides or {}).items():
         if value is None:
@@ -591,6 +600,8 @@ def _merge_overrides(
             p[param] = [str(value)]
         elif int(value) < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+        elif int(value) > identity.caps[param]:
+            raise ValueError(f"{flag} must be <= {identity.caps[param]} for {ident}, got {value}")
         else:
             p[param] = int(value)
     if unknown:
@@ -610,7 +621,7 @@ def run_identity(
         raise KeyError(f"unknown identity: {ident}")
     identity = _BY_ID[ident]
     base = identity.full if profile is Profile.FULL else identity.quick
-    params = _merge_overrides(ident, base, overrides)
+    params = _merge_overrides(identity, base, overrides)
     try:
         return list(identity.runner(params))
     except (ArithmeticError, LookupError, ValueError) as exc:

@@ -325,17 +325,18 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)), "eta"
     (2^-n R_n a[m-1], a[j] = h_j) or "mixed" ((n H_n - 1) R_n a[m-1] / n^2,
     a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
-    harmonic number behind the tail's log offset.  HIGH is fixed-point.
+    harmonic number behind the tail's log offset.  HIGH is fixed-point
+    (:func:`_fixed_point_series`).
 
-    FAST runs one kernel per (kind, m) (:func:`_fast_kernel`).  They count
+    Each mode runs one kernel per (kind, m) (:func:`_kernel`).  FAST's count
     n in doubles (n += 1.0) and form m n and n n as products of doubles:
     every counter is an exact integer below 2^53, and each product rounds
     once, to the double nearest the exact integer, as the int-to-float
     conversion of the integer product did.  So every term is bit for bit the
     one that int counters give.
 
-    Each kernel adds its own terms by Neumaier's step, written out in its
-    loop, with ``s >= t`` where ``numerics.compensated_sum`` compares
+    Each FAST kernel adds its own terms by Neumaier's step, written out in
+    its loop, with ``s >= t`` where ``numerics.compensated_sum`` compares
     ``abs(s) >= abs(t)``.  Every term is >= 0, since x > 0 makes R_n, every
     1/(i+x), every a[j] and every weight non-negative, and n H_n - 1 >= 0;
     so the running sum s is >= 0 too, and the two compares agree on every
@@ -344,18 +345,25 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
-    total, term, R, a1, H = _fast_kernel(kind, m)(_ratio_seed(x, ctx), float(x), N)
+    total, term, R, a1, H = _kernel(Mode.FAST, kind, m)(_ratio_seed(x, ctx), float(x), N)
     return total, term, max(a1, H), R
 
 
-# The FAST kernels of _gamma_ratio_series, one per (kind, m), built by
-# _fast_kernel.  Per kind: its extra state, its step after ``n += 1.0`` and
-# its term, in which {a} is the factor a[m-1] (empty for m = 1).
-_FAST_KERNELS = {
-    "euler-hurwitz": ("mn = 0.0", "mn += {m}.0", "t = R{a} / mn"),
-    "stirling-route": ("", "", "t = R{a} / n"),
-    "eta": ("w = 1.0", "w = w / 2.0", "t = w * R{a}"),
-    "mixed": ("", "H = H + 1.0 / n", "t = (n * H - 1.0){a} * R / (n * n)"),
+# The kernels of _gamma_ratio_series, one per (mode, kind, m), built by
+# _kernel.  Per kind: FAST's extra state, FAST's step after ``n += 1.0`` and
+# HIGH's step after ``n += 1``, which adds term n to ``total``.  {a} is the
+# factor a[m-1] (empty for FAST at m = 1).
+_KERNEL_STEPS = {
+    "euler-hurwitz": (
+        "mn = 0.0", "mn += {m}.0\nt = R{a} / mn", "t = R{a}\ntotal += (t >> (P + e)) // ({m} * n)"
+    ),
+    "stirling-route": ("", "t = R{a} / n", "t = R{a}\ntotal += (t >> (P + e)) // n"),
+    "eta": ("w = 1.0", "w = w / 2.0\nt = w * R{a}", "t = R{a}\ntotal += t >> (P + e + n)"),
+    "mixed": (  # HIGH: (n H_n - 1) / n^2 = H_{n-1} / n
+        "",
+        "H = H + 1.0 / n\nt = (n * H - 1.0){a} * R / (n * n)",
+        "t = (R{a} >> P) * H\nH += one // n\ntotal += (t >> (P + e)) // n",
+    ),
 }
 _NEUMAIER = [  # s >= t compares as abs(s) >= abs(t) does, every term being >= 0
     "u = s + t",
@@ -365,48 +373,76 @@ _NEUMAIER = [  # s >= t compares as abs(s) >= abs(t) does, every term being >= 0
     "    c += (t - u) + s",
     "s = u",
 ]
-_KERNELS: Dict[Tuple[str, int], Callable] = {}
+_R_STEP = [  # HIGH: R_n keeps P + 1 significant bits, at scale 2^(P+e)
+    "k = d * n",
+    "den = k + p",
+    "if n:",
+    "    R = R * k // den",
+    "    sh = P1 - R.bit_length()",
+    "    if sh > 0:",
+    "        R <<= sh",
+    "        e += sh",
+]
+_KERNELS: Dict[Tuple[Mode, str, int], Callable] = {}
 
 
-def _fast_kernel(kind: str, m: int) -> Callable:
-    """The FAST kernel of :func:`_gamma_ratio_series` for ``kind`` and order
-    m in 1..MAX_ORDER, compiled at its first request and cached.
+def _kernel(mode: Mode, kind: str, m: int) -> Callable:
+    """The loop of :func:`_gamma_ratio_series` for ``mode``, ``kind`` and
+    order m in 1..MAX_ORDER, compiled at its first request and cached.
 
-    kernel(R_1, x, N) sums terms n = 1..N and returns (sum, last term, R_N,
-    a[1], H_N), a[1] being 0.0 for m = 1 and H_N 0.0 but for "mixed".  Its
-    loop is straight-line: a[1..m-1] are the locals a1..a{m-1}, and a[0] =
-    1.0 is left out of its products (b 1.0 == b and R 1.0 == R, bit for
-    bit).  R and a[] advance with n - 1 in ``n`` at the top of the loop.
-    The source is made from the integer m and :data:`_FAST_KERNELS` only.
+    FAST: kernel(R_1, x, N) sums terms n = 1..N in doubles and returns
+    (sum, last term, R_N, a[1], H_N).  HIGH: kernel(R_1 2^(P+e), e, p, d, P,
+    N), x = p/d, runs :func:`_fixed_point_series`'s integer steps and returns
+    (sum 2^P, last term 2^(2P+e), e, R_N 2^(P+e), a[1] 2^P, H_N 2^P).  a[1]
+    is 0 for m = 1 and H_N 0 but for "mixed".  The loop is straight-line:
+    a[1..m-1] are the locals a1..a{m-1}, a[0] is ``one`` = 2^P in HIGH and
+    the literal 1.0 in FAST, where it is left out of products (b 1.0 == b
+    and R 1.0 == R, bit for bit).  R and a[] advance with n - 1 in ``n`` at
+    the top of the loop.  The source is made from the integer m,
+    :data:`_KERNEL_STEPS` and the fixed lines here only.
     """
     if not (isinstance(m, int) and 1 <= m <= MAX_ORDER):
         raise ValueError(f"kernel order must lie in 1..{MAX_ORDER}, got {m!r}")
-    key = (kind, m)
+    key = (mode, kind, m)
     if key not in _KERNELS:
-        init, step, term = _FAST_KERNELS[kind]
-        a = ["1.0"] + [f"a{j}" for j in range(1, m)]
-        times = lambda j: f" * {a[j]}" if j else ""  # the factor a[j]
+        init, fast_step, high_step = _KERNEL_STEPS[kind]
+        fast = mode is Mode.FAST
+        a = ["1.0" if fast else "one"] + [f"a{j}" for j in range(1, m)]
+        times = lambda j: "" if a[j] == "1.0" else f" * {a[j]}"  # the factor a[j]
+        tail = []
         if kind == "stirling-route":  # a[] after the term, descending: a[j-1] is still old
-            head = ["if n:", "    R = R * n / (n + xv)"]
-            tail = [f"{a[j]} = {a[j]} + {a[j - 1]} / n" for j in range(m - 1, 0, -1)]
-        else:  # a[] before the term, ascending: a[j-1] is already new
+            head = ["if n:", "    R = R * n / (n + xv)"] if fast else _R_STEP
+            div = "/" if fast else "//"
+            tail = [f"{a[j]} = {a[j]} + {a[j - 1]} {div} n" for j in range(m - 1, 0, -1)]
+        elif fast:  # a[] before the term, ascending: a[j-1] is already new
             head = ["den = n + xv", "if n:", "    R = R * n / den"] + ["b = 1.0 / den"] * (m > 1)
             head += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
-            tail = []
-        body = head + ["n += 1.0", step.format(m=m), term.format(a=times(m - 1))]
-        state = " = ".join(["n", "H", "s", "c", "t"] + a[1:])
-        lines = ["def kernel(R, xv, N):", f"    {state} = 0.0", "    " + init, "    for _ in range(N):"]
-        lines += ["        " + line for line in body + _NEUMAIER + tail]
-        lines += [f"    return s + c, t, R, {a[1] if m > 1 else '0.0'}, H"]
+        else:  # the same in integers
+            head = _R_STEP + [f"{a[j]} = {a[j]} + {a[j - 1]} * d // den" for j in range(1, m)]
+        step = (fast_step if fast else high_step).format(m=m, a=times(m - 1)).split("\n")
+        if fast:
+            state, zero, ret = ["n", "H", "s", "c", "t"], "0.0", "s + c, t, R"
+            lines = ["def kernel(R, xv, N):"]
+            body = head + ["n += 1.0"] + step + _NEUMAIER + tail
+        else:
+            state, zero, ret = ["n", "H", "total", "t"], "0", "total, t, e, R"
+            lines = ["def kernel(R, e, p, d, P, N):"]
+            init = "one, P1 = 1 << P, P + 1"
+            body = head + ["n += 1"] + step + tail
+        lines += [f"    {' = '.join(state + a[1:])} = {zero}", "    " + init]
+        lines += ["    for _ in range(N):"]
+        lines += ["        " + line for line in body]
+        lines += [f"    return {ret}, {a[1] if m > 1 else zero}, H"]
         source = "\n".join(line for line in lines if line.strip())
         namespace: dict = {}
-        exec(compile(source, f"<fast kernel {kind} m={m}>", "exec"), namespace)
+        exec(compile(source, f"<{mode.value.lower()} kernel {kind} m={m}>", "exec"), namespace)
         _KERNELS[key] = namespace["kernel"]
     return _KERNELS[key]
 
 
 def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
-    """:func:`_gamma_ratio_series` in integers at scale 2^P, rounded once.
+    """:func:`_gamma_ratio_series` in integers at scale 2^P, rounded once;
+    its loop is the HIGH :func:`_kernel`.
 
     With x = p/d exact, each step is a floor: R_n = floor(R_{n-1} d(n-1) /
     (d(n-1)+p)), a[j] += floor(a[j-1] d / (d(n-1)+p)) or floor(a[j-1] / n),
@@ -438,35 +474,13 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
     P -= ratio.denominator.bit_length()
     e = max(0, p.bit_length() - d.bit_length() + 1)
-    R = (d << (P + e)) // p  # R_n 2^(P+e)
-    a = [1 << P] + [0] * (m - 1)  # a[j] 2^P
-    w = m if kind == "euler-hurwitz" else 1
-    total = t = H = 0  # H: H_{n-1} 2^P
-    for n in range(1, N + 1):
-        k = d * (n - 1)
-        if n > 1:
-            R = R * k // (k + p)
-            shift = max(0, P + 1 - R.bit_length())
-            R, e = R << shift, e + shift
-        if kind != "stirling-route":
-            for j in range(1, m):
-                a[j] += a[j - 1] * d // (k + p)
-        t = R * a[-1]  # R_n a[m-1] 2^(2P+e)
-        if kind == "mixed":  # (n H_n - 1) / n^2 = H_{n-1} / n
-            t = (t >> P) * H
-            H += (1 << P) // n
-        if kind == "eta":
-            total += t >> (P + e + n)
-        else:
-            total += (t >> (P + e)) // (w * n)
-        if kind == "stirling-route":  # a held e_j of 1, ..., 1/(n-1)
-            for j in range(m - 1, 0, -1):
-                a[j] += a[j - 1] // n
+    R = (d << (P + e)) // p  # R_1 2^(P+e)
+    total, t, e, R, a1, H = _kernel(Mode.HIGH, kind, m)(R, e, p, d, P, N)
     with ctx.scope():
         value = mpmath.ldexp(mpf(total), -P)
+    w = m if kind == "euler-hurwitz" else 1
     last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
-    h = max(a[1] if m > 1 else 0, H)
-    return value, last, _to_float(h, 1 << P), _to_float(R, 1 << (P + e))
+    return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
 
 
 def _gamma_ratio_result(kind: str, m: int, x, N: int, ctx: PrecisionContext, scale=1):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -72,3 +73,98 @@ class _ExactSum(NeumaierSum):
     @property
     def total(self):
         return +self._sum
+
+
+def fixed_point_series(kind, m, x, N, ctx):
+    """ORACLE: the generic integer loop of ``zeta_series._fixed_point_series``
+    (same P, same floors, one branch per kind inside the loop), which the
+    HIGH kernels of ``zeta_series._kernel`` replaced.  Returns (sum, last
+    term, h, R_N) as ``_gamma_ratio_series`` does."""
+    from ehz.zeta_series import _to_float
+
+    p, d = x.numerator, x.denominator
+    L = 1 / x + 1 + N.bit_length()
+    E = 2 * N * m * (1 + 1 / x) * L ** (m - 1)
+    if kind == "stirling-route":
+        low = 1 / (m * math.prod(k + x for k in range(m)))
+    elif kind == "mixed":
+        low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
+    else:
+        low = x**-m / (m if kind == "euler-hurwitz" else 2)
+    ratio = E / low
+    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
+    P -= ratio.denominator.bit_length()
+    e = max(0, p.bit_length() - d.bit_length() + 1)
+    R = (d << (P + e)) // p
+    a = [1 << P] + [0] * (m - 1)
+    w = m if kind == "euler-hurwitz" else 1
+    total = t = H = 0
+    for n in range(1, N + 1):
+        k = d * (n - 1)
+        if n > 1:
+            R = R * k // (k + p)
+            shift = max(0, P + 1 - R.bit_length())
+            R, e = R << shift, e + shift
+        if kind != "stirling-route":
+            for j in range(1, m):
+                a[j] += a[j - 1] * d // (k + p)
+        t = R * a[-1]
+        if kind == "mixed":
+            t = (t >> P) * H
+            H += (1 << P) // n
+        if kind == "eta":
+            total += t >> (P + e + n)
+        else:
+            total += (t >> (P + e)) // (w * n)
+        if kind == "stirling-route":
+            for j in range(m - 1, 0, -1):
+                a[j] += a[j - 1] // n
+    with ctx.scope():
+        value = mpmath.ldexp(mpmath.mpf(total), -P)
+    last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
+    h = max(a[1] if m > 1 else 0, H)
+    return value, last, _to_float(h, 1 << P), _to_float(R, 1 << (P + e))
+
+
+def hurwitz_zeta_mpf(s, x, ctx):
+    """ORACLE: ``numerics.hurwitz_zeta_em`` as it was summed in mpfs at
+    ctx.dps + 5 digits (one rounding per power and per correction), with the
+    same M, retry and stopping rule as the integer engine that replaced it."""
+    from ehz.numerics import _em_can_reach, bernoulli_even
+
+    dps = ctx.dps + 5
+    with working_precision(dps):
+        s_mp, x_mp = (mpmath.mpf(v.numerator) / v.denominator for v in (Fraction(s), Fraction(x)))
+        eps = mpmath.mpf(10) ** (-(ctx.digits + 4))
+        M = max(20, int(0.8 * dps) + 4)
+        for _ in range(6):
+            if _em_can_reach(float(s), float(x), M, ctx.digits + 4):
+                value = _em_once(s_mp, x_mp, M, eps, bernoulli_even(120))
+                if value is not None:
+                    return value
+            M *= 2
+    raise ArithmeticError("Euler-Maclaurin tail failed to converge")
+
+
+def _em_once(s_mp, x_mp, M, eps, bs):
+    total = mpmath.mpf(0)
+    for k in range(M):
+        total = mpmath.fadd(total, (k + x_mp) ** (-s_mp), exact=True)
+    base = M + x_mp
+    total = +total + base ** (1 - s_mp) / (s_mp - 1) + base ** (-s_mp) / 2
+    poch, power, fact = s_mp, base ** (-s_mp - 1), mpmath.mpf(2)
+    inv_b2 = 1 / (base * base)
+    prev = None
+    for j, b in enumerate(bs, start=1):
+        term = mpmath.mpf(b.numerator) / b.denominator / fact * poch * power
+        total += term
+        at = abs(term)
+        if at < eps * abs(total):
+            return total
+        if prev is not None and at > prev:
+            return None
+        prev = at
+        poch *= (s_mp + 2 * j - 1) * (s_mp + 2 * j)
+        power *= inv_b2
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return None

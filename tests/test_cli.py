@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from ehz import cli, numerics
+from ehz import cli, numerics, verify
 
 
 def run_cli(capsys, *argv):
@@ -561,6 +562,26 @@ class TestVerifyCommand:
         assert out == ""
         assert f"{flag} must be >= 1, got {value}" in err
 
+    @pytest.mark.parametrize(
+        "ident, flag, cap",
+        [("spiess_15c", "--n-max", 800), ("coppo_30", "--n-max", 400), ("coppo_30", "--q-max", 16)],
+    )
+    def test_sweep_override_above_its_cap_usage_error(self, capsys, ident, flag, cap):
+        code, out, err = run_cli(capsys, "verify", "--id", ident, flag, str(2 * cap))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be <= {cap} for {ident}, got {2 * cap}\n"
+
+    def test_sweep_override_at_its_cap_accepted(self):
+        for ident, key, cap in (("spiess_15c", "n_max", 800), ("coppo_30", "n_max", 400)):
+            identity = verify._BY_ID[ident]
+            assert verify._merge_overrides(identity, identity.full, {key: cap})[key] == cap
+
+    def test_every_integer_sweep_parameter_has_a_cap(self):
+        for identity in verify._REGISTRY:
+            ints = {k for k, v in identity.full.items() if isinstance(v, int)}
+            assert set(identity.caps) == ints, identity.id
+            assert all(identity.caps[k] >= identity.full[k] for k in ints), identity.id
+
     def test_profile_honoured_with_id(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--id", "fs_6_1", "--profile", "quick")
         assert code == 0
@@ -640,6 +661,10 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
 
+#: see TestConstants.test_output_pinned_at_every_digit_count
+CONSTANTS_SHA256 = "aec7044c15ec5e285dbf54f4ee18af211c3d1b6d5eb908390da22c6b05b4c3e2"
+
+
 class TestConstants:
     def test_twenty_digits(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--digits", "20")
@@ -653,12 +678,23 @@ class TestConstants:
     def test_one_euler_maclaurin_attempt_per_zeta(self, capsys, monkeypatch, digits):
         # every zeta(m), m = 2..10, reaches its accuracy at the first M tried
         calls = []
-        em_once = numerics._em_once
-        monkeypatch.setattr(numerics, "_em_once", lambda *a: calls.append(a[2]) or em_once(*a))
+        attempt = numerics._em_attempt
+        monkeypatch.setattr(numerics, "_em_attempt", lambda *a: calls.append(a[2]) or attempt(*a))
         numerics.clear_caches()
         code, _, _ = run_cli(capsys, "constants", "--digits", digits)
         assert code == 0
         assert len(calls) == 9, calls
+
+    def test_output_pinned_at_every_digit_count(self, capsys):
+        # sha256 of the stdout of `constants --digits d` for d = 1..300,
+        # concatenated in order; recorded from the mpf engines that the
+        # integer ones replaced
+        sha = hashlib.sha256()
+        for digits in range(1, 301):
+            code, out, _ = run_cli(capsys, "constants", "--digits", str(digits))
+            assert code == 0
+            sha.update(out.encode())
+        assert sha.hexdigest() == CONSTANTS_SHA256
 
     def test_five_digits_catalan(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--digits", "5")

@@ -1,8 +1,9 @@
 """The FAST series kernels against the streaming loops they replaced, bit
 for bit.
 
-The kernels of ``zs._gamma_ratio_series`` (one per kind and order, built by
-``zs._fast_kernel``), the FAST paths of ``zs.catalan_series`` and
+The FAST kernels of ``zs._gamma_ratio_series`` (one per kind and order,
+built by ``zs._kernel``, which also writes the HIGH kernels that
+``test_zeta_series`` checks), the FAST paths of ``zs.catalan_series`` and
 ``zs.digamma_half_sum`` add their own terms by Neumaier's step.  Where every
 term is >= 0 their compare is ``s >= t``, not ``abs(s) >= abs(t)`` (the
 central-binomial kernels drop it after term 1); digamma's outer sum, whose
@@ -138,7 +139,7 @@ def result_bits(res):
 
 
 def test_every_fast_kernel_has_an_oracle():
-    assert set(zs._FAST_KERNELS) == set(KINDS)
+    assert set(zs._KERNEL_STEPS) == set(KINDS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12])
@@ -160,22 +161,26 @@ def test_gamma_ratio_series_matches_streaming_loop_at_the_largest_order(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_kernel_is_built_once_per_kind_and_order(kind):
-    kernel = zs._fast_kernel(kind, 5)
-    assert zs._fast_kernel(kind, 5) is kernel
-    assert zs._fast_kernel(kind, 6) is not kernel
+    for mode in Mode:
+        kernel = zs._kernel(mode, kind, 5)
+        assert zs._kernel(mode, kind, 5) is kernel
+        assert zs._kernel(mode, kind, 6) is not kernel
+    assert zs._kernel(Mode.HIGH, kind, 5) is not zs._kernel(Mode.FAST, kind, 5)
 
 
 @pytest.mark.parametrize("m", [0, zs.MAX_ORDER + 1, -1, 2.0, "3"])
 def test_the_kernel_builder_rejects_an_order_outside_its_range(m):
     built = dict(zs._KERNELS)
     with pytest.raises(ValueError, match="kernel order"):
-        zs._fast_kernel("euler-hurwitz", m)
+        zs._kernel(Mode.FAST, "euler-hurwitz", m)
+    with pytest.raises(ValueError, match="kernel order"):
+        zs._kernel(Mode.HIGH, "mixed", m)
     assert zs._KERNELS == built
 
 
 def test_the_kernel_builder_rejects_an_unknown_kind():
     with pytest.raises(KeyError):
-        zs._fast_kernel("hasse", 2)
+        zs._kernel(Mode.FAST, "hasse", 2)
 
 
 #: the smallest normal double, the least shift x that evaluate accepts

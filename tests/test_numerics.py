@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import NeumaierSum, mp_abs_diff, mp_literal
+from conftest import NeumaierSum, hurwitz_zeta_mpf, mp_abs_diff, mp_literal
 from ehz import numerics as nu
 from ehz.numerics import Mode, PrecisionContext
 
+F = Fraction
 HIGH = PrecisionContext(30, Mode.HIGH)
 FAST = PrecisionContext(30, Mode.FAST)
 
@@ -174,6 +177,14 @@ class TestBernoulli:
         ]
 
 
+    def test_cache_grown_in_steps_matches_mpmath(self):
+        # the table extends column by column; mpmath's bernfrac is independent
+        nu.clear_caches()
+        small, grown = nu.bernoulli_even(7), nu.bernoulli_even(60)
+        assert small == grown[:7]
+        assert grown == [Fraction(*mpmath.bernfrac(2 * n)) for n in range(1, 61)]
+
+
 class TestConstants:
     @pytest.mark.parametrize("digits", [30, 50])
     def test_literal_cross_checks(self, digits):
@@ -242,8 +253,38 @@ class TestHurwitzEulerMaclaurin:
             assert lo < got < hi
             assert float(hi - lo) < 2e-20
 
+    @pytest.mark.parametrize("digits", [15, 30, 100, 300])
+    @pytest.mark.parametrize(
+        "s,x", [(2, F(1)), (3, F(1, 4)), (7, F(7, 4)), (12, F(1, 3)), (2.5, F(1, 2)), (101, F(3, 2))]
+    )
+    def test_against_the_mpf_engine(self, s, x, digits):
+        # ORACLE: the mpf sum it replaced, at the same M and stopping rule; it
+        # rounds each power and correction at ctx.dps + 5 digits
+        ctx = PrecisionContext(digits, Mode.HIGH)
+        got, want = nu.hurwitz_zeta_em(s, x, ctx), hurwitz_zeta_mpf(s, x, ctx)
+        with nu.working_precision(ctx.dps + 20):
+            assert abs(got - want) <= mpmath.mpf(10) ** -(ctx.dps + 2) * want, (got, want)
+
     def test_domain_errors(self):
         with pytest.raises(nu.DomainError):
             nu.hurwitz_zeta_em(0.5, 1, HIGH)
         with pytest.raises(nu.DomainError):
             nu.hurwitz_zeta_em(2, -1, HIGH)
+
+
+@pytest.mark.parametrize("s", list(range(2, 13)) + [2.5])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.integers(1, 10**4),
+    d=st.integers(1, 10**4),
+    digits=st.integers(15, 300),
+)
+def test_hurwitz_zeta_em_within_its_bound(s, p, d, digits):
+    # the stopping correction is below 10^-(digits+4) of the sum and the
+    # remainder is a small multiple of it; the integer rounding adds under
+    # 2^-12 of the last bit of ctx.dps + 5 digits
+    ctx, x = PrecisionContext(digits, Mode.HIGH), F(p, d)
+    got = nu.hurwitz_zeta_em(s, x, ctx)
+    with nu.working_precision(digits + 30):
+        want = mpmath.zeta(mpmath.mpf(s), mpmath.mpf(p) / d)
+        assert abs(got - want) <= mpmath.mpf(10) ** -(digits + 3) * want, (got, want)

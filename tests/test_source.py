@@ -99,7 +99,7 @@ def _builtin_name(func):
     return None
 
 
-def test_code_is_compiled_only_by_the_fast_kernel_builder():
+def test_code_is_compiled_only_by_the_kernel_builder():
     # the builder's source comes from an integer order and fixed snippets;
     # no other code may run exec, eval or compile
     calls = set()
@@ -110,5 +110,5 @@ def test_code_is_compiled_only_by_the_fast_kernel_builder():
                 name = _builtin_name(sub.func) if isinstance(sub, ast.Call) else None
                 if name in ("exec", "eval", "compile"):
                     calls.add((path.stem, getattr(node, "name", None), name))
-    builder = ("zeta_series", "_fast_kernel")
+    builder = ("zeta_series", "_kernel")
     assert calls == {builder + ("exec",), builder + ("compile",)}

@@ -1,11 +1,12 @@
 import functools
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from conftest import NeumaierSum
+from conftest import NeumaierSum, fixed_point_series
 from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz import numerics as nu
@@ -22,6 +23,11 @@ from ehz.zeta_series import (
 F = Fraction
 HIGH = PrecisionContext(30, Mode.HIGH)
 FAST = PrecisionContext(30, Mode.FAST)
+
+def bits(*values):
+    """The IEEE bit patterns, so that -0.0 differs from 0.0 and nan equals nan."""
+    return [struct.pack("<d", v) for v in values]
+
 
 #: FAST and HIGH, each at 30 and 60 digits
 ROUTE_CTX = [PrecisionContext(d, mode) for mode in (Mode.FAST, Mode.HIGH) for d in (30, 60)]
@@ -387,6 +393,19 @@ class TestKernelsMatchLiteralRoutes:
         )
         with nu.working_precision(80):
             assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, zs.MAX_ORDER])
+    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta", "mixed"])
+    def test_high_kernel_matches_generic_loop(self, kind, m):
+        # the generated HIGH kernel against the loop it replaced, bit for bit:
+        # the mpf sum, and the last term, h and R_N as doubles (inf included).
+        # At m = MAX_ORDER and x = 2^-1022, a[j] holds about 1022 j bits, and
+        # N = 300 takes 6 s per side, so that corner stops at N = 3.
+        for x in (F(1, 4), F(1), F(7, 4), F(1, 2**1022)):
+            for N in (1, 2, 3) if (m, x) == (zs.MAX_ORDER, F(1, 2**1022)) else (1, 2, 3, 300):
+                got = zs._fixed_point_series(kind, m, x, N, HIGH)
+                want = fixed_point_series(kind, m, x, N, HIGH)
+                assert got[0] == want[0] and bits(*got[1:]) == bits(*want[1:]), (x, N)
 
     @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
     def test_inner_rows(self, s_power, x):
