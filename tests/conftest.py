@@ -75,27 +75,11 @@ class _ExactSum(NeumaierSum):
         return +self._sum
 
 
-def fixed_point_series(kind, m, x, N, ctx):
+def fixed_point_loop(kind, m, R, e, p, d, P, N):
     """ORACLE: the generic integer loop of ``zeta_series._fixed_point_series``
-    (same P, same floors, one branch per kind inside the loop), which the
-    HIGH kernels of ``zeta_series._kernel`` replaced.  Returns (sum, last
-    term, h, R_N) as ``_gamma_ratio_series`` does."""
-    from ehz.zeta_series import _to_float
-
-    p, d = x.numerator, x.denominator
-    L = 1 / x + 1 + N.bit_length()
-    E = 2 * N * m * (1 + 1 / x) * L ** (m - 1)
-    if kind == "stirling-route":
-        low = 1 / (m * math.prod(k + x for k in range(m)))
-    elif kind == "mixed":
-        low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
-    else:
-        low = x**-m / (m if kind == "euler-hurwitz" else 2)
-    ratio = E / low
-    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
-    P -= ratio.denominator.bit_length()
-    e = max(0, p.bit_length() - d.bit_length() + 1)
-    R = (d << (P + e)) // p
+    (one branch per kind inside the loop), which the HIGH kernels of
+    ``zeta_series._kernel`` replaced.  Takes and returns what they do:
+    (sum 2^P, last term, e, R_N 2^(P+e), a[1] 2^P, H_N 2^P)."""
     a = [1 << P] + [0] * (m - 1)
     w = m if kind == "euler-hurwitz" else 1
     total = t = H = 0
@@ -119,11 +103,34 @@ def fixed_point_series(kind, m, x, N, ctx):
         if kind == "stirling-route":
             for j in range(m - 1, 0, -1):
                 a[j] += a[j - 1] // n
+    return total, t, e, R, a[1] if m > 1 else 0, H
+
+
+def fixed_point_series(kind, m, x, N, ctx):
+    """ORACLE: ``zeta_series._fixed_point_series`` around :func:`fixed_point_loop`
+    (same P, seed and final rounding).  Returns (sum, last term, h, R_N) as
+    ``_gamma_ratio_series`` does."""
+    from ehz.zeta_series import _to_float
+
+    p, d = x.numerator, x.denominator
+    L = 1 / x + 1 + N.bit_length()
+    E = 2 * N * m * (1 + 1 / x) * L ** (m - 1)
+    if kind == "stirling-route":
+        low = 1 / (m * math.prod(k + x for k in range(m)))
+    elif kind == "mixed":
+        low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
+    else:
+        low = x**-m / (m if kind == "euler-hurwitz" else 2)
+    ratio = E / low
+    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
+    P -= ratio.denominator.bit_length()
+    e = max(0, p.bit_length() - d.bit_length() + 1)
+    total, t, e, R, a1, H = fixed_point_loop(kind, m, (d << (P + e)) // p, e, p, d, P, N)
     with ctx.scope():
         value = mpmath.ldexp(mpmath.mpf(total), -P)
+    w = m if kind == "euler-hurwitz" else 1
     last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
-    h = max(a[1] if m > 1 else 0, H)
-    return value, last, _to_float(h, 1 << P), _to_float(R, 1 << (P + e))
+    return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
 
 
 def hurwitz_zeta_mpf(s, x, ctx):

@@ -1,6 +1,8 @@
 import math
 import random
 import struct
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -183,6 +185,28 @@ class TestBernoulli:
         small, grown = nu.bernoulli_even(7), nu.bernoulli_even(60)
         assert small == grown[:7]
         assert grown == [Fraction(*mpmath.bernfrac(2 * n)) for n in range(1, 61)]
+
+    def test_threads_growing_the_table_agree(self):
+        # the cache and the triangle's last column grow together under one lock;
+        # a lost update would pair a Bernoulli index with the wrong column
+        nu.clear_caches()
+        sizes, results = (5, 17, 30, 41, 60, 23, 8, 52), {}
+        threads = [
+            threading.Thread(target=lambda n=n: results.__setitem__(n, nu.bernoulli_even(n)))
+            for n in sizes
+        ]
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(saved)
+        assert not any(t.is_alive() for t in threads)
+        want = [Fraction(*mpmath.bernfrac(2 * n)) for n in range(1, 61)]
+        assert {n: results[n] for n in sizes} == {n: want[:n] for n in sizes}
 
 
 class TestConstants:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import NeumaierSum, fixed_point_series
+from conftest import NeumaierSum, fixed_point_loop, fixed_point_series
 from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz import numerics as nu
@@ -397,12 +397,18 @@ class TestKernelsMatchLiteralRoutes:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, zs.MAX_ORDER])
     @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta", "mixed"])
     def test_high_kernel_matches_generic_loop(self, kind, m):
-        # the generated HIGH kernel against the loop it replaced, bit for bit:
-        # the mpf sum, and the last term, h and R_N as doubles (inf included).
-        # At m = MAX_ORDER and x = 2^-1022, a[j] holds about 1022 j bits, and
+        # the generated HIGH kernel against the loop it replaced: its integers
+        # at a scale 2^64, and through _fixed_point_series the mpf sum and the
+        # last term, h and R_N as doubles (inf included), bit for bit.  At
+        # m = MAX_ORDER and x = 2^-1022, a[j] holds about 1022 j bits, and
         # N = 300 takes 6 s per side, so that corner stops at N = 3.
+        kernel = zs._kernel(Mode.HIGH, kind, m)
         for x in (F(1, 4), F(1), F(7, 4), F(1, 2**1022)):
+            p, d = x.numerator, x.denominator
+            e = max(0, p.bit_length() - d.bit_length() + 1)
             for N in (1, 2, 3) if (m, x) == (zs.MAX_ORDER, F(1, 2**1022)) else (1, 2, 3, 300):
+                seed = ((d << (64 + e)) // p, e, p, d, 64, N)
+                assert kernel(*seed) == fixed_point_loop(kind, m, *seed), (x, N)
                 got = zs._fixed_point_series(kind, m, x, N, HIGH)
                 want = fixed_point_series(kind, m, x, N, HIGH)
                 assert got[0] == want[0] and bits(*got[1:]) == bits(*want[1:]), (x, N)
