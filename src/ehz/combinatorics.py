@@ -58,6 +58,9 @@ def enumerate_partitions(n: int) -> List[Partition]:
     ks = [0] * n
 
     def rec(j: int, remaining: int) -> None:
+        if remaining == 0:  # k_j, ..., k_n are all 0
+            out.append(tuple(ks))
+            return
         if j == n:
             # k_n must absorb the leftover weight exactly
             if remaining % n == 0:
@@ -151,18 +154,27 @@ def bell_eval(xs: Sequence):
 
 
 def bell_from_partitions(xs: Sequence):
-    """Y_n by the explicit partition sum (independent oracle for bell_eval)."""
+    """Y_n by the explicit partition sum (independent oracle for bell_eval).
+
+    Exact input is summed in integers: every monomial has weight
+    sum j k_j = n, so Y_n(x) = Y_n(L x_1, L^2 x_2, ...) / L^n with L the lcm
+    of the denominators, and the arguments L^j x_j are integers.
+    """
     n = len(xs)
     if n == 0:
         return 1
-    total = xs[0] * 0
+    any_fraction = any(isinstance(v, Fraction) for v in xs)
+    exact = all(isinstance(v, (int, Fraction)) for v in xs)
+    L = math.lcm(*(Fraction(v).denominator for v in xs)) if exact else 1
+    args = [int(v * L**j) for j, v in enumerate(xs, start=1)] if exact else xs
+    total = args[0] * 0
     for part, coeff in bell_coefficients(n).items():
         mono = coeff
         for j, k in enumerate(part, start=1):
             if k:
-                mono = mono * xs[j - 1] ** k
+                mono = mono * args[j - 1] ** k
         total = total + mono
-    return total
+    return Fraction(total, L**n) if any_fraction else total
 
 
 # ----------------------------------------------------------------------

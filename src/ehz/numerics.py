@@ -12,12 +12,12 @@ Two numeric backplanes are provided and selected through a
   N.  Sums are exact and rounded once; the gamma-ratio series and the
   reference values below sum fixed-point integers, not mpfs.
 
-The FAST kernels of the hot series (the gamma-ratio series, the
-central-binomial series, the digamma sum) add their own terms by Neumaier's
-step, written out in each loop (``ehz.zeta_series``).  The other series
-loops of ``ehz.zeta_series`` are generators of terms summed by
-:func:`compensated_sum`: Neumaier's step over doubles from a float zero,
-exact adds rounded once from an mpf zero.
+The FAST kernels of the hot series (the gamma-ratio series, among them
+catalan-central and zeta2-dup; Ramanujan's series for G; the digamma sum)
+add their own terms by Neumaier's step, written out in each loop
+(``ehz.zeta_series``).  The other series loops of ``ehz.zeta_series`` are
+generators of terms summed by :func:`compensated_sum`: Neumaier's step over
+doubles from a float zero, exact adds rounded once from an mpf zero.
 
 mpmath keeps its working precision in global state, so every HIGH-mode
 computation in this package runs inside :func:`working_precision`, which

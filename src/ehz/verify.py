@@ -441,7 +441,7 @@ def _registry() -> List[Identity]:
         {"n_max": 50, "q_max": 5, "xs": ["1", "1/2"]},
         {"n_max": 200, "q_max": 8, "xs": ["1", "1/2", "1/3", "2", "7/4", "-1/2"]},
         _run_coppo,
-        {"n_max": 400, "q_max": 16},  # 4 s each alone, 31 s together; 29 s at n_max 800
+        {"n_max": 400, "q_max": 8},  # 5 s together, 5 s at (200, 16); 31 s at (400, 16)
     )
     exact(
         "g_derivative",

@@ -16,7 +16,7 @@ surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
 series use twice the final term).  Terms are summed in ascending index, so
 results are bit-reproducible.  The FAST kernels of the gamma-ratio series,
-the central-binomial series and the digamma sum add their own terms by
+Ramanujan's series for G and the digamma sum add their own terms by
 Neumaier's step, with no abs() in the compare where every term is >= 0, and
 count n in doubles (see :func:`_gamma_ratio_series`).  Every other loop is a
 generator of its terms, summed by ``numerics.compensated_sum``: Neumaier
@@ -46,8 +46,9 @@ R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
 the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2, of which mixed-q,
 zeta3-half, E45_8 and E45_10 are multiples; the Shen series is
 stirling_route at x = 1, and the nonlinear Euler sums at x = 1 are these
-series scaled (:data:`_EULER_SUMS`).  :func:`_gamma_ratio_result` gives
-all of them their tail, scale and final rounding.
+series scaled (:data:`_EULER_SUMS`), as are the central-binomial series at
+x = 1/2 (:data:`_CENTRAL_BINOMIAL`).  :func:`_gamma_ratio_result` gives all
+of them their tail, scale and final rounding.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -323,10 +324,10 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     """The gamma-ratio series' loop: (sum, last term, h, R_N).  ``kind`` is
     "euler-hurwitz" (term n = R_n a[m-1] / (m n), a[j] = h_j of 1/(i+x)),
     "stirling-route" (R_n a[m-1] / n, a[j] = e_j of 1, ..., 1/(n-1)), "eta"
-    (2^-n R_n a[m-1], a[j] = h_j) or "mixed" ((n H_n - 1) R_n a[m-1] / n^2,
-    a[j] = h_j).  h is the larger of a[1] and H_N (H_N only for "mixed"), the
-    harmonic number behind the tail's log offset.  HIGH is fixed-point
-    (:func:`_fixed_point_series`).
+    (2^-n R_n a[m-1], a[j] = h_j), "mixed" ((n H_n - 1) R_n a[m-1] / n^2,
+    a[j] = h_j) or "central" (R_n a[m-1] / (n - 1 + x), a[j] = h_j).  h is
+    the larger of a[1] and H_N (H_N only for "mixed"), the harmonic number
+    behind the tail's log offset.  HIGH is fixed-point (:func:`_fixed_point_series`).
 
     Each mode runs one kernel per (kind, m) (:func:`_kernel`).  FAST's count
     n in doubles (n += 1.0) and form m n and n n as products of doubles:
@@ -341,7 +342,9 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     1/(i+x), every a[j] and every weight non-negative, and n H_n - 1 >= 0;
     so the running sum s is >= 0 too, and the two compares agree on every
     such pair, inf and nan included (a compare with nan is False either
-    way).  The sums are bit for bit compensated_sum's.
+    way).  The sums are bit for bit compensated_sum's.  At m = 1 the terms of
+    every kind but "mixed" never increase, so the kernel peels term 1 (s = t,
+    c = t - t) and later steps drop the compare (s >= t_1 >= t).
     """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
@@ -352,11 +355,9 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
 # The kernels of _gamma_ratio_series, one per (mode, kind, m), built by
 # _kernel.  Per kind: FAST's extra state, FAST's step after ``n += 1.0`` and
 # HIGH's step after ``n += 1``, which adds term n to ``total``.  {a} is the
-# factor a[m-1] (empty for FAST at m = 1).
+# factor a[m-1] (empty for FAST at m = 1) and {mn} is m n (n at m = 1).
 _KERNEL_STEPS = {
-    "euler-hurwitz": (
-        "mn = 0.0", "mn += {m}.0\nt = R{a} / mn", "t = R{a}\ntotal += (t >> (P + e)) // ({m} * n)"
-    ),
+    "euler-hurwitz": ("", "t = R{a} / {mn}", "t = R{a}\ntotal += (t >> (P + e)) // ({m} * n)"),
     "stirling-route": ("", "t = R{a} / n", "t = R{a}\ntotal += (t >> (P + e)) // n"),
     "eta": ("w = 1.0", "w = w / 2.0\nt = w * R{a}", "t = R{a}\ntotal += t >> (P + e + n)"),
     "mixed": (  # HIGH: (n H_n - 1) / n^2 = H_{n-1} / n
@@ -364,6 +365,7 @@ _KERNEL_STEPS = {
         "H = H + 1.0 / n\nt = (n * H - 1.0){a} * R / (n * n)",
         "t = (R{a} >> P) * H\nH += one // n\ntotal += (t >> (P + e)) // n",
     ),
+    "central": ("", "t = R{a} / den", "t = R{a}\ntotal += (t >> (P + e)) * d // den"),
 }
 _NEUMAIER = [  # s >= t compares as abs(s) >= abs(t) does, every term being >= 0
     "u = s + t",
@@ -373,15 +375,13 @@ _NEUMAIER = [  # s >= t compares as abs(s) >= abs(t) does, every term being >= 0
     "    c += (t - u) + s",
     "s = u",
 ]
+_NEUMAIER_AFTER_PEEL = ["u = s + t", "c += (s - u) + t", "s = u"]  # s >= t_1 >= t
 _R_STEP = [  # HIGH: R_n keeps P + 1 significant bits, at scale 2^(P+e)
-    "k = d * n",
-    "den = k + p",
-    "if n:",
-    "    R = R * k // den",
-    "    sh = P1 - R.bit_length()",
-    "    if sh > 0:",
-    "        R <<= sh",
-    "        e += sh",
+    "R = R * k // den",
+    "sh = P1 - R.bit_length()",
+    "if sh > 0:",
+    "    R <<= sh",
+    "    e += sh",
 ]
 _KERNELS: Dict[Tuple[Mode, str, int], Callable] = {}
 
@@ -411,27 +411,34 @@ def _kernel(mode: Mode, kind: str, m: int) -> Callable:
         times = lambda j: "" if a[j] == "1.0" else f" * {a[j]}"  # the factor a[j]
         tail = []
         if kind == "stirling-route":  # a[] after the term, descending: a[j-1] is still old
-            head = ["if n:", "    R = R * n / (n + xv)"] if fast else _R_STEP
+            pre, ratio, post = [], ["R = R * n / (n + xv)"], []
             div = "/" if fast else "//"
             tail = [f"{a[j]} = {a[j]} + {a[j - 1]} {div} n" for j in range(m - 1, 0, -1)]
         elif fast:  # a[] before the term, ascending: a[j-1] is already new
-            head = ["den = n + xv", "if n:", "    R = R * n / den"] + ["b = 1.0 / den"] * (m > 1)
-            head += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
+            pre, ratio = ["den = n + xv"], ["R = R * n / den"]
+            post = ["b = 1.0 / den"] * (m > 1)
+            post += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
         else:  # the same in integers
-            head = _R_STEP + [f"{a[j]} = {a[j]} + {a[j - 1]} * d // den" for j in range(1, m)]
-        step = (fast_step if fast else high_step).format(m=m, a=times(m - 1)).split("\n")
+            post = [f"{a[j]} = {a[j]} + {a[j - 1]} * d // den" for j in range(1, m)]
+        mn = "n" if m == 1 else f"({m}.0 * n)"
+        step = (fast_step if fast else high_step).format(m=m, a=times(m - 1), mn=mn).split("\n")
         if fast:
             state, zero, ret = ["n", "H", "s", "c", "t"], "0.0", "s + c, t, R"
-            lines = ["def kernel(R, xv, N):"]
-            body = head + ["n += 1.0"] + step + _NEUMAIER + tail
+            lines, count, add = ["def kernel(R, xv, N):"], "n += 1.0", _NEUMAIER
         else:
             state, zero, ret = ["n", "H", "total", "t"], "0", "total, t, e, R"
-            lines = ["def kernel(R, e, p, d, P, N):"]
-            init = "one, P1 = 1 << P, P + 1"
-            body = head + ["n += 1"] + step + tail
+            lines, count, add = ["def kernel(R, e, p, d, P, N):"], "n += 1", []
+            init, pre, ratio = "one, P1 = 1 << P, P + 1", ["k = d * n", "den = k + p"], _R_STEP
         lines += [f"    {' = '.join(state + a[1:])} = {zero}", "    " + init]
-        lines += ["    for _ in range(N):"]
-        lines += ["        " + line for line in body]
+        peel = fast and m == 1 and kind != "mixed"  # see _gamma_ratio_series
+        if peel:
+            first = pre + post + [count] + step + ["s = t", "c = t - t"] + tail
+            lines += ["    if N > 0:"] + ["        " + line for line in first]
+            add = _NEUMAIER_AFTER_PEEL
+        else:
+            ratio = ["if n:"] + ["    " + line for line in ratio]
+        lines += [f"    for _ in range(N{' - 1' * peel}):"]
+        lines += ["        " + line for line in pre + ratio + post + [count] + step + add + tail]
         lines += [f"    return {ret}, {a[1] if m > 1 else zero}, H"]
         source = "\n".join(line for line in lines if line.strip())
         namespace: dict = {}
@@ -454,22 +461,27 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     Bound: each floor loses under one unit 2^-P and all quantities are
     non-negative, so S' <= S; R_n loses at most n units, a[j] at most
     n (a[0] + ... + a[j-1]), H_{n-1} under n.  With a[j] <= L^j,
-    H_n <= L, L = 1/x + 1 + bitlen(N), and n / w_n <= 1:
-    S - S' < E 2^-P, E = 2 N m (1 + 1/x) L^(m-1), and for "mixed"
-    E = 2 N (m + 2) (1 + 1/x) L^m.  S is at least its first non-zero term
-    S_low: term m for "stirling-route", term 2 >= x^-m / (2 (1 + x)) for
-    "mixed" (n H_n - 1 vanishes at n = 1), term 1 otherwise.  So
+    H_n <= L, L = 1/x + 1 + bitlen(N), and n / w_n <= f (f = 1, but 1/x for
+    "central" at x < 1, w_n = n - 1 + x): S - S' < E 2^-P,
+    E = 2 N m f (1 + 1/x) L^(m-1), and for "mixed" E = 2 N (m + 2) (1 + 1/x) L^m.
+    S is at least its first non-zero term S_low: term m for "stirling-route",
+    term 2 >= x^-m / (2 (1 + x)) for "mixed" (n H_n - 1 vanishes at n = 1),
+    term 1 otherwise (x^-(m+1) for "central", x^-2 at m = 1).  So
     P = ceil(dps log2 10) + log2(E / S_low) + 4 gives (S - S') / S < 10^-dps / 4.
     """
     p, d = x.numerator, x.denominator
     L = 1 / x + 1 + N.bit_length()
-    E = 2 * N * m * (1 + 1 / x) * L ** (m - 1)
+    E, w = 2 * N * m * (1 + 1 / x) * L ** (m - 1), N  # w = w_N, which divides term N
     if kind == "stirling-route":
         low = 1 / (m * math.prod(k + x for k in range(m)))
     elif kind == "mixed":
         low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
+    elif kind == "central":
+        low, E, w = x ** -(m + 1), E * max(1, 1 / x), N - 1 + x
+    elif kind == "eta":
+        low, w = x**-m / 2, 1 << N
     else:
-        low = x**-m / (m if kind == "euler-hurwitz" else 2)
+        low, w = x**-m / m, m * N
     ratio = E / low
     P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
     P -= ratio.denominator.bit_length()
@@ -478,8 +490,7 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     total, t, e, R, a1, H = _kernel(Mode.HIGH, kind, m)(R, e, p, d, P, N)
     with ctx.scope():
         value = mpmath.ldexp(mpf(total), -P)
-    w = m if kind == "euler-hurwitz" else 1
-    last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
+    last = _to_float(t * w.denominator, (1 << (2 * P + e)) * w.numerator)
     return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
 
 
@@ -497,7 +508,7 @@ def _gamma_ratio_result(kind: str, m: int, x, N: int, ctx: PrecisionContext, sca
             raise NumericError("an inner row overflowed a double")
         tail = 2.0 * abs(term)
     else:
-        if term == 0.0 and kind != "euler-hurwitz":  # a series whose first terms vanish
+        if term == 0.0 and kind in ("stirling-route", "mixed"):  # a series whose first terms vanish
             term = R * (float(x) ** (1 - m) if kind == "mixed" else 1.0) / N
         order = m if kind == "mixed" else m - 1
         tail = _tail_from_last(term, N, float(x), order, h - math.log(N))
@@ -692,52 +703,52 @@ def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
     return scale * const_zeta(m + 1, ctx)
 
 
+#: The central-binomial series at x = 1/2, as (kind, m, scale) of :func:`_gamma_ratio_result`
+_CENTRAL_BINOMIAL = {
+    CatalanKind.CENTRAL_38_1: ("central", 1, Fraction(1, 8)),
+    CatalanKind.ZETA2_37: ("euler-hurwitz", 1, Fraction(1, 3)),
+    CatalanKind.ZETA3_HALF_45_6: ("mixed", 1, 1),
+}
+
+
 def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesResult:
     """Central-binomial series: two for Catalan's G, the duplication-formula
-    series for zeta(2), and the zeta(3, 1/2) series.
+    series for zeta(2), and the zeta(3, 1/2) series.  Normalized values are
+    returned (targets G, zeta(2), 7 zeta(3)).
 
-    Term ratios are exact small integers, applied multiplicatively; one
-    rounding per step.  Normalized values are returned (targets G, zeta(2),
-    7 zeta(3)).  The zeta(3, 1/2) series, (1/2) sum [n H_n - 1]/n^2
-    [2^n Gamma(n)]^2/Gamma(2n), is the mixed series at x = 1/2, m = 1
-    (its bracketed factor is 2 R_n(1/2)), and returns that.
-
-    FAST runs :func:`_ramanujan_fast` or :func:`_central_fast`, which add
-    their own positive terms as the kernels of :func:`_gamma_ratio_series`
-    do; HIGH sums the terms of :func:`_ramanujan_terms` or
-    :func:`_central_terms` exactly.
+    The factor c_n = 2^(2n+1) (n!)^2 / (2n+1)! is R_{n+1}(1/2), so all but
+    Ramanujan's are gamma-ratio series at x = 1/2 (:data:`_CENTRAL_BINOMIAL`):
+    G = (1/8) sum_{n>=1} R_n(1/2) / (n - 1/2) is the "central" kind,
+    zeta(2) = zeta(2, 1/2) / 3 the :func:`euler_hurwitz` series at q = 1, and
+    (1/2) sum [n H_n - 1]/n^2 [2^n Gamma(n)]^2/Gamma(2n) the mixed series at
+    m = 1 (its bracketed factor is 2 R_n(1/2)).  Ramanujan's terms carry
+    1/R_{n+1}(1/2)^2 and fall like n^-2, which the gamma-ratio tail (decay x)
+    does not model; FAST runs :func:`_ramanujan_fast`, HIGH sums the terms of
+    :func:`_ramanujan_terms` exactly.
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
+    if kind in _CENTRAL_BINOMIAL:
+        series, m, scale = _CENTRAL_BINOMIAL[kind]
+        return _gamma_ratio_result(series, m, Fraction(1, 2), N, ctx, scale)
     _require_terms(N)
-    if kind is CatalanKind.ZETA3_HALF_45_6:
-        return _gamma_ratio_result("mixed", 1, Fraction(1, 2), N, ctx)
-
-    fast = ctx.mode is Mode.FAST
     with ctx.scope():
-        one = ctx.zero() + 1
-        if kind is CatalanKind.RAMANUJAN_38:
-            quarter_pi, decay = const_pi(ctx) / 4, 1.0
-            if fast:
-                total, term = _ramanujan_fast(quarter_pi, N)
-            else:
-                total, term = compensated_sum(_ramanujan_terms(quarter_pi, one, N), ctx.zero())
-        else:  # terms c / (4 (2n+1)) for G and c / (3 (n+1)) for zeta(2)
-            a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
-            decay = 0.5
-            if fast:
-                total, term = _central_fast(a, b, N)
-            else:
-                total, term = compensated_sum(_central_terms(one * 2, a, b, N), ctx.zero())
-        return _finish(ctx, total, N, _tail_from_last(float(term), N, decay, 0, 0.0))
+        quarter_pi = const_pi(ctx) / 4
+        if ctx.mode is Mode.FAST:
+            total, term = _ramanujan_fast(quarter_pi, N)
+        else:
+            one = ctx.zero() + 1
+            total, term = compensated_sum(_ramanujan_terms(quarter_pi, one, N), ctx.zero())
+        return _finish(ctx, total, N, _tail_from_last(float(term), N, 1.0, 0, 0.0))
 
 
-# The catalan_series terms.  The HIGH generators count in Python ints, so
-# their integer factors stay exact at any N.  The FAST kernels count in
-# doubles, exact integers below 2^53 whose products round once, as the
-# int-to-float conversion of the integer product did, and return (sum,
-# last term) for N >= 1.  They take term 1 as Neumaier's first step from
-# 0 (sum t, compensation t - t, inf and nan included) and then drop the
+# Ramanujan's series for G: term ratios are exact small integers, applied
+# multiplicatively; one rounding per step.  The HIGH generator counts in
+# Python ints, so its integer factors stay exact at any N.  The FAST kernel
+# counts in doubles, exact integers below 2^53 whose products round once, as
+# the int-to-float conversion of the integer product did, and returns (sum,
+# last term) for N >= 1.  It takes term 1 as Neumaier's first step from 0
+# (sum t, compensation t - t, inf and nan included) and then drops the
 # step's compare: every later term is positive and no larger than the
 # first, so s >= t.
 
@@ -765,32 +776,6 @@ def _ramanujan_fast(quarter_pi, N):
         c += (s - u) + t
         s = u
     return s + c, t
-
-
-def _central_terms(c, a, b, N):
-    """c_n / (a n + b), c_n = 2^(2n+1) (n!)^2 / (2n+1)! from c_0 = c."""
-    den, even, odd = b, 2, 3
-    for _ in range(N):  # even = 2 (n+1), odd = 2n + 3
-        yield c / den
-        c = c * even / odd
-        den += a
-        even += 2
-        odd += 2
-
-
-def _central_fast(a, b, N):
-    c, den, step, even = 2.0, float(b), float(a), 2.0
-    s = t = c / den
-    r = t - t
-    for _ in range(N - 1):
-        c = c * even / (even + 1.0)
-        den += step
-        even += 2.0
-        t = c / den
-        u = s + t
-        r += (s - u) + t
-        s = u
-    return s + r, t
 
 
 def polylog(s, y, ctx: PrecisionContext) -> Real:

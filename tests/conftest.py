@@ -75,11 +75,16 @@ class _ExactSum(NeumaierSum):
         return +self._sum
 
 
+#: the kinds :func:`fixed_point_loop` knows
+FIXED_POINT_KINDS = ("euler-hurwitz", "stirling-route", "eta", "mixed", "central")
+
+
 def fixed_point_loop(kind, m, R, e, p, d, P, N):
     """ORACLE: the generic integer loop of ``zeta_series._fixed_point_series``
     (one branch per kind inside the loop), which the HIGH kernels of
     ``zeta_series._kernel`` replaced.  Takes and returns what they do:
     (sum 2^P, last term, e, R_N 2^(P+e), a[1] 2^P, H_N 2^P)."""
+    assert kind in FIXED_POINT_KINDS
     a = [1 << P] + [0] * (m - 1)
     w = m if kind == "euler-hurwitz" else 1
     total = t = H = 0
@@ -98,6 +103,8 @@ def fixed_point_loop(kind, m, R, e, p, d, P, N):
             H += (1 << P) // n
         if kind == "eta":
             total += t >> (P + e + n)
+        elif kind == "central":
+            total += (t >> (P + e)) * d // (k + p)
         else:
             total += (t >> (P + e)) // (w * n)
         if kind == "stirling-route":
@@ -119,6 +126,8 @@ def fixed_point_series(kind, m, x, N, ctx):
         low = 1 / (m * math.prod(k + x for k in range(m)))
     elif kind == "mixed":
         low, E = x**-m / (2 * (1 + x)), E * (m + 2) * L / m
+    elif kind == "central":
+        low, E = x ** -(m + 1), E * max(1, 1 / x)
     else:
         low = x**-m / (m if kind == "euler-hurwitz" else 2)
     ratio = E / low
@@ -128,8 +137,11 @@ def fixed_point_series(kind, m, x, N, ctx):
     total, t, e, R, a1, H = fixed_point_loop(kind, m, (d << (P + e)) // p, e, p, d, P, N)
     with ctx.scope():
         value = mpmath.ldexp(mpmath.mpf(total), -P)
-    w = m if kind == "euler-hurwitz" else 1
-    last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
+    if kind == "central":  # term N is divided by N - 1 + x
+        last = _to_float(t * d, (1 << (2 * P + e)) * (d * (N - 1) + p))
+    else:
+        w = m if kind == "euler-hurwitz" else 1
+        last = _to_float(t, (1 << (2 * P + e)) * ((1 << N) if kind == "eta" else w * N))
     return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
 
 

@@ -564,7 +564,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "ident, flag, cap",
-        [("spiess_15c", "--n-max", 800), ("coppo_30", "--n-max", 400), ("coppo_30", "--q-max", 16)],
+        [("spiess_15c", "--n-max", 800), ("coppo_30", "--n-max", 400), ("coppo_30", "--q-max", 8)],
     )
     def test_sweep_override_above_its_cap_usage_error(self, capsys, ident, flag, cap):
         code, out, err = run_cli(capsys, "verify", "--id", ident, flag, str(2 * cap))
@@ -575,6 +575,18 @@ class TestVerifyCommand:
         for ident, key, cap in (("spiess_15c", "n_max", 800), ("coppo_30", "n_max", 400)):
             identity = verify._BY_ID[ident]
             assert verify._merge_overrides(identity, identity.full, {key: cap})[key] == cap
+
+    def test_coppo_caps_bound_the_overrides_together(self, capsys):
+        # both at their caps is one sweep of about 5 s; (200, 16), as slow,
+        # exceeds the q cap, and (400, 16) took 31 s before the caps were a pair
+        identity = verify._BY_ID["coppo_30"]
+        merged = verify._merge_overrides(identity, identity.full, {"n_max": 400, "q_max": 8})
+        assert (merged["n_max"], merged["q_max"]) == (400, 8)
+        for n_max in ("200", "400"):
+            argv = ("verify", "--id", "coppo_30", "--n-max", n_max, "--q-max", "16")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: --q-max must be <= 8 for coppo_30, got 16\n"
 
     def test_every_integer_sweep_parameter_has_a_cap(self):
         for identity in verify._REGISTRY:

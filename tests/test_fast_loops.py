@@ -3,12 +3,12 @@ for bit.
 
 The FAST kernels of ``zs._gamma_ratio_series`` (one per kind and order,
 built by ``zs._kernel``, which also writes the HIGH kernels that
-``test_zeta_series`` checks), the FAST paths of ``zs.catalan_series`` and
-``zs.digamma_half_sum`` add their own terms by Neumaier's step.  Where every
-term is >= 0 their compare is ``s >= t``, not ``abs(s) >= abs(t)`` (the
-central-binomial kernels drop it after term 1); digamma's outer sum, whose
-terms change sign, keeps abs().  ``zs.polylog_identity_lhs`` is summed by
-``numerics.compensated_sum``.
+``test_zeta_series`` checks), the FAST Ramanujan loop of
+``zs.catalan_series`` and ``zs.digamma_half_sum`` add their own terms by
+Neumaier's step.  Where every term is >= 0 their compare is ``s >= t``, not
+``abs(s) >= abs(t)`` (the kernels at order 1 and the Ramanujan loop drop it
+after term 1); digamma's outer sum, whose terms change sign, keeps abs().
+``zs.polylog_identity_lhs`` is summed by ``numerics.compensated_sum``.
 
 ORACLE: the functions below are the FAST loops as they were written before
 the kernels: one ``add`` call per term on the streaming accumulator
@@ -25,7 +25,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import NeumaierSum
+from conftest import FIXED_POINT_KINDS, NeumaierSum
 from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 FAST = PrecisionContext(30, Mode.FAST)
 
 #: the kinds the oracle below knows
-KINDS = ("euler-hurwitz", "stirling-route", "eta", "mixed")
+KINDS = ("euler-hurwitz", "stirling-route", "eta", "mixed", "central")
 
 
 def gamma_ratio_series(kind, m, x, N):
@@ -66,31 +66,46 @@ def gamma_ratio_series(kind, m, x, N):
             elif mixed:
                 H = H + 1 / n
                 term = (n * H - 1) * a[m - 1] * R / (n * n)
+            elif kind == "central":
+                term = R * a[m - 1] / den
             else:
                 term = R * a[m - 1] / (m * n)
         acc.add(term)
     return acc.total, term, max(a[1] if m > 1 else 0.0, H), R
 
 
-def catalan_series(kind, N):
-    """ORACLE: the FAST loops of ``zs.catalan_series`` (not ZETA3_HALF_45_6,
-    which is the mixed series)."""
+def ramanujan_series(N):
+    """ORACLE: the FAST loop of ``zs.catalan_series`` for RAMANUJAN_38."""
     acc, term = NeumaierSum(), 0.0
-    if kind is CatalanKind.RAMANUJAN_38:
-        quarter_pi = nu.const_pi(FAST) / 4
-        b = 1.0
-        for n in range(N):
-            term = quarter_pi * b / (2 * n + 1)
-            acc.add(term)
-            b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
-        return zs._finish(FAST, acc.total, N, zs._tail_from_last(term, N, 1.0, 0, 0.0))
-    a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
-    c = 2.0
+    quarter_pi = nu.const_pi(FAST) / 4
+    b = 1.0
     for n in range(N):
-        term = c / (a * n + b)
+        term = quarter_pi * b / (2 * n + 1)
         acc.add(term)
-        c = c * (2 * (n + 1)) / (2 * n + 3)
-    return zs._finish(FAST, acc.total, N, zs._tail_from_last(term, N, 0.5, 0, 0.0))
+        b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
+    return zs._finish(FAST, acc.total, N, zs._tail_from_last(term, N, 1.0, 0, 0.0))
+
+
+def central_fast(kind, N):
+    """ORACLE: ``zs._central_fast``, the FAST loop of catalan-central
+    (a, b = 8, 4) and zeta2-dup (3, 3) before both ran on the gamma-ratio
+    kernels, finished as ``zs.catalan_series`` finished it: the terms
+    c_n / (a n + b), n = 0..N-1, c_n = 2^(2n+1) (n!)^2 / (2n+1)!, with term 1
+    peeled.  It was held bit for bit to the streaming loop with
+    ``NeumaierSum`` that it replaced."""
+    a, b = (8, 4) if kind is CatalanKind.CENTRAL_38_1 else (3, 3)
+    c, den, step, even = 2.0, float(b), float(a), 2.0
+    s = t = c / den
+    r = t - t
+    for _ in range(N - 1):
+        c = c * even / (even + 1.0)
+        den += step
+        even += 2.0
+        t = c / den
+        u = s + t
+        r += (s - u) + t
+        s = u
+    return zs._finish(FAST, s + r, N, zs._tail_from_last(t, N, 0.5, 0, 0.0))
 
 
 def digamma_half_sum(power, N):
@@ -139,7 +154,8 @@ def result_bits(res):
 
 
 def test_every_fast_kernel_has_an_oracle():
-    assert set(zs._KERNEL_STEPS) == set(KINDS)
+    # and every HIGH kernel: conftest.fixed_point_loop knows the same kinds
+    assert set(zs._KERNEL_STEPS) == set(KINDS) == set(FIXED_POINT_KINDS)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12])
@@ -199,6 +215,15 @@ def test_gamma_ratio_series_matches_streaming_loop_when_terms_overflow(kind, m):
     assert not math.isfinite(got[0])
 
 
+def test_peeled_first_term_overflows_as_the_streaming_loop_does():
+    # "central" term 1 is 1/x^2, inf at x = 2^-1022: the peel's compensation
+    # t - t is then nan, as the first compensated step's is
+    for N in (1, 2, 3, 50):
+        got = zs._gamma_ratio_series("central", 1, TINY, N, FAST)
+        assert bits(*got) == bits(*gamma_ratio_series("central", 1, TINY, N)), N
+    assert math.isnan(got[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -220,10 +245,14 @@ BUDGETS = (1, 2, 10, 10**4)
 
 
 def catalan_fast(kind, N, monkeypatch):
-    """The FAST catalan_series and its oracle at N."""
+    """The FAST catalan_series and its oracle at N: Ramanujan's loop, the
+    old catalan-central loop (still equal bit for bit), or the gamma-ratio
+    series run on the oracle loop :func:`gamma_ratio_series`."""
     got = zs.catalan_series(kind, N, FAST)
-    if kind is not CatalanKind.ZETA3_HALF_45_6:
-        return got, catalan_series(kind, N)
+    if kind is CatalanKind.RAMANUJAN_38:
+        return got, ramanujan_series(N)
+    if kind is CatalanKind.CENTRAL_38_1:
+        return got, central_fast(kind, N)
     with monkeypatch.context() as mp:
         mp.setattr(zs, "_gamma_ratio_series", lambda k, m, x, n, ctx: gamma_ratio_series(k, m, x, n))
         return got, zs.catalan_series(kind, N, FAST)
@@ -234,6 +263,23 @@ def test_catalan_series_matches_streaming_loop(kind, monkeypatch):
     for N in BUDGETS:
         got, want = catalan_fast(kind, N, monkeypatch)
         assert result_bits(got) == result_bits(want), N
+
+
+def ulps(a, b):
+    """The number of doubles from b to a, for finite a, b >= 0."""
+    a, b = (struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b))
+    return abs(a - b)
+
+
+def test_zeta2_dup_is_the_euler_hurwitz_series_within_ulps_of_its_old_loop():
+    # zeta(2) = zeta(2, 1/2) / 3: the old loop summed the terms c_n / (3 (n+1));
+    # the series now scales the sum of R_n(1/2) / n by 1/3 once, after it
+    for N in (1, 2, 3, 10, 200, 10**3, 10**4, 10**5, 10**6):
+        got = zs.catalan_series(CatalanKind.ZETA2_37, N, FAST)
+        route = zs._gamma_ratio_result("euler-hurwitz", 1, F(1, 2), N, FAST, F(1, 3))
+        assert result_bits(got) == result_bits(route), N
+        old = central_fast(CatalanKind.ZETA2_37, N)
+        assert ulps(got.value, old.value) <= 1 and ulps(got.tail_estimate, old.tail_estimate) <= 2, N
 
 
 @pytest.mark.parametrize("power", [2, 4])

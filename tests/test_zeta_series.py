@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import NeumaierSum, fixed_point_loop, fixed_point_series
+from conftest import FIXED_POINT_KINDS, NeumaierSum, fixed_point_loop, fixed_point_series
 from ehz import combinatorics as co
 from ehz import harmonic as ha
 from ehz import numerics as nu
@@ -384,7 +384,7 @@ class TestKernelsMatchLiteralRoutes:
         with nu.working_precision(80):
             assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
 
-    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta", "mixed"])
+    @pytest.mark.parametrize("kind", FIXED_POINT_KINDS)
     def test_kernel_at_max_order(self, kind):
         # the kernel itself: at q = 100 and x = 1/64 the tail overflows a double
         lo, hi = (
@@ -395,7 +395,7 @@ class TestKernelsMatchLiteralRoutes:
             assert abs(lo - hi) <= mpmath.mpf(10) ** -30 * abs(hi), (lo, hi)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 9, zs.MAX_ORDER])
-    @pytest.mark.parametrize("kind", ["euler-hurwitz", "stirling-route", "eta", "mixed"])
+    @pytest.mark.parametrize("kind", FIXED_POINT_KINDS)
     def test_high_kernel_matches_generic_loop(self, kind, m):
         # the generated HIGH kernel against the loop it replaced: its integers
         # at a scale 2^64, and through _fixed_point_series the mpf sum and the
@@ -412,6 +412,51 @@ class TestKernelsMatchLiteralRoutes:
                 got = zs._fixed_point_series(kind, m, x, N, HIGH)
                 want = fixed_point_series(kind, m, x, N, HIGH)
                 assert got[0] == want[0] and bits(*got[1:]) == bits(*want[1:]), (x, N)
+
+    @pytest.mark.parametrize("digits", [30, 60, 300])
+    @pytest.mark.parametrize(
+        "kind, f, weight",
+        [
+            (CatalanKind.CENTRAL_38_1, 2, lambda n: n - F(1, 2)),
+            (CatalanKind.ZETA2_37, 1, lambda n: n),
+        ],
+        ids=["catalan-central", "zeta2-dup"],
+    )
+    def test_high_central_binomial_series_within_the_stated_bound(
+        self, kind, f, weight, digits, monkeypatch
+    ):
+        # catalan-central and zeta2-dup are scale times sum R_n(1/2) / w_n, the
+        # "central" kind (w_n = n - 1/2) and euler-hurwitz at m = 1 (w_n = n).
+        # _fixed_point_series states S - S' < E 2^-P, E = 2 N m f (1 + 1/x)
+        # L^(m-1) = 6 N f here, with E 2^-P < S 10^-dps / 4.  The kernel's
+        # integer sum S' 2^P is read as it returns, before any rounding.
+        ctx, scale = PrecisionContext(digits, Mode.HIGH), zs._CENTRAL_BINOMIAL[kind][2]
+        sums, kernel = [], zs._kernel
+
+        def spy(mode, kind_, m):
+            def run(*args):
+                out = kernel(mode, kind_, m)(*args)
+                sums.append((args[4], out[0]))  # (P, S' 2^P)
+                return out
+
+            return run
+
+        monkeypatch.setattr(zs, "_kernel", spy)
+        R, S = F(2), F(0)  # R_1(1/2) = 2
+        for N in range(1, 301):
+            S += R / weight(N)
+            R = R * N / (N + F(1, 2))
+            if N not in (1, 2, 3, 10, 100, 300):
+                continue
+            value = zs.catalan_series(kind, N, ctx).value
+            P, total = sums[-1]
+            E = 6 * N * f
+            assert 0 <= S * 2**P - total < E, N
+            assert 4 * E * 10**ctx.dps < S * 2**P, N
+            with nu.working_precision(ctx.dps):  # three roundings: S', scale and the product
+                slack = 4 * S * scale / 2**mpmath.mp.prec
+            man, exp = value.man_exp
+            assert abs(man * F(2) ** exp - scale * S) <= scale * E / 2**P + slack, N
 
     @pytest.mark.parametrize("s_power, x", [(1.5, F(1, 2)), (0.5, F(1)), (2.5, F(3, 4))])
     def test_inner_rows(self, s_power, x):
@@ -786,6 +831,11 @@ SAME_SERIES = {
         lambda N, ctx: zs.catalan_series(CatalanKind.ZETA3_HALF_45_6, N, ctx),
         lambda N, ctx: mixed_series(1, F(1, 2), N, ctx),
         1,
+    ),
+    "zeta2-dup": (
+        lambda N, ctx: zs.catalan_series(CatalanKind.ZETA2_37, N, ctx),
+        lambda N, ctx: zs.euler_hurwitz(1, F(1, 2), N, ctx),
+        F(1, 3),
     ),
     **{
         f"shen {p}": (
