@@ -320,6 +320,24 @@ def _to_float(num: int, den: int) -> float:
         return math.inf
 
 
+def _scale(ctx: PrecisionContext, ratio) -> int:
+    """P = ceil(dps log2 10) + log2(E / S_low) + 4 for ratio = E / S_low, the
+    log2 read off bit lengths: the scale at which a sum of size at least
+    S_low that loses under E units of 2^-P is within 10^-dps / 4 of itself."""
+    ratio = Fraction(ratio)
+    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
+    return P - ratio.denominator.bit_length()
+
+
+def _from_fixed(total: int, P: int, ctx: PrecisionContext) -> Real:
+    """total 2^-P rounded once into ctx's type: the one place where an
+    integer series leaves the integers."""
+    if ctx.mode is Mode.FAST:
+        return _to_float(total, 1 << P)
+    with ctx.scope():
+        return mpmath.ldexp(mpf(total), -P)
+
+
 def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
     """The gamma-ratio series' loop: (sum, last term, h, R_N).  ``kind`` is
     "euler-hurwitz" (term n = R_n a[m-1] / (m n), a[j] = h_j of 1/(i+x)),
@@ -482,16 +500,13 @@ def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
         low, w = x**-m / 2, 1 << N
     else:
         low, w = x**-m / m, m * N
-    ratio = E / low
-    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
-    P -= ratio.denominator.bit_length()
+    P = _scale(ctx, E / low)
     e = max(0, p.bit_length() - d.bit_length() + 1)
     R = (d << (P + e)) // p  # R_1 2^(P+e)
     total, t, e, R, a1, H = _kernel(Mode.HIGH, kind, m)(R, e, p, d, P, N)
-    with ctx.scope():
-        value = mpmath.ldexp(mpf(total), -P)
     last = _to_float(t * w.denominator, (1 << (2 * P + e)) * w.numerator)
-    return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
+    h, R = _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
+    return _from_fixed(total, P, ctx), last, h, R
 
 
 def _gamma_ratio_result(kind: str, m: int, x, N: int, ctx: PrecisionContext, scale=1):
@@ -723,8 +738,8 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     (1/2) sum [n H_n - 1]/n^2 [2^n Gamma(n)]^2/Gamma(2n) the mixed series at
     m = 1 (its bracketed factor is 2 R_n(1/2)).  Ramanujan's terms carry
     1/R_{n+1}(1/2)^2 and fall like n^-2, which the gamma-ratio tail (decay x)
-    does not model; FAST runs :func:`_ramanujan_fast`, HIGH sums the terms of
-    :func:`_ramanujan_terms` exactly.
+    does not model; FAST runs :func:`_ramanujan_fast`, HIGH the integer loop
+    :func:`_ramanujan_fixed`, and pi/4 multiplies the sum once.
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
@@ -737,30 +752,39 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
         if ctx.mode is Mode.FAST:
             total, term = _ramanujan_fast(quarter_pi, N)
         else:
-            one = ctx.zero() + 1
-            total, term = compensated_sum(_ramanujan_terms(quarter_pi, one, N), ctx.zero())
+            P = _scale(ctx, 2 * N)  # E = 2 N, S_low = b_0 = 1
+            total, term = _ramanujan_fixed(N, P)
+            total = quarter_pi * _from_fixed(total, P, ctx)
+            term = quarter_pi * mpmath.ldexp(term, -P)
         return _finish(ctx, total, N, _tail_from_last(float(term), N, 1.0, 0, 0.0))
 
 
 # Ramanujan's series for G: term ratios are exact small integers, applied
-# multiplicatively; one rounding per step.  The HIGH generator counts in
-# Python ints, so its integer factors stay exact at any N.  The FAST kernel
-# counts in doubles, exact integers below 2^53 whose products round once, as
-# the int-to-float conversion of the integer product did, and returns (sum,
-# last term) for N >= 1.  It takes term 1 as Neumaier's first step from 0
-# (sum t, compensation t - t, inf and nan included) and then drops the
-# step's compare: every later term is positive and no larger than the
-# first, so s >= t.
+# multiplicatively.  The FAST kernel counts in doubles, exact integers below
+# 2^53 whose products round once, as the int-to-float conversion of the
+# integer product did, and returns (sum, last term) for N >= 1.  It takes
+# term 1 as Neumaier's first step from 0 (sum t, compensation t - t, inf and
+# nan included) and then drops the step's compare: every later term is
+# positive and no larger than the first, so s >= t.
 
 
-def _ramanujan_terms(quarter_pi, b, N):
-    """quarter_pi b_n / (2n+1), b_n = C(2n,n)^2 / 2^(4n) from b_0 = b."""
-    odd, n1 = 1, 1  # 2n+1, n+1
-    for _ in range(N):
-        yield quarter_pi * b / odd
-        b = b * (odd * odd) / (4 * n1 * n1)
-        odd += 2
-        n1 += 1
+def _ramanujan_fixed(N: int, P: int) -> Tuple[int, int]:
+    """(sum, last term) of b_n / (2n+1), n < N, in integers at scale 2^P,
+    with b_n = C(2n,n)^2 / 2^(4n) carried as B_n = floor(B_{n-1} (2n-1)^2 /
+    (4 n^2)) from B_0 = 2^P and term n floor(B_n / (2n+1)).
+
+    Bound: every floor loses under one unit of 2^-P and the step ratio is
+    below 1, so B_n loses under n units and term n under 1 + n / (2n+1);
+    the computed sum S' <= S and S - S' < E 2^-P, E = 2 N.  S >= b_0 = 1,
+    so P = :func:`_scale` of E gives (S - S') / S < 10^-dps / 4.
+    """
+    b, total, t = 1 << P, 0, 0
+    for n in range(N):
+        odd = 2 * n + 1
+        t = b // odd
+        total += t
+        b = b * (odd * odd) // (4 * (n + 1) * (n + 1))
+    return total, t
 
 
 def _ramanujan_fast(quarter_pi, N):
