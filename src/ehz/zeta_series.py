@@ -896,12 +896,11 @@ def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionCon
 def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_{n=0}^{N-1} psi(n + 1/2) / (2n+1)^power for power in {2, 4}.
 
-    psi(n + 1/2) = -gamma - 2 log 2 + H_n(1/2) with the shifted harmonic
-    number H_n(1/2) = sum_{k<n} 2/(2k+1) accumulated in a running sum of
-    the context's real type, which every term reads: in FAST a Neumaier
-    pair inside :func:`_digamma_fast`, in HIGH exact adds read rounded once
-    per term.  The denominators are integer powers odd**power, which a
-    float power could round twice.
+    psi(n + 1/2) = psi0 + H_n(1/2), psi0 = -gamma - 2 log 2, with the shifted
+    harmonic number H_n(1/2) = sum_{k<n} 2/(2k+1) carried across terms: in
+    FAST as a Neumaier pair inside :func:`_digamma_fast`, in HIGH as an
+    integer (:func:`_digamma_fixed`).  The denominators are integer powers
+    odd**power, which a float power could round twice.
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
@@ -911,20 +910,40 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
         psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
         if ctx.mode is Mode.FAST:
             total, term, h = _digamma_fast(psi0, power, N)
+            c = float(psi0 + h)
         else:
-            h, two = ctx.zero(), ctx.real(2)
-
-            def terms():
-                nonlocal h
-                for odd in range(1, 2 * N, 2):  # 2n + 1
-                    yield (psi0 + +h) / odd**power
-                    h = mpmath.fadd(h, two / odd, exact=True)
-
-            total, term = compensated_sum(terms(), ctx.zero())
-            h = +h
-        c = float(psi0 + h) - math.log(N) if N > 1 else 1.0
+            P = _scale(ctx, 4 * N)  # E = 4 N, S_low = 1
+            Psi = int(mpmath.ldexp(psi0, P))  # exact: P exceeds the bits of psi0
+            A, B, H, t = _digamma_fixed(power, N, P)
+            total = _from_fixed(Psi * A + (B << P), 2 * P, ctx)
+            term = _to_float(Psi + t, (2 * N - 1) ** power << P)
+            c = _to_float(Psi + H, 1 << P)
+        c = c - math.log(N) if N > 1 else 1.0
         tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
         return _finish(ctx, total, N, tail)
+
+
+def _digamma_fixed(power: int, N: int, P: int) -> Tuple[int, int, int, int]:
+    """digamma_half_sum's HIGH loop in integers at scale 2^P: (A, B, H_N,
+    H_{N-1}) with A = sum_{n<N} floor(2^P / (2n+1)^power), B = sum_{n<N}
+    floor(H_n / (2n+1)^power) and H_n = sum_{k<n} floor(2^(P+1) / (2k+1)),
+    so that the sum is psi0 A + B at scale 2^P.
+
+    Bound: every floor loses under one unit of 2^-P, so A loses under N
+    units, H_n under n and term n of B under 1 + n / (2n+1)^power; with
+    |psi0| < 2 the sum S' = psi0 A + B is within E 2^-P of the partial sum
+    S, E = 4 N.  The terms after n = 0 are positive and S tends to -1.76
+    (power 2) or -1.96 (power 4), so |S| >= S_low = 1.
+    """
+    one, two = 1 << P, 2 << P
+    A = B = H = h = 0
+    for odd in range(1, 2 * N, 2):  # 2n + 1
+        w = odd**power
+        A += one // w
+        B += H // w
+        h = H
+        H += two // odd
+    return A, B, H, h
 
 
 def _digamma_fast(psi0, power, N):

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
 from ehz.zeta_series import CatalanKind
@@ -54,3 +55,23 @@ def test_high_ramanujan_series_within_the_stated_bound(digits, fixed):
             zs.catalan_series(CatalanKind.RAMANUJAN_38, N, ctx)
             total, P = fixed[-1]
             assert_within(total, P, S, 2 * N, 1, ctx)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("power", [2, 4])
+def test_high_digamma_sum_within_the_stated_bound(power, digits, fixed):
+    # psi0 A + B at scale 2^(2P) (psi0 exact at 2^P): E = 4 N, S_low = 1
+    ctx = PrecisionContext(digits, Mode.HIGH)
+    with ctx.scope():
+        psi0 = -nu.const_gamma(ctx) - 2 * nu.const_log2(ctx)
+    man, exp = psi0.man_exp
+    psi0 = -F(man) * F(2) ** exp  # psi0 < 0; man_exp drops the sign
+    S, h = F(0), F(0)
+    for N in range(1, max(BUDGETS) + 1):
+        S += (psi0 + h) / (2 * N - 1) ** power
+        h += F(2, 2 * N - 1)
+        if N in BUDGETS:
+            zs.digamma_half_sum(power, N, ctx)
+            total, P2 = fixed[-1]
+            P = P2 // 2
+            assert_within(F(total, 2**P), P, S, 4 * N, 1, ctx, signed=True)
