@@ -852,34 +852,81 @@ def polylog_identity_lhs(
     f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) lies in (-1, 0), so every
     f_j is a sum of negative terms and nothing cancels.  E14_4 carries
     g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
-    g_0(n) = ((1+y)/2)^n (1 - (1+y)^-n), so (3/2)^n never overflows.
+    g_0(n) = ((1+y)/2)^n - 2^-n, so (3/2)^n never appears.  FAST runs
+    :func:`_polylog_rows_fast`, HIGH the integer loop :func:`_polylog_rows_fixed`.
     """
     y = _polylog_identity_args(which, s, y)
     _require_terms(N)
     alternating = which is PolylogIdentity.E14_3
-    lib = mpmath if ctx.mode is Mode.HIGH else math  # for expm1 and log1p
-    with ctx.scope():
-        yv = ctx.real(y)
-        # t = (1-y)^n for E14_3, (1+y)^-n for E14_4; u = t - 1 = expm1(n lg)
-        lg = lib.log1p(-yv) if alternating else -lib.log1p(yv)
-        step = ctx.real(1 - y if alternating else 1 / (1 + y))
-        half = (1 + yv) / 2
+    if ctx.mode is Mode.FAST:
+        total, row = _polylog_rows_fast(alternating, s, y, N)
+    else:
+        L = 1 + N.bit_length()
+        E = N + ((s + 1) if alternating else (4 * s + 5)) * L
+        P = _scale(ctx, E / (y if alternating else y / 2))
+        total, row = _polylog_rows_fixed(alternating, s, y, N, P)
+        total, row = _from_fixed(total, P, ctx), _to_float(row, 1 << P)
+    last = abs(float(row))
+    tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
+    return _finish(ctx, total, N, tail)
 
-        def rows():
-            t = power = yv * 0 + 1  # power = ((1+y)/2)^n
-            f = [yv * 0] * (s + 1)
-            for n in range(1, N + 1):
-                t, power = t * step, power * half
-                u = t - 1 if t <= 0.5 else lib.expm1(n * lg)  # t - 1 cancels while t > 1/2
-                f[0] = u if alternating else -power * u
-                for j in range(1, s + 1):
-                    f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
-                yield f[s] / (n * n if alternating else n)
 
-        total, row = compensated_sum(rows(), yv * 0)
-        last = abs(float(row))
-        tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
-        return _finish(ctx, total, N, tail)
+def _polylog_rows_fast(alternating: bool, s: int, y: Fraction, N: int) -> Tuple[float, float]:
+    """polylog_identity_lhs's FAST loop: (sum, last row).  The powers t =
+    (1-y)^n (E14_3) or (1+y)^-n (E14_4) are carried by multiplication, and
+    t - 1 is taken as expm1(n log t) while t > 1/2, where the subtraction
+    would cancel.  The rows are summed by Neumaier's step, written out
+    with its abs() compare."""
+    yv = float(y)
+    lg = math.log1p(-yv) if alternating else -math.log1p(yv)
+    step = float(1 - y if alternating else 1 / (1 + y))
+    half = (1 + yv) / 2
+    t = power = 1.0  # power = ((1+y)/2)^n
+    f = [0.0] * (s + 1)
+    total = c = row = 0.0
+    for n in range(1, N + 1):
+        t, power = t * step, power * half
+        u = t - 1 if t <= 0.5 else math.expm1(n * lg)
+        f[0] = u if alternating else -power * u
+        for j in range(1, s + 1):
+            f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
+        row = f[s] / (n * n if alternating else n)
+        u = total + row
+        if abs(total) >= abs(row):
+            c += (total - u) + row
+        else:
+            c += (row - u) + total
+        total = u
+    return total + c, row
+
+
+def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int) -> Tuple[int, int]:
+    """polylog_identity_lhs's HIGH loop in integers at scale 2^P: (sum, last
+    row).  With y = p/d, t = (1-y)^n (E14_3) or ((1+y)/2)^n (E14_4) is
+    carried as floor(t_{n-1} (d-p) / d) or floor(t_{n-1} (d+p) / (2d)) from
+    2^P, f_0 = t - 2^P or t - floor(2^(P-n)), and each f_j step and row is
+    floored.
+
+    Bound, in units of 2^-P with L = 1 + bitlen(N) >= H_N: E14_3's floors
+    all lose downwards, t under n, f_j(n) under (j+1) n and row n under
+    (s+1)/n + 1, so S' <= S and S - S' < E = N + (s+1) L.  E14_4's t loses
+    under 2/(1-y) <= 4, f_0 under 5, and halving keeps f_j(n)'s loss under
+    5 + 4j, so |S - S'| < E = N + (4s+5) L.  Every row of E14_3 is negative
+    and every row of E14_4 positive, so |S| is at least row 1: S_low = y
+    for E14_3 and y/2 for E14_4.
+    """
+    p, d = y.numerator, y.denominator
+    num, den = (d - p, d) if alternating else (d + p, 2 * d)
+    one = 1 << P
+    t, f, total, row = one, [0] * (s + 1), 0, 0
+    for n in range(1, N + 1):
+        t = t * num // den
+        f[0] = t - (one if alternating else one >> n)
+        for j in range(1, s + 1):
+            f[j] = (f[j] if alternating else f[j] >> 1) + f[j - 1] // n
+        row = f[s] // (n * n if alternating else n)
+        total += row
+    return total, row
 
 
 def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:

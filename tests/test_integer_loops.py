@@ -9,6 +9,7 @@ enough that E 2^-P < S_low 10^-dps / 4 (the rule of ``zs._scale``), so a
 loop run at fewer bits than its rule asks for fails the second.
 """
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
-from ehz.zeta_series import CatalanKind
+from ehz.zeta_series import CatalanKind, PolylogIdentity
 
 DIGITS = [30, 60, 300]
 BUDGETS = (1, 2, 10, 100, 300)
@@ -75,3 +76,35 @@ def test_high_digamma_sum_within_the_stated_bound(power, digits, fixed):
             total, P2 = fixed[-1]
             P = P2 // 2
             assert_within(F(total, 2**P), P, S, 4 * N, 1, ctx, signed=True)
+
+
+@functools.lru_cache(maxsize=None)
+def polylog_rows_exact(which, s, y):
+    """{N: the exact partial sum} for N in BUDGETS, by the f_j recurrence
+    in Fractions (``test_zeta_series`` holds it to the binomial rows)."""
+    sign, out = (-1 if which is PolylogIdentity.E14_3 else 1), {}
+    f, S = [F(0)] * (s + 1), F(0)
+    for n in range(1, max(BUDGETS) + 1):
+        f[0] = (1 + sign * y) ** n - 1
+        for j in range(1, s + 1):
+            f[j] += f[j - 1] / n
+        S += f[s] / (n * n if sign < 0 else n * 2**n)
+        if n in BUDGETS:
+            out[n] = S
+    return out
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("s, y", [(1, F(1, 2)), (3, F(1, 3))], ids=["s1-y1/2", "s3-y1/3"])
+@pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
+def test_high_polylog_rows_within_the_stated_bound(which, s, y, digits, fixed):
+    # E14_3: S' <= S, E = N + (s+1) L, S_low = y; E14_4: E = N + (4s+5) L,
+    # S_low = y/2; L = 1 + bitlen(N)
+    ctx = PrecisionContext(digits, Mode.HIGH)
+    alternating = which is PolylogIdentity.E14_3
+    for N, S in polylog_rows_exact(which, s, y).items():
+        zs.polylog_identity_lhs(which, s, y, N, ctx)
+        total, P = fixed[-1]
+        L = 1 + N.bit_length()
+        E = N + ((s + 1) if alternating else (4 * s + 5)) * L
+        assert_within(total, P, S, E, y if alternating else y / 2, ctx, signed=not alternating)
