@@ -802,27 +802,43 @@ def _ramanujan_fast(quarter_pi, N):
     return s + c, t
 
 
-def polylog(s, y, ctx: PrecisionContext) -> Real:
-    """Li_s(y) for |y| < 1 by direct summation with a geometric tail cut."""
-    yf = float(y)
-    if not abs(yf) < 1.0:
+def polylog(s: int, y, ctx: PrecisionContext) -> Real:
+    """Li_s(y) = sum_{k>=1} y^k / k^s for an integer s >= 1 and rational
+    |y| < 1, summed in integers at scale 2^P and rounded once: FAST returns
+    the double nearest the integer sum.
+
+    With y = p/d, Y_k = floor(Y_{k-1} p / d) from Y_0 = 2^P carries 2^P y^k
+    and term k is floor(Y_k / k^s).  Bound: Y_k loses under 1/(1-|y|) units
+    of 2^-P and term k under one more, so the N terms lose under
+    E = N (1 + 1/(1-|y|)) units.  Every partial sum, and Li_s(y), is at
+    least S_low = |y|/2 in size (for y < 0 the terms alternate and shrink),
+    P is :func:`_scale` of E / S_low, and N (:func:`_polylog_terms`) leaves
+    out less than S_low 10^-dps / 16.
+    """
+    s = _need_int(s, "s")
+    if s < 1:
+        raise DomainError("polylog requires an integer s >= 1")
+    y = Fraction(y)
+    if not abs(y) < 1:
         raise DomainError("polylog requires |y| < 1")
-    if yf == 0.0:
+    if y == 0:
         return ctx.zero()
-    digits = 17 if ctx.mode is Mode.FAST else ctx.digits
-    N = int((digits + 4) / -math.log10(abs(yf))) + 4
+    N = _polylog_terms(y, ctx.dps)
+    P = _scale(ctx, N * (1 + 1 / (1 - abs(y))) * 2 / abs(y))
+    p, d = y.numerator, y.denominator
+    Y, total = 1 << P, 0
+    for k in range(1, N + 1):
+        Y = Y * p // d
+        total += Y // k**s
+    return _from_fixed(total, P, ctx)
 
-    with ctx.scope():
-        yv = ctx.real(Fraction(y) if isinstance(y, (int, Fraction)) else y)
-        e = int(s) if float(s).is_integer() else ctx.real(s)
 
-        def terms():
-            p = yv * 0 + 1
-            for k in range(1, N + 1):
-                p = p * yv
-                yield p / k**e
-
-        return +compensated_sum(terms(), yv * 0)[0]
+def _polylog_terms(y: Fraction, dps: int) -> int:
+    """The N of :func:`polylog`: |y|^N < (1-|y|) 10^-dps / 32, so that the
+    terms past N add under |y|^(N+1) / (1-|y|) < (|y|/2) 10^-dps / 16."""
+    p, d = abs(y.numerator), y.denominator
+    bits = dps * math.log2(10) + 5 + math.log2(d) - math.log2(d - p)
+    return math.ceil(bits / (math.log2(d) - math.log2(p))) + 1
 
 
 def _polylog_identity_args(which: PolylogIdentity, s, y) -> Fraction:

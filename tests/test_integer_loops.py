@@ -108,3 +108,20 @@ def test_high_polylog_rows_within_the_stated_bound(which, s, y, digits, fixed):
         L = 1 + N.bit_length()
         E = N + ((s + 1) if alternating else (4 * s + 5)) * L
         assert_within(total, P, S, E, y if alternating else y / 2, ctx, signed=not alternating)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("y", [F(-1, 3), F(1, 3), F(1, 2)], ids=str)
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_polylog_within_the_stated_bound(s, y, digits, fixed):
+    # E = N (1 + 1/(1-|y|)), S_low = |y|/2; the terms past N add less than
+    # S_low 10^-dps / 16, so E 2^-P plus that is the whole loss
+    ctx = PrecisionContext(digits, Mode.HIGH)
+    N, low = zs._polylog_terms(y, ctx.dps), abs(y) / 2
+    assert abs(y) ** (N + 1) / (1 - abs(y)) * 16 * 10**ctx.dps < low
+    zs.polylog(s, y, ctx)
+    total, P = fixed[-1]
+    S = sum(y**k / F(k) ** s for k in range(1, N + 1))
+    E = N * (1 + 1 / (1 - abs(y)))
+    assert_within(total, P, S, E, low, ctx, signed=True)
+    assert abs(S) >= low
