@@ -43,7 +43,7 @@ import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Union
 
 import mpmath
 from mpmath import mpf
@@ -55,7 +55,6 @@ __all__ = [
     "PrecisionContext",
     "Real",
     "SeriesResult",
-    "compensated_sum",
     "bernoulli_even",
     "tangent_numbers",
     "hurwitz_zeta_em",
@@ -204,31 +203,6 @@ class SeriesResult:
             raise NumericError("tail_estimate must be finite and non-negative")
 
 
-def compensated_sum(terms: Iterable, zero=0.0) -> Tuple[Real, Real]:
-    """(sum, last term) of ``terms`` in order; ``zero`` when there are none.
-
-    From a float zero the sum is Neumaier's compensated sum (Kahan's
-    variant); from an mpf zero every add is exact (``mpmath.fadd(...,
-    exact=True)``) and the sum is rounded once at the caller's working
-    precision.  The step is inlined in one loop, and equal term sequences
-    give bit-identical sums.
-    """
-    s = last = zero
-    if isinstance(zero, mpf):
-        for last in terms:
-            s = mpmath.fadd(s, last, exact=True)
-        return +s, last
-    c = zero * 0
-    for last in terms:
-        t = s + last
-        if abs(s) >= abs(last):
-            c += (s - t) + last
-        else:
-            c += (last - t) + s
-        s = t
-    return s + c, last
-
-
 # ----------------------------------------------------------------------
 # Exact Bernoulli numbers via the tangent-number triangle.
 # ----------------------------------------------------------------------
@@ -314,15 +288,40 @@ def _unfixed(v: int, P: int, dps: int):
 
 
 def _inv_powers(s: Fraction, x: Fraction, ks, P: int) -> list:
-    """[floor(2^P (k+x)^-s) for k in ks]: the only code that knows whether
-    s is an integer.  Integer s is exact; other s take the mpf power at
-    2^-10 of a unit, so their floor loses under 1 + 2^-10 units."""
+    """[floor(2^P (k+x)^-s) for k in ks], ks ascending: the only code that
+    knows whether s is an integer.  Integer s is exact, and skips each k
+    whose floor is 0: (d k + p)^s >= 2^((bitlen(d k + p) - 1) s) exceeds
+    d^s 2^P when that exponent reaches bitlen(d^s 2^P).  Half-integer s is
+    exact too, the integer square root of floor(2^(2P) (k+x)^-2s).  Other s
+    take the mpf power under one precision scope, at P + 30 bits and at 20
+    bits more than the bits of the largest 2^P (k+x)^-s when that exceeds
+    2^(P+10), so each is within 2^-10 of a unit, as :func:`_fixed`'s, and
+    each floor loses under 1 + 2^-10 units."""
     p, d = x.numerator, x.denominator
     if s.denominator == 1:
-        top = d ** s.numerator << P
-        return [top // (d * k + p) ** s.numerator for k in ks]
-    sv = lambda: mpf(s.numerator) / s.denominator
-    return [_fixed(lambda k=k: (mpf(d * k + p) / d) ** -sv(), P) for k in ks]
+        a = s.numerator
+        top = d**a << P
+        cut = top.bit_length()
+        bases = (d * k + p for k in ks)
+        return [top // b**a if (b.bit_length() - 1) * a < cut else 0 for b in bases]
+    if s.denominator == 2:  # floor(sqrt(floor(X))) = floor(sqrt(X))
+        a = s.numerator
+        if a > 0:
+            top = d**a << 2 * P
+            return [math.isqrt(top // (d * k + p) ** a) for k in ks]
+        return [math.isqrt(((d * k + p) ** -a << 2 * P) // d**-a) for k in ks]
+    if not ks:
+        return []
+    lg = max(-float(s) * (math.log2(d * k + p) - math.log2(d)) for k in (ks[0], ks[-1]))
+    bits = P + 30 + max(0, math.ceil(lg) - 9)
+    out = []
+    with working_precision(math.ceil(bits * math.log10(2)) + 1):
+        minus_s = -mpf(s.numerator) / s.denominator
+        for k in ks:
+            man, e = ((mpf(d * k + p) / d) ** minus_s).man_exp  # the power is > 0
+            e += P
+            out.append(man << e if e >= 0 else man >> -e)
+    return out
 
 
 def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:

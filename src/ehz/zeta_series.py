@@ -60,6 +60,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -76,12 +77,12 @@ from .numerics import (
     PrecisionContext,
     Real,
     SeriesResult,
-    compensated_sum,
     const_catalan,
     const_gamma,
     const_log2,
     const_pi,
     const_zeta,
+    _inv_powers,
     hurwitz_zeta_em,
     working_precision,
 )
@@ -254,13 +255,22 @@ def _hasse_weights(N: int) -> Tuple[List[int], int, int]:
     return list(itertools.accumulate(terms, lambda v, t: t - v, initial=first)), L, N
 
 
-def _swapped_sum(s_power, x: Fraction, N: int, ctx: PrecisionContext, weights, divisor=1):
-    """(sum_{k<N} (-1)^k c_k phi_k / d, r_{N-1} / w), both over ``divisor``, in
-    ctx's type, where (c, d, w) = weights(N), phi_k = (k+x)^(-s_power) and
-    r_{N-1} = sum_k (-1)^k C(N-1,k) phi_k: a non-integer-s double sum with
-    its two sums swapped, and its last term, whose outer weight is 1/w.
-    Both are exact dot products at ctx.digits + 0.302 N + 10 digits, rounded
-    once: the integer weights reach about 2^N and the sums are O(1).
+def _swapped_sum(s_power: Fraction, x: Fraction, N: int, ctx, weights, low_log2, divisor=1):
+    """(sum_{k<N} (-1)^k c_k phi_k / d in ctx's type, r_{N-1} / w as a
+    double), both over ``divisor``, where (c, d, w) = weights(N),
+    phi_k = (k+x)^(-s_power) and r_{N-1} = sum_k (-1)^k C(N-1,k) phi_k: a
+    non-integer-s double sum with its two sums swapped, and its last term,
+    whose outer weight is 1/w.
+
+    In integers at scale 2^P: phi_k is floored by ``numerics._inv_powers``,
+    which loses under 1 + 2^-10 units of 2^-P, the dot products with the
+    exact weights are exact, and one floor divides the sum by d.  Bound:
+    every c_k >= 0, so the sum loses under E = (1 + 2^-10) sum_k c_k / |d|
+    + 1 units, and r_{N-1} under (1 + 2^-10) 2^(N-1).  P is :func:`_scale`
+    of max(E / S_low, 2^N): the sum's rule, with S_low = 2^(floor(low_log2)
+    - 2) below the caller's lower bound 2^low_log2 on the sum, and the N
+    bits that keep row N - 1 within 10^-dps / 16, whose binomial weights
+    cap N.
     """
     if N > NONINTEGER_S_TERM_CAP:
         raise DomainError(
@@ -268,14 +278,13 @@ def _swapped_sum(s_power, x: Fraction, N: int, ctx: PrecisionContext, weights, d
         )
     c, d, w = weights(N)
     d, w = d * Fraction(divisor), w * Fraction(divisor)
-    with working_precision(ctx.digits + int(0.302 * N) + 10):
-        xv = mpf(x.numerator) / x.denominator
-        sp = mpf(s_power)
-        phi = [(-1) ** k * (k + xv) ** (-sp) for k in range(N)]
-        total = mpmath.fdot(c, phi) * d.denominator / d.numerator
-        last = mpmath.fdot([math.comb(N - 1, k) for k in range(N)], phi)
-        last = last * w.denominator / w.numerator
-    return ctx.real(total), ctx.real(last)
+    E = Fraction(1025, 1024) * sum(c) / abs(d) + 1
+    P = _scale(ctx, max(E / Fraction(2) ** (math.floor(low_log2) - 2), Fraction(2**N)))
+    phi = _inv_powers(s_power, x, range(N), P)
+    signed = [-f if k % 2 else f for k, f in enumerate(phi)]  # (-1)^k phi_k
+    total = sum(map(operator.mul, c, signed)) * d.denominator // d.numerator
+    last = sum(math.comb(N - 1, k) * f for k, f in enumerate(signed)) * w.denominator
+    return _from_fixed(total, P, ctx), _to_float(last, w.numerator << P)
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +327,10 @@ def _to_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf
+
+
+def _log2(x: Fraction) -> float:
+    return math.log2(x.numerator) - math.log2(x.denominator)
 
 
 def _scale(ctx: PrecisionContext, ratio) -> int:
@@ -602,9 +615,10 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
         ]
         tail = 0.0 if N > p else abs(float(rows[-1]))
         return _finish(ctx, sum(rows), N, tail)
-    sf = float(s)
-    total, last = _swapped_sum(sf - 1, x, N, ctx, _hasse_weights, Fraction(s) - 1)
-    tail = abs(float(last))  # the last row
+    sf, s1 = float(s), Fraction(s) - 1
+    low = (1 - sf) * _log2(x) - math.log2(sf - 1) if sf > 1 else 0.0  # log2 of r_0 / (s-1)
+    total, last = _swapped_sum(s1, x, N, ctx, _hasse_weights, low, s1)
+    tail = abs(last)  # the last row
     if sf > 1:
         tail = _tail_from_last(tail, N, float(x), max(math.ceil(sf) - 2, 0), 1.0)
     return _finish(ctx, total, N, tail)
@@ -625,8 +639,9 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     """
     _require_terms(N)
     if not _is_integer(s):
-        total, last = _swapped_sum(s, x, N, ctx, _eta_weights)
-        return _finish(ctx, total, N, 2.0 * abs(float(last)))
+        low = -float(s) * _log2(x) - 1  # log2 of r_0 / 2
+        total, last = _swapped_sum(Fraction(s), x, N, ctx, _eta_weights, low)
+        return _finish(ctx, total, N, 2.0 * abs(last))
     return _gamma_ratio_result("eta", int(s), x, N, ctx)
 
 

@@ -12,6 +12,7 @@ loop run at fewer bits than its rule asks for fails the second.
 import functools
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from ehz import numerics as nu
@@ -125,3 +126,46 @@ def test_polylog_within_the_stated_bound(s, y, digits, fixed):
     E = N * (1 + 1 / (1 - abs(y)))
     assert_within(total, P, S, E, low, ctx, signed=True)
     assert abs(S) >= low
+
+
+#: (sum, exponent s_power of phi_k = (k+x)^-s_power, x): eta is alt_hurwitz
+#: at s = s_power, hasse is hasse_hurwitz at s = s_power + 1
+SWAPPED = [
+    ("eta", F(3, 2), F(1, 2)),
+    ("eta", F(1, 2), F(7, 4)),
+    ("eta", F(2.3), F(1, 4)),
+    ("hasse", F(3, 2), F(1, 4)),
+    ("hasse", F(2.3), F(1)),
+    ("hasse", F(-1, 2), F(7, 4)),
+]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize("which, s_power, x", SWAPPED, ids=lambda v: str(v))
+def test_swapped_sums_within_the_stated_bound(which, s_power, x, digits, fixed):
+    # E = (1 + 2^-10) sum c_k / |d| + 1 against sum (-1)^k c_k phi_k / d with
+    # phi_k from mpmath at many more bits than P; S_low = x^-s / 2 (eta),
+    # x^(1-s) / (s-1) (hasse, s > 1) or 1 (hasse, s < 1); and 2^P carries the
+    # N bits of row N - 1: 2^(N-1) units stay under 10^-dps / 32
+    ctx = PrecisionContext(digits, Mode.HIGH)
+    eta = which == "eta"
+    divisor = 1 if eta else s_power
+    with mpmath.workprec(4 * ctx.dps + 3 * max(BUDGETS) + 128):
+        xv = mpmath.mpf(x.numerator) / x.denominator
+        sv = mpmath.mpf(s_power.numerator) / s_power.denominator
+        phi = [(k + xv) ** -sv for k in range(max(BUDGETS))]
+        low = xv**-sv / 2 if eta else (xv**-sv / sv if s_power > 0 else 1)
+        for N in BUDGETS:
+            if eta:
+                zs.alt_hurwitz(s_power, x, N, ctx)
+                c, d, _ = zs._eta_weights(N)
+            else:
+                zs.hasse_hurwitz(s_power + 1, x, N, ctx)
+                c, d, _ = zs._hasse_weights(N)
+            total, P = fixed[-1]
+            d = d * divisor
+            S = mpmath.fsum((-1) ** k * c[k] * phi[k] for k in range(N)) * d.denominator / d.numerator
+            E = F(1025, 1024) * sum(c) / abs(d) + 1
+            assert abs(S * 2**P - total) * E.denominator < E.numerator, N
+            assert 4 * E.numerator * 10**ctx.dps < low * 2**P * E.denominator, N
+            assert 2**P >= 16 * 2**N * 10**ctx.dps, N
