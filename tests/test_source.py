@@ -112,3 +112,43 @@ def test_code_is_compiled_only_by_the_kernel_builder():
                     calls.add((path.stem, getattr(node, "name", None), name))
     builder = ("zeta_series", "_kernel")
     assert calls == {builder + ("exec",), builder + ("compile",)}
+
+
+#: names of the mpf summation that every HIGH series loop has left behind:
+#: each is now an integer sum at scale 2^P, rounded once
+RETIRED_NAMES = {"compensated_sum", "_ramanujan_terms", "fadd", "fdot"}
+
+
+def _identifiers(tree):
+    """(line, name) for every name, attribute, definition and import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_high_sums_name_no_mpf_summation():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, line, n) for line, n in _identifiers(tree) if n in RETIRED_NAMES]
+    assert not found
+
+
+def test_precision_scopes_are_entered_only_by_numerics_and_the_cli():
+    # elsewhere a precision scope comes from PrecisionContext.scope()
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "working_precision":
+                    callers.add(path.stem)
+    assert callers <= {"numerics", "cli"}, sorted(callers)
