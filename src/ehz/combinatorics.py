@@ -153,26 +153,39 @@ def bell_eval(xs: Sequence):
     return bell_eval_all(xs)[-1]
 
 
+#: n -> Y_n's monomials as (coefficient, ((j, k_j) for each k_j > 0)), x_{j+1}
+#: taken to the power k_j: :func:`bell_coefficients` read once per n
+_BELL_MONOMIALS: Dict[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]] = {}
+_BELL_LOCK = threading.Lock()
+
+
 def bell_from_partitions(xs: Sequence):
     """Y_n by the explicit partition sum (independent oracle for bell_eval).
 
     Exact input is summed in integers: every monomial has weight
     sum j k_j = n, so Y_n(x) = Y_n(L x_1, L^2 x_2, ...) / L^n with L the lcm
-    of the denominators, and the arguments L^j x_j are integers.
+    of the denominators, and the arguments L^j x_j are integers.  Each n's
+    partitions and coefficients are enumerated once and cached.
     """
     n = len(xs)
     if n == 0:
         return 1
+    with _BELL_LOCK:
+        if n not in _BELL_MONOMIALS:
+            _BELL_MONOMIALS[n] = tuple(
+                (coeff, tuple((j, k) for j, k in enumerate(part) if k))
+                for part, coeff in bell_coefficients(n).items()
+            )
+        monomials = _BELL_MONOMIALS[n]
     any_fraction = any(isinstance(v, Fraction) for v in xs)
     exact = all(isinstance(v, (int, Fraction)) for v in xs)
     L = math.lcm(*(Fraction(v).denominator for v in xs)) if exact else 1
     args = [int(v * L**j) for j, v in enumerate(xs, start=1)] if exact else xs
     total = args[0] * 0
-    for part, coeff in bell_coefficients(n).items():
+    for coeff, powers in monomials:
         mono = coeff
-        for j, k in enumerate(part, start=1):
-            if k:
-                mono = mono * args[j - 1] ** k
+        for j, k in powers:
+            mono = mono * args[j] ** k
         total = total + mono
     return Fraction(total, L**n) if any_fraction else total
 

@@ -108,6 +108,17 @@ class TestBellEval:
         with pytest.raises(nu.DomainError):
             co.bell_eval([Fraction(1), 0.5])
 
+    def test_partition_oracle_builds_each_table_once(self):
+        # the monomial table of Y_n is read from bell_coefficients once and
+        # kept as a tuple; floats take the same table
+        xs = [Fraction(k, 3) for k in range(1, 8)]
+        first = co.bell_from_partitions(xs)
+        table = co._BELL_MONOMIALS[7]
+        assert isinstance(table, tuple) and len(table) == co.partition_count(7)
+        assert co.bell_from_partitions(xs) == first == co.bell_eval(xs)
+        assert co._BELL_MONOMIALS[7] is table
+        assert co.bell_from_partitions([float(v) for v in xs]) == pytest.approx(float(first))
+
     def test_derivative_shift_property(self):
         # W_m(x) = Y_m(f', ..., f^(m)) satisfies
         # W_{m+1} = f' W_m + W_m' for polynomial f, via exact Lagrange
