@@ -10,6 +10,7 @@ loop run at fewer bits than its rule asks for fails the second.
 """
 
 import functools
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -169,3 +170,51 @@ def test_swapped_sums_within_the_stated_bound(which, s_power, x, digits, fixed):
             assert abs(S * 2**P - total) * E.denominator < E.numerator, N
             assert 4 * E.numerator * 10**ctx.dps < low * 2**P * E.denominator, N
             assert 2**P >= 16 * 2**N * 10**ctx.dps, N
+
+
+FAST, HIGH60 = PrecisionContext(30, Mode.FAST), PrecisionContext(60, Mode.HIGH)
+
+
+def fast_against_high60(call, stated_loss, fixed):
+    """|FAST - HIGH at 60 digits| <= FAST's stated loss plus half an ulp,
+    and HIGH's own stated loss, 10^-60 of it at most."""
+    fast = call(FAST)
+    E_fast = stated_loss(fixed[-1][1], FAST)
+    high = call(HIGH60)
+    E_high = stated_loss(fixed[-1][1], HIGH60)
+    assert isinstance(fast, float)
+    with mpmath.workprec(600):
+        gap = abs(mpmath.mpf(fast) - high)
+        allowed = E_fast + E_high + mpmath.mpf(math.ulp(fast)) / 2
+        assert gap <= allowed, (fast, high)
+
+
+@pytest.mark.parametrize("N", [1, 10, 100, 300])
+@pytest.mark.parametrize("x", [F(1, 4), F(1), F(7, 4)], ids=str)
+@pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("which", ["eta", "hasse"])
+def test_swapped_sums_fast_against_high(which, s, x, N, fixed):
+    weights = zs._eta_weights if which == "eta" else zs._hasse_weights
+    c, d, _ = weights(N)
+    d = d * (1 if which == "eta" else F(s) - 1)
+    E = F(1025, 1024) * sum(c) / abs(d) + 1
+
+    def call(ctx):
+        f = zs.alt_hurwitz if which == "eta" else zs.hasse_hurwitz
+        return f(s, x, N, ctx).value
+
+    fast_against_high60(call, lambda P, ctx: mpmath.mpf(E.numerator) / E.denominator / 2**P, fixed)
+
+
+@pytest.mark.parametrize("y", [F(-1, 3), F(1, 3), F(1, 2)], ids=str)
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_polylog_fast_against_high(s, y, fixed):
+    # the stated loss: E = N (1 + 1/(1-|y|)) units and the terms past N,
+    # under (|y|/2) 10^-dps / 16
+    def loss(P, ctx):
+        N = zs._polylog_terms(y, ctx.dps)
+        E = N * (1 + 1 / (1 - abs(y)))
+        trunc = mpmath.mpf(abs(y.numerator)) / (2 * y.denominator) / 16 / mpmath.mpf(10) ** ctx.dps
+        return mpmath.mpf(E.numerator) / E.denominator / 2**P + trunc
+
+    fast_against_high60(lambda ctx: zs.polylog(s, y, ctx), loss, fixed)
