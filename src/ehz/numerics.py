@@ -1,29 +1,30 @@
-"""Precision management, deterministic summation and reference constants.
+"""Precision management and reference constants.
 
 Two numeric backplanes are provided and selected through a
 :class:`PrecisionContext`:
 
-* ``FAST`` -- native IEEE doubles with Neumaier compensated summation,
-  for large term budgets (N up to 1e6).  The requested digit count is not
-  honoured: every operation rounds to a double, and a series' relative
-  rounding error grows with N, about as sqrt(N) 2^-52 (40 to 400 times
-  2^-52 for the gamma-ratio series at N = 1e6).
-* ``HIGH`` -- mpmath at the requested digits, for tight tolerances at small
-  N.  Sums are exact and rounded once; the gamma-ratio series and the
-  reference values below sum fixed-point integers, not mpfs.
+* ``FAST`` -- native IEEE doubles, for large term budgets (N up to 1e6).
+  The requested digit count is not honoured by the float loops: every
+  operation rounds to a double, and a series' relative rounding error grows
+  with N, about as sqrt(N) 2^-52 (40 to 400 times 2^-52 for the
+  gamma-ratio series at N = 1e6).  The series that share the HIGH engine
+  below (the non-integer-s eta and Hasse sums, ``polylog``) return the
+  double nearest its integer sum.
+* ``HIGH`` -- the requested digits.  Every series loop of
+  ``ehz.zeta_series`` and every reference value below sums integers at a
+  scale 2^P, with a stated loss of E units of 2^-P, and rounds the integer
+  sum once into an mpf; mpf arithmetic is left to the boundary (the
+  constants a sum is scaled by, the powers (k+x)^-s of non-integer s).
 
-The FAST kernels of the hot series (the gamma-ratio series, among them
-catalan-central and zeta2-dup; Ramanujan's series for G; the digamma sum)
-add their own terms by Neumaier's step, written out in each loop
-(``ehz.zeta_series``).  The other series loops of ``ehz.zeta_series`` are
-generators of terms summed by :func:`compensated_sum`: Neumaier's step over
-doubles from a float zero, exact adds rounded once from an mpf zero.
+The FAST float loops add their own terms by Neumaier's step, written out in
+each loop (``ehz.zeta_series``).
 
-mpmath keeps its working precision in global state, so every HIGH-mode
-computation in this package runs inside :func:`working_precision`, which
-holds a re-entrant lock while the precision is altered.  All operations are
-otherwise pure functions of immutable inputs and are safe to call from
-multiple threads.
+mpmath keeps its working precision in global state, so every mpf operation
+runs inside :func:`working_precision`, which holds a re-entrant lock while
+the precision is altered; outside this module and the CLI it is entered
+only through :meth:`PrecisionContext.scope`.  All operations are otherwise
+pure functions of immutable inputs and are safe to call from multiple
+threads.
 
 The reference values -- zeta(s, x) and the constants pi (Machin), gamma
 and zeta(m) (Euler--Maclaurin with exact Bernoulli numbers) and Catalan's G

@@ -15,21 +15,23 @@ the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
 series use twice the final term).  Terms are summed in ascending index, so
-results are bit-reproducible.  The FAST kernels of the gamma-ratio series,
-Ramanujan's series for G and the digamma sum add their own terms by
-Neumaier's step, with no abs() in the compare where every term is >= 0, and
-count n in doubles (see :func:`_gamma_ratio_series`).  Every other loop is a
-generator of its terms, summed by ``numerics.compensated_sum``: Neumaier
-compensated from a float zero, exact and rounded once from an mpf zero (the
-HIGH gamma-ratio series sum fixed-point integers instead).
+results are bit-reproducible.  Every FAST float loop adds its own terms by
+Neumaier's step, written out in the loop, with no abs() in the compare
+where every term is >= 0; the kernels of the gamma-ratio series count n in
+doubles (see :func:`_gamma_ratio_series`).  Every HIGH loop sums integers
+at a scale 2^P: each step is a floor, the docstring states the loss E
+units of 2^-P, P is :func:`_scale` of E over a lower bound on the sum, and
+:func:`_from_fixed` rounds the integer sum once.  The non-integer-s double
+sums and :func:`polylog` run that integer loop in FAST mode too and return
+the double nearest its sum.
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
 throughout.  Inner alternating binomial sums are never summed term by term
 in doubles, which would lose everything to terms as large as C(n, n/2).
 Integer s uses their closed form.  Non-integer s swaps the double sum's two
-sums into one weighted sum over phi_k = (k+x)^-s, an O(N) dot product at
-cancellation-guard precision (:func:`_swapped_sum`).  The polylog identities
+sums into one weighted sum over phi_k = (k+x)^-s, an O(N) integer dot
+product with exact weights (:func:`_swapped_sum`).  The polylog identities
 carry their inner sums across rows by f_j(n) = f_j(n-1) + f_{j-1}(n)/n.  The
 other per-term factors are carried across terms too, at O(q) work per
 term: the Bell factor as symmetric-polynomial coefficients, which for the
@@ -84,7 +86,7 @@ from .numerics import (
     const_zeta,
     _inv_powers,
     hurwitz_zeta_em,
-    working_precision,
+    working_precision,  # not called here: bench/tests wraps this module's name
 )
 
 __all__ = [
@@ -119,8 +121,8 @@ __all__ = [
     "MAX_ORDER",
 ]
 
-#: Row cap for non-integer s in the Hasse/eta double sums: the inner
-#: binomial sums need about 0.302*n extra digits to absorb cancellation.
+#: Row cap for non-integer s in the Hasse/eta double sums: the tail's inner
+#: binomial row N - 1 needs N extra bits to absorb cancellation.
 NONINTEGER_S_TERM_CAP = 400
 
 #: Largest |s| or q that :func:`evaluate` accepts.  The tail surrogate
@@ -368,14 +370,15 @@ def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionCo
     one that int counters give.
 
     Each FAST kernel adds its own terms by Neumaier's step, written out in
-    its loop, with ``s >= t`` where ``numerics.compensated_sum`` compares
+    its loop, with ``s >= t`` where the general step compares
     ``abs(s) >= abs(t)``.  Every term is >= 0, since x > 0 makes R_n, every
     1/(i+x), every a[j] and every weight non-negative, and n H_n - 1 >= 0;
     so the running sum s is >= 0 too, and the two compares agree on every
     such pair, inf and nan included (a compare with nan is False either
-    way).  The sums are bit for bit compensated_sum's.  At m = 1 the terms of
-    every kind but "mixed" never increase, so the kernel peels term 1 (s = t,
-    c = t - t) and later steps drop the compare (s >= t_1 >= t).
+    way), so the sums are bit for bit the general step's.  At m = 1 the
+    terms of every kind but "mixed" never increase, so the kernel peels
+    term 1 (s = t, c = t - t) and later steps drop the compare
+    (s >= t_1 >= t).
     """
     if ctx.mode is Mode.HIGH:
         return _fixed_point_series(kind, m, x, N, ctx)
@@ -595,9 +598,9 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     is returned.  Integer s <= 0: the inner sums are exact polynomial sums
     that vanish for n > 1 - s; their exact sum is rounded once.  Non-integer
     s: the two sums are swapped, sum_{k<N} (-1)^k phi_k V_k with
-    phi_k = (k+x)^(1-s) and V_k from :func:`_hasse_weights`, at cancellation
-    guard digits (term budget capped); below s = 1 convergence is empirical
-    and the tail estimate is the last-row magnitude.
+    phi_k = (k+x)^(1-s) and V_k from :func:`_hasse_weights`, one integer
+    dot product (:func:`_swapped_sum`, term budget capped); below s = 1
+    convergence is empirical and the tail estimate is the last-row magnitude.
     """
     _require_terms(N)
     x = _require_positive_x(x)
@@ -1026,9 +1029,9 @@ def _digamma_fixed(power: int, N: int, P: int) -> Tuple[int, int, int, int]:
 
 def _digamma_fast(psi0, power, N):
     """digamma_half_sum's FAST loop: (sum, last term, H_N(1/2)).  The terms
-    change sign, so the outer Neumaier step compares abs() as
-    ``numerics.compensated_sum`` does; the addends 2/(2n+1) of H_n(1/2) are
-    positive, so its pair (hs, hc) compares without abs()."""
+    change sign, so the outer Neumaier step compares abs(); the addends
+    2/(2n+1) of H_n(1/2) are positive, so its pair (hs, hc) compares
+    without abs()."""
     s = c = t = hs = hc = 0.0
     for odd in range(1, 2 * N, 2):  # 2n + 1
         t = (psi0 + (hs + hc)) / odd**power

@@ -7,8 +7,8 @@ built by ``zs._kernel``, which also writes the HIGH kernels that
 ``zs.catalan_series`` and ``zs.digamma_half_sum`` add their own terms by
 Neumaier's step.  Where every term is >= 0 their compare is ``s >= t``, not
 ``abs(s) >= abs(t)`` (the kernels at order 1 and the Ramanujan loop drop it
-after term 1); digamma's outer sum, whose terms change sign, keeps abs().
-``zs.polylog_identity_lhs`` is summed by ``numerics.compensated_sum``.
+after term 1); digamma's outer sum, whose terms change sign, keeps abs(),
+as does the FAST loop of ``zs.polylog_identity_lhs``.
 
 ORACLE: the functions below are the FAST loops as they were written before
 the kernels: one ``add`` call per term on the streaming accumulator
