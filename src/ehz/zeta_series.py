@@ -62,7 +62,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -284,7 +283,7 @@ def _swapped_sum(s_power: Fraction, x: Fraction, N: int, ctx, weights, low_log2,
     P = _scale(ctx, max(E / Fraction(2) ** (math.floor(low_log2) - 2), Fraction(2**N)))
     phi = _inv_powers(s_power, x, range(N), P)
     signed = [-f if k % 2 else f for k, f in enumerate(phi)]  # (-1)^k phi_k
-    total = sum(map(operator.mul, c, signed)) * d.denominator // d.numerator
+    total = sum(ck * f for ck, f in zip(c, signed)) * d.denominator // d.numerator
     last = sum(math.comb(N - 1, k) * f for k, f in enumerate(signed)) * w.denominator
     return _from_fixed(total, P, ctx), _to_float(last, w.numerator << P)
 
@@ -934,7 +933,7 @@ def _polylog_rows_fast(alternating: bool, s: int, y: Fraction, N: int) -> Tuple[
     return total + c, row
 
 
-def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int) -> Tuple[int, int]:
+def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
     """polylog_identity_lhs's HIGH loop in integers at scale 2^P: (sum, last
     row).  With y = p/d, t = (1-y)^n (E14_3) or ((1+y)/2)^n (E14_4) is
     carried as floor(t_{n-1} (d-p) / d) or floor(t_{n-1} (d+p) / (2d)) from

@@ -165,7 +165,8 @@ def test_swapped_sums_within_the_stated_bound(which, s_power, x, digits, fixed):
                 c, d, _ = zs._hasse_weights(N)
             total, P = fixed[-1]
             d = d * divisor
-            S = mpmath.fsum((-1) ** k * c[k] * phi[k] for k in range(N)) * d.denominator / d.numerator
+            S = mpmath.fsum((-1) ** k * c[k] * phi[k] for k in range(N))
+            S = S * d.denominator / d.numerator
             E = F(1025, 1024) * sum(c) / abs(d) + 1
             assert abs(S * 2**P - total) * E.denominator < E.numerator, N
             assert 4 * E.numerator * 10**ctx.dps < low * 2**P * E.denominator, N
