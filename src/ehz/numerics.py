@@ -270,16 +270,10 @@ def _scale_bits(dps: int) -> int:
 
 
 def _fixed(value, P: int) -> int:
-    """floor(2^P value()) for an mpmath expression value() > 0, evaluated
-    to within 2^-10 of a unit: at P + 30 bits, and again at 20 bits more
-    than the bits of 2^P value() when value() exceeds 2^10."""
-    bits = P + 30
-    while True:
-        with working_precision(math.ceil(bits * math.log10(2)) + 1):
-            v = value()
-            if mpmath.mag(v) + P + 20 <= bits:
-                return int(mpmath.floor(mpmath.ldexp(v, P)))
-        bits = mpmath.mag(v) + P + 20
+    """floor(2^P value()) for an mpmath expression 0 < value() < 2^10 (a
+    logarithm here), evaluated at P + 30 bits: within 2^-10 of a unit."""
+    with working_precision(math.ceil((P + 30) * math.log10(2)) + 1):
+        return int(mpmath.floor(mpmath.ldexp(value(), P)))
 
 
 def _unfixed(v: int, P: int, dps: int):
@@ -296,8 +290,8 @@ def _inv_powers(s: Fraction, x: Fraction, ks, P: int) -> list:
     exact too, the integer square root of floor(2^(2P) (k+x)^-2s).  Other s
     take the mpf power under one precision scope, at P + 30 bits and at 20
     bits more than the bits of the largest 2^P (k+x)^-s when that exceeds
-    2^(P+10), so each is within 2^-10 of a unit, as :func:`_fixed`'s, and
-    each floor loses under 1 + 2^-10 units."""
+    2^(P+10), so each is within 2^-10 of a unit and its floor loses under
+    1 + 2^-10 units."""
     p, d = x.numerator, x.denominator
     if s.denominator == 1:
         a = s.numerator
@@ -311,18 +305,10 @@ def _inv_powers(s: Fraction, x: Fraction, ks, P: int) -> list:
             top = d**a << 2 * P
             return [math.isqrt(top // (d * k + p) ** a) for k in ks]
         return [math.isqrt(((d * k + p) ** -a << 2 * P) // d**-a) for k in ks]
-    if not ks:
-        return []
     lg = max(-float(s) * (math.log2(d * k + p) - math.log2(d)) for k in (ks[0], ks[-1]))
-    bits = P + 30 + max(0, math.ceil(lg) - 9)
-    out = []
-    with working_precision(math.ceil(bits * math.log10(2)) + 1):
+    with working_precision(math.ceil((P + 30 + max(0, math.ceil(lg) - 9)) * math.log10(2)) + 1):
         minus_s = -mpf(s.numerator) / s.denominator
-        for k in ks:
-            man, e = ((mpf(d * k + p) / d) ** minus_s).man_exp  # the power is > 0
-            e += P
-            out.append(man << e if e >= 0 else man >> -e)
-    return out
+        return [int(mpmath.floor(mpmath.ldexp((mpf(d * k + p) / d) ** minus_s, P))) for k in ks]
 
 
 def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:

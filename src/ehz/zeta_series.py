@@ -261,17 +261,13 @@ def _swapped_sum(s_power: Fraction, x: Fraction, N: int, ctx, weights, low_log2,
     double), both over ``divisor``, where (c, d, w) = weights(N),
     phi_k = (k+x)^(-s_power) and r_{N-1} = sum_k (-1)^k C(N-1,k) phi_k: a
     non-integer-s double sum with its two sums swapped, and its last term,
-    whose outer weight is 1/w.
-
-    In integers at scale 2^P: phi_k is floored by ``numerics._inv_powers``,
-    which loses under 1 + 2^-10 units of 2^-P, the dot products with the
-    exact weights are exact, and one floor divides the sum by d.  Bound:
-    every c_k >= 0, so the sum loses under E = (1 + 2^-10) sum_k c_k / |d|
-    + 1 units, and r_{N-1} under (1 + 2^-10) 2^(N-1).  P is :func:`_scale`
-    of max(E / S_low, 2^N): the sum's rule, with S_low = 2^(floor(low_log2)
-    - 2) below the caller's lower bound 2^low_log2 on the sum, and the N
-    bits that keep row N - 1 within 10^-dps / 16, whose binomial weights
-    cap N.
+    whose outer weight is 1/w.  In integers at scale 2^P, with phi_k
+    floored by ``numerics._inv_powers`` (under 1 + 2^-10 units lost) and one
+    floor for d, the sum loses under E = (1 + 2^-10) sum_k c_k / |d| + 1
+    units (every c_k >= 0) and r_{N-1} under (1 + 2^-10) 2^(N-1).  P is
+    :func:`_scale` of max(E / S_low, 2^N), S_low = 2^(floor(low_log2) - 2)
+    below the caller's bound 2^low_log2 on the sum: row N - 1 keeps
+    10^-dps / 16, and its binomial weights cap N.
     """
     if N > NONINTEGER_S_TERM_CAP:
         raise DomainError(
@@ -786,14 +782,11 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
 
 
 def _ramanujan_fixed(N: int, P: int) -> Tuple[int, int]:
-    """(sum, last term) of b_n / (2n+1), n < N, in integers at scale 2^P,
-    with b_n = C(2n,n)^2 / 2^(4n) carried as B_n = floor(B_{n-1} (2n-1)^2 /
-    (4 n^2)) from B_0 = 2^P and term n floor(B_n / (2n+1)).
-
-    Bound: every floor loses under one unit of 2^-P and the step ratio is
-    below 1, so B_n loses under n units and term n under 1 + n / (2n+1);
-    the computed sum S' <= S and S - S' < E 2^-P, E = 2 N.  S >= b_0 = 1,
-    so P = :func:`_scale` of E gives (S - S') / S < 10^-dps / 4.
+    """(sum, last term) of b_n / (2n+1), n < N, in integers at scale 2^P:
+    B_n = floor(B_{n-1} (2n-1)^2 / (4 n^2)) from B_0 = 2^P carries
+    b_n = C(2n,n)^2 / 2^(4n), and term n is floor(B_n / (2n+1)).  Bound: the
+    step ratio is below 1, so B_n loses under n units of 2^-P and term n
+    under 1 + n / (2n+1), and S - E 2^-P < S' <= S, E = 2 N; S >= b_0 = 1.
     """
     b, total, t = 1 << P, 0, 0
     for n in range(N):
