@@ -14,7 +14,8 @@ Two numeric backplanes are provided and selected through a
   ``ehz.zeta_series`` and every reference value below sums integers at a
   scale 2^P, with a stated loss of E units of 2^-P, and rounds the integer
   sum once into an mpf; mpf arithmetic is left to the boundary (the
-  constants a sum is scaled by, the powers (k+x)^-s of non-integer s).
+  constants a sum is scaled by, the powers (k+x)^-s of an s that is not an
+  integer or a half-integer).
 
 The FAST float loops add their own terms by Neumaier's step, written out in
 each loop (``ehz.zeta_series``).
@@ -306,7 +307,8 @@ def _inv_powers(s: Fraction, x: Fraction, ks, P: int) -> list:
             return [math.isqrt(top // (d * k + p) ** a) for k in ks]
         return [math.isqrt(((d * k + p) ** -a << 2 * P) // d**-a) for k in ks]
     lg = max(-float(s) * (math.log2(d * k + p) - math.log2(d)) for k in (ks[0], ks[-1]))
-    with working_precision(math.ceil((P + 30 + max(0, math.ceil(lg) - 9)) * math.log10(2)) + 1):
+    bits = P + 30 + max(0, math.ceil(lg) - 9)
+    with working_precision(math.ceil(bits * math.log10(2)) + 1):
         minus_s = -mpf(s.numerator) / s.denominator
         return [int(mpmath.floor(mpmath.ldexp((mpf(d * k + p) / d) ** minus_s, P))) for k in ks]
 
