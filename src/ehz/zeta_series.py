@@ -84,6 +84,7 @@ from .numerics import (
     const_pi,
     const_zeta,
     _inv_powers,
+    _unfixed,
     hurwitz_zeta_em,
     working_precision,  # not called here: bench/tests wraps this module's name
 )
@@ -342,10 +343,7 @@ def _scale(ctx: PrecisionContext, ratio) -> int:
 def _from_fixed(total: int, P: int, ctx: PrecisionContext) -> Real:
     """total 2^-P rounded once into ctx's type: the one place where an
     integer series leaves the integers."""
-    if ctx.mode is Mode.FAST:
-        return _to_float(total, 1 << P)
-    with ctx.scope():
-        return mpmath.ldexp(mpf(total), -P)
+    return _to_float(total, 1 << P) if ctx.mode is Mode.FAST else _unfixed(total, P, ctx.dps)
 
 
 def _gamma_ratio_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):
