@@ -4,21 +4,19 @@ Two numeric backplanes are provided and selected through a
 :class:`PrecisionContext`:
 
 * ``FAST`` -- native IEEE doubles, for large term budgets (N up to 1e6).
-  The requested digit count is not honoured by the float loops: every
-  operation rounds to a double, and a series' relative rounding error grows
-  with N, about as sqrt(N) 2^-52 (40 to 400 times 2^-52 for the
-  gamma-ratio series at N = 1e6).  The series that share the HIGH engine
-  below (the non-integer-s eta and Hasse sums, ``polylog``) return the
-  double nearest its integer sum.
+  The requested digit count is not honoured.  The gamma-ratio series run
+  float loops that add their own terms by Neumaier's step
+  (``ehz.zeta_series``): every operation rounds to a double, and a series'
+  relative rounding error grows with N, about as sqrt(N) 2^-52 (40 to 400
+  times 2^-52 for those series at N = 1e6).  Every other series runs the
+  integer loop of HIGH below, sized for :data:`_FAST_SEED_DIGITS` digits,
+  and returns the double nearest its integer sum.
 * ``HIGH`` -- the requested digits.  Every series loop of
   ``ehz.zeta_series`` and every reference value below sums integers at a
   scale 2^P, with a stated loss of E units of 2^-P, and rounds the integer
   sum once into an mpf; mpf arithmetic is left to the boundary (the
   constants a sum is scaled by, the powers (k+x)^-s of an s that is not an
   integer or a half-integer).
-
-The FAST float loops add their own terms by Neumaier's step, written out in
-each loop (``ehz.zeta_series``).
 
 mpmath keeps its working precision in global state, so every mpf operation
 runs inside :func:`working_precision`, which holds a re-entrant lock while
@@ -131,9 +129,10 @@ def working_precision(dps: int) -> Iterator[None]:
 class PrecisionContext:
     """Immutable precision request: decimal digits plus backplane mode.
 
-    ``digits`` must be >= 15.  FAST mode ignores ``digits``: it rounds every
-    operation to a double, and a series' relative error grows with its term
-    count N, about as sqrt(N) times 2^-52.
+    ``digits`` must be >= 15.  FAST mode ignores ``digits``: the gamma-ratio
+    series round every operation to a double, and their relative error grows
+    with the term count N, about as sqrt(N) times 2^-52; the other series
+    return the double nearest an integer sum (see the module docstring).
     """
 
     digits: int = 30
@@ -455,7 +454,8 @@ def _catalan_series(dps: int):
 _CONST_CACHE: dict = {}
 _CONST_LOCK = threading.Lock()
 
-#: digits used for the FAST-mode double seed of every constant.
+#: digits used for the FAST-mode double seed of every constant, and the
+#: digits FAST's integer series loops are sized for.
 _FAST_SEED_DIGITS = 25
 
 

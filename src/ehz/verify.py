@@ -521,16 +521,22 @@ def _registry() -> List[Identity]:
         desc = "zeta display from the shifted-harmonic Bell series at x = 1"
         numeric(f"zeta_{q + 1}", desc, 2000, 10000, _one_row(Formula.EULER_HURWITZ, q, 1))
     numeric(
-        "e14_1", "inner alternating sums summed against 1/n^2", 2000, 10000,
+        "e14_1",
+        "inner alternating sums summed against 1/n^2 (an alias: it re-runs the"
+        " euler-hurwitz series of zeta_3, zeta_4 and zeta_5)",
+        2000, 10000,
         _s_rows(Formula.EULER_HURWITZ, 1, 1),
     )
     numeric(
-        "e14_2", "inner alternating sums summed against 1/(n 2^n)", 60, 60,
+        "e14_2",
+        "inner alternating sums summed against 1/(n 2^n) (an alias: it re-runs"
+        " sondow-alt, the series of alt_2 and alt_3)",
+        60, 60,
         _s_rows(Formula.SONDOW_ALT, 0),
     )
     for id_, q, desc in (
-        ("e41", 3, "quadratic Euler sum vs 3! zeta(4)"),
-        ("e43", 4, "cubic Euler sum vs 4! zeta(5)"),
+        ("e41", 3, "quadratic Euler sum vs 3! zeta(4) (an alias: it re-runs the series of zeta_4)"),
+        ("e43", 4, "cubic Euler sum vs 4! zeta(5) (an alias: it re-runs the series of zeta_5)"),
         ("e43_2", 5, "quartic Euler sum vs 5! zeta(6)"),
     ):
         numeric(id_, desc, 10000, 100000, _one_row(Formula.EULER_HURWITZ, q, 1, math.factorial(q)))
@@ -551,7 +557,10 @@ def _registry() -> List[Identity]:
         cross=True,
     )
     numeric(
-        "zeta2_37", "duplication-formula central-binomial series for zeta(2)", 10000, 1000000,
+        "zeta2_37",
+        "duplication-formula central-binomial series for zeta(2) (an alias: it"
+        " re-runs euler-hurwitz at q = 1, x = 1/2)",
+        10000, 1000000,
         _one_row(Formula.ZETA2_DUP),
     )
     numeric(

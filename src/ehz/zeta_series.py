@@ -15,15 +15,17 @@ the term budget actually honoured, and an analytic tail estimate (integral
 surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
 from the final term so no per-formula constants need tuning; geometric
 series use twice the final term).  Terms are summed in ascending index, so
-results are bit-reproducible.  Every FAST float loop adds its own terms by
-Neumaier's step, written out in the loop, with no abs() in the compare
-where every term is >= 0; the kernels of the gamma-ratio series count n in
-doubles (see :func:`_gamma_ratio_series`).  Every HIGH loop sums integers
-at a scale 2^P: each step is a floor, the docstring states the loss E
-units of 2^-P, P is :func:`_scale` of E over a lower bound on the sum, and
-:func:`_from_fixed` rounds the integer sum once.  The non-integer-s double
-sums and :func:`polylog` run that integer loop in FAST mode too and return
-the double nearest its sum.
+results are bit-reproducible.  The gamma-ratio series have the only FAST
+float loops: one kernel per kind and order, which counts n in doubles and
+adds its own terms by Neumaier's step, written out in the loop, with no
+abs() in the compare, every term being >= 0 (see :func:`_gamma_ratio_series`).
+Every other loop, and every HIGH loop, sums integers at a scale 2^P: each
+step is a floor, the docstring states the loss E units of 2^-P, P is
+:func:`_scale` of E over a lower bound on the sum, and :func:`_from_fixed`
+rounds the integer sum once.  Each such series has one loop for both modes:
+in FAST, P is sized for ``numerics._FAST_SEED_DIGITS`` digits whatever
+ctx.digits says, a constant that scales the sum comes from HIGH at those
+digits (:func:`_high`), and the result is the double nearest the sum.
 
 Gamma-ratio factors are never computed from a Gamma evaluator: the exact
 recurrence R_{n+1} = R_n n/(n+x), seeded from R_1 = 1/x, is used
@@ -83,6 +85,8 @@ from .numerics import (
     const_log2,
     const_pi,
     const_zeta,
+    _FAST_SEED_DIGITS,
+    _GUARD_DIGITS,
     _inv_powers,
     _unfixed,
     hurwitz_zeta_em,
@@ -331,12 +335,24 @@ def _log2(x: Fraction) -> float:
     return math.log2(x.numerator) - math.log2(x.denominator)
 
 
+#: The HIGH context behind FAST's integer loops: its dps is the digits behind
+#: FAST's constants (``numerics._FAST_SEED_DIGITS``), whatever ctx.digits says.
+_FAST_LOOP_CTX = PrecisionContext(_FAST_SEED_DIGITS - _GUARD_DIGITS, Mode.HIGH)
+
+
+def _high(ctx: PrecisionContext) -> PrecisionContext:
+    """The HIGH context an integer loop is sized for, and takes its
+    constants from: ctx in HIGH, :data:`_FAST_LOOP_CTX` in FAST."""
+    return ctx if ctx.mode is Mode.HIGH else _FAST_LOOP_CTX
+
+
 def _scale(ctx: PrecisionContext, ratio) -> int:
     """P = ceil(dps log2 10) + log2(E / S_low) + 4 for ratio = E / S_low, the
-    log2 read off bit lengths: the scale at which a sum of size at least
-    S_low that loses under E units of 2^-P is within 10^-dps / 4 of itself."""
+    log2 read off bit lengths, dps that of :func:`_high`: the scale at which
+    a sum of size at least S_low that loses under E units of 2^-P is within
+    10^-dps / 4 of itself."""
     ratio = Fraction(ratio)
-    P = math.ceil(ctx.dps * math.log2(10)) + ratio.numerator.bit_length() + 4
+    P = math.ceil(_high(ctx).dps * math.log2(10)) + ratio.numerator.bit_length() + 4
     return P - ratio.denominator.bit_length()
 
 
@@ -749,8 +765,8 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     (1/2) sum [n H_n - 1]/n^2 [2^n Gamma(n)]^2/Gamma(2n) the mixed series at
     m = 1 (its bracketed factor is 2 R_n(1/2)).  Ramanujan's terms carry
     1/R_{n+1}(1/2)^2 and fall like n^-2, which the gamma-ratio tail (decay x)
-    does not model; FAST runs :func:`_ramanujan_fast`, HIGH the integer loop
-    :func:`_ramanujan_fixed`, and pi/4 multiplies the sum once.
+    does not model.  Its integer loop :func:`_ramanujan_fixed` runs in both
+    modes, and pi/4, an integer at the loop's scale, multiplies the sum once.
     """
     if not isinstance(kind, CatalanKind):
         raise DomainError("unknown catalan-series kind")
@@ -758,56 +774,30 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
         series, m, scale = _CENTRAL_BINOMIAL[kind]
         return _gamma_ratio_result(series, m, Fraction(1, 2), N, ctx, scale)
     _require_terms(N)
-    with ctx.scope():
-        quarter_pi = const_pi(ctx) / 4
-        if ctx.mode is Mode.FAST:
-            total, term = _ramanujan_fast(quarter_pi, N)
-        else:
-            P = _scale(ctx, 2 * N)  # E = 2 N, S_low = b_0 = 1
-            total, term = _ramanujan_fixed(N, P)
-            total = quarter_pi * _from_fixed(total, P, ctx)
-            term = quarter_pi * mpmath.ldexp(term, -P)
-        return _finish(ctx, total, N, _tail_from_last(float(term), N, 1.0, 0, 0.0))
-
-
-# Ramanujan's series for G: term ratios are exact small integers, applied
-# multiplicatively.  The FAST kernel counts in doubles, exact integers below
-# 2^53 whose products round once, as the int-to-float conversion of the
-# integer product did, and returns (sum, last term) for N >= 1.  It takes
-# term 1 as Neumaier's first step from 0 (sum t, compensation t - t, inf and
-# nan included) and then drops the step's compare: every later term is
-# positive and no larger than the first, so s >= t.
+    hi = _high(ctx)
+    with hi.scope():
+        quarter_pi = const_pi(hi) / 4
+    P = _scale(ctx, 2 * N)  # E = 2 N, S_low = b_0 = 1
+    Q = int(mpmath.ldexp(quarter_pi, P))  # exact: P exceeds the bits of pi/4
+    total, term = _ramanujan_fixed(N, P)
+    tail = _tail_from_last(_to_float(Q * term, 1 << 2 * P), N, 1.0, 0, 0.0)
+    return _finish(ctx, _from_fixed(Q * total, 2 * P, ctx), N, tail)
 
 
 def _ramanujan_fixed(N: int, P: int) -> Tuple[int, int]:
     """(sum, last term) of b_n / (2n+1), n < N, in integers at scale 2^P:
-    B_n = floor(B_{n-1} (2n-1)^2 / (4 n^2)) from B_0 = 2^P carries
-    b_n = C(2n,n)^2 / 2^(4n), and term n is floor(B_n / (2n+1)).  Bound: the
-    step ratio is below 1, so B_n loses under n units of 2^-P and term n
-    under 1 + n / (2n+1), and S - E 2^-P < S' <= S, E = 2 N; S >= b_0 = 1.
+    B_n = floor(floor(B_{n-1} (2n-1) / (2n)) (2n-1) / (2n)) from B_0 = 2^P
+    carries b_n = C(2n,n)^2 / 2^(4n), and term n is floor(B_n / (2n+1)).
+    Bound: each step's ratio is below 1, so B_n loses under 2 n units of
+    2^-P and term n under 1 + 2 n / (2n+1) < 2, and S - E 2^-P < S' <= S,
+    E = 2 N; S >= b_0 = 1.
     """
     b, total, t = 1 << P, 0, 0
-    for n in range(N):
-        odd = 2 * n + 1
+    for odd in range(1, 2 * N, 2):  # 2n + 1
         t = b // odd
         total += t
-        b = b * (odd * odd) // (4 * (n + 1) * (n + 1))
+        b = b * odd // (odd + 1) * odd // (odd + 1)
     return total, t
-
-
-def _ramanujan_fast(quarter_pi, N):
-    b = odd = n1 = 1.0
-    s = t = quarter_pi * b / odd
-    c = t - t
-    for _ in range(N - 1):
-        b = b * (odd * odd) / (4.0 * n1 * n1)
-        odd += 2.0
-        n1 += 1.0
-        t = quarter_pi * b / odd
-        u = s + t
-        c += (s - u) + t
-        s = u
-    return s + c, t
 
 
 def polylog(s: int, y, ctx: PrecisionContext) -> Real:
@@ -831,7 +821,7 @@ def polylog(s: int, y, ctx: PrecisionContext) -> Real:
         raise DomainError("polylog requires |y| < 1")
     if y == 0:
         return ctx.zero()
-    N = _polylog_terms(y, ctx.dps)
+    N = _polylog_terms(y, _high(ctx).dps)
     P = _scale(ctx, N * (1 + 1 / (1 - abs(y))) * 2 / abs(y))
     p, d = y.numerator, y.denominator
     Y, total = 1 << P, 0
@@ -854,7 +844,8 @@ def _polylog_identity_args(which: PolylogIdentity, s, y) -> Fraction:
         raise DomainError("s must be an integer >= 1")
     y = Fraction(y)
     if not 0 < y <= Fraction(1, 2):
-        raise DomainError("identity checks require rational y in (0, 1/2]")
+        default = " (the default without --x)" if y == 1 else ""
+        raise DomainError(f"the polylog identities take y = --x in (0, 1/2], got x = {y}{default}")
     if which not in (PolylogIdentity.E14_3, PolylogIdentity.E14_4):
         raise DomainError("unknown polylog identity")
     return y
@@ -876,56 +867,23 @@ def polylog_identity_lhs(
     f_0(n) = (1 +- y)^n - 1.  For E14_3, f_0(n) lies in (-1, 0), so every
     f_j is a sum of negative terms and nothing cancels.  E14_4 carries
     g_j = f_j / 2^n, g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n, with
-    g_0(n) = ((1+y)/2)^n - 2^-n, so (3/2)^n never appears.  FAST runs
-    :func:`_polylog_rows_fast`, HIGH the integer loop :func:`_polylog_rows_fixed`.
+    g_0(n) = ((1+y)/2)^n - 2^-n, so (3/2)^n never appears.  Both modes run
+    the integer loop :func:`_polylog_rows_fixed`.
     """
     y = _polylog_identity_args(which, s, y)
     _require_terms(N)
     alternating = which is PolylogIdentity.E14_3
-    if ctx.mode is Mode.FAST:
-        total, row = _polylog_rows_fast(alternating, s, y, N)
-    else:
-        L = 1 + N.bit_length()
-        E = N + ((s + 1) if alternating else (4 * s + 5)) * L
-        P = _scale(ctx, E / (y if alternating else y / 2))
-        total, row = _polylog_rows_fixed(alternating, s, y, N, P)
-        total, row = _from_fixed(total, P, ctx), _to_float(row, 1 << P)
-    last = abs(float(row))
+    L = 1 + N.bit_length()
+    E = N + ((s + 1) if alternating else (4 * s + 5)) * L
+    P = _scale(ctx, E / (y if alternating else y / 2))
+    total, row = _polylog_rows_fixed(alternating, s, y, N, P)
+    last = abs(_to_float(row, 1 << P))
     tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
-    return _finish(ctx, total, N, tail)
-
-
-def _polylog_rows_fast(alternating: bool, s: int, y: Fraction, N: int) -> Tuple[float, float]:
-    """polylog_identity_lhs's FAST loop: (sum, last row).  The powers t =
-    (1-y)^n (E14_3) or (1+y)^-n (E14_4) are carried by multiplication, and
-    t - 1 is taken as expm1(n log t) while t > 1/2, where the subtraction
-    would cancel.  The rows are summed by Neumaier's step, written out
-    with its abs() compare."""
-    yv = float(y)
-    lg = math.log1p(-yv) if alternating else -math.log1p(yv)
-    step = float(1 - y if alternating else 1 / (1 + y))
-    half = (1 + yv) / 2
-    t = power = 1.0  # power = ((1+y)/2)^n
-    f = [0.0] * (s + 1)
-    total = c = row = 0.0
-    for n in range(1, N + 1):
-        t, power = t * step, power * half
-        u = t - 1 if t <= 0.5 else math.expm1(n * lg)
-        f[0] = u if alternating else -power * u
-        for j in range(1, s + 1):
-            f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
-        row = f[s] / (n * n if alternating else n)
-        u = total + row
-        if abs(total) >= abs(row):
-            c += (total - u) + row
-        else:
-            c += (row - u) + total
-        total = u
-    return total + c, row
+    return _finish(ctx, _from_fixed(total, P, ctx), N, tail)
 
 
 def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
-    """polylog_identity_lhs's HIGH loop in integers at scale 2^P: (sum, last
+    """polylog_identity_lhs's loop in integers at scale 2^P: (sum, last
     row).  With y = p/d, t = (1-y)^n (E14_3) or ((1+y)/2)^n (E14_4) is
     carried as floor(t_{n-1} (d-p) / d) or floor(t_{n-1} (d+p) / (2d)) from
     2^P, f_0 = t - 2^P or t - floor(2^(P-n)), and each f_j step and row is
@@ -968,34 +926,28 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     """sum_{n=0}^{N-1} psi(n + 1/2) / (2n+1)^power for power in {2, 4}.
 
     psi(n + 1/2) = psi0 + H_n(1/2), psi0 = -gamma - 2 log 2, with the shifted
-    harmonic number H_n(1/2) = sum_{k<n} 2/(2k+1) carried across terms: in
-    FAST as a Neumaier pair inside :func:`_digamma_fast`, in HIGH as an
-    integer (:func:`_digamma_fixed`).  The denominators are integer powers
-    odd**power, which a float power could round twice.
+    harmonic number H_n(1/2) = sum_{k<n} 2/(2k+1) carried across terms, in
+    both modes by the integer loop :func:`_digamma_fixed`.
     """
     if power not in (2, 4):
         raise DomainError("power must be 2 or 4")
     _require_terms(N)
 
-    with ctx.scope():
-        psi0 = -const_gamma(ctx) - 2 * const_log2(ctx)
-        if ctx.mode is Mode.FAST:
-            total, term, h = _digamma_fast(psi0, power, N)
-            c = float(psi0 + h)
-        else:
-            P = _scale(ctx, 4 * N)  # E = 4 N, S_low = 1
-            Psi = int(mpmath.ldexp(psi0, P))  # exact: P exceeds the bits of psi0
-            A, B, H, t = _digamma_fixed(power, N, P)
-            total = _from_fixed(Psi * A + (B << P), 2 * P, ctx)
-            term = _to_float(Psi + t, (2 * N - 1) ** power << P)
-            c = _to_float(Psi + H, 1 << P)
-        c = c - math.log(N) if N > 1 else 1.0
-        tail = _tail_from_last(float(term), N, float(power - 1), 1, c)
-        return _finish(ctx, total, N, tail)
+    hi = _high(ctx)
+    with hi.scope():
+        psi0 = -const_gamma(hi) - 2 * const_log2(hi)
+    P = _scale(ctx, 4 * N)  # E = 4 N, S_low = 1
+    Psi = int(mpmath.ldexp(psi0, P))  # exact: P exceeds the bits of psi0
+    A, B, H, t = _digamma_fixed(power, N, P)
+    total = _from_fixed(Psi * A + (B << P), 2 * P, ctx)
+    term = _to_float(Psi + t, (2 * N - 1) ** power << P)
+    c = _to_float(Psi + H, 1 << P) - math.log(N) if N > 1 else 1.0
+    tail = _tail_from_last(term, N, float(power - 1), 1, c)
+    return _finish(ctx, total, N, tail)
 
 
 def _digamma_fixed(power: int, N: int, P: int) -> Tuple[int, int, int, int]:
-    """digamma_half_sum's HIGH loop in integers at scale 2^P: (A, B, H_N,
+    """digamma_half_sum's loop in integers at scale 2^P: (A, B, H_N,
     H_{N-1}) with A = sum_{n<N} floor(2^P / (2n+1)^power), B = sum_{n<N}
     floor(H_n / (2n+1)^power) and H_n = sum_{k<n} floor(2^(P+1) / (2k+1)),
     so that the sum is psi0 A + B at scale 2^P.
@@ -1015,30 +967,6 @@ def _digamma_fixed(power: int, N: int, P: int) -> Tuple[int, int, int, int]:
         h = H
         H += two // odd
     return A, B, H, h
-
-
-def _digamma_fast(psi0, power, N):
-    """digamma_half_sum's FAST loop: (sum, last term, H_N(1/2)).  The terms
-    change sign, so the outer Neumaier step compares abs(); the addends
-    2/(2n+1) of H_n(1/2) are positive, so its pair (hs, hc) compares
-    without abs()."""
-    s = c = t = hs = hc = 0.0
-    for odd in range(1, 2 * N, 2):  # 2n + 1
-        t = (psi0 + (hs + hc)) / odd**power
-        u = s + t
-        if abs(s) >= abs(t):
-            c += (s - u) + t
-        else:
-            c += (t - u) + s
-        s = u
-        b = 2.0 / odd
-        u = hs + b
-        if hs >= b:
-            hc += (hs - u) + b
-        else:
-            hc += (b - u) + hs
-        hs = u
-    return s + c, t, hs + hc
 
 
 def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:

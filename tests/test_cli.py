@@ -130,6 +130,18 @@ class TestEval:
         assert code == 3
         assert "pole" in err
 
+    @pytest.mark.parametrize(
+        "flags, got",
+        [((), "x = 1 (the default without --x)"), (("--x", "3/4"), "x = 3/4")],
+        ids=["no-x", "x3/4"],
+    )
+    def test_polylog_shift_outside_its_range_names_the_flag_exit_three(self, capsys, flags, got):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", "polylog-14-4", "--s", "2", *flags, "--terms", "10"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: the polylog identities take y = --x in (0, 1/2], got {got}\n"
+
     def test_byte_identical_repeats(self, capsys):
         args = (
             "eval", "--formula", "stirling-route", "--q", "2", "--x", "1/2",

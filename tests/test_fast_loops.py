@@ -3,20 +3,19 @@ for bit.
 
 The FAST kernels of ``zs._gamma_ratio_series`` (one per kind and order,
 built by ``zs._kernel``, which also writes the HIGH kernels that
-``test_zeta_series`` checks), the FAST Ramanujan loop of
-``zs.catalan_series`` and ``zs.digamma_half_sum`` add their own terms by
-Neumaier's step.  Where every term is >= 0 their compare is ``s >= t``, not
-``abs(s) >= abs(t)`` (the kernels at order 1 and the Ramanujan loop drop it
-after term 1); digamma's outer sum, whose terms change sign, keeps abs(),
-as does the FAST loop of ``zs.polylog_identity_lhs``.
+``test_zeta_series`` checks) are the only FAST float loops; every other
+series runs its integer loop in both modes, and ``test_integer_loops``
+holds FAST to HIGH there.  The kernels add their own terms by Neumaier's
+step, and every term being >= 0, their compare is ``s >= t``, not
+``abs(s) >= abs(t)`` (the kernels at order 1 drop it after term 1).
 
 ORACLE: the functions below are the FAST loops as they were written before
 the kernels: one ``add`` call per term on the streaming accumulator
 ``NeumaierSum`` (conftest), whose compare takes abs(), and integer
-arithmetic (``2 * n + 1``, ``m * n``, ``n * n``) converted to doubles per
-term.  They are kept only as the reference for the kernels' float counters
-and inlined summation; the tails go through the package's own
-``_tail_from_last`` and ``_finish``.
+arithmetic (``m * n``, ``n * n``) converted to doubles per term.  They are
+kept only as the reference for the kernels' float counters and inlined
+summation; the tails go through the package's own ``_tail_from_last`` and
+``_finish``.
 """
 
 import math
@@ -26,10 +25,9 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import FIXED_POINT_KINDS, NeumaierSum
-from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
-from ehz.zeta_series import CatalanKind, PolylogIdentity
+from ehz.zeta_series import CatalanKind
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -74,18 +72,6 @@ def gamma_ratio_series(kind, m, x, N):
     return acc.total, term, max(a[1] if m > 1 else 0.0, H), R
 
 
-def ramanujan_series(N):
-    """ORACLE: the FAST loop of ``zs.catalan_series`` for RAMANUJAN_38."""
-    acc, term = NeumaierSum(), 0.0
-    quarter_pi = nu.const_pi(FAST) / 4
-    b = 1.0
-    for n in range(N):
-        term = quarter_pi * b / (2 * n + 1)
-        acc.add(term)
-        b = b * ((2 * n + 1) * (2 * n + 1)) / (4 * (n + 1) * (n + 1))
-    return zs._finish(FAST, acc.total, N, zs._tail_from_last(term, N, 1.0, 0, 0.0))
-
-
 def central_fast(kind, N):
     """ORACLE: ``zs._central_fast``, the FAST loop of catalan-central
     (a, b = 8, 4) and zeta2-dup (3, 3) before both ran on the gamma-ratio
@@ -106,42 +92,6 @@ def central_fast(kind, N):
         r += (s - u) + t
         s = u
     return zs._finish(FAST, s + r, N, zs._tail_from_last(t, N, 0.5, 0, 0.0))
-
-
-def digamma_half_sum(power, N):
-    """ORACLE: the FAST loop of ``zs.digamma_half_sum``."""
-    psi0 = -nu.const_gamma(FAST) - 2 * nu.const_log2(FAST)
-    acc, hx, term = NeumaierSum(), NeumaierSum(), 0.0
-    for n in range(N):
-        term = (psi0 + hx.total) / (2 * n + 1) ** power
-        acc.add(term)
-        hx.add(2.0 / (2 * n + 1))
-    c = psi0 + hx.total - math.log(N) if N > 1 else 1.0
-    tail = zs._tail_from_last(term, N, float(power - 1), 1, c)
-    return zs._finish(FAST, acc.total, N, tail)
-
-
-def polylog_identity_lhs(which, s, y, N):
-    """ORACLE: the FAST loop of ``zs.polylog_identity_lhs``."""
-    alternating = which is PolylogIdentity.E14_3
-    yv = float(y)
-    lg = math.log1p(-yv) if alternating else -math.log1p(yv)
-    step = float(1 - y if alternating else 1 / (1 + y))
-    half = (1 + yv) / 2
-    t = power = 1.0
-    f = [0.0] * (s + 1)
-    acc, row = NeumaierSum(), 0.0
-    for n in range(1, N + 1):
-        t, power = t * step, power * half
-        u = t - 1 if t <= 0.5 else math.expm1(n * lg)
-        f[0] = u if alternating else -power * u
-        for j in range(1, s + 1):
-            f[j] = (f[j] if alternating else f[j] / 2) + f[j - 1] / n
-        row = f[s] / (n * n if alternating else n)
-        acc.add(row)
-    last = abs(row)
-    tail = zs._tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
-    return zs._finish(FAST, acc.total, N, tail)
 
 
 def bits(*values):
@@ -244,13 +194,16 @@ def test_gamma_ratio_series_matches_streaming_loop_at_random_shifts(kind, m, p, 
 BUDGETS = (1, 2, 10, 10**4)
 
 
+#: the central-binomial series; Ramanujan's runs the integer loop of both
+#: modes, which test_integer_loops holds to HIGH
+CENTRAL_KINDS = [k for k in CatalanKind if k is not CatalanKind.RAMANUJAN_38]
+
+
 def catalan_fast(kind, N, monkeypatch):
-    """The FAST catalan_series and its oracle at N: Ramanujan's loop, the
-    old catalan-central loop (still equal bit for bit), or the gamma-ratio
-    series run on the oracle loop :func:`gamma_ratio_series`."""
+    """The FAST catalan_series and its oracle at N: the old catalan-central
+    loop (still equal bit for bit), or the gamma-ratio series run on the
+    oracle loop :func:`gamma_ratio_series`."""
     got = zs.catalan_series(kind, N, FAST)
-    if kind is CatalanKind.RAMANUJAN_38:
-        return got, ramanujan_series(N)
     if kind is CatalanKind.CENTRAL_38_1:
         return got, central_fast(kind, N)
     with monkeypatch.context() as mp:
@@ -258,7 +211,7 @@ def catalan_fast(kind, N, monkeypatch):
         return got, zs.catalan_series(kind, N, FAST)
 
 
-@pytest.mark.parametrize("kind", list(CatalanKind))
+@pytest.mark.parametrize("kind", CENTRAL_KINDS)
 def test_catalan_series_matches_streaming_loop(kind, monkeypatch):
     for N in BUDGETS:
         got, want = catalan_fast(kind, N, monkeypatch)
@@ -282,26 +235,9 @@ def test_zeta2_dup_is_the_euler_hurwitz_series_within_ulps_of_its_old_loop():
         assert ulps(got.value, old.value) <= 1 and ulps(got.tail_estimate, old.tail_estimate) <= 2, N
 
 
-@pytest.mark.parametrize("power", [2, 4])
-def test_digamma_half_sum_matches_streaming_loop(power):
-    for N in BUDGETS:
-        got = zs.digamma_half_sum(power, N, FAST)
-        assert result_bits(got) == result_bits(digamma_half_sum(power, N)), N
-
-
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(list(CatalanKind)), power=st.sampled_from([2, 4]), N=st.integers(1, 3000))
-def test_central_binomial_and_digamma_match_streaming_loops_at_random_budgets(kind, power, N):
+@given(kind=st.sampled_from(CENTRAL_KINDS), N=st.integers(1, 3000))
+def test_central_binomial_series_match_streaming_loops_at_random_budgets(kind, N):
     with pytest.MonkeyPatch.context() as monkeypatch:
         got, want = catalan_fast(kind, N, monkeypatch)
     assert result_bits(got) == result_bits(want)
-    got = zs.digamma_half_sum(power, N, FAST)
-    assert result_bits(got) == result_bits(digamma_half_sum(power, N))
-
-
-@pytest.mark.parametrize("which", list(PolylogIdentity))
-def test_polylog_identity_lhs_matches_streaming_loop(which):
-    for s, y in ((1, F(1, 2)), (3, F(1, 4))):
-        for N in BUDGETS:
-            got = zs.polylog_identity_lhs(which, s, y, N, FAST)
-            assert result_bits(got) == result_bits(polylog_identity_lhs(which, s, y, N)), (s, y, N)

@@ -48,16 +48,23 @@ def assert_within(total, P, S, E, low, ctx, signed=False):
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_high_ramanujan_series_within_the_stated_bound(digits, fixed):
-    # sum b_n / (2n+1), b_n = C(2n,n)^2 / 2^(4n): E = 2 N, S_low = 1
+    # sum b_n / (2n+1), b_n = C(2n,n)^2 / 2^(4n): E = 2 N, S_low = 1; the
+    # loop's sum leaves the integers times pi/4 at scale 2^P, at 2^(2P)
     ctx = PrecisionContext(digits, Mode.HIGH)
+    with ctx.scope():
+        quarter_pi = nu.const_pi(ctx) / 4
     S, b = F(0), F(1)
     for N in range(1, max(BUDGETS) + 1):
         S += b / (2 * N - 1)
         b = b * (2 * N - 1) ** 2 / (4 * N * N)
         if N in BUDGETS:
             zs.catalan_series(CatalanKind.RAMANUJAN_38, N, ctx)
-            total, P = fixed[-1]
-            assert_within(total, P, S, 2 * N, 1, ctx)
+            total, P2 = fixed[-1]
+            P = P2 // 2
+            Q = mpmath.ldexp(quarter_pi, P)
+            assert Q == int(Q)  # pi/4 is exact at scale 2^P
+            assert total % int(Q) == 0
+            assert_within(total // int(Q), P, S, 2 * N, 1, ctx)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
@@ -213,9 +220,78 @@ def test_polylog_fast_against_high(s, y, fixed):
     # the stated loss: E = N (1 + 1/(1-|y|)) units and the terms past N,
     # under (|y|/2) 10^-dps / 16
     def loss(P, ctx):
-        N = zs._polylog_terms(y, ctx.dps)
+        dps = zs._high(ctx).dps  # FAST's loop is sized for numerics._FAST_SEED_DIGITS
+        N = zs._polylog_terms(y, dps)
         E = N * (1 + 1 / (1 - abs(y)))
-        trunc = mpmath.mpf(abs(y.numerator)) / (2 * y.denominator) / 16 / mpmath.mpf(10) ** ctx.dps
+        trunc = mpmath.mpf(abs(y.numerator)) / (2 * y.denominator) / 16 / mpmath.mpf(10) ** dps
         return mpmath.mpf(E.numerator) / E.denominator / 2**P + trunc
 
     fast_against_high60(lambda ctx: zs.polylog(s, y, ctx), loss, fixed)
+
+
+#: the FAST-against-HIGH grid of the series whose one integer loop runs in both modes
+GRID_BUDGETS = (1, 2, 10, 10**3, 10**4, 10**5)
+
+
+def constant_loss(ctx):
+    """The error that pi/4 or psi0, taken from HIGH at the loop's digits,
+    adds to the sum it scales: under 10^-dps, each constant being below 2 in
+    size and its sum below 1.3."""
+    return mpmath.mpf(10) ** -zs._high(ctx).dps
+
+
+@pytest.mark.parametrize("N", GRID_BUDGETS)
+def test_ramanujan_series_fast_against_high(N, fixed):
+    # E = 2 N units of 2^-P in a sum below 1.2 scaled by pi/4 < 1, at 2^(2P)
+    def loss(P2, ctx):
+        return mpmath.mpf(2 * N) / 2 ** (P2 // 2) + constant_loss(ctx)
+
+    call = lambda ctx: zs.catalan_series(CatalanKind.RAMANUJAN_38, N, ctx).value
+    fast_against_high60(call, loss, fixed)
+
+
+@pytest.mark.parametrize("N", GRID_BUDGETS)
+@pytest.mark.parametrize("power", [2, 4])
+def test_digamma_sum_fast_against_high(power, N, fixed):
+    # E = 4 N units of 2^-P (psi0 exact at 2^P), at 2^(2P)
+    def loss(P2, ctx):
+        return mpmath.mpf(4 * N) / 2 ** (P2 // 2) + constant_loss(ctx)
+
+    fast_against_high60(lambda ctx: zs.digamma_half_sum(power, N, ctx).value, loss, fixed)
+
+
+@pytest.mark.parametrize("N", GRID_BUDGETS)
+@pytest.mark.parametrize("y", [F(1, 4), F(1, 3), F(1, 2)], ids=str)
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
+def test_polylog_rows_fast_against_high(which, s, y, N, fixed):
+    # E = N + (s+1) L (E14_3) or N + (4s+5) L (E14_4), L = 1 + bitlen(N)
+    L = 1 + N.bit_length()
+    E = N + ((s + 1) if which is PolylogIdentity.E14_3 else (4 * s + 5)) * L
+    call = lambda ctx: zs.polylog_identity_lhs(which, s, y, N, ctx).value
+    fast_against_high60(call, lambda P, ctx: mpmath.mpf(E) / 2**P, fixed)
+
+
+def test_fast_polylog_row_sum_is_the_double_nearest_its_value():
+    # the float loop this integer loop replaced read 2 ulps below it here
+    call = lambda ctx: zs.polylog_identity_lhs(PolylogIdentity.E14_4, 2, F(1, 3), 1000, ctx)
+    assert call(FAST).value == float(call(HIGH60).value)  # float() rounds to nearest
+
+
+#: a FAST call of each integer loop that serves both modes
+FAST_INTEGER_LOOPS = {
+    "ramanujan": lambda ctx: zs.catalan_series(CatalanKind.RAMANUJAN_38, 100, ctx),
+    "digamma": lambda ctx: zs.digamma_half_sum(2, 100, ctx),
+    "polylog-rows": lambda ctx: zs.polylog_identity_lhs(PolylogIdentity.E14_3, 2, F(1, 3), 100, ctx),
+    "polylog": lambda ctx: zs.polylog(2, F(1, 3), ctx),
+    "swapped-eta": lambda ctx: zs.alt_hurwitz(1.5, F(1, 2), 100, ctx),
+}
+
+
+@pytest.mark.parametrize("name", FAST_INTEGER_LOOPS)
+def test_fast_integer_loops_ignore_the_digits(name, fixed):
+    # P is sized for numerics._FAST_SEED_DIGITS, whatever ctx.digits says
+    assert zs._high(FAST).dps == nu._FAST_SEED_DIGITS
+    for digits in (15, 30, 100):
+        FAST_INTEGER_LOOPS[name](PrecisionContext(digits, Mode.FAST))
+    assert len(fixed) == 3 and len(set(fixed)) == 1

@@ -152,3 +152,34 @@ def test_precision_scopes_are_entered_only_by_numerics_and_the_cli():
                 if name == "working_precision":
                     callers.add(path.stem)
     assert callers <= {"numerics", "cli"}, sorted(callers)
+
+
+#: the zeta_series functions that may read the precision mode: the mode's
+#: own helpers, the gamma-ratio series (whose FAST float kernels stay), the
+#: two reference helpers and the result's record of its mode.  Every other
+#: series runs one loop in both modes; deleting a name here is free, adding
+#: one is not.
+MODE_READERS = {
+    "_high",  # the HIGH context a loop is sized for
+    "_from_fixed",  # the integer sum rounded into the mode's type
+    "_gamma_ratio_series",
+    "_kernel",  # the kernel builder
+    "_finish",  # SeriesResult.mode
+    "polylog_identity_target",
+    "_eta_reference",
+}
+
+
+def test_only_named_zeta_series_functions_read_the_mode():
+    # a read is any ``.mode`` attribute (ctx.mode) or ``Mode.FAST``
+    path = SRC / "zeta_series.py"
+    found = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and (
+                sub.attr == "mode"
+                or (sub.attr == "FAST" and isinstance(sub.value, ast.Name) and sub.value.id == "Mode")
+            ):
+                found.add((getattr(node, "name", None), sub.lineno))
+    forks = sorted(((name, line) for name, line in found if name not in MODE_READERS), key=str)
+    assert not forks and found, forks
