@@ -40,6 +40,7 @@ from .numerics import (
 from .verify import Profile, run_all, run_identity, summarize
 from .zeta_series import (
     FORMULAS,
+    MAX_TERMS,
     EvalRequest,
     Formula,
     convergence_table,
@@ -144,6 +145,8 @@ def _make_request(args) -> EvalRequest:
             raise ValueError(f"{formula.value} requires --{spec.param}")
         s_or_q = _parse_s(value) if spec.param == "s" else value
     x = _parse_rational(args.x) if args.x is not None else None
+    if args.terms > MAX_TERMS:
+        raise ValueError(f"--terms must be <= {MAX_TERMS}, got {args.terms}")
     ctx = _build_context(args, args.terms)
     return EvalRequest(formula=formula, s_or_q=s_or_q, x=x, N=args.terms, ctx=ctx)
 

@@ -4,9 +4,11 @@ alternating binomial sums S_n(m), and the Coppo binomial/Bell identity.
 Shifted harmonic numbers are computed once, as integers over a common
 denominator (:func:`scaled_harmonics`), and every Bell row of them runs on
 those integers (:func:`signed_bell_row`, :func:`alt_binom_sum_bell`,
-:func:`coppo_rhs_rows`).  :func:`check_pole` is the one pole check of the
+:func:`coppo_sweep`).  :func:`check_pole` is the one pole check of the
 exact layer.  :func:`Hx` and :func:`coppo_lhs` are the literal sums; they
-stay as independent oracles for the scaled routes.
+stay as independent oracles for the scaled routes.  The Coppo closed form
+as Fraction rows, ``coppo_rhs_rows``, is a test-side oracle
+(``tests/oracles.py``) over :func:`_coppo_rhs_ints`.
 
 Everything in this module is exact rational arithmetic: binomial
 coefficients come from math.comb (arbitrary-precision integers) and no
@@ -37,7 +39,6 @@ __all__ = [
     "alt_binom_sum",
     "alt_binom_sum_bell",
     "coppo_lhs",
-    "coppo_rhs_rows",
     "coppo_sweep",
     "scaled_harmonics",
     "signed_bell_row",
@@ -198,8 +199,10 @@ def signed_bell_row(n: int, x) -> Tuple[int, List[int]]:
 
 def _coppo_rhs_ints(q_max: int, x: Fraction, n_max: int) -> Tuple[int, Iterator[tuple]]:
     """D of :func:`scaled_harmonics` and, for n = 0..n_max, the integers
-    (num, den, ys) of row n of :func:`coppo_rhs_rows`: entry q of that row
-    is num ys[q-1] / (den D^(q-1) (q-1)!)."""
+    (num, den, ys) of row n of the Coppo closed form: num/den is the gamma
+    ratio n! / (x (x+1) ... (x+n)), ys the Bell row of the arguments
+    (j-1)! D^j H_{n+1}^(j)(x), and sum_k C(n,k) (-1)^k / (k+x)^q is
+    num ys[q-1] / (den D^(q-1) (q-1)!)."""
     x = Fraction(x)
     xp, xq = x.numerator, x.denominator
     facts = [math.factorial(j) for j in range(q_max - 1)]
@@ -216,22 +219,6 @@ def _coppo_rhs_ints(q_max: int, x: Fraction, n_max: int) -> Tuple[int, Iterator[
     return D, ints()
 
 
-def coppo_rhs_rows(q_max: int, x: Fraction, n_max: int) -> Iterator[List[Fraction]]:
-    """Closed-form side of the Coppo identity for n = 0, 1, ..., n_max.
-
-    Row n lists sum_k C(n,k) (-1)^k / (k+x)^q for q = 1..q_max, each as
-    [n! / (x (x+1) ... (x+n))] * (1/(q-1)!) * Y_{q-1}(0! H_{n+1}(x), ...,
-    (q-2)! H_{n+1}^(q-1)(x)).  The gamma ratio is carried as an integer
-    numerator and denominator and the harmonic numbers as the integers
-    A_j = D^j H_{n+1}^(j)(x) of :func:`scaled_harmonics`, so each Bell row
-    runs on integers and each entry is one division by D^(q-1) (q-1)!.
-    """
-    D, rows = _coppo_rhs_ints(q_max, x, n_max)
-    scales = [D**j * math.factorial(j) for j in range(q_max)]
-    for num, den, ys in rows:
-        yield [Fraction(num * ys[j], den * scales[j]) for j in range(q_max)]
-
-
 def coppo_sweep(n_max: int, q_max: int, x: Fraction):
     """Yield (n, q, lhs, rhs) over the full grid n <= n_max, q <= q_max.
 
@@ -239,7 +226,7 @@ def coppo_sweep(n_max: int, q_max: int, x: Fraction):
     D = lcm of |x_q k + x_p| over k <= n_max, f_k = (x_q D / (x_q k + x_p))^q
     = D^q / (k+x)^q is an integer, and n passes of d[k] -= d[k+1] (Pascal's
     rule) leave d0 = sum_k C(n,k) (-1)^k f_k = D^q lhs in d[0].  rhs is
-    entry q of row n of :func:`coppo_rhs_rows`, taken as its integers
+    the closed form of :func:`_coppo_rhs_ints`, taken as its integers
     num Y_{q-1} / (den D^(q-1) (q-1)!).  The two sides share only x and D.
 
     The sides are compared by cross-multiplication,

@@ -1,4 +1,5 @@
-"""Floating-point evaluators for the zeta-function series families:
+"""Evaluators for the zeta-function series families, which sum integers at
+a binary scale and round once (the FAST gamma-ratio kernels sum doubles):
 
 * Hasse-style globally convergent double sums for zeta(s, x),
 * the alternating (eta) double sums with geometric outer weights,
@@ -38,21 +39,21 @@ carry their inner sums across rows by f_j(n) = f_j(n-1) + f_{j-1}(n)/n.  The
 other per-term factors are carried across terms too, at O(q) work per
 term: the Bell factor as symmetric-polynomial coefficients, which for the
 Stirling series are the column |s(k, j)|/(k-1)!.  The literal routes
-(exact terms from ``combinatorics.bell_eval``, ``combinatorics.stirling1``
-and ``harmonic.coppo_rhs_rows``, the mixed series' harmonic-number
-brackets, the binomial-row loop, the exact-Fraction polylog rows) live in
-the tests.
+live in the tests: exact terms from ``combinatorics.bell_eval``,
+``combinatorics.stirling1`` and the Coppo rows of ``tests/oracles.py``, the
+mixed series' harmonic-number brackets, the binomial-row loop and the
+exact-Fraction polylog rows.
 
 The eta double sums at integer s carry the same h_m recurrence as
 euler_hurwitz (:func:`_gamma_ratio_series`): inner row n - 1 is
 R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
-(``harmonic.coppo_rhs_rows``) are the tests' reference for it.  So does
-the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2, of which mixed-q,
-zeta3-half, E45_8 and E45_10 are multiples; the Shen series is
-stirling_route at x = 1, and the nonlinear Euler sums at x = 1 are these
-series scaled (:data:`_EULER_SUMS`), as are the central-binomial series at
-x = 1/2 (:data:`_CENTRAL_BINOMIAL`).  :func:`_gamma_ratio_result` gives all
-of them their tail, scale and final rounding.
+(``coppo_rhs_rows`` in ``tests/oracles.py``) are the tests' reference for
+it.  So does the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2, of
+which mixed-q, zeta3-half, E45_8 and E45_10 are multiples; the Shen
+series is stirling_route at x = 1, and the nonlinear Euler sums at x = 1
+are these series scaled (:data:`_EULER_SUMS`), as are the central-binomial
+series at x = 1/2 (:data:`_CENTRAL_BINOMIAL`).  :func:`_gamma_ratio_result`
+gives all of them their tail, scale and final rounding.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -71,7 +72,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath import mpf
 
 from .numerics import (
     DomainError,
@@ -123,6 +123,7 @@ __all__ = [
     "reference_value",
     "NONINTEGER_S_TERM_CAP",
     "MAX_ORDER",
+    "MAX_TERMS",
 ]
 
 #: Row cap for non-integer s in the Hasse/eta double sums: the tail's inner
@@ -134,6 +135,12 @@ NONINTEGER_S_TERM_CAP = 400
 #: unbounded order also costs order-sized work per term.  100 leaves
 #: headroom for the x-dependent factors 1/a^(j+1) next to the d!.
 MAX_ORDER = 100
+
+#: Largest term budget N that the CLI accepts, for ``eval`` and for every
+#: ``converge`` budget: 10x the largest budget the benchmark and the
+#: acceptance suite run, so a mistyped N fails at once instead of running
+#: for hours.
+MAX_TERMS = 10**7
 
 
 class Formula(enum.Enum):
@@ -210,22 +217,15 @@ class ConvergenceRow:
 # ----------------------------------------------------------------------
 
 
-def _log_tail_integral(d: int, a: float, N: int, c: float) -> float:
-    """integral_N^inf (log t + c)^d t^(-1-a) dt, closed form."""
-    lnc = math.log(N) + c
-    total = 0.0
-    jfact = 1.0
-    for j in range(d + 1):
-        if j:
-            jfact *= j
-        total += math.comb(d, j) * lnc ** (d - j) * jfact / a ** (j + 1)
-    return N ** (-a) * total
-
-
 def _tail_from_last(t_last: float, N: int, a: float, d: int, c: float) -> float:
     """Tail of a series whose terms behave like (log n + c)^d n^(-1-a),
 
-    scaled so the model reproduces the final computed term exactly.
+    scaled so the model reproduces the final computed term exactly.  With
+    l = log N + c (1 when that is not positive), the model is
+    t_last (log n + c)^d n^(-1-a) N^(1+a) / l^d, and its integral from N
+    is the closed form |t_last| N sum_{j<=d} C(d, j) j! / (l^j a^(j+1)):
+    the factors N^(1+a) and N^(-a) of the scale and the integral cancel,
+    so a large a cannot overflow them.
     """
     t_last = abs(t_last)
     if t_last == 0.0:
@@ -233,10 +233,14 @@ def _tail_from_last(t_last: float, N: int, a: float, d: int, c: float) -> float:
     lnc = math.log(N) + c
     if lnc <= 0.0:
         lnc = 1.0
-        c = lnc - math.log(N)
     try:
-        scale = t_last * N ** (1.0 + a) / lnc**d
-        return scale * _log_tail_integral(d, a, N, c)
+        total = 0.0
+        jfact = 1.0
+        for j in range(d + 1):
+            if j:
+                jfact *= j
+            total += math.comb(d, j) * jfact / (lnc**j * a ** (j + 1))
+        return t_last * N * total
     except (OverflowError, ZeroDivisionError):  # reported by _finish
         return math.inf
 

@@ -15,13 +15,21 @@ import pytest
 
 from ehz import cli
 from ehz import combinatorics as co
-from ehz import gamma_tools as gt
 from ehz import harmonic as ha
 from ehz import numerics as nu
 from ehz import verify
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
 from ehz.zeta_series import CatalanKind, EulerSumKind, EvalRequest, Formula
+from oracles import (
+    bell_from_partitions,
+    gamma_deriv_at_1,
+    gamma_deriv_at_1_det,
+    recip_gamma_lambda,
+    series_pow_alpha,
+    stirling1_closed,
+    wilf_asymptotic,
+)
 
 F = Fraction
 FAST = PrecisionContext(30, Mode.FAST)
@@ -58,7 +66,7 @@ def test_criterion_02_stirling_triple_route():
             assert sum(row) == 0
         assert sum(abs(v) for v in row) == math.factorial(n)
         for k in range(1, min(n, 4) + 1):
-            assert co.stirling1_closed(n, k) == row[k]
+            assert stirling1_closed(n, k) == row[k]
         for r in range(0, n):
             assert co.stirling1_bell(n - 1, r) == co.stirling1(n, r + 1)
     elapsed = time.time() - t0
@@ -74,7 +82,7 @@ def test_criterion_03_bell_dual_route():
         xs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(20)]
         all_y = co.bell_eval_all(xs)
         for n in range(0, 21):
-            assert all_y[n] == co.bell_from_partitions(xs[:n])
+            assert all_y[n] == bell_from_partitions(xs[:n])
     elapsed = time.time() - t0
     ok = elapsed < 10.0
     report(3, "bell dual route n<=20, 50 random vectors", ok, f"{elapsed:.1f}s")
@@ -88,8 +96,8 @@ def test_criterion_04_gamma_derivatives():
         closed = [-g, z2 + g * g, -2 * z3 - 3 * g * z2 - g**3]
         worst = mpmath.mpf(0)
         for m in range(1, 11):
-            a = gt.gamma_deriv_at_1(m, HIGH)
-            b = gt.gamma_deriv_at_1_det(m, HIGH)
+            a = gamma_deriv_at_1(m, HIGH)
+            b = gamma_deriv_at_1_det(m, HIGH)
             rel = abs(a - b) / max(1, abs(a))
             worst = max(worst, rel)
             if m <= 3:
@@ -102,7 +110,7 @@ def test_criterion_04_gamma_derivatives():
 
 def test_criterion_05_lambda_coefficients():
     with nu.working_precision(45):
-        lam = gt.recip_gamma_lambda(5, HIGH)
+        lam = recip_gamma_lambda(5, HIGH)
         g = nu.const_gamma(HIGH)
         p = nu.const_pi(HIGH)
         z3 = nu.const_zeta(3, HIGH)
@@ -117,7 +125,7 @@ def test_criterion_05_lambda_coefficients():
             assert abs(lam[j] - closed[j]) < tol
         # independent reciprocal-series oracle for lambda_5
         b = [-g] + [(-1) ** m * nu.const_zeta(m, HIGH) for m in range(2, 6)]
-        a = co.series_pow_alpha(g * 0, b, -1, 5)
+        a = series_pow_alpha(g * 0, b, -1, 5)
         assert abs(lam[4] - a[4]) < tol
         # the recurrence output carries gamma on the zeta(3) term
         with_gamma = (60 * g**4 - 60 * g**2 * p**2 + p**4 + 480 * g * z3) / 1440
@@ -283,7 +291,7 @@ def test_criterion_11_wilf_asymptotic():
             h1 = float(ha.H(n - 1, 1))
             h2 = float(ha.H(n - 1, 2))
             exact = h1 if k == 2 else (h1 * h1 - h2) / 2
-            est = gt.wilf_asymptotic(n, k, FAST)
+            est = wilf_asymptotic(n, k, FAST)
             errs.append(abs(est - exact) / exact)
         ok = ok and errs[0] < 5e-2 and errs[1] < errs[0]
         details.append(f"k={k}: {errs[0]:.2e}->{errs[1]:.2e}")

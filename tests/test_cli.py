@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,6 +360,38 @@ class TestEval:
     @pytest.mark.parametrize(
         "argv",
         [
+            "euler-hurwitz --q 1 --x 200 --terms 1000 --mode fast",
+            "euler-hurwitz --q 2 --x 150 --terms 1000 --mode high",
+            "stirling-route --q 2 --x 120 --terms 1000",
+            "mixed-q --q 4 --x 120 --terms 1000",
+            "hasse --s 2 --x 300 --terms 100",
+            "hasse --s 2.5 --x 300 --terms 300",
+        ],
+    )
+    def test_large_shift_keeps_a_finite_tail(self, capsys, argv):
+        # the tail's factors N^(1+a) and N^(-a), a = x, cancel; formed apart
+        # they overflowed a double although the sum is finite
+        code, out, err = run_cli(capsys, "eval", "--formula", *argv.split())
+        assert (code, err) == (0, "")
+        fields = dict(l.split("=", 1) for l in out.splitlines())
+        tail, error = float(fields["tail_estimate"]), float(fields["abs_error"])
+        assert 0.0 < tail < math.inf
+        # the tail is far below the working precision, so what error is left
+        # is the rounding of the value and of the reference
+        eps = 2.0**-50 if fields["mode"] == "FAST" else 10.0 ** -int(fields["digits"])
+        assert error <= tail + eps * abs(float(fields["reference"]))
+
+    @pytest.mark.parametrize("terms", ["10000001", "1000000000000"])
+    def test_terms_above_the_cap_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", "zeta2-dup", "--terms", terms, "--mode", "fast"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --terms must be <= 10000000, got {terms}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("eval", "--formula", "euler-hurwitz", "--q", "1", "--x", "1/0", "--terms", "10"),
             ("verify", "--id", "coppo_30", "--x", "1/0"),
         ],
@@ -453,6 +486,14 @@ class TestConverge:
         assert code == 2
         assert out == ""
         assert f"--terms budgets must be strictly increasing, got {terms}" in err
+
+    @pytest.mark.parametrize("terms", ["10,10000001", "10,1000000000000"])
+    def test_budget_above_the_cap_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "zeta2-dup", f"--terms={terms}", "--mode", "fast"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --terms must be <= 10000000, got {terms.split(',')[-1]}\n"
 
     @pytest.mark.parametrize("terms", ["10,abc", "1e3"])
     def test_budget_not_integer_usage_error(self, capsys, terms):

@@ -13,6 +13,17 @@ from conftest import mp_abs_diff
 from ehz import combinatorics as co
 from ehz import numerics as nu
 from ehz.numerics import Mode, PrecisionContext
+from oracles import (
+    _BELL_MONOMIALS,
+    bell_coefficients,
+    bell_from_partitions,
+    det_bracket,
+    enumerate_partitions,
+    log_power_coeffs,
+    partition_count,
+    series_pow_alpha,
+    stirling1_closed,
+)
 
 HIGH = PrecisionContext(30, Mode.HIGH)
 
@@ -23,10 +34,10 @@ def rand_fractions(rng: random.Random, n: int) -> list:
 
 class TestPartitions:
     def test_zero(self):
-        assert co.enumerate_partitions(0) == [()]
+        assert enumerate_partitions(0) == [()]
 
     def test_four_matches_reference_array(self):
-        assert co.enumerate_partitions(4) == [
+        assert enumerate_partitions(4) == [
             (4, 0, 0, 0),
             (2, 1, 0, 0),
             (1, 0, 1, 0),
@@ -35,14 +46,14 @@ class TestPartitions:
         ]
 
     def test_count_22(self):
-        parts = co.enumerate_partitions(22)
+        parts = enumerate_partitions(22)
         assert len(parts) == 1002
-        assert len(parts) == co.partition_count(22)
+        assert len(parts) == partition_count(22)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_weight_uniqueness_and_order(self, n):
-        parts = co.enumerate_partitions(n)
-        assert len(parts) == co.partition_count(n)
+        parts = enumerate_partitions(n)
+        assert len(parts) == partition_count(n)
         assert len(set(parts)) == len(parts)
         for p in parts:
             assert sum(j * k for j, k in enumerate(p, start=1)) == n
@@ -51,9 +62,9 @@ class TestPartitions:
 
 class TestBellCoefficients:
     def test_small_polynomials(self):
-        assert co.bell_coefficients(2) == {(2, 0): 1, (0, 1): 1}
-        assert co.bell_coefficients(3) == {(3, 0, 0): 1, (1, 1, 0): 3, (0, 0, 1): 1}
-        assert co.bell_coefficients(4) == {
+        assert bell_coefficients(2) == {(2, 0): 1, (0, 1): 1}
+        assert bell_coefficients(3) == {(3, 0, 0): 1, (1, 1, 0): 3, (0, 0, 1): 1}
+        assert bell_coefficients(4) == {
             (4, 0, 0, 0): 1,
             (2, 1, 0, 0): 6,
             (1, 0, 1, 0): 4,
@@ -63,12 +74,12 @@ class TestBellCoefficients:
 
     def test_all_positive_integers(self):
         for n in range(0, 15):
-            for c in co.bell_coefficients(n).values():
+            for c in bell_coefficients(n).values():
                 assert isinstance(c, int) and c > 0
 
     def test_degree_six_ground_truth(self):
         # the partition sum is the ground truth for the degree-6 polynomial
-        got = co.bell_coefficients(6)
+        got = bell_coefficients(6)
         want = {
             (6, 0, 0, 0, 0, 0): 1,
             (4, 1, 0, 0, 0, 0): 15,
@@ -94,7 +105,7 @@ class TestBellEval:
 
     def test_bell_number_via_partition_oracle(self):
         ones = [1, 1, 1, 1]
-        assert co.bell_from_partitions(ones) == 15
+        assert bell_from_partitions(ones) == 15
         assert co.bell_eval(ones) == 15
 
     def test_dual_route_random_rationals(self):
@@ -102,7 +113,7 @@ class TestBellEval:
         for n in range(1, 13):
             for _ in range(8):
                 xs = rand_fractions(rng, n)
-                assert co.bell_eval(xs) == co.bell_from_partitions(xs)
+                assert co.bell_eval(xs) == bell_from_partitions(xs)
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(nu.DomainError):
@@ -112,12 +123,12 @@ class TestBellEval:
         # the monomial table of Y_n is read from bell_coefficients once and
         # kept as a tuple; floats take the same table
         xs = [Fraction(k, 3) for k in range(1, 8)]
-        first = co.bell_from_partitions(xs)
-        table = co._BELL_MONOMIALS[7]
-        assert isinstance(table, tuple) and len(table) == co.partition_count(7)
-        assert co.bell_from_partitions(xs) == first == co.bell_eval(xs)
-        assert co._BELL_MONOMIALS[7] is table
-        assert co.bell_from_partitions([float(v) for v in xs]) == pytest.approx(float(first))
+        first = bell_from_partitions(xs)
+        table = _BELL_MONOMIALS[7]
+        assert isinstance(table, tuple) and len(table) == partition_count(7)
+        assert bell_from_partitions(xs) == first == co.bell_eval(xs)
+        assert _BELL_MONOMIALS[7] is table
+        assert bell_from_partitions([float(v) for v in xs]) == pytest.approx(float(first))
 
     def test_derivative_shift_property(self):
         # W_m(x) = Y_m(f', ..., f^(m)) satisfies
@@ -191,11 +202,11 @@ class TestStirling:
         assert co.stirling1(3, 2) == -3
 
     def test_closed_forms_examples(self):
-        assert co.stirling1_closed(4, 2) == 11
-        assert co.stirling1_closed(5, 1) == 24
-        assert co.stirling1_closed(4, 3) == -6
+        assert stirling1_closed(4, 2) == 11
+        assert stirling1_closed(5, 1) == 24
+        assert stirling1_closed(4, 3) == -6
         with pytest.raises(nu.DomainError):
-            co.stirling1_closed(4, 5)
+            stirling1_closed(4, 5)
 
     def test_bell_route_examples(self):
         assert co.stirling1_bell(0, 0) == 1
@@ -210,7 +221,7 @@ class TestStirling:
                 assert sum(row) == 0
             assert sum(abs(v) for v in row) == math.factorial(n)
             for k in range(1, min(n, 4) + 1):
-                assert co.stirling1_closed(n, k) == row[k]
+                assert stirling1_closed(n, k) == row[k]
             for r in range(0, n):
                 assert co.stirling1_bell(n - 1, r) == co.stirling1(n, r + 1)
 
@@ -254,7 +265,7 @@ class TestStirlingRowAsFactorialPolynomial:
 
 class TestLogPowerCoeffs:
     def test_log_series(self):
-        assert co.log_power_coeffs(1, 3) == (
+        assert log_power_coeffs(1, 3) == (
             Fraction(0),
             Fraction(1),
             Fraction(-1, 2),
@@ -262,14 +273,14 @@ class TestLogPowerCoeffs:
         )
 
     def test_k2_x3_coefficient(self):
-        assert co.log_power_coeffs(2, 3)[3] == Fraction(-1)
+        assert log_power_coeffs(2, 3)[3] == Fraction(-1)
 
     def test_k3_leading(self):
-        assert co.log_power_coeffs(3, 3)[3] == Fraction(1)
+        assert log_power_coeffs(3, 3)[3] == Fraction(1)
 
     def test_stirling_identity(self):
         for k in range(1, 7):
-            series = co.log_power_coeffs(k, 40)
+            series = log_power_coeffs(k, 40)
             for n in range(k, 41):
                 want = Fraction(
                     math.factorial(k) * co.stirling1(n, k), math.factorial(n)
@@ -299,14 +310,14 @@ class TestExpSeries:
     def test_pow_alpha_one_matches(self):
         b = [Fraction(1), Fraction(-2), Fraction(3)]
         assert (
-            co.series_pow_alpha(Fraction(0), b, Fraction(1), 3)
+            series_pow_alpha(Fraction(0), b, Fraction(1), 3)
             == co.log_to_exp_series(Fraction(0), b, 3)
         )
 
     def test_pow_alpha_square_of_one_plus_x(self):
         # log(1+x) under the b_n/n convention has b_m = (-1)^(m+1)
         b = [Fraction((-1) ** (m + 1)) for m in range(1, 6)]
-        sq = co.series_pow_alpha(Fraction(0), b, Fraction(2), 5)
+        sq = series_pow_alpha(Fraction(0), b, Fraction(2), 5)
         assert sq == (1, 2, 1, 0, 0, 0)
 
     def test_pow_alpha_reciprocal_gamma_first_coefficient(self):
@@ -316,7 +327,7 @@ class TestExpSeries:
             b = [-g] + [
                 (-1) ** m * nu.const_zeta(m, ctx) for m in range(2, 7)
             ]
-            a = co.series_pow_alpha(0.0 * g, b, -1, 6)
+            a = series_pow_alpha(0.0 * g, b, -1, 6)
             assert abs(a[1] - g) < mpmath.mpf(10) ** -25
 
 
@@ -353,31 +364,31 @@ class TestDetBracket:
                     a = [rng.randint(-9, 9) for _ in range(n)]
                 else:
                     a = rand_fractions(rng, n)
-                got = co.det_bracket(a)
+                got = det_bracket(a)
                 assert got == leibniz_det(bracket_matrix(a))
                 assert isinstance(got, (int, Fraction))
 
     def test_zero_leading_pivot_swaps_rows(self):
         # a_1 = 0 puts 0 at (0, 0); the subdiagonal entry 2 below it is the pivot
         for a in ([0, 1, 1], [0, Fraction(1, 2), Fraction(-3, 4)], [0, 0, 5, 7]):
-            assert co.det_bracket(a) == leibniz_det(bracket_matrix(a)) != 0
+            assert det_bracket(a) == leibniz_det(bracket_matrix(a)) != 0
 
     def test_singular_bracket_is_zero(self):
         # [a_1, a_2] = a_1^2 - a_2, so [1, 1] and [2, 4] vanish; so does [0, 0, 0]
         for a in ([1, 1], [2, 4], [Fraction(1, 2), Fraction(1, 4)], [0, 0, 0]):
             assert leibniz_det(bracket_matrix(a)) == 0
-            assert co.det_bracket(a) == 0
+            assert det_bracket(a) == 0
 
     def test_trivial(self):
-        assert co.det_bracket([]) == 1
-        assert co.det_bracket([Fraction(5, 7)]) == Fraction(5, 7)
+        assert det_bracket([]) == 1
+        assert det_bracket([Fraction(5, 7)]) == Fraction(5, 7)
 
     def test_gamma_second_derivative_value(self):
         ctx = HIGH
         with nu.working_precision(ctx.dps):
             g = nu.const_gamma(ctx)
             z2 = nu.const_zeta(2, ctx)
-            got = co.det_bracket([-g, -z2])
+            got = det_bracket([-g, -z2])
             assert abs(got - (g * g + z2)) < mpmath.mpf(10) ** -27
 
     def test_series_duality_random(self):
@@ -385,7 +396,7 @@ class TestDetBracket:
         for n in range(1, 13):
             b = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
             a = co.log_to_exp_series(Fraction(0), b, n)
-            bracket = co.det_bracket(
+            bracket = det_bracket(
                 [b[k] if k % 2 == 0 else -b[k] for k in range(n)]
             )
             assert math.factorial(n) * a[n] == bracket
@@ -395,14 +406,14 @@ class TestDetBracket:
 #: a weight that is not a partition raises, and neither rests on an assert
 _CORRUPTED_CHECKS = """
 from fractions import Fraction
-from ehz import combinatorics as co, harmonic as ha
-real_H = ha.H
-ha.H = lambda n, m: real_H(n, m) + Fraction(1, 7)
-print(repr(co.stirling1_closed(6, 3)))
-ha.H = real_H
-co.enumerate_partitions = lambda n: [(3, 0)]
+import oracles
+real_H = oracles.H
+oracles.H = lambda n, m: real_H(n, m) + Fraction(1, 7)
+print(repr(oracles.stirling1_closed(6, 3)))
+oracles.H = real_H
+oracles.enumerate_partitions = lambda n: [(3, 0)]
 try:
-    print(co.bell_coefficients(2))
+    print(oracles.bell_coefficients(2))
 except ArithmeticError as exc:
     print(type(exc).__name__, exc)
 """
@@ -411,8 +422,9 @@ except ArithmeticError as exc:
 class TestChecksSurviveOptimize:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
     def test_corrupted_inputs(self, flags):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _CORRUPTED_CHECKS],
             capture_output=True, text=True, env=env, timeout=60,

@@ -55,30 +55,12 @@ def _reachable_functions():
     return set(functions), seen
 
 
-#: functions that only the tests reach: routes kept as test-side oracles
-#: until they move out of src.  Deleting a name here is free; adding one is not.
+#: the functions that only the tests reach, each with the reason it stays in
+#: src; the independent routes that only the tests run live in tests/oracles.py
 UNREACHED_FROM_CLI = {
-    ("combinatorics", "enumerate_partitions"),
-    ("combinatorics", "partition_count"),
-    ("combinatorics", "bell_coefficients"),
-    ("combinatorics", "bell_eval"),
-    ("combinatorics", "bell_from_partitions"),
-    ("combinatorics", "stirling1_closed"),
-    ("combinatorics", "log_power_coeffs"),
-    ("combinatorics", "series_pow_alpha"),
-    ("combinatorics", "det_bracket"),
-    ("combinatorics", "_bracket_matrix"),
-    ("combinatorics", "_det_pivoted"),
-    ("gamma_tools", "_zeta1_bracket_args"),
-    ("gamma_tools", "gamma_deriv_at_1"),
-    ("gamma_tools", "gamma_deriv_at_1_det"),
-    ("gamma_tools", "gamma_deriv_at_half"),
-    ("gamma_tools", "recip_gamma_lambda"),
-    ("gamma_tools", "wilf_asymptotic"),
-    ("gamma_tools", "loggamma_taylor"),
-    ("harmonic", "coppo_rhs_rows"),
-    ("numerics", "clear_caches"),
-    ("verify", "identity_ids"),
+    ("combinatorics", "bell_eval"): "bench/spans.py traces it and test_bench_contract requires it",
+    ("numerics", "clear_caches"): "a test hook over the private caches",
+    ("verify", "identity_ids"): "bench/tests/test_bench.py reads it",
 }
 
 
@@ -86,7 +68,11 @@ def test_src_holds_no_new_code_the_cli_cannot_reach():
     functions, reached = _reachable_functions()
     assert ("zeta_series", "_gamma_ratio_result") in reached  # the scan follows calls
     unreached = functions - reached
-    assert unreached <= UNREACHED_FROM_CLI, sorted(unreached - UNREACHED_FROM_CLI)
+    # equality: a new unreached function fails, and so does a stale entry
+    assert unreached == set(UNREACHED_FROM_CLI), (
+        sorted(unreached - set(UNREACHED_FROM_CLI)),
+        sorted(set(UNREACHED_FROM_CLI) - unreached),
+    )
 
 
 def _builtin_name(func):
@@ -152,6 +138,17 @@ def test_precision_scopes_are_entered_only_by_numerics_and_the_cli():
                 if name == "working_precision":
                     callers.add(path.stem)
     assert callers <= {"numerics", "cli"}, sorted(callers)
+
+
+def test_ctx_scopes_are_entered_only_by_zeta_series_and_the_cli():
+    # the exact modules need no precision scope, and numerics holds
+    # working_precision itself
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "scope":
+                callers.add(path.stem)
+    assert callers <= {"zeta_series", "cli"}, sorted(callers)
 
 
 #: the zeta_series functions that may read the precision mode: the mode's

@@ -9,6 +9,7 @@ import pytest
 from ehz import combinatorics as co
 from ehz import verify
 from ehz.verify import Profile
+from oracles import coppo_rhs_rows
 
 
 class TestRegistry:
@@ -180,7 +181,7 @@ class TestCrossMultipliedMismatches:
         _bump_bell_y2(monkeypatch)
         x = Fraction(1, 3)
         reports = verify.run_identity("coppo_30", {"n_max": 6, "q_max": 4, "x": "1/3"})
-        rows = list(ha.coppo_rhs_rows(4, x, 6))  # the same corrupted Bell rows
+        rows = list(coppo_rhs_rows(4, x, 6))  # the same corrupted Bell rows
         assert len(reports) == 7 * 4
         for r in reports:
             n, q = int(r.params["n"]), int(r.params["q"])

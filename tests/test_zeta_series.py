@@ -19,6 +19,7 @@ from ehz.zeta_series import (
     Formula,
     PolylogIdentity,
 )
+from oracles import coppo_rhs_rows
 
 F = Fraction
 HIGH = PrecisionContext(30, Mode.HIGH)
@@ -41,7 +42,7 @@ def euler_hurwitz_exact_terms(q: int, x, N: int) -> list:
     Term m equals (1/q!) (1/m) R_m(x) Y_{q-1}(...H_m^(j)(x)...); also the
     reindexed rows of the Hasse double sum with exact inner sums.
     """
-    rows = ha.coppo_rhs_rows(q, Fraction(x), N - 1)
+    rows = coppo_rhs_rows(q, Fraction(x), N - 1)
     return [Fraction(row[-1], (n + 1) * q) for n, row in enumerate(rows)]
 
 
@@ -282,7 +283,7 @@ def _assert_close_to_exact(value, exact: Fraction, ctx: PrecisionContext) -> Non
 
 def _eta_exact_sum(s: int, x: Fraction, N: int) -> Fraction:
     """The integer-s eta double sum's first N rows, from the exact Coppo rows."""
-    rows = ha.coppo_rhs_rows(s, x, N - 1)
+    rows = coppo_rhs_rows(s, x, N - 1)
     return sum(Fraction(row[-1], 2 ** (n + 1)) for n, row in enumerate(rows))
 
 
