@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional
 
@@ -37,7 +39,7 @@ from .numerics import (
     const_zeta,
     working_precision,
 )
-from .verify import Profile, run_all, run_identity, summarize
+from .verify import Profile, run_all, run_identity
 from .zeta_series import (
     FORMULAS,
     MAX_TERMS,
@@ -116,8 +118,12 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
+#: the one JSON encoder of every command's output
+_JSON = json.JSONEncoder(separators=(", ", ": "))
+
+
 def _json_dump(payload: dict, out) -> None:
-    _emit(json.dumps(payload, separators=(", ", ": ")), out)
+    _emit(_JSON.encode(payload), out)
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +274,11 @@ def cmd_converge(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    """Run the identities, turning each report into output text as it comes.
+
+    The text is held in one buffer and written once, after the last report,
+    so that stdout stays empty when verify exits 2 or 3.
+    """
     overrides = {
         "n_max": args.n_max,
         "q_max": args.q_max,
@@ -275,6 +286,9 @@ def cmd_verify(args, out) -> int:
         "x": args.x,
         "terms": args.terms,
     }
+    text = io.StringIO()
+    statuses: Counter = Counter()
+    identities = set()
     try:
         if args.x is not None:
             _parse_rational(args.x)
@@ -292,38 +306,43 @@ def cmd_verify(args, out) -> int:
         else:
             _emit("error: verify requires --all or --id", sys.stderr)
             return USAGE_ERROR
+        if args.format == "json":
+            params = {"id": args.id or "", "all": bool(args.all), "profile": profile.value}
+            envelope = _JSON.encode({"command": "verify", "params": params})
+            text.write(envelope[:-1] + ', "reports": [')
+        # the id and overrides are checked at the first report, so a usage
+        # error can still surface here
+        for r in reports:
+            if args.format == "json":
+                if statuses:
+                    text.write(", ")
+                text.write(_JSON.encode(r.to_dict()))
+            else:
+                ps = " ".join(f"{k}={v}" for k, v in r.params.items())
+                line = f"{r.status} {r.identity} {ps}".rstrip()
+                if r.status != "PASS" and r.detail:
+                    line += f"  [{r.detail}] lhs={r.lhs} rhs={r.rhs}"
+                _emit(line, text)
+            statuses[r.status] += 1
+            identities.add(r.identity)
     except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
         _emit(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", sys.stderr)
         return USAGE_ERROR
     except NumericError as exc:  # raised while an identity ran, which it names
         _emit(f"numeric error: {exc}", sys.stderr)
         return NUMERIC_ERROR
-    stats = summarize(reports)
     if args.format == "json":
-        payload = {
-            "command": "verify",
-            "params": {
-                "id": args.id or "",
-                "all": bool(args.all),
-                "profile": profile.value,
-            },
-            "reports": [r.to_dict() for r in reports],
-            "version": __version__,
-        }
-        _json_dump(payload, out)
+        text.write(f'], "version": {_JSON.encode(__version__)}}}')
     else:
-        for r in reports:
-            ps = " ".join(f"{k}={v}" for k, v in r.params.items())
-            line = f"{r.status} {r.identity} {ps}".rstrip()
-            if r.status != "PASS" and r.detail:
-                line += f"  [{r.detail}] lhs={r.lhs} rhs={r.rhs}"
-            _emit(line, out)
-        _emit(
-            "identities={identities}, reports={reports}, pass={pass}, "
-            "fail={fail}, skip={skip}".format(**stats),
-            out,
+        text.write(
+            f"identities={len(identities)}, reports={statuses.total()}, pass={statuses['PASS']}, "
+            f"fail={statuses['FAIL']}, skip={statuses['SKIP']}"
         )
-    return 1 if stats["fail"] else 0
+    # A long write to a pipe whose reader has gone can come back short
+    # without an error; the newline, written on its own, makes the flush
+    # in main report the closed pipe.
+    _emit(text.getvalue(), out)
+    return 1 if statuses["FAIL"] else 0
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,9 @@ Catalan series' tail-corrected partial sums with each other within 1e-3.
 Each identity checker returns both sides rather than a boolean: FAIL
 reports carry the sides verbatim, PASS reports carry them abbreviated.
 Pole-hitting parameter combinations yield SKIP reports rather than being
-silently omitted.  Reports come back in registry order.
+silently omitted.  :func:`run_identity` and :func:`run_all` are generators:
+reports are yielded one at a time, in registry order, so a caller holds
+only what it keeps of them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import combinatorics, gamma_tools, harmonic, zeta_series
 from .numerics import DomainError, Mode, NumericError, PrecisionContext
 from .zeta_series import EvalRequest, Formula
 
-__all__ = ["Kind", "Profile", "Identity", "Report", "identity_ids", "run_identity", "run_all", "summarize"]
+__all__ = ["Kind", "Profile", "Identity", "Report", "identity_ids", "run_identity", "run_all"]
 
 
 class Kind(enum.Enum):
@@ -622,31 +624,29 @@ def run_identity(
     ident: str,
     overrides: Optional[Dict[str, object]] = None,
     profile: Profile = Profile.FULL,
-) -> List[Report]:
-    """Run one registered identity over its sweep; deterministic order.  A bad
-    id or override raises KeyError or ValueError before any work; an error
-    raised while it runs is raised again as a NumericError naming the id."""
+) -> Iterator[Report]:
+    """Yield the reports of one registered identity's sweep, in a
+    deterministic order.
+
+    The id and every override are checked when iteration starts, before the
+    first report and before any work: a bad one raises KeyError or
+    ValueError from the first ``next()``.  An error raised later by the
+    runner is raised again, from the ``next()`` that hit it, as a
+    NumericError naming the id; the reports yielded before it stand.
+    """
     if ident not in _BY_ID:
         raise KeyError(f"unknown identity: {ident}")
     identity = _BY_ID[ident]
     base = identity.full if profile is Profile.FULL else identity.quick
     params = _merge_overrides(identity, base, overrides)
     try:
-        return list(identity.runner(params))
+        yield from identity.runner(params)
     except (ArithmeticError, LookupError, ValueError) as exc:
         raise NumericError(f"{ident}: {exc}") from exc
 
 
-def run_all(profile: Profile = Profile.QUICK) -> List[Report]:
-    """Run every registered identity; QUICK caps the sweeps for speed."""
-    return [r for i in _REGISTRY for r in run_identity(i.id, None, profile)]
-
-
-def summarize(reports: List[Report]) -> Dict[str, int]:
-    return {
-        "identities": len({r.identity for r in reports}),
-        "reports": len(reports),
-        "pass": sum(r.status == "PASS" for r in reports),
-        "fail": sum(r.status == "FAIL" for r in reports),
-        "skip": sum(r.status == "SKIP" for r in reports),
-    }
+def run_all(profile: Profile = Profile.QUICK) -> Iterator[Report]:
+    """Yield the reports of every registered identity, in registry order,
+    through :func:`run_identity`; QUICK caps the sweeps for speed."""
+    for identity in _REGISTRY:
+        yield from run_identity(identity.id, None, profile)

@@ -934,7 +934,7 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     both modes by the integer loop :func:`_digamma_fixed`.
     """
     if power not in (2, 4):
-        raise DomainError("power must be 2 or 4")
+        raise DomainError(f"digamma-half-sum supports q in {{2, 4}}, got {power}")
     _require_terms(N)
 
     hi = _high(ctx)
@@ -985,7 +985,7 @@ def digamma_half_target(power: int, ctx: PrecisionContext) -> Real:
         return -(g * p * p + 7 * const_zeta(3, ctx)) / 8
     if power == 4:
         return -(3 * p * p * const_zeta(3, ctx) + p**4 * g + 93 * const_zeta(5, ctx)) / 96
-    raise DomainError("power must be 2 or 4")
+    raise DomainError(f"digamma-half-sum supports q in {{2, 4}}, got {power}")
 
 
 # ----------------------------------------------------------------------

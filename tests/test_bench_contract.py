@@ -24,6 +24,22 @@ def spans():
     return module
 
 
+def _traced(spans, capsys, *argv):
+    """The span log of a ``cli.main(argv)`` run under the tracer; the run
+    must exit 0."""
+    for mod_name, _, _ in spans.TRACED:
+        importlib.import_module(f"ehz.{mod_name}")
+    log = spans.SpanLog()
+    replaced = spans.install(log)
+    try:
+        assert cli.main(list(argv)) == 0
+    finally:
+        for module, attr, original in replaced:
+            setattr(module, attr, original)
+    capsys.readouterr()
+    return log
+
+
 def test_traced_functions_exist(spans):
     for mod_name, fn_name, _ in spans.TRACED:
         module = importlib.import_module(f"ehz.{mod_name}")
@@ -48,16 +64,7 @@ def test_every_exported_name_exists():
     ],
 )
 def test_traced_verify_records_spans(spans, capsys, ident, span):
-    for mod_name, _, _ in spans.TRACED:
-        importlib.import_module(f"ehz.{mod_name}")
-    log = spans.SpanLog()
-    replaced = spans.install(log)
-    try:
-        assert cli.main(["verify", "--id", ident, "--profile", "quick"]) == 0
-    finally:
-        for module, attr, original in replaced:
-            setattr(module, attr, original)
-    capsys.readouterr()
+    log = _traced(spans, capsys, "verify", "--id", ident, "--profile", "quick")
     counts = Counter(log.names[i] for i in log.name_id)
     assert counts[span] >= 1, sorted(counts)
     # the per-layer metric reads the span's self time, which must not read 0
@@ -79,17 +86,7 @@ def test_traced_verify_records_spans(spans, capsys, ident, span):
 def test_traced_fast_eval_sums_inside_the_evaluator(spans, capsys, formula, param):
     # us_per_term divides the outermost formula span (evaluate's) by N; the
     # evaluator's own span, nested in it, must hold the summation too.
-    for mod_name, _, _ in spans.TRACED:
-        importlib.import_module(f"ehz.{mod_name}")
-    log = spans.SpanLog()
-    replaced = spans.install(log)
-    try:
-        argv = ["eval", "--formula", formula, *param, "--terms", "20000", "--mode", "fast"]
-        assert cli.main(argv) == 0
-    finally:
-        for module, attr, original in replaced:
-            setattr(module, attr, original)
-    capsys.readouterr()
+    log = _traced(spans, capsys, "eval", "--formula", formula, *param, "--terms", "20000", "--mode", "fast")
     name = f"zeta_series.{formula}.fast"
     found = [i for i, n in enumerate(log.name_id) if log.names[n] == name]
     assert len(found) == 2, sorted(set(log.names))  # evaluate, then the evaluator
@@ -98,3 +95,12 @@ def test_traced_fast_eval_sums_inside_the_evaluator(spans, capsys, formula, para
     inner_s = log.end[inner] - log.start[inner]
     assert 0 < log.end[outer] - log.start[outer] < 2 * inner_s
     assert spans.layer_metrics(log)[f"{name}.us_per_term"] > 0
+
+
+def test_traced_verify_times_the_identity_inside_its_span(spans, capsys):
+    # run_identity is a generator function, so the tracer times each report
+    # it yields: the identity's span holds its sweep, and the encoding of the
+    # reports, done between them, falls to cli's self time
+    log = _traced(spans, capsys, "verify", "--id", "coppo_30", "--profile", "quick")
+    metrics = spans.layer_metrics(log)
+    assert metrics["verify.coppo_30.s"] >= metrics["harmonic.coppo_sweep.s"] > 0

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,12 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+#: sha256 of the stdout of `verify --all --profile quick --format <fmt>`
+ALL_QUICK_SHA256 = {
+    "text": "616e4bc0c91822a9695f0003db348939ce7f1f3bc90e5854f2cbb3683da3ae44",
+    "json": "58fe3a6f1752648934218699b7e6593e61e2e0d8125517b9e83bdd0bf8fe6aa3",
+}
 
 #: the range of normal doubles a nonzero shift x must lie in, as the error names it
 DOUBLE_RANGE = f"{sys.float_info.min!r} <= |x| <= {sys.float_info.max!r}"
@@ -142,6 +149,14 @@ class TestEval:
         )
         assert (code, out) == (3, "")
         assert err == f"numeric error: the polylog identities take y = --x in (0, 1/2], got {got}\n"
+
+    @pytest.mark.parametrize("q", ["1", "100"])
+    def test_digamma_half_sum_power_names_the_formula_and_value_exit_three(self, capsys, q):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", "digamma-half-sum", "--q", q, "--terms", "10"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: digamma-half-sum supports q in {{2, 4}}, got {q}\n"
 
     def test_byte_identical_repeats(self, capsys):
         args = (
@@ -663,6 +678,29 @@ class TestVerifyCommand:
         assert last.startswith("identities=")
         assert "fail=0" in last
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_all_quick_stdout_pinned(self, capsys, fmt):
+        # the --all envelope and summary line are built as the reports stream;
+        # the per-id pins in test_verify do not cover them
+        code, out, err = run_cli(capsys, "verify", "--all", "--profile", "quick", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ALL_QUICK_SHA256[fmt]
+
+    @pytest.mark.parametrize("fmt, bound_mb", [("json", 4.0), ("text", 1.4)])
+    def test_reports_are_not_held(self, capsys, fmt, bound_mb):
+        # 4,848 reports, 1.05 MB of JSON or 138 KB of text: holding only the
+        # output text peaks at 2.4-2.6 and 0.7-1.0 MB, holding every report and
+        # its dict as well at 8.8 and 3.0 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "--id", "coppo_30", "--n-max", "100", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < bound_mb * 1e6
+
     def test_json_reports(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--id", "nH_identity", "--format", "json"
@@ -687,11 +725,13 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "identities=1, reports=808, pass=808, fail=0, skip=0"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("argv", [("--id", "coppo_30", "--n-max", "5"), ("--all",)], ids=str)
     @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
     def test_error_while_running_exits_three_naming_the_identity(
-        self, capsys, monkeypatch, argv, error
+        self, capsys, monkeypatch, argv, error, fmt
     ):
+        # the reports before the error are held back: stdout stays empty
         from ehz import harmonic
 
         real = harmonic.coppo_sweep
@@ -703,7 +743,7 @@ class TestVerifyCommand:
                 yield report
 
         monkeypatch.setattr(harmonic, "coppo_sweep", failing)
-        code, out, err = run_cli(capsys, "verify", *argv)
+        code, out, err = run_cli(capsys, "verify", *argv, "--format", fmt)
         assert (code, out, err) == (3, "", "numeric error: coppo_30: boom\n")
 
     def test_failures_exit_one(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Fuzzing of the command line: every argv exits 0, 1, 2 or 3, prints a
-message when it fails, never a traceback, and prints the same stdout twice.
+message and no stdout when it exits 2 or 3, never a traceback, and prints
+the same stdout twice.
 
 ``cli.main`` runs in process.  Budgets stay small (terms <= 200, sweep
 overrides <= 30, verify at its quick profile) so the whole fuzz takes a few
@@ -115,8 +116,9 @@ def test_every_argv_meets_the_exit_code_contract(argv_strategy, capsys):
         assert "Traceback" not in err, (argv, err)
         if code == 1:
             assert "fail=" in out.splitlines()[-1], argv
-        elif code:
+        elif code:  # a usage or numeric error prints its message and no output
             assert err.strip(), argv
+            assert out == "", (argv, out[:200])
         again = _run(argv, capsys)
         assert again[0] == code, argv
         assert _without_seconds(argv, again[1]) == _without_seconds(argv, out), argv
