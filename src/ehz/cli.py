@@ -37,7 +37,6 @@ from .numerics import (
     const_gamma,
     const_pi,
     const_zeta,
-    working_precision,
 )
 from .verify import Profile, run_all, run_identity
 from .zeta_series import (
@@ -83,8 +82,7 @@ def _parse_s(text: str):
 def _fmt_real(v, digits: int) -> str:
     if isinstance(v, float):
         return repr(v)
-    with working_precision(digits + 10):
-        return mpmath.nstr(v, digits, strip_zeros=False)
+    return mpmath.nstr(v, digits, strip_zeros=False)  # rounds at digits, whatever mp.dps is
 
 
 def _auto_mode(digits: int, terms: int) -> Mode:
@@ -394,25 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    pe = sub.add_parser("eval", help="evaluate one series")
-    pe.add_argument("--formula", required=True, help=_formula_help())
-    pe.add_argument("--s", help="real exponent (for the s-family formulas)")
-    pe.add_argument("--q", type=int, help="integer order (for the q-family formulas)")
-    pe.add_argument("--x", help="rational shift as p/q (decimals rejected)")
-    pe.add_argument("--terms", type=int, required=True, help="term budget N")
-    pe.add_argument("--precision", type=int, default=None, help="decimal digits (default 30)")
-    pe.add_argument("--mode", choices=["auto", "fast", "high"], default="auto")
-    pe.add_argument("--format", choices=["text", "json"], default="text")
-
-    pc = sub.add_parser("converge", help="error table across term budgets")
-    pc.add_argument("--formula", required=True)
-    pc.add_argument("--s")
-    pc.add_argument("--q", type=int)
-    pc.add_argument("--x")
-    pc.add_argument("--terms", required=True, help="comma-separated budgets N1,N2,...")
-    pc.add_argument("--precision", type=int, default=None)
-    pc.add_argument("--mode", choices=["auto", "fast", "high"], default="auto")
-    pc.add_argument("--format", choices=["csv", "json"], default="csv")
+    for name, help_, terms, formats in (
+        ("eval", "evaluate one series", {"type": int, "help": "term budget N"}, ["text", "json"]),
+        ("converge", "error table across term budgets",
+         {"help": "comma-separated budgets N1,N2,..."}, ["csv", "json"]),
+    ):
+        p = sub.add_parser(name, help=help_)  # the flags eval and converge share
+        p.add_argument("--formula", required=True, help=_formula_help())
+        p.add_argument("--s", help="real exponent (for the s-family formulas)")
+        p.add_argument("--q", type=int, help="integer order (for the q-family formulas)")
+        p.add_argument("--x", help="rational shift as p/q (decimals rejected)")
+        p.add_argument("--terms", required=True, **terms)
+        p.add_argument("--precision", type=int, default=None, help="decimal digits (default 30)")
+        p.add_argument("--mode", choices=["auto", "fast", "high"], default="auto")
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     pv = sub.add_parser("verify", help="run identity checks")
     pv.add_argument("--all", action="store_true")

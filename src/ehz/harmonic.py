@@ -89,15 +89,7 @@ def alt_binom_sum(n: int, m: int) -> Fraction:
     """S_n(m) = sum_{k=1}^{n} C(n,k) (-1)^k / k^m, exactly."""
     if n < 1 or m < 1:
         raise DomainError("alt_binom_sum requires n, m >= 1")
-    num, den = 0, 1
-    c = 1  # C(n, 0)
-    for k in range(1, n + 1):
-        c = c * (n - k + 1) // k
-        d = k**m
-        t = -c if k & 1 else c
-        num = num * d + t * den
-        den *= d
-    return Fraction(num, den)
+    return _alternating_sum(n, m, Fraction(0), 1)
 
 
 def alt_binom_sum_bell(n: int, m: int) -> Fraction:
@@ -125,19 +117,22 @@ def coppo_lhs(n: int, q: int, x: Fraction) -> Fraction:
         raise DomainError("coppo_lhs requires n >= 0 and q >= 1")
     x = Fraction(x)
     check_pole(n + 1, x)
-    xp, xq = x.numerator, x.denominator
-    xqq = xq**q
-    num, den = 0, 1
-    c = 1
-    for k in range(n + 1):
-        if k:
-            c = c * (n - k + 1) // k
-        d = (xq * k + xp) ** q
-        t = c * xqq
-        if k & 1:
-            t = -t
-        num = num * d + t * den
-        den *= d
+    return _alternating_sum(n, q, x, 0)
+
+
+def _alternating_sum(n: int, q: int, x: Fraction, start: int) -> Fraction:
+    """sum_{k=start}^{n} C(n,k) (-1)^k / (k+x)^q, cross-multiplied into one
+    fraction with exact binomials: with x = p/d, term k is
+    C(n,k) d^q / (d k + p)^q."""
+    p, d = x.numerator, x.denominator
+    dq = d**q
+    num, den, c = 0, 1, math.comb(n, start)
+    for k in range(start, n + 1):
+        w = (d * k + p) ** q
+        t = c * dq
+        num = num * w + (-t if k & 1 else t) * den
+        den *= w
+        c = c * (n - k) // (k + 1)  # C(n, k+1)
     return Fraction(num, den)
 
 

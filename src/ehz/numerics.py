@@ -20,10 +20,9 @@ Two numeric backplanes are provided and selected through a
 
 mpmath keeps its working precision in global state, so every mpf operation
 runs inside :func:`working_precision`, which holds a re-entrant lock while
-the precision is altered; outside this module and the CLI it is entered
-only through :meth:`PrecisionContext.scope`.  All operations are otherwise
-pure functions of immutable inputs and are safe to call from multiple
-threads.
+the precision is altered; outside this module it is entered only through
+:meth:`PrecisionContext.scope`.  All operations are otherwise pure
+functions of immutable inputs and are safe to call from multiple threads.
 
 The reference values -- zeta(s, x) and the constants pi (Machin), gamma
 and zeta(m) (Euler--Maclaurin with exact Bernoulli numbers) and Catalan's G
@@ -339,8 +338,8 @@ def hurwitz_zeta_em(s, x, ctx: PrecisionContext) -> Real:
     raise NumericError("Euler-Maclaurin tail failed to converge")
 
 
-def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = _EM_JMAX) -> bool:
-    """False when _em_attempt at M must fail: correction j <= jmax is at
+def _em_can_reach(s: float, x: float, M: int, digits: int) -> bool:
+    """False when _em_attempt at M must fail: correction j <= _EM_JMAX is at
     least 2 (s)_{2j-1} / (2 pi (M+x))^(2j) (M+x)^(1-s), never below 10^-digits
     (x^-s + x^(1-s) / (s-1)) >= 10^-digits zeta(s, x)."""
     lb = math.log(M + x)
@@ -348,7 +347,7 @@ def _em_can_reach(s: float, x: float, M: int, digits: int, jmax: int = _EM_JMAX)
     target = -digits * math.log(10) - s * math.log(x) + math.log1p(x / (s - 1)) + 1.0
     target += math.lgamma(s) - math.log(2) + (s - 1) * lb
     c = math.log(2 * math.pi) + lb
-    return any(math.lgamma(s + 2 * j - 1) - 2 * j * c < target for j in range(1, jmax + 1))
+    return any(math.lgamma(s + 2 * j - 1) - 2 * j * c < target for j in range(1, _EM_JMAX + 1))
 
 
 def _em_attempt(s: Fraction, x: Fraction, M: int, digits: int, dps: int):

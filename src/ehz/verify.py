@@ -102,11 +102,15 @@ def _text(v) -> str:
         return str(decimal.Decimal(v.numerator))
 
 
-def _short(v, limit: int = 48) -> str:
+#: the longest side a PASS report prints in full
+_SHORT_LIMIT = 48
+
+
+def _short(v) -> str:
     s = _text(v)
-    if len(s) <= limit:
+    if len(s) <= _SHORT_LIMIT:
         return s
-    return s[: limit - 10] + f"...[{len(s)} chars]"
+    return s[: _SHORT_LIMIT - 10] + f"...[{len(s)} chars]"
 
 
 def _exact_report(ident: str, params: Dict[str, str], lhs, rhs) -> Report:

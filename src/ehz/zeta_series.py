@@ -57,7 +57,9 @@ gives all of them their tail, scale and final rounding.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
-:func:`evaluate` and :func:`reference_value` are lookups into it.
+:func:`evaluate` and :func:`reference_value` are lookups into it, and
+:func:`reference_value` is the one place where a reference is rounded into
+the request's mode.
 """
 
 from __future__ import annotations
@@ -301,8 +303,7 @@ def _swapped_sum(s_power: Fraction, x: Fraction, N: int, ctx, weights, low_log2,
 def _finish(ctx: PrecisionContext, total, N: int, tail: float) -> SeriesResult:
     if not math.isfinite(tail):
         raise NumericError("the tail estimate overflowed a double")
-    with ctx.scope():
-        value = ctx.real(+total)
+    value = ctx.real(total)  # rounds a Fraction or an mpf once
     return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
 
 
@@ -916,14 +917,12 @@ def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
 
 
 def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:
-    """Closed-form limit of the corresponding polylog_identity_lhs series."""
+    """Closed-form limit of the corresponding polylog_identity_lhs series, in
+    ctx's arithmetic under the caller's precision scope (:func:`reference_value`'s)."""
     y = _polylog_identity_args(which, s, y)
     if which is PolylogIdentity.E14_4:
         return polylog(s + 1, y, ctx)
-    hi = PrecisionContext(ctx.digits, Mode.HIGH)
-    with hi.scope():
-        rhs = +(-(s + 1) * polylog(s + 2, y, hi) + hi.ln(y) * polylog(s + 1, y, hi))
-    return rhs if ctx.mode is Mode.HIGH else float(rhs)
+    return -(s + 1) * polylog(s + 2, y, ctx) + ctx.ln(y) * polylog(s + 1, y, ctx)
 
 
 def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -1002,19 +1001,16 @@ def _need_int(v, name: str) -> int:
 
 
 def _eta_reference(s, x: Fraction, ctx: PrecisionContext) -> Optional[Real]:
-    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None.
-
-    The difference is taken at ctx.digits in HIGH mode and rounded once, so
-    a FAST reference is not the difference of two rounded doubles.
+    """eta(s, x) = 2^-s [zeta(s, x/2) - zeta(s, (1+x)/2)] for s > 1, else None,
+    in ctx's arithmetic: :func:`reference_value` calls it in HIGH, so a FAST
+    reference is the HIGH difference rounded once, not the difference of
+    two rounded doubles.
     """
     if float(s) <= 1:
         return None
-    hi = PrecisionContext(ctx.digits, Mode.HIGH)
-    a = hurwitz_zeta_em(s, x / 2, hi)
-    b = hurwitz_zeta_em(s, (1 + x) / 2, hi)
-    with hi.scope():
-        eta = +(2 ** (-hi.real(s)) * (a - b))
-    return eta if ctx.mode is Mode.HIGH else float(eta)
+    a = hurwitz_zeta_em(s, x / 2, ctx)
+    b = hurwitz_zeta_em(s, (1 + x) / 2, ctx)
+    return 2 ** (-ctx.real(s)) * (a - b)
 
 
 @dataclass(frozen=True)
@@ -1170,14 +1166,19 @@ def evaluate(req: EvalRequest) -> SeriesResult:
 
 
 def reference_value(req: EvalRequest) -> Optional[Real]:
-    """Independent reference for a request, or None when unavailable.
+    """Independent reference for a request, or None when unavailable: the one
+    place where a reference meets the request's mode.
 
-    Computed under the request's precision scope, so that arithmetic on the
-    constants (7 zeta(3), the digamma targets) keeps HIGH-mode digits.
+    Every reference is computed in HIGH at the request's digits, under that
+    precision scope, so that arithmetic on the constants (7 zeta(3), the
+    digamma targets, the eta difference) keeps its digits; a FAST request
+    gets that value rounded once to the nearest double.
     """
     spec, p, x = _resolve(req)
-    with req.ctx.scope():
-        return spec.reference(p, x, req.ctx)
+    hi = PrecisionContext(req.ctx.digits, Mode.HIGH)
+    with hi.scope():
+        ref = spec.reference(p, x, hi)
+    return float(ref) if ref is not None and req.ctx.mode is Mode.FAST else ref
 
 
 def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRow]:

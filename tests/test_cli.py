@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
 #: sha256 of the stdout of `verify --all --profile quick --format <fmt>`
 ALL_QUICK_SHA256 = {
     "text": "616e4bc0c91822a9695f0003db348939ce7f1f3bc90e5854f2cbb3683da3ae44",
-    "json": "58fe3a6f1752648934218699b7e6593e61e2e0d8125517b9e83bdd0bf8fe6aa3",
+    "json": "8d29d83b336e880a703e82327114957485a48ff909673e4bde96b20617ece5a9",
 }
 
 #: the range of normal doubles a nonzero shift x must lie in, as the error names it

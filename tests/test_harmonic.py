@@ -92,6 +92,13 @@ class TestAltBinomSum:
         h1, h2, h3 = ha.H(5, 1), ha.H(5, 2), ha.H(5, 3)
         assert ha.alt_binom_sum_bell(5, 3) == -(h1**3 / 6 + h1 * h2 / 2 + h3 / 3)
 
+    def test_is_a_coppo_sum_at_unit_shift(self):
+        # C(n-1, k) / (k+1) = C(n, k+1) / n, so S_n(m) = -n coppo_lhs(n-1, m+1, 1):
+        # the shared loop from k = 1 at x = 0 against the one from k = 0 at x = 1
+        for n in range(1, 41):
+            for m in range(1, 7):
+                assert ha.alt_binom_sum(n, m) == -n * ha.coppo_lhs(n - 1, m + 1, F(1)), (n, m)
+
     def test_dual_route(self):
         for n in range(1, 31):
             for m in range(1, 7):

@@ -127,7 +127,7 @@ def test_high_sums_name_no_mpf_summation():
     assert not found
 
 
-def test_precision_scopes_are_entered_only_by_numerics_and_the_cli():
+def test_precision_scopes_are_entered_only_by_numerics():
     # elsewhere a precision scope comes from PrecisionContext.scope()
     callers = set()
     for path in sorted(SRC.glob("*.py")):
@@ -137,7 +137,7 @@ def test_precision_scopes_are_entered_only_by_numerics_and_the_cli():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name == "working_precision":
                     callers.add(path.stem)
-    assert callers <= {"numerics", "cli"}, sorted(callers)
+    assert callers <= {"numerics"}, sorted(callers)
 
 
 def test_ctx_scopes_are_entered_only_by_zeta_series_and_the_cli():
@@ -153,17 +153,16 @@ def test_ctx_scopes_are_entered_only_by_zeta_series_and_the_cli():
 
 #: the zeta_series functions that may read the precision mode: the mode's
 #: own helpers, the gamma-ratio series (whose FAST float kernels stay), the
-#: two reference helpers and the result's record of its mode.  Every other
-#: series runs one loop in both modes; deleting a name here is free, adding
-#: one is not.
+#: result's record of its mode and the one place where a reference is
+#: rounded into the mode.  Every other series runs one loop in both modes;
+#: deleting a name here is free, adding one is not.
 MODE_READERS = {
     "_high",  # the HIGH context a loop is sized for
     "_from_fixed",  # the integer sum rounded into the mode's type
     "_gamma_ratio_series",
     "_kernel",  # the kernel builder
     "_finish",  # SeriesResult.mode
-    "polylog_identity_target",
-    "_eta_reference",
+    "reference_value",  # a HIGH reference rounded once for a FAST request
 }
 
 

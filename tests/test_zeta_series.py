@@ -647,7 +647,8 @@ class TestPolylog:
         # carry f / 2^n.  Its tail is geometric (about 1e-250 here), so the
         # gate adds the kernel tests' rounding allowance to 3 tails.
         res = zs.polylog_identity_lhs(which, 2, F(1, 2), 2000, ctx)
-        target = zs.polylog_identity_target(which, 2, F(1, 2), ctx)
+        with ctx.scope():  # the target computes in its caller's scope
+            target = zs.polylog_identity_target(which, 2, F(1, 2), ctx)
         rounding = (32 * EPS if ctx.mode is Mode.FAST else 1e-30) * abs(float(target))
         assert math.isfinite(float(res.value))
         with nu.working_precision(50):
@@ -759,6 +760,49 @@ def test_high_reference_has_thirty_digits(formula, param, x, limit):
     with nu.working_precision(40):
         want = limit()
         assert abs(ref - want) <= mpmath.mpf(10) ** -30 * abs(want), (ref, want)
+
+
+#: (formula, parameter, x) for every formula, at least once
+ROUNDED_REFERENCES = [
+    (Formula.HASSE, 2, F(1, 4)),
+    (Formula.HASSE, 2.5, F(1, 2)),
+    (Formula.HASSE_HURWITZ, 4, F(3, 4)),
+    (Formula.SONDOW_ALT, 1, None),
+    (Formula.SONDOW_ALT, 2.5, None),
+    (Formula.ALT_HURWITZ, 1.5, F(1, 2)),
+    (Formula.EULER_HURWITZ, 4, F(7, 4)),
+    (Formula.STIRLING_ROUTE, 3, F(3, 4)),
+    (Formula.SHEN, 3, None),
+    (Formula.MIXED_Q, 4, F(1, 2)),
+    (Formula.CATALAN_RAMANUJAN, None, None),
+    (Formula.CATALAN_CENTRAL, None, None),
+    (Formula.ZETA2_DUP, None, None),
+    (Formula.ZETA3_HALF, None, None),
+    (Formula.POLYLOG_14_3, 2, F(1, 3)),
+    (Formula.POLYLOG_14_4, 2, F(1, 3)),
+    (Formula.DIGAMMA_HALF_SUM, 2, None),
+    (Formula.DIGAMMA_HALF_SUM, 4, None),
+    (Formula.EULER_SUM_45_8, None, None),
+    (Formula.EULER_SUM_45_10, None, None),
+]
+
+
+def test_rounded_references_cover_every_formula():
+    assert {f for f, _, _ in ROUNDED_REFERENCES} == set(Formula)
+
+
+@pytest.mark.parametrize(
+    "formula, param, x", ROUNDED_REFERENCES, ids=[f"{f.value} {p} {x}" for f, p, x in ROUNDED_REFERENCES]
+)
+def test_fast_reference_is_the_high_one_rounded_once(formula, param, x):
+    # a FAST reference is the double nearest the HIGH value, not arithmetic
+    # on constants that were rounded to doubles first
+    fast, high = (
+        zs.reference_value(EvalRequest(formula=formula, s_or_q=param, x=x, N=1, ctx=ctx))
+        for ctx in (FAST, HIGH)
+    )
+    assert isinstance(fast, float) and not isinstance(high, float)
+    assert fast == float(high), (fast, high)
 
 
 #: every public evaluator, as a call at term budget N
