@@ -38,6 +38,7 @@ from .numerics import (
     const_pi,
     const_zeta,
 )
+# eager: bench/worker.py imports ehz.cli alone before bench/spans.py wraps ehz.verify
 from .verify import Profile, run_all, run_identity
 from .zeta_series import (
     FORMULAS,
@@ -442,9 +443,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_negative_values(argv: List[str]) -> List[str]:
+    """argv with ``--x -1/2`` written ``--x=-1/2``, and so for ``--s``: argparse
+    reads a negative value other than -N and -N.N, such as -1/2, as an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--x", "--s") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command not in _COMMANDS:
         parser.print_help()
         return USAGE_ERROR

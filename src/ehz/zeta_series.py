@@ -49,11 +49,11 @@ euler_hurwitz (:func:`_gamma_ratio_series`): inner row n - 1 is
 R_n(x) h_{s-1}(b_0, ..., b_{n-1}), weighted 2^-n; the exact Coppo rows
 (``coppo_rhs_rows`` in ``tests/oracles.py``) are the tests' reference for
 it.  So does the mixed series sum (n H_n - 1) R_n(x) h_{m-1} / n^2, of
-which mixed-q, zeta3-half, E45_8 and E45_10 are multiples; the Shen
-series is stirling_route at x = 1, and the nonlinear Euler sums at x = 1
-are these series scaled (:data:`_EULER_SUMS`), as are the central-binomial
-series at x = 1/2 (:data:`_CENTRAL_BINOMIAL`).  :func:`_gamma_ratio_result`
-gives all of them their tail, scale and final rounding.
+which mixed-q, zeta3-half and the Euler sums E45_8 and E45_10 are
+multiples; the Shen series is stirling_route at x = 1, and the
+central-binomial series at x = 1/2 are gamma-ratio series scaled
+(:data:`_CENTRAL_BINOMIAL`).  :func:`_gamma_ratio_result` gives all of them
+their tail, scale and final rounding.
 
 Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
@@ -99,9 +99,7 @@ __all__ = [
     "Formula",
     "EvalRequest",
     "ConvergenceRow",
-    "EulerSumKind",
     "CatalanKind",
-    "PolylogIdentity",
     "FormulaSpec",
     "FORMULAS",
     "hasse_hurwitz",
@@ -165,28 +163,11 @@ class Formula(enum.Enum):
     EULER_SUM_45_10 = "euler-sum-45-10"
 
 
-class EulerSumKind(enum.Enum):
-    E41 = "E41"
-    E43 = "E43"
-    E43_2 = "E43_2"
-    E45_8 = "E45_8"
-    E45_10 = "E45_10"
-    ALT2 = "ALT2"
-    ALT3 = "ALT3"
-    ALT4 = "ALT4"
-    ALT5 = "ALT5"
-
-
 class CatalanKind(enum.Enum):
     RAMANUJAN_38 = "RAMANUJAN_38"
     CENTRAL_38_1 = "CENTRAL_38_1"
     ZETA2_37 = "ZETA2_37"
     ZETA3_HALF_45_6 = "ZETA3_HALF_45_6"
-
-
-class PolylogIdentity(enum.Enum):
-    E14_3 = "E14_3"
-    E14_4 = "E14_4"
 
 
 @dataclass(frozen=True)
@@ -710,44 +691,16 @@ def mixed_q(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
     return _gamma_ratio_result("mixed", q - 2, x, N, ctx, Fraction(2, (q - 1) * (q - 2)))
 
 
-#: The nonlinear Euler sums at x = 1, as (kind, m, scale) of :func:`_gamma_ratio_result`
-_EULER_SUMS = {
-    EulerSumKind.E41: ("euler-hurwitz", 3, 6),
-    EulerSumKind.E43: ("euler-hurwitz", 4, 24),
-    EulerSumKind.E43_2: ("euler-hurwitz", 5, 120),
-    EulerSumKind.E45_8: ("mixed", 3, 2),
-    EulerSumKind.E45_10: ("mixed", 4, 6),
-    **{EulerSumKind(f"ALT{s}"): ("eta", s, 1) for s in (2, 3, 4, 5)},
-}
+def euler_sum_partial(m: int, N: int, ctx: PrecisionContext) -> SeriesResult:
+    """The nonlinear Euler sums E45_8 (m = 3) and E45_10 (m = 4) at x = 1,
+    (m-1)! times the "mixed" series: 12 and 60 times the mixed-q series for
+    zeta(5, 1) and zeta(6, 1).  E45_8 sums [n H_n - 1] (H_n^2 + H_n^(2)) / n^3."""
+    return _gamma_ratio_result("mixed", m, 1, N, ctx, math.factorial(m - 1))
 
 
-def euler_sum_partial(kind: EulerSumKind, N: int, ctx: PrecisionContext) -> SeriesResult:
-    """Partial sums of the named nonlinear Euler sums (x = 1 family), each a
-    gamma-ratio series scaled (:data:`_EULER_SUMS`).
-
-    The E-kinds return the unnormalized combinations whose limits are
-    3! zeta(4), 4! zeta(5), 5! zeta(6), 12 zeta(5) and (1/2) 5! zeta(6).
-    E41, E43 and E43_2 sum (H_n^q-bracket) / n^2, q! times the
-    :func:`euler_hurwitz` series (q = 3, 4, 5); E45_8 sums
-    [n H_n - 1] (H_n^2 + H_n^(2)) / n^3, 12 times the mixed-q series for
-    zeta(5, 1), and E45_10 is 60 times the one for zeta(6, 1).  The
-    ALT-kinds are the :func:`sondow_alt` series, with limits eta(2)..eta(5).
-    """
-    if not isinstance(kind, EulerSumKind):
-        raise DomainError("unknown Euler-sum kind")
-    series, m, scale = _EULER_SUMS[kind]
-    return _gamma_ratio_result(series, m, 1, N, ctx, scale)
-
-
-def euler_sum_target(kind: EulerSumKind, ctx: PrecisionContext) -> Real:
-    """Limit of the corresponding euler_sum_partial series: scale zeta(m+1),
-    scale (m+1) m / 2 zeta(m+2) for "mixed", or eta(m)."""
-    series, m, scale = _EULER_SUMS[kind]
-    if series == "eta":
-        return (1 - ctx.real(Fraction(2)) ** (1 - m)) * const_zeta(m, ctx)
-    if series == "mixed":  # the mixed series tends to (m+1) m / 2 zeta(m+2)
-        return scale * (m + 1) * m // 2 * const_zeta(m + 2, ctx)
-    return scale * const_zeta(m + 1, ctx)
+def euler_sum_target(m: int, ctx: PrecisionContext) -> Real:
+    """Limit of euler_sum_partial(m): (m+1)!/2 zeta(m+2), 12 zeta(5) or 60 zeta(6)."""
+    return math.factorial(m + 1) // 2 * const_zeta(m + 2, ctx)
 
 
 #: The central-binomial series at x = 1/2, as (kind, m, scale) of :func:`_gamma_ratio_result`
@@ -844,26 +797,24 @@ def _polylog_terms(y: Fraction, dps: int) -> int:
     return math.ceil(bits / (math.log2(d) - math.log2(p))) + 1
 
 
-def _polylog_identity_args(which: PolylogIdentity, s, y) -> Fraction:
+def _polylog_identity_args(s, y) -> Fraction:
     if not isinstance(s, int) or s < 1:
         raise DomainError("s must be an integer >= 1")
     y = Fraction(y)
     if not 0 < y <= Fraction(1, 2):
         default = " (the default without --x)" if y == 1 else ""
         raise DomainError(f"the polylog identities take y = --x in (0, 1/2], got x = {y}{default}")
-    if which not in (PolylogIdentity.E14_3, PolylogIdentity.E14_4):
-        raise DomainError("unknown polylog identity")
     return y
 
 
 def polylog_identity_lhs(
-    which: PolylogIdentity, s: int, y, N: int, ctx: PrecisionContext
+    alternating: bool, s: int, y, N: int, ctx: PrecisionContext
 ) -> SeriesResult:
     """Partial LHS of the two polylog double-sum identities, at rational y
     in (0, 1/2]; :func:`polylog_identity_target` gives the limits.
 
-    E14_3: sum (1/n^2) sum_k C(n,k)(-1)^k y^k/k^s
-           -> -(s+1) Li_{s+2}(y) + log(y) Li_{s+1}(y)
+    E14_3 (alternating): sum (1/n^2) sum_k C(n,k)(-1)^k y^k/k^s
+                         -> -(s+1) Li_{s+2}(y) + log(y) Li_{s+1}(y)
     E14_4: sum (1/(n 2^n)) sum_k C(n,k) y^k/k^s -> Li_{s+1}(y)
 
     Row n's inner sum f_s(n) = sum_{k=1}^n C(n,k) (+-y)^k / k^s is carried
@@ -875,9 +826,8 @@ def polylog_identity_lhs(
     g_0(n) = ((1+y)/2)^n - 2^-n, so (3/2)^n never appears.  Both modes run
     the integer loop :func:`_polylog_rows_fixed`.
     """
-    y = _polylog_identity_args(which, s, y)
+    y = _polylog_identity_args(s, y)
     _require_terms(N)
-    alternating = which is PolylogIdentity.E14_3
     L = 1 + N.bit_length()
     E = N + ((s + 1) if alternating else (4 * s + 5)) * L
     P = _scale(ctx, E / (y if alternating else y / 2))
@@ -916,11 +866,11 @@ def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
     return total, row
 
 
-def polylog_identity_target(which: PolylogIdentity, s: int, y, ctx: PrecisionContext) -> Real:
+def polylog_identity_target(alternating: bool, s: int, y, ctx: PrecisionContext) -> Real:
     """Closed-form limit of the corresponding polylog_identity_lhs series, in
     ctx's arithmetic under the caller's precision scope (:func:`reference_value`'s)."""
-    y = _polylog_identity_args(which, s, y)
-    if which is PolylogIdentity.E14_4:
+    y = _polylog_identity_args(s, y)
+    if not alternating:
         return polylog(s + 1, y, ctx)
     return -(s + 1) * polylog(s + 2, y, ctx) + ctx.ln(y) * polylog(s + 1, y, ctx)
 
@@ -1049,19 +999,19 @@ def _central_binomial(kind: CatalanKind, target: Callable[[PrecisionContext], Re
     )
 
 
-def _euler_sum(kind: EulerSumKind) -> FormulaSpec:
+def _euler_sum(m: int) -> FormulaSpec:
     return FormulaSpec(
         None, False,
-        lambda p, x, N, ctx: euler_sum_partial(kind, N, ctx),
-        lambda p, x, ctx: euler_sum_target(kind, ctx),
+        lambda p, x, N, ctx: euler_sum_partial(m, N, ctx),
+        lambda p, x, ctx: euler_sum_target(m, ctx),
     )
 
 
-def _polylog(which: PolylogIdentity) -> FormulaSpec:
+def _polylog(alternating: bool) -> FormulaSpec:
     return FormulaSpec(
         "s", True,
-        lambda s, x, N, ctx: polylog_identity_lhs(which, _need_int(s, "s"), x, N, ctx),
-        lambda s, x, ctx: polylog_identity_target(which, _need_int(s, "s"), x, ctx),
+        lambda s, x, N, ctx: polylog_identity_lhs(alternating, _need_int(s, "s"), x, N, ctx),
+        lambda s, x, ctx: polylog_identity_target(alternating, _need_int(s, "s"), x, ctx),
     )
 
 
@@ -1110,15 +1060,15 @@ FORMULAS: Dict[Formula, FormulaSpec] = {
     Formula.ZETA3_HALF: _central_binomial(
         CatalanKind.ZETA3_HALF_45_6, lambda ctx: 7 * const_zeta(3, ctx)
     ),
-    Formula.POLYLOG_14_3: _polylog(PolylogIdentity.E14_3),
-    Formula.POLYLOG_14_4: _polylog(PolylogIdentity.E14_4),
+    Formula.POLYLOG_14_3: _polylog(True),
+    Formula.POLYLOG_14_4: _polylog(False),
     Formula.DIGAMMA_HALF_SUM: FormulaSpec(
         "q", False,
         lambda q, x, N, ctx: digamma_half_sum(q, N, ctx),
         lambda q, x, ctx: digamma_half_target(q, ctx),
     ),
-    Formula.EULER_SUM_45_8: _euler_sum(EulerSumKind.E45_8),
-    Formula.EULER_SUM_45_10: _euler_sum(EulerSumKind.E45_10),
+    Formula.EULER_SUM_45_8: _euler_sum(3),
+    Formula.EULER_SUM_45_10: _euler_sum(4),
 }
 
 

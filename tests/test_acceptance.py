@@ -21,7 +21,7 @@ from ehz import numerics as nu
 from ehz import verify
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
-from ehz.zeta_series import CatalanKind, EulerSumKind, EvalRequest, Formula
+from ehz.zeta_series import CatalanKind, EvalRequest, Formula
 from oracles import (
     bell_from_partitions,
     gamma_deriv_at_1,
@@ -134,19 +134,32 @@ def test_criterion_05_lambda_coefficients():
     report(5, "lambda coefficients (recurrence vs closed forms and 1/Gamma oracle)", True)
 
 
-_EULER_CASES = (
-    (EulerSumKind.E41, "3!zeta(4)"),
-    (EulerSumKind.E43, "4!zeta(5)"),
-    (EulerSumKind.E45_8, "12zeta(5)"),
-    (EulerSumKind.E45_10, "(1/2)5!zeta(6)"),
-)
+def _e4x(q):
+    """E41 (q = 3) and E43 (q = 4): q! times the euler-hurwitz series at x = 1."""
+    return (
+        lambda N: zs._gamma_ratio_result("euler-hurwitz", q, 1, N, FAST, math.factorial(q)),
+        lambda: math.factorial(q) * nu.const_zeta(q + 1, FAST),
+    )
+
+
+def _e45(m):
+    """E45_8 (m = 3) and E45_10 (m = 4)."""
+    return lambda N: zs.euler_sum_partial(m, N, FAST), lambda: zs.euler_sum_target(m, FAST)
+
+
+#: name: (partial sum at N, target, label)
+_EULER_CASES = {
+    "E41": (*_e4x(3), "3!zeta(4)"),
+    "E43": (*_e4x(4), "4!zeta(5)"),
+    "E45_8": (*_e45(3), "12zeta(5)"),
+    "E45_10": (*_e45(4), "(1/2)5!zeta(6)"),
+}
 
 
 def _euler_sum_errors():
     out = []
-    for kind, label in _EULER_CASES:
-        res = zs.euler_sum_partial(kind, 10**5, FAST)
-        target = zs.euler_sum_target(kind, FAST)
+    for kind, (partial, target_of, label) in _EULER_CASES.items():
+        res, target = partial(10**5), target_of()
         err = abs(float(res.value) - float(target))
         out.append((kind, label, err, float(res.tail_estimate), abs(float(target))))
     return out
@@ -159,7 +172,7 @@ def test_criterion_06_euler_sums_tail_bounds():
     ok = all(err <= 3 * tail for _, _, err, tail, _ in rows) and elapsed < 30.0
     report(6, "euler sums at N=1e5 within 3x analytic tails", ok, f"{elapsed:.1f}s")
     for kind, label, err, tail, _ in rows:
-        assert err <= 3 * tail, f"{kind.value} vs {label}: err {err:.3e} > 3x{tail:.3e}"
+        assert err <= 3 * tail, f"{kind} vs {label}: err {err:.3e} > 3x{tail:.3e}"
     assert elapsed < 30.0
 
 
@@ -180,10 +193,10 @@ def _euler_truncation(N):
         I = [sum(f(k) / f(k - j) * h ** (k - j) for j in range(k + 1)) / N for k in range(5)]
         z2, z3 = mpmath.zeta(2), mpmath.zeta(3)
         cases = {
-            EulerSumKind.E41: (6 * mpmath.zeta(4), I[2] + z2 * I[0]),
-            EulerSumKind.E43: (24 * mpmath.zeta(5), I[3] + 3 * z2 * I[1] + 2 * z3 * I[0]),
-            EulerSumKind.E45_8: (12 * mpmath.zeta(5), I[3] + z2 * I[1]),
-            EulerSumKind.E45_10: (60 * mpmath.zeta(6), I[4] + 3 * z2 * I[2] + 2 * z3 * I[1]),
+            "E41": (6 * mpmath.zeta(4), I[2] + z2 * I[0]),
+            "E43": (24 * mpmath.zeta(5), I[3] + 3 * z2 * I[1] + 2 * z3 * I[0]),
+            "E45_8": (12 * mpmath.zeta(5), I[3] + z2 * I[1]),
+            "E45_10": (60 * mpmath.zeta(6), I[4] + 3 * z2 * I[2] + 2 * z3 * I[1]),
         }
         return {kind: (float(target), float(T)) for kind, (target, T) in cases.items()}
 
@@ -201,19 +214,19 @@ def test_criterion_06_euler_sums_relative_error():
     N = 10**5
     truncation = _euler_truncation(N)
     rows = []
-    for kind, label in _EULER_CASES:
+    for kind, (partial, _, label) in _EULER_CASES.items():
         target, T = truncation[kind]
-        err = target - float(zs.euler_sum_partial(kind, N, FAST).value)
+        err = target - float(partial(N).value)
         rows.append((kind, label, target, err, T))
     ok = all(abs(err - T) <= T / N for _, _, _, err, T in rows)
     detail = ", ".join(
-        f"{kind.value} rel={err / target:.2e} err-T={err - T:.1e}"
+        f"{kind} rel={err / target:.2e} err-T={err - T:.1e}"
         for kind, _, target, err, T in rows
     )
     report(6, "euler sums at N=1e5 within T/N of analytic truncation error T", ok, detail)
     for kind, label, _, err, T in rows:
         assert abs(err - T) <= T / N, (
-            f"{kind.value} vs {label}: err {err:.6e} differs from the analytic "
+            f"{kind} vs {label}: err {err:.6e} differs from the analytic "
             f"truncation error T {T:.6e} by {err - T:.3e}, beyond the bound "
             f"T/N = {T / N:.3e}"
         )
@@ -223,13 +236,8 @@ def test_criterion_07_alternating_family():
     t0 = time.time()
     results = [zs.sondow_alt(1, 80, FAST)]
     targets = [float(nu.const_log2(FAST))]
-    for kind, s in (
-        (EulerSumKind.ALT2, 2),
-        (EulerSumKind.ALT3, 3),
-        (EulerSumKind.ALT4, 4),
-        (EulerSumKind.ALT5, 5),
-    ):
-        results.append(zs.euler_sum_partial(kind, 80, FAST))
+    for s in (2, 3, 4, 5):
+        results.append(zs.sondow_alt(s, 80, FAST))
         targets.append((1 - 2.0 ** (1 - s)) * float(nu.const_zeta(s, FAST)))
     elapsed = time.time() - t0
     worst = max(

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -44,6 +46,18 @@ def test_traced_functions_exist(spans):
     for mod_name, fn_name, _ in spans.TRACED:
         module = importlib.import_module(f"ehz.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"ehz.{mod_name}.{fn_name}"
+
+
+def test_importing_the_cli_imports_every_traced_module(spans):
+    # bench/worker.py imports ehz.cli alone, then spans.install reads
+    # sys.modules["ehz.<mod>"]: a module that ehz.cli imports lazily breaks
+    # the traced run, which _traced above cannot see (it imports each one)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(SPANS_PATH)), "src"))
+    code = "import sys, ehz.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {f"ehz.{mod}" for mod, _, _ in spans.TRACED} <= loaded
 
 
 def test_every_exported_name_exists():

@@ -833,3 +833,45 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0\n"
+
+    def test_a_negative_x_after_its_flag_is_its_value(self, capsys):
+        # argparse alone reads the -1/2 of "--x -1/2" as an option and exits 2
+        argv = ["verify", "--id", "coppo_30", "--n-max", "3", "--q-max", "2"]
+        spaced = run_cli(capsys, *argv, "--x", "-1/2")
+        assert spaced == run_cli(capsys, *argv, "--x=-1/2")
+        assert spaced[0] == 0 and "x=-1/2" in spaced[1]
+
+    def test_a_negative_s_after_its_flag_is_its_value(self, capsys):
+        argv = ["eval", "--formula", "hasse", "--x", "1/2", "--terms", "10"]
+        spaced = run_cli(capsys, *argv, "--s", "-1e-3")
+        assert spaced == run_cli(capsys, *argv, "--s=-1e-3")
+        assert spaced[0] == 0 and "s=-0.001\n" in spaced[1]
+
+    def test_a_negative_x_reaches_the_domain_check(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", "euler-hurwitz", "--q", "2", "--x", "-1/2", "--terms", "10"
+        )
+        assert (code, out) == (3, "")
+        assert "x must be a positive rational" in err
+
+    def test_a_negative_x_reaches_converge_too(self, capsys):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", "alt-hurwitz", "--s", "2", "--x", "-1/2", "--terms", "10,20"
+        )
+        assert (code, out) == (3, "")
+        assert "requires x > 0" in err  # the reference, computed first, names it
+
+    @pytest.mark.parametrize(
+        "argv, joined",
+        [
+            (["--x", "-1/2"], ["--x=-1/2"]),
+            (["--s", "-1e-3"], ["--s=-1e-3"]),
+            (["--s", "-.5", "--x", "-3"], ["--s=-.5", "--x=-3"]),
+            (["--x", "--terms", "5"], ["--x", "--terms", "5"]),  # a flag stays a flag
+            (["--x", "-abc"], ["--x", "-abc"]),  # not a number: argparse's usage error
+            (["--q", "-2", "--n-max", "-1"], ["--q", "-2", "--n-max", "-1"]),  # argparse's own
+            (["--x=-1/2", "-3"], ["--x=-1/2", "-3"]),
+        ],
+    )
+    def test_only_a_negative_value_after_x_or_s_is_joined(self, argv, joined):
+        assert cli._join_negative_values(argv) == joined

@@ -1,6 +1,7 @@
 """Fuzzing of the command line: every argv exits 0, 1, 2 or 3, prints a
 message and no stdout when it exits 2 or 3, never a traceback, and prints
-the same stdout twice.
+the same stdout twice, the second time with each "--flag value" written
+"--flag=value".
 
 ``cli.main`` runs in process.  Budgets stay small (terms <= 200, sweep
 overrides <= 30, verify at its quick profile) so the whole fuzz takes a few
@@ -35,10 +36,11 @@ def _rarely(draw) -> bool:
 
 
 def _flag(draw, name, values, takes):
-    # a flag the command takes, else one time in ten; written "--flag=value",
-    # so that argparse reads a negative value as the value
+    # a flag the command takes, else one time in ten; written "--flag=value"
+    # or "--flag value", which must read a negative value as the value too
     if takes or _rarely(draw):
-        return [f"--{name}={draw(st.sampled_from(values))}"]
+        value = draw(st.sampled_from(values))
+        return [f"--{name}", value] if draw(st.booleans()) else [f"--{name}={value}"]
     return []
 
 
@@ -94,10 +96,25 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _equals_form(argv):
+    """argv with every "--flag value" written "--flag=value"."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_json(argv) -> bool:
+    return re.search(r"--format[= ]json", " ".join(argv)) is not None
+
+
 def _without_seconds(argv, out):
     if argv[0] != "converge":
         return out
-    if "--format=json" in argv:
+    if _is_json(argv):
         return re.sub(r'"seconds": "[^"]*"', "", out)
     return strip_seconds_csv(out)
 
@@ -114,12 +131,13 @@ def test_every_argv_meets_the_exit_code_contract(argv_strategy, capsys):
         code, out, err = _run(argv, capsys)
         assert code in (0, 1, 2, 3), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
-        if code == 1:
-            assert "fail=" in out.splitlines()[-1], argv
+        if code == 1:  # a verify FAIL, in the JSON reports or the text summary
+            failed = '"status": "FAIL"' in out if _is_json(argv) else "fail=" in out.splitlines()[-1]
+            assert failed, argv
         elif code:  # a usage or numeric error prints its message and no output
             assert err.strip(), argv
             assert out == "", (argv, out[:200])
-        again = _run(argv, capsys)
+        again = _run(_equals_form(argv), capsys)  # the same argv, run again
         assert again[0] == code, argv
         assert _without_seconds(argv, again[1]) == _without_seconds(argv, out), argv
 

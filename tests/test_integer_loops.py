@@ -19,10 +19,11 @@ import pytest
 from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
-from ehz.zeta_series import CatalanKind, PolylogIdentity
+from ehz.zeta_series import CatalanKind
 
 DIGITS = [30, 60, 300]
 BUDGETS = (1, 2, 10, 100, 300)
+POLYLOG_IDS = ["E14_3", "E14_4"]  # polylog_identity_lhs's alternating: True, False
 
 
 @pytest.fixture
@@ -88,10 +89,10 @@ def test_high_digamma_sum_within_the_stated_bound(power, digits, fixed):
 
 
 @functools.lru_cache(maxsize=None)
-def polylog_rows_exact(which, s, y):
+def polylog_rows_exact(alternating, s, y):
     """{N: the exact partial sum} for N in BUDGETS, by the f_j recurrence
     in Fractions (``test_zeta_series`` holds it to the binomial rows)."""
-    sign, out = (-1 if which is PolylogIdentity.E14_3 else 1), {}
+    sign, out = (-1 if alternating else 1), {}
     f, S = [F(0)] * (s + 1), F(0)
     for n in range(1, max(BUDGETS) + 1):
         f[0] = (1 + sign * y) ** n - 1
@@ -105,14 +106,13 @@ def polylog_rows_exact(which, s, y):
 
 @pytest.mark.parametrize("digits", DIGITS)
 @pytest.mark.parametrize("s, y", [(1, F(1, 2)), (3, F(1, 3))], ids=["s1-y1/2", "s3-y1/3"])
-@pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
-def test_high_polylog_rows_within_the_stated_bound(which, s, y, digits, fixed):
+@pytest.mark.parametrize("alternating", [True, False], ids=POLYLOG_IDS)
+def test_high_polylog_rows_within_the_stated_bound(alternating, s, y, digits, fixed):
     # E14_3: S' <= S, E = N + (s+1) L, S_low = y; E14_4: E = N + (4s+5) L,
     # S_low = y/2; L = 1 + bitlen(N)
     ctx = PrecisionContext(digits, Mode.HIGH)
-    alternating = which is PolylogIdentity.E14_3
-    for N, S in polylog_rows_exact(which, s, y).items():
-        zs.polylog_identity_lhs(which, s, y, N, ctx)
+    for N, S in polylog_rows_exact(alternating, s, y).items():
+        zs.polylog_identity_lhs(alternating, s, y, N, ctx)
         total, P = fixed[-1]
         L = 1 + N.bit_length()
         E = N + ((s + 1) if alternating else (4 * s + 5)) * L
@@ -263,18 +263,18 @@ def test_digamma_sum_fast_against_high(power, N, fixed):
 @pytest.mark.parametrize("N", GRID_BUDGETS)
 @pytest.mark.parametrize("y", [F(1, 4), F(1, 3), F(1, 2)], ids=str)
 @pytest.mark.parametrize("s", [1, 2, 3])
-@pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
-def test_polylog_rows_fast_against_high(which, s, y, N, fixed):
+@pytest.mark.parametrize("alternating", [True, False], ids=POLYLOG_IDS)
+def test_polylog_rows_fast_against_high(alternating, s, y, N, fixed):
     # E = N + (s+1) L (E14_3) or N + (4s+5) L (E14_4), L = 1 + bitlen(N)
     L = 1 + N.bit_length()
-    E = N + ((s + 1) if which is PolylogIdentity.E14_3 else (4 * s + 5)) * L
-    call = lambda ctx: zs.polylog_identity_lhs(which, s, y, N, ctx).value
+    E = N + ((s + 1) if alternating else (4 * s + 5)) * L
+    call = lambda ctx: zs.polylog_identity_lhs(alternating, s, y, N, ctx).value
     fast_against_high60(call, lambda P, ctx: mpmath.mpf(E) / 2**P, fixed)
 
 
 def test_fast_polylog_row_sum_is_the_double_nearest_its_value():
     # the float loop this integer loop replaced read 2 ulps below it here
-    call = lambda ctx: zs.polylog_identity_lhs(PolylogIdentity.E14_4, 2, F(1, 3), 1000, ctx)
+    call = lambda ctx: zs.polylog_identity_lhs(False, 2, F(1, 3), 1000, ctx)
     assert call(FAST).value == float(call(HIGH60).value)  # float() rounds to nearest
 
 
@@ -282,7 +282,7 @@ def test_fast_polylog_row_sum_is_the_double_nearest_its_value():
 FAST_INTEGER_LOOPS = {
     "ramanujan": lambda ctx: zs.catalan_series(CatalanKind.RAMANUJAN_38, 100, ctx),
     "digamma": lambda ctx: zs.digamma_half_sum(2, 100, ctx),
-    "polylog-rows": lambda ctx: zs.polylog_identity_lhs(PolylogIdentity.E14_3, 2, F(1, 3), 100, ctx),
+    "polylog-rows": lambda ctx: zs.polylog_identity_lhs(True, 2, F(1, 3), 100, ctx),
     "polylog": lambda ctx: zs.polylog(2, F(1, 3), ctx),
     "swapped-eta": lambda ctx: zs.alt_hurwitz(1.5, F(1, 2), 100, ctx),
 }

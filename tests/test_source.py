@@ -75,6 +75,31 @@ def test_src_holds_no_new_code_the_cli_cannot_reach():
     )
 
 
+#: the enum classes src defines, each with the reason it stays: a second name
+#: for a series must justify itself here
+ENUMS = {
+    ("numerics", "Mode"): "the precision mode of a context and a result",
+    ("zeta_series", "Formula"): "the one name of each series, the CLI's --formula",
+    ("zeta_series", "CatalanKind"): "bench/spans.py names catalan_series's spans by its values",
+    ("verify", "Kind"): "how an identity compares its two sides",
+    ("verify", "Profile"): "the sweep sizes, the CLI's --profile",
+}
+
+
+ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}
+
+
+def test_src_defines_only_the_listed_enums():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(base).split(".")[-1] in ENUM_BASES for base in node.bases
+            ):
+                found.add((path.stem, node.name))
+    assert found == set(ENUMS), (sorted(found - set(ENUMS)), sorted(set(ENUMS) - found))
+
+
 def _builtin_name(func):
     """The name a call's target gives a builtin: ``f`` or ``builtins.f``
     (``re.compile`` is not the builtin)."""

@@ -12,13 +12,7 @@ from ehz import harmonic as ha
 from ehz import numerics as nu
 from ehz import zeta_series as zs
 from ehz.numerics import Mode, PrecisionContext
-from ehz.zeta_series import (
-    CatalanKind,
-    EulerSumKind,
-    EvalRequest,
-    Formula,
-    PolylogIdentity,
-)
+from ehz.zeta_series import CatalanKind, EvalRequest, Formula
 from oracles import coppo_rhs_rows
 
 F = Fraction
@@ -33,6 +27,9 @@ def bits(*values):
 #: FAST and HIGH, each at 30 and 60 digits
 ROUTE_CTX = [PrecisionContext(d, mode) for mode in (Mode.FAST, Mode.HIGH) for d in (30, 60)]
 ROUTE_CTX_IDS = [f"{c.mode.value.lower()}{c.digits}" for c in ROUTE_CTX]
+
+#: the polylog identities by ``alternating``: E14_3 (True) and E14_4 (False)
+POLYLOG_IDS = ["E14_3", "E14_4"]
 
 
 def euler_hurwitz_exact_terms(q: int, x, N: int) -> list:
@@ -84,6 +81,16 @@ def mixed_exact_terms(m: int, x, N: int) -> list:
 def mixed_series(m: int, x, N: int, ctx):
     """The mixed series at scale 1, in the evaluators' signature."""
     return zs._gamma_ratio_result("mixed", m, x, N, ctx)
+
+
+def factorial_euler_hurwitz(q: int, N: int, ctx):
+    """The Euler sums E41, E43 and E43_2 (q = 3, 4, 5): q! times the
+    euler-hurwitz series at x = 1, whose limit is q! zeta(q+1)."""
+    return zs._gamma_ratio_result("euler-hurwitz", q, 1, N, ctx, math.factorial(q))
+
+
+#: the Euler sums that factorial_euler_hurwitz sums, by q
+E4X_IDS = ["E41", "E43", "E43_2"]
 
 
 def within_tail(result, reference, factor=3.0) -> bool:
@@ -506,21 +513,21 @@ class TestKernelsMatchLiteralRoutes:
     @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
     @pytest.mark.parametrize("y", [F(1, 4), F(1, 3), F(1, 2)], ids=str)
     @pytest.mark.parametrize("s", range(1, 5))
-    @pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
-    def test_polylog_rows(self, which, s, y, ctx):
-        res = zs.polylog_identity_lhs(which, s, y, 120, ctx)
-        _assert_close_to_exact(res.value, _polylog_exact_sum(which, s, y, 120), ctx)
+    @pytest.mark.parametrize("alternating", [True, False], ids=POLYLOG_IDS)
+    def test_polylog_rows(self, alternating, s, y, ctx):
+        res = zs.polylog_identity_lhs(alternating, s, y, 120, ctx)
+        _assert_close_to_exact(res.value, _polylog_exact_sum(alternating, s, y, 120), ctx)
 
 
 @functools.lru_cache(maxsize=None)
-def _polylog_exact_sum(which: PolylogIdentity, s: int, y: Fraction, N: int) -> Fraction:
+def _polylog_exact_sum(alternating: bool, s: int, y: Fraction, N: int) -> Fraction:
     """The polylog identities' first N rows with exact-Fraction inner sums
     sum_k C(n,k) (+-y)^k / k^s: the literal route of the row recurrence."""
-    z = -y if which is PolylogIdentity.E14_3 else y
+    z = -y if alternating else y
     total = F(0)
     for n in range(1, N + 1):
         inner = sum(F(math.comb(n, k), k**s) * z**k for k in range(1, n + 1))
-        total += inner / n**2 if which is PolylogIdentity.E14_3 else inner / (n * 2**n)
+        total += inner / n**2 if alternating else inner / (n * 2**n)
     return total
 
 
@@ -536,25 +543,25 @@ class TestMixed:
 
 
 class TestEulerSums:
-    @pytest.mark.parametrize(
-        "kind",
-        [EulerSumKind.E41, EulerSumKind.E43, EulerSumKind.E43_2, EulerSumKind.E45_8, EulerSumKind.E45_10],
-    )
-    def test_within_three_tails_at_1e4(self, kind):
-        res = zs.euler_sum_partial(kind, 10**4, FAST)
-        assert within_tail(res, zs.euler_sum_target(kind, FAST))
+    @pytest.mark.parametrize("q", [3, 4, 5], ids=E4X_IDS)
+    def test_factorial_euler_hurwitz_within_three_tails_at_1e4(self, q):
+        res = factorial_euler_hurwitz(q, 10**4, FAST)
+        assert within_tail(res, math.factorial(q) * nu.const_zeta(q + 1, FAST))
 
-    @pytest.mark.parametrize(
-        "kind", [EulerSumKind.ALT2, EulerSumKind.ALT3, EulerSumKind.ALT4, EulerSumKind.ALT5]
-    )
-    def test_alternating_family_reaches_twelve_digits(self, kind):
-        res = zs.euler_sum_partial(kind, 80, FAST)
-        target = zs.euler_sum_target(kind, FAST)
+    @pytest.mark.parametrize("m", [3, 4], ids=["E45_8", "E45_10"])
+    def test_within_three_tails_at_1e4(self, m):
+        res = zs.euler_sum_partial(m, 10**4, FAST)
+        assert within_tail(res, zs.euler_sum_target(m, FAST))
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5])
+    def test_alternating_family_reaches_twelve_digits(self, s):
+        res = zs.sondow_alt(s, 80, FAST)
+        target = (1 - 2.0 ** (1 - s)) * nu.const_zeta(s, FAST)
         assert abs(res.value - target) < 1e-12 * abs(target)
 
     def test_zeta6_routes_agree_within_combined_tails(self):
-        a = zs.euler_sum_partial(EulerSumKind.E43_2, 10**5, FAST)
-        b = zs.euler_sum_partial(EulerSumKind.E45_10, 10**5, FAST)
+        a = factorial_euler_hurwitz(5, 10**5, FAST)
+        b = zs.euler_sum_partial(4, 10**5, FAST)
         z6 = float(nu.const_zeta(6, FAST))
         norm_a = float(a.value) / 120
         norm_b = float(b.value) / 60
@@ -566,19 +573,8 @@ class TestEulerSums:
     @pytest.mark.parametrize("ctx", ROUTE_CTX, ids=ROUTE_CTX_IDS)
     def test_targets_are_the_closed_forms(self, ctx):
         with ctx.scope():
-            z = {s: nu.const_zeta(s, ctx) for s in (2, 3, 4, 5, 6)}
-            want = {
-                EulerSumKind.E41: 6 * z[4],
-                EulerSumKind.E43: 24 * z[5],
-                EulerSumKind.E43_2: 120 * z[6],
-                EulerSumKind.E45_8: 12 * z[5],
-                EulerSumKind.E45_10: 60 * z[6],
-                **{
-                    EulerSumKind(f"ALT{s}"): (1 - ctx.real(F(2)) ** (1 - s)) * z[s]
-                    for s in (2, 3, 4, 5)
-                },
-            }
-            assert {k: zs.euler_sum_target(k, ctx) for k in EulerSumKind} == want
+            z = {s: nu.const_zeta(s, ctx) for s in (5, 6)}
+            assert [zs.euler_sum_target(m, ctx) for m in (3, 4)] == [12 * z[5], 60 * z[6]]
 
     def test_integer_q_rejects_fractional(self):
         req = EvalRequest(formula=Formula.EULER_HURWITZ, s_or_q=2.5, x=F(1), N=10, ctx=FAST)
@@ -629,26 +625,26 @@ class TestPolylog:
             zs.polylog(2, 1.0, FAST)
 
     def test_identity_14_4(self):
-        lhs = zs.polylog_identity_lhs(PolylogIdentity.E14_4, 2, F(1, 2), 80, HIGH).value
-        rhs = zs.polylog_identity_target(PolylogIdentity.E14_4, 2, F(1, 2), HIGH)
+        lhs = zs.polylog_identity_lhs(False, 2, F(1, 2), 80, HIGH).value
+        rhs = zs.polylog_identity_target(False, 2, F(1, 2), HIGH)
         assert abs(float(lhs) - float(rhs)) < 1e-10
 
     def test_identity_14_3_within_tail(self):
-        lhs = zs.polylog_identity_lhs(PolylogIdentity.E14_3, 1, F(1, 2), 400, HIGH).value
-        rhs = zs.polylog_identity_target(PolylogIdentity.E14_3, 1, F(1, 2), HIGH)
+        lhs = zs.polylog_identity_lhs(True, 1, F(1, 2), 400, HIGH).value
+        rhs = zs.polylog_identity_target(True, 1, F(1, 2), HIGH)
         # rows decay like (log n + c)/n^2; analytic tail at N = 400
         tail = zs._tail_from_last(_e14_3_row(400), 400, 1.0, 1, 1.0)
         assert abs(float(lhs) - float(rhs)) <= 3 * tail
 
     @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
-    @pytest.mark.parametrize("which", list(PolylogIdentity), ids=lambda w: w.value)
-    def test_identities_at_2000_terms(self, which, ctx):
+    @pytest.mark.parametrize("alternating", [True, False], ids=POLYLOG_IDS)
+    def test_identities_at_2000_terms(self, alternating, ctx):
         # E14_4's (3/2)^n passes a double's range near n = 1750; the rows
         # carry f / 2^n.  Its tail is geometric (about 1e-250 here), so the
         # gate adds the kernel tests' rounding allowance to 3 tails.
-        res = zs.polylog_identity_lhs(which, 2, F(1, 2), 2000, ctx)
+        res = zs.polylog_identity_lhs(alternating, 2, F(1, 2), 2000, ctx)
         with ctx.scope():  # the target computes in its caller's scope
-            target = zs.polylog_identity_target(which, 2, F(1, 2), ctx)
+            target = zs.polylog_identity_target(alternating, 2, F(1, 2), ctx)
         rounding = (32 * EPS if ctx.mode is Mode.FAST else 1e-30) * abs(float(target))
         assert math.isfinite(float(res.value))
         with nu.working_precision(50):
@@ -791,6 +787,35 @@ def test_rounded_references_cover_every_formula():
     assert {f for f, _, _ in ROUNDED_REFERENCES} == set(Formula)
 
 
+def test_every_formula_has_one_row():
+    assert set(zs.FORMULAS) == set(Formula)
+
+
+class _ReadRecorder(dict):
+    """A dict that records each key it is read at."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+def test_the_formulas_reach_every_kind_table_row(ctx, monkeypatch):
+    # a data ratchet: a kind or a central-binomial row that no formula
+    # reaches fails here, as an unreached function fails test_source
+    monkeypatch.setattr(zs, "_KERNELS", {})
+    central = _ReadRecorder(zs._CENTRAL_BINOMIAL)
+    monkeypatch.setattr(zs, "_CENTRAL_BINOMIAL", central)
+    for formula, param, x in ROUNDED_REFERENCES:
+        zs.evaluate(EvalRequest(formula=formula, s_or_q=param, x=x, N=5, ctx=ctx))
+    assert {kind for mode, kind, _ in zs._KERNELS if mode is ctx.mode} == set(zs._KERNEL_STEPS)
+    assert central.read == set(central)
+
+
 @pytest.mark.parametrize(
     "formula, param, x", ROUNDED_REFERENCES, ids=[f"{f.value} {p} {x}" for f, p, x in ROUNDED_REFERENCES]
 )
@@ -817,18 +842,16 @@ EMPTY_SUM_CALLS = {
     "alt_hurwitz": lambda N, ctx: zs.alt_hurwitz(2, F(1, 2), N, ctx),
     "shen_series": lambda N, ctx: zs.shen_series(2, N, ctx),
     "mixed_q": lambda N, ctx: zs.mixed_q(4, F(1, 3), N, ctx),
-    **{
-        f"euler_sum_partial {k.value}": lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx)
-        for k in EulerSumKind
-    },
+    "euler_sum_partial 3": lambda N, ctx: zs.euler_sum_partial(3, N, ctx),
+    "euler_sum_partial 4": lambda N, ctx: zs.euler_sum_partial(4, N, ctx),
     **{
         f"catalan_series {k.value}": lambda N, ctx, k=k: zs.catalan_series(k, N, ctx)
         for k in CatalanKind
     },
     **{
-        f"polylog_identity_lhs {w.value}":
-            lambda N, ctx, w=w: zs.polylog_identity_lhs(w, 2, F(1, 2), N, ctx)
-        for w in PolylogIdentity
+        f"polylog_identity_lhs {name}":
+            lambda N, ctx, a=a: zs.polylog_identity_lhs(a, 2, F(1, 2), N, ctx)
+        for a, name in zip((True, False), POLYLOG_IDS)
     },
     "digamma_half_sum 2": lambda N, ctx: zs.digamma_half_sum(2, N, ctx),
     "digamma_half_sum 4": lambda N, ctx: zs.digamma_half_sum(4, N, ctx),
@@ -849,28 +872,28 @@ def test_empty_sum_is_a_domain_error(name, ctx):
 #: name: (call, route, scale), where call(N, ctx) sums scale times route(N, ctx)'s series
 SAME_SERIES = {
     **{
-        k.value: (
-            lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx),
+        name: (
+            lambda N, ctx, q=q: factorial_euler_hurwitz(q, N, ctx),
             lambda N, ctx, q=q: zs.euler_hurwitz(q, 1, N, ctx),
             math.factorial(q),
         )
-        for k, q in ((EulerSumKind.E41, 3), (EulerSumKind.E43, 4), (EulerSumKind.E43_2, 5))
+        for q, name in zip((3, 4, 5), E4X_IDS)
     },
     **{
         f"ALT{s}": (
-            lambda N, ctx, s=s: zs.euler_sum_partial(EulerSumKind(f"ALT{s}"), N, ctx),
             lambda N, ctx, s=s: zs.sondow_alt(s, N, ctx),
+            lambda N, ctx, s=s: zs._gamma_ratio_result("eta", s, 1, N, ctx),
             1,
         )
         for s in (2, 3, 4, 5)
     },
     **{
-        k.value: (
-            lambda N, ctx, k=k: zs.euler_sum_partial(k, N, ctx),
+        name: (
+            lambda N, ctx, m=m: zs.euler_sum_partial(m, N, ctx),
             lambda N, ctx, m=m: mixed_series(m, 1, N, ctx),
             scale,
         )
-        for k, m, scale in ((EulerSumKind.E45_8, 3, 2), (EulerSumKind.E45_10, 4, 6))
+        for name, m, scale in (("E45_8", 3, 2), ("E45_10", 4, 6))
     },
     "zeta3-half": (
         lambda N, ctx: zs.catalan_series(CatalanKind.ZETA3_HALF_45_6, N, ctx),
@@ -984,7 +1007,7 @@ class TestFastHighAgreement:
             lambda ctx: zs.euler_hurwitz(3, F(1, 2), 2000, ctx),
             lambda ctx: zs.mixed_q(5, F(1), 2000, ctx),
             lambda ctx: zs.catalan_series(CatalanKind.CENTRAL_38_1, 2000, ctx),
-            lambda ctx: zs.euler_sum_partial(EulerSumKind.E41, 2000, ctx),
+            lambda ctx: factorial_euler_hurwitz(3, 2000, ctx),
             lambda ctx: zs.shen_series(2, 2000, ctx),
             lambda ctx: zs.digamma_half_sum(2, 500, ctx),
         ],
