@@ -3,10 +3,13 @@ convergence benchmarking, and reference constants.
 
 Exit codes: 0 success (all PASS for verify), 1 verification failure,
 2 usage error, 3 numeric/domain error, 141 output pipe closed by the
-reader.  Output is byte-deterministic for identical invocations except the
-wall-clock ``seconds`` column of ``converge``.  The optional environment
-variable ``EHZ_PRECISION`` overrides the default working precision (30
-digits) when ``--precision`` is not given; either must lie in
+reader.  Each ``cmd_*`` command returns its exit code and its output text
+or raises; :func:`main` alone writes stdout and stderr and maps a raised
+error to exit code 2 or 3, so stdout stays empty on both.  Output is
+byte-deterministic for identical invocations except the wall-clock
+``seconds`` column of ``converge``.  The optional environment variable
+``EHZ_PRECISION`` overrides the default working precision (30 digits)
+when ``--precision`` is not given; either must lie in
 15..``MAX_CONSTANT_DIGITS`` (300).
 """
 
@@ -22,7 +25,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import mpmath
 
@@ -111,18 +114,8 @@ def _build_context(args, terms: int) -> PrecisionContext:
     return PrecisionContext(digits=digits, mode=mode)
 
 
-def _emit(text: str, out) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
 #: the one JSON encoder of every command's output
 _JSON = json.JSONEncoder(separators=(", ", ": "))
-
-
-def _json_dump(payload: dict, out) -> None:
-    _emit(_JSON.encode(payload), out)
 
 
 # ----------------------------------------------------------------------
@@ -156,18 +149,10 @@ def _make_request(args) -> EvalRequest:
     return EvalRequest(formula=formula, s_or_q=s_or_q, x=x, N=args.terms, ctx=ctx)
 
 
-def cmd_eval(args, out) -> int:
-    try:
-        req = _make_request(args)
-    except (ValueError, KeyError) as exc:
-        _emit(f"error: {exc}", sys.stderr)
-        return USAGE_ERROR
-    try:
-        res = evaluate(req)
-        ref = reference_value(req)
-    except (DomainError, NumericError) as exc:
-        _emit(f"numeric error: {exc}", sys.stderr)
-        return NUMERIC_ERROR
+def cmd_eval(args) -> Tuple[int, str]:
+    req = _make_request(args)
+    res = evaluate(req)
+    ref = reference_value(req)
     d = req.ctx.digits
     param_key = FORMULAS[req.formula].param or "q"  # the key is printed even when empty
     fields = [
@@ -192,13 +177,8 @@ def cmd_eval(args, out) -> int:
             "result": dict(fields[6:]),
             "version": __version__,
         }
-        _json_dump(payload, out)
-    else:
-        for k, v in fields:
-            if k in ("x", "s", "q") and not v:
-                continue
-            _emit(f"{k}={v}", out)
-    return 0
+        return 0, _JSON.encode(payload)
+    return 0, "\n".join(f"{k}={v}" for k, v in fields if v or k not in ("x", "s", "q"))
 
 
 # ----------------------------------------------------------------------
@@ -208,28 +188,20 @@ def cmd_eval(args, out) -> int:
 CSV_HEADER = "N,partial_sum,reference,abs_error,rel_error,seconds"
 
 
-def cmd_converge(args, out) -> int:
+def cmd_converge(args) -> Tuple[int, str]:
     try:
-        try:
-            budgets = [int(t) for t in args.terms.split(",") if t]
-        except ValueError:
-            raise ValueError(f"--terms budgets must be integers, got {args.terms!r}") from None
-        if not budgets:
-            raise ValueError("--terms requires N1,N2,...")
-        if min(budgets) < 1:
-            raise ValueError(f"--terms budgets must be >= 1, got {args.terms}")
-        if any(b <= a for a, b in zip(budgets, budgets[1:])):
-            raise ValueError(f"--terms budgets must be strictly increasing, got {args.terms}")
-        args.terms = max(budgets)  # context sizing uses the largest budget
-        req = _make_request(args)
-    except (ValueError, KeyError) as exc:
-        _emit(f"error: {exc}", sys.stderr)
-        return USAGE_ERROR
-    try:
-        rows = convergence_table(req, budgets)
-    except (DomainError, NumericError) as exc:
-        _emit(f"numeric error: {exc}", sys.stderr)
-        return NUMERIC_ERROR
+        budgets = [int(t) for t in args.terms.split(",") if t]
+    except ValueError:
+        raise ValueError(f"--terms budgets must be integers, got {args.terms!r}") from None
+    if not budgets:
+        raise ValueError("--terms requires N1,N2,...")
+    if min(budgets) < 1:
+        raise ValueError(f"--terms budgets must be >= 1, got {args.terms}")
+    if any(b <= a for a, b in zip(budgets, budgets[1:])):
+        raise ValueError(f"--terms budgets must be strictly increasing, got {args.terms}")
+    args.terms = max(budgets)  # context sizing uses the largest budget
+    req = _make_request(args)
+    rows = convergence_table(req, budgets)
     exponent = fit_convergence_exponent(rows)
     d = req.ctx.digits
     exp_str = repr(exponent) if exponent is not None else "nan"
@@ -258,13 +230,9 @@ def cmd_converge(args, out) -> int:
             "rows": cells + [{"exponent": exp_str}],
             "version": __version__,
         }
-        _json_dump(payload, out)
-    else:
-        _emit(CSV_HEADER, out)
-        for row in cells:
-            _emit(",".join(str(v) for v in row.values()), out)
-        _emit(f"# exponent,{exp_str}", out)
-    return 0
+        return 0, _JSON.encode(payload)
+    csv_rows = (",".join(str(v) for v in row.values()) for row in cells)
+    return 0, "\n".join([CSV_HEADER, *csv_rows, f"# exponent,{exp_str}"])
 
 
 # ----------------------------------------------------------------------
@@ -272,12 +240,9 @@ def cmd_converge(args, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_verify(args, out) -> int:
-    """Run the identities, turning each report into output text as it comes.
-
-    The text is held in one buffer and written once, after the last report,
-    so that stdout stays empty when verify exits 2 or 3.
-    """
+def cmd_verify(args) -> Tuple[int, str]:
+    """Run the identities, turning each report into output text as it comes;
+    exit code 1 when any report is a FAIL."""
     overrides = {
         "n_max": args.n_max,
         "q_max": args.q_max,
@@ -285,51 +250,44 @@ def cmd_verify(args, out) -> int:
         "x": args.x,
         "terms": args.terms,
     }
+    if args.x is not None:
+        _parse_rational(args.x)
+    if args.id is not None and args.all:
+        raise ValueError("verify takes --all or --id, not both")
+    if args.id is not None:
+        profile = Profile(args.profile or "full")
+        reports = run_identity(args.id, overrides, profile)
+    elif args.all:
+        given = ["--" + k.replace("_", "-") for k, v in overrides.items() if v is not None]
+        if given:
+            raise ValueError(f"--all takes no {', '.join(given)}; sweep overrides need --id")
+        profile = Profile(args.profile or "quick")
+        reports = run_all(profile)
+    else:
+        raise ValueError("verify requires --all or --id")
     text = io.StringIO()
     statuses: Counter = Counter()
     identities = set()
-    try:
-        if args.x is not None:
-            _parse_rational(args.x)
-        if args.id is not None and args.all:
-            raise ValueError("verify takes --all or --id, not both")
-        if args.id is not None:
-            profile = Profile(args.profile or "full")
-            reports = run_identity(args.id, overrides, profile)
-        elif args.all:
-            given = ["--" + k.replace("_", "-") for k, v in overrides.items() if v is not None]
-            if given:
-                raise ValueError(f"--all takes no {', '.join(given)}; sweep overrides need --id")
-            profile = Profile(args.profile or "quick")
-            reports = run_all(profile)
-        else:
-            _emit("error: verify requires --all or --id", sys.stderr)
-            return USAGE_ERROR
+    if args.format == "json":
+        params = {"id": args.id or "", "all": bool(args.all), "profile": profile.value}
+        envelope = _JSON.encode({"command": "verify", "params": params})
+        text.write(envelope[:-1] + ', "reports": [')
+    # the id and overrides are checked at the first report, so a usage
+    # error can still surface here
+    for r in reports:
         if args.format == "json":
-            params = {"id": args.id or "", "all": bool(args.all), "profile": profile.value}
-            envelope = _JSON.encode({"command": "verify", "params": params})
-            text.write(envelope[:-1] + ', "reports": [')
-        # the id and overrides are checked at the first report, so a usage
-        # error can still surface here
-        for r in reports:
-            if args.format == "json":
-                if statuses:
-                    text.write(", ")
-                text.write(_JSON.encode(r.to_dict()))
-            else:
-                ps = " ".join(f"{k}={v}" for k, v in r.params.items())
-                line = f"{r.status} {r.identity} {ps}".rstrip()
-                if r.status != "PASS" and r.detail:
-                    line += f"  [{r.detail}] lhs={r.lhs} rhs={r.rhs}"
-                _emit(line, text)
-            statuses[r.status] += 1
-            identities.add(r.identity)
-    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
-        _emit(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", sys.stderr)
-        return USAGE_ERROR
-    except NumericError as exc:  # raised while an identity ran, which it names
-        _emit(f"numeric error: {exc}", sys.stderr)
-        return NUMERIC_ERROR
+            if statuses:
+                text.write(", ")
+            text.write(_JSON.encode(r.to_dict()))
+        else:
+            ps = " ".join(f"{k}={v}" for k, v in r.params.items())
+            line = f"{r.status} {r.identity} {ps}".rstrip()
+            if r.status != "PASS" and r.detail:
+                line += f"  [{r.detail}] lhs={r.lhs} rhs={r.rhs}"
+            text.write(line)
+            text.write("\n")
+        statuses[r.status] += 1
+        identities.add(r.identity)
     if args.format == "json":
         text.write(f'], "version": {_JSON.encode(__version__)}}}')
     else:
@@ -337,11 +295,7 @@ def cmd_verify(args, out) -> int:
             f"identities={len(identities)}, reports={statuses.total()}, pass={statuses['PASS']}, "
             f"fail={statuses['FAIL']}, skip={statuses['SKIP']}"
         )
-    # A long write to a pipe whose reader has gone can come back short
-    # without an error; the newline, written on its own, makes the flush
-    # in main report the closed pipe.
-    _emit(text.getvalue(), out)
-    return 1 if statuses["FAIL"] else 0
+    return 1 if statuses["FAIL"] else 0, text.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -349,14 +303,10 @@ def cmd_verify(args, out) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_constants(args, out) -> int:
+def cmd_constants(args) -> Tuple[int, str]:
     d = args.digits
     if d < 1 or d > MAX_CONSTANT_DIGITS:
-        _emit(
-            f"error: --digits must be in 1..{MAX_CONSTANT_DIGITS}",
-            sys.stderr,
-        )
-        return USAGE_ERROR
+        raise ValueError(f"--digits must be in 1..{MAX_CONSTANT_DIGITS}")
     ctx = PrecisionContext(digits=max(d + 2, 15), mode=Mode.HIGH)
     lines = [
         ("gamma", const_gamma(ctx)),
@@ -364,9 +314,7 @@ def cmd_constants(args, out) -> int:
         ("catalan", const_catalan(ctx)),
     ]
     lines += [(f"zeta{m}", const_zeta(m, ctx)) for m in range(2, 11)]
-    for name, value in lines:
-        _emit(f"{name}={_fmt_real(value, d)}", out)
-    return 0
+    return 0, "\n".join(f"{name}={_fmt_real(value, d)}" for name, value in lines)
 
 
 # ----------------------------------------------------------------------
@@ -456,14 +404,31 @@ def _join_negative_values(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command: the only code that writes stdout or stderr and that
+    turns a raised error into an exit code.
+
+    A command's text is built whole before any of it is written, so stdout
+    stays empty when the command raises.
+    """
     parser = _parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command not in _COMMANDS:
         parser.print_help()
         return USAGE_ERROR
     try:
-        code = _COMMANDS[args.command](args, sys.stdout)
+        code, text = _COMMANDS[args.command](args)
+        # A long write to a pipe whose reader has gone can come back short
+        # without an error; the newline, written on its own, makes the flush
+        # report the closed pipe.
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
         sys.stdout.flush()
+    except (DomainError, NumericError) as exc:  # before ValueError, which DomainError is
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return NUMERIC_ERROR
+    except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:
         # The reader closed stdout early (``| head``).  Point stdout at
         # devnull so that the flush at interpreter exit cannot fail again.

@@ -1139,9 +1139,6 @@ def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRo
     """
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise DomainError("term budgets must be strictly increasing")
-    ref = reference_value(req)
-    if ref is None:
-        raise DomainError("no reference value available for this formula")
     rows = []
     for N in Ns:
         t0 = time.perf_counter()
@@ -1149,6 +1146,10 @@ def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRo
             EvalRequest(formula=req.formula, s_or_q=req.s_or_q, x=req.x, N=N, ctx=req.ctx)
         )
         dt = time.perf_counter() - t0
+        if not rows:  # after the first evaluate, which names a bad request as eval does
+            ref = reference_value(req)
+            if ref is None:
+                raise DomainError("no reference value available for this formula")
         with req.ctx.scope():
             err = abs(res.value - ref)
             rel = err / abs(ref) if ref != 0 else +err

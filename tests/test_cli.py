@@ -854,12 +854,14 @@ class TestParser:
         assert (code, out) == (3, "")
         assert "x must be a positive rational" in err
 
-    def test_a_negative_x_reaches_converge_too(self, capsys):
-        code, out, err = run_cli(
-            capsys, "converge", "--formula", "alt-hurwitz", "--s", "2", "--x", "-1/2", "--terms", "10,20"
-        )
+    @pytest.mark.parametrize("flags", [["alt-hurwitz", "--s", "2"], ["euler-hurwitz", "--q", "2"]])
+    def test_a_negative_x_reaches_converge_too(self, capsys, flags):
+        argv = ["--formula", *flags, "--x", "-1/2", "--terms"]
+        code, out, err = run_cli(capsys, "converge", *argv, "10,20")
         assert (code, out) == (3, "")
-        assert "requires x > 0" in err  # the reference, computed first, names it
+        # the series, evaluated before the reference, names the problem as eval does
+        assert err == run_cli(capsys, "eval", *argv, "10")[2]
+        assert err.startswith("numeric error: x must be a positive rational")
 
     @pytest.mark.parametrize(
         "argv, joined",

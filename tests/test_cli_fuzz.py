@@ -1,7 +1,8 @@
 """Fuzzing of the command line: every argv exits 0, 1, 2 or 3, prints a
-message and no stdout when it exits 2 or 3, never a traceback, and prints
-the same stdout twice, the second time with each "--flag value" written
-"--flag=value".
+message and no stdout when it exits 2 or 3 (one stderr line, "error: " for 2
+and "numeric error: " for 3, when main itself returns), never a traceback,
+and prints the same stdout twice, the second time with each "--flag value"
+written "--flag=value".
 
 ``cli.main`` runs in process.  Budgets stay small (terms <= 200, sweep
 overrides <= 30, verify at its quick profile) so the whole fuzz takes a few
@@ -89,10 +90,14 @@ def constants_argv(draw):
 
 def _run(argv, capsys):
     try:
-        code = cli.main(argv)
+        code, by_main = cli.main(argv), True
     except SystemExit as exc:  # argparse's own usage errors
-        code = exc.code
+        code, by_main = exc.code, False
     captured = capsys.readouterr()
+    if by_main and code in (2, 3):  # main's own message: one line, its prefix naming the code
+        prefix = "error: " if code == 2 else "numeric error: "
+        lines = captured.err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith(prefix), (argv, captured.err)
     return code, captured.out, captured.err
 
 

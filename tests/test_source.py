@@ -204,3 +204,13 @@ def test_only_named_zeta_series_functions_read_the_mode():
                 found.add((getattr(node, "name", None), sub.lineno))
     forks = sorted(((name, line) for name, line in found if name not in MODE_READERS), key=str)
     assert not forks and found, forks
+
+
+#: the round's line budget for src/ehz, set in ROADMAP.md ("Line budget"):
+#: the same outputs from the least code, so src may not grow past it
+SRC_LINE_BUDGET = 3525
+
+
+def test_src_stays_within_the_line_budget():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, f"src/ehz has {lines} lines, the budget is {SRC_LINE_BUDGET}"
