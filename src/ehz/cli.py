@@ -143,6 +143,8 @@ def _make_request(args) -> EvalRequest:
             raise ValueError(f"{formula.value} requires --{spec.param}")
         s_or_q = _parse_s(value) if spec.param == "s" else value
     x = _parse_rational(args.x) if args.x is not None else None
+    if args.terms < 1:
+        raise ValueError(f"--terms must be >= 1, got {args.terms}")
     if args.terms > MAX_TERMS:
         raise ValueError(f"--terms must be <= {MAX_TERMS}, got {args.terms}")
     ctx = _build_context(args, args.terms)

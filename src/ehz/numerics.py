@@ -24,12 +24,13 @@ the precision is altered; outside this module it is entered only through
 :meth:`PrecisionContext.scope`.  All operations are otherwise pure
 functions of immutable inputs and are safe to call from multiple threads.
 
-The reference values -- zeta(s, x) and the constants pi (Machin), gamma
-and zeta(m) (Euler--Maclaurin with exact Bernoulli numbers) and Catalan's G
-(a binomial-accelerated series) -- are sums of integers at scale 2^P, each
-a floor losing under one unit of 2^-P, rounded once to an mpf; P keeps 32
-bits beyond the value's digits (:data:`_GUARD_BITS`).  The tests check
-them against 50-digit literals and ``mpmath.zeta``.  Summation order is
+The reference values zeta(s, x) and zeta(m) (Euler--Maclaurin with exact
+Bernoulli numbers) are sums of integers at scale 2^P, each a floor losing
+under one unit of 2^-P, rounded once to an mpf; P keeps 32 bits beyond the
+value's digits (:data:`_GUARD_BITS`).  pi, gamma, Catalan's G and log 2 are
+only targets and scale factors of the series under study, so they are
+mpmath's values, rounded once at the same digits.  The tests check them
+against 50-digit literals and ``mpmath.zeta``.  Summation order is
 ascending index everywhere; repeated calls with equal arguments return
 bit-identical values.
 """
@@ -73,8 +74,9 @@ MAX_CONSTANT_DIGITS = 300
 
 _GUARD_DIGITS = 10
 
-#: 50-digit reference literals.  Every constant algorithm below must agree
-#: with these to min(digits, 50) - 2 digits; the test suite enforces it.
+#: 50-digit reference literals.  Every constant below, from the zeta(s, x)
+#: engine or from mpmath, must agree with these to min(digits, 50) - 2
+#: digits; the test suite enforces it.
 CONSTANT_LITERALS = {
     "gamma": "0.5772156649015328606065120900824024310421593359399236",
     "pi": "3.141592653589793238462643383279502884197169399375106",
@@ -254,9 +256,9 @@ def bernoulli_even(jmax: int) -> Sequence[Fraction]:
 # series under study are summed term by term elsewhere).
 # ----------------------------------------------------------------------
 
-#: Bits kept beyond a value's digits: every engine below loses fewer than
-#: 2^16 units of 2^-P at up to 300 digits, under 2^-12 of the last bit of
-#: the mpf it is rounded to.
+#: Bits kept beyond a value's digits: the zeta(s, x) engine below loses under
+#: M + J + 4 < 2^14 units of 2^-P at up to 300 digits (M terms, J Bernoulli
+#: corrections), under 2^-12 of the last bit of the mpf it is rounded to.
 _GUARD_BITS = 32
 
 #: Bernoulli corrections the zeta(s, x) engine may add before M doubles.
@@ -266,13 +268,6 @@ _EM_JMAX = 120
 def _scale_bits(dps: int) -> int:
     """P for a value of order 1 wanted at ``dps`` digits."""
     return math.ceil(dps * math.log2(10)) + _GUARD_BITS
-
-
-def _fixed(value, P: int) -> int:
-    """floor(2^P value()) for an mpmath expression 0 < value() < 2^10 (a
-    logarithm here), evaluated at P + 30 bits: within 2^-10 of a unit."""
-    with working_precision(math.ceil((P + 30) * math.log10(2)) + 1):
-        return int(mpmath.floor(mpmath.ldexp(value(), P)))
 
 
 def _unfixed(v: int, P: int, dps: int):
@@ -384,68 +379,6 @@ def _em_attempt(s: Fraction, x: Fraction, M: int, digits: int, dps: int):
     return None
 
 
-def _gamma_em(dps: int):
-    """Euler's constant at ``dps`` digits: H_M - ln M - 1/(2M) + EM tail, as
-    sum_k floor(2^P / k), ln M floored from mpmath and the corrections
-    floor(2^P B_2j / (2j M^(2j))) until one is below 10^-(dps+3).  Those
-    take the first J Bernoulli numbers, J where the bound 2 zeta(2) (2j-1)!
-    / (2 pi M)^(2j) on correction j is below that (at most 240).
-    """
-    M = max(30, int(0.45 * dps) + 10)
-    P, c = _scale_bits(dps + 5), math.log(2 * math.pi * M)
-    cut = (dps + 3) * math.log(10) + math.log(math.pi**2 / 3) + 1.0  # 2 zeta(2), and e spare
-    J = next((j for j in range(1, 241) if math.lgamma(2 * j) - 2 * j * c < -cut), 240)
-    one, ten, power, prev = 1 << P, 10 ** (dps + 3), 1, None
-    g = sum(one // k for k in range(1, M + 1)) - _fixed(lambda: mpmath.ln(M), P) - one // (2 * M)
-    for j, B in enumerate(bernoulli_even(J), start=1):
-        power *= M * M
-        t = (B.numerator << P) // (B.denominator * 2 * j * power)
-        g += t
-        if abs(t) * ten < one:
-            return _unfixed(g, P, dps + 5)
-        if prev is not None and abs(t) > prev:
-            break
-        prev = abs(t)
-    raise NumericError("gamma tail did not reach target accuracy; raise M")
-
-
-def _pi_fixed(P: int) -> int:
-    """2^P pi by Machin's formula 16 arctan(1/5) - 4 arctan(1/239), each
-    arctan(1/q) the sum of floor(2^P / q^(2k+1)) // (2k+1) with alternating
-    signs: under 2 units lost per term, 8 P in all."""
-    def atan_recip(q):
-        power = total = (1 << P) // q
-        k = 0
-        while power:
-            k += 1
-            power //= q * q
-            total += (-1) ** k * (power // (2 * k + 1))
-        return total
-
-    return 16 * atan_recip(5) - 4 * atan_recip(239)
-
-
-def _pi_machin(dps: int):
-    P = _scale_bits(dps + 5)
-    return _unfixed(_pi_fixed(P), P, dps + 5)
-
-
-def _catalan_series(dps: int):
-    """G = 3/8 * sum 1/((2n+1)^2 C(2n,n)) + pi/8 * ln(2 + sqrt 3).
-
-    The series term decays like 4^-n, so n runs to about 1.7 * dps.  In
-    integers at scale 2^P: one floor per term, pi from :func:`_pi_fixed`
-    and ln(2 + sqrt 3) floored from mpmath.
-    """
-    P = _scale_bits(dps + 5)
-    s, c = 0, 1  # c = C(2n, n)
-    for n in range(int(1.8 * dps) + 10):
-        s += (1 << P) // ((2 * n + 1) ** 2 * c)
-        c = c * 2 * (2 * n + 1) // (n + 1)
-    log = _fixed(lambda: mpmath.ln(2 + mpmath.sqrt(3)), P)
-    return _unfixed((3 * s << P) + _pi_fixed(P) * log, 2 * P + 3, dps + 5)
-
-
 # ----------------------------------------------------------------------
 # Public constant operations, cached per (name, digits).
 # ----------------------------------------------------------------------
@@ -480,32 +413,34 @@ def const_zeta(m: int, ctx: PrecisionContext) -> Real:
     """zeta(m) for integer m >= 2, accurate to 10^-(digits-2)."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("const_zeta requires an integer m >= 2")
-    return _const(
-        f"zeta{m}",
-        ctx,
-        lambda dps: hurwitz_zeta_em(m, 1, PrecisionContext(max(dps, 15), Mode.HIGH)),
-    )
+    return _const(f"zeta{m}", ctx, lambda dps: hurwitz_zeta_em(m, 1, PrecisionContext(dps)))
+
+
+def _mpmath_const(name: str, value, ctx: PrecisionContext) -> Real:
+    """mpmath's constant ``value`` at dps + 5 digits, rounded once: a
+    reference independent of every series of ``ehz.zeta_series``."""
+    def build(dps):
+        with working_precision(dps + 5):
+            return +value
+
+    return _const(name, ctx, build)
 
 
 def const_gamma(ctx: PrecisionContext) -> Real:
     """Euler's constant, the limit of H_n - log n."""
-    return _const("gamma", ctx, _gamma_em)
+    return _mpmath_const("gamma", mpmath.euler, ctx)
 
 
 def const_pi(ctx: PrecisionContext) -> Real:
-    return _const("pi", ctx, _pi_machin)
+    return _mpmath_const("pi", mpmath.pi, ctx)
 
 
 def const_catalan(ctx: PrecisionContext) -> Real:
-    return _const("catalan", ctx, _catalan_series)
+    return _mpmath_const("catalan", mpmath.catalan, ctx)
 
 
 def const_log2(ctx: PrecisionContext) -> Real:
-    def build(dps):
-        with working_precision(dps + 5):
-            return +mpmath.ln(2)
-
-    return _const("log2", ctx, build)
+    return _mpmath_const("log2", mpmath.ln2, ctx)
 
 
 def clear_caches() -> None:

@@ -666,7 +666,7 @@ def shen_series(p: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     e_{p-1}(1, ..., 1/(k-1)) = |s(k,p)| / (k-1)!.  So that series is returned.
     """
     if not isinstance(p, int) or p < 1:
-        raise DomainError("p must be an integer >= 1")
+        raise DomainError(f"shen requires an integer q >= 1, got {p}")
     return stirling_route(p, 1, N, ctx)
 
 
@@ -1149,7 +1149,8 @@ def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRo
         if not rows:  # after the first evaluate, which names a bad request as eval does
             ref = reference_value(req)
             if ref is None:
-                raise DomainError("no reference value available for this formula")
+                at = f"{FORMULAS[req.formula].param} = {req.s_or_q}"
+                raise DomainError(f"{req.formula.value} has no reference value at {at}")
         with req.ctx.scope():
             err = abs(res.value - ref)
             rel = err / abs(ref) if ref != 0 else +err

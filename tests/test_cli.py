@@ -158,6 +158,12 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err == f"numeric error: digamma-half-sum supports q in {{2, 4}}, got {q}\n"
 
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_shen_order_names_q_and_value_exit_three(self, capsys, q):
+        code, out, err = run_cli(capsys, "eval", "--formula", "shen", "--q", q, "--terms", "10")
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: shen requires an integer q >= 1, got {q}\n"
+
     def test_byte_identical_repeats(self, capsys):
         args = (
             "eval", "--formula", "stirling-route", "--q", "2", "--x", "1/2",
@@ -396,6 +402,14 @@ class TestEval:
         eps = 2.0**-50 if fields["mode"] == "FAST" else 10.0 ** -int(fields["digits"])
         assert error <= tail + eps * abs(float(fields["reference"]))
 
+    @pytest.mark.parametrize("terms", ["0", "-3"])
+    def test_terms_below_one_names_the_flag_usage_error(self, capsys, terms):
+        code, out, err = run_cli(
+            capsys, "eval", "--formula", "euler-hurwitz", "--q", "1", "--terms", terms
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --terms must be >= 1, got {terms}\n"
+
     @pytest.mark.parametrize("terms", ["10000001", "1000000000000"])
     def test_terms_above_the_cap_usage_error(self, capsys, terms):
         code, out, err = run_cli(
@@ -462,6 +476,16 @@ class TestConverge:
         assert code == 3
         assert out == ""
         assert err == f"numeric error: x = {x} is outside the double range {DOUBLE_RANGE}\n"
+
+    @pytest.mark.parametrize(
+        "formula, x", [("hasse", ("--x", "1/2")), ("alt-hurwitz", ("--x", "1/2")), ("sondow-alt", ())]
+    )
+    def test_no_reference_names_the_formula_and_s_exit_three(self, capsys, formula, x):
+        code, out, err = run_cli(
+            capsys, "converge", "--formula", formula, "--s", "0.5", *x, "--terms", "10,20"
+        )
+        assert (code, out) == (3, "")
+        assert err == f"numeric error: {formula} has no reference value at s = 0.5\n"
 
     def test_byte_identical_excluding_seconds(self, capsys):
         args = (

@@ -144,12 +144,27 @@ def _identifiers(tree):
                 yield node.lineno, alias.asname or alias.name
 
 
-def test_high_sums_name_no_mpf_summation():
+def _named_in_src(names):
+    """(file, line, name) for every definition or use of one of names in src."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, line, n) for line, n in _identifiers(tree) if n in RETIRED_NAMES]
-    assert not found
+        found += [(path.name, line, n) for line, n in _identifiers(tree) if n in names]
+    return found
+
+
+def test_high_sums_name_no_mpf_summation():
+    assert not _named_in_src(RETIRED_NAMES)
+
+
+#: numerics' own engines for gamma (Euler--Maclaurin), pi (Machin) and
+#: Catalan's G: these constants are only targets and scale factors of the
+#: paper's series, never routes of it, so mpmath's values serve, as for log 2
+RETIRED_CONSTANT_ENGINES = {"_gamma_em", "_pi_machin", "_pi_fixed", "_catalan_series"}
+
+
+def test_constants_come_from_mpmath_not_a_hand_rolled_engine():
+    assert not _named_in_src(RETIRED_CONSTANT_ENGINES)
 
 
 def test_precision_scopes_are_entered_only_by_numerics():
