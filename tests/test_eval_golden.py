@@ -56,6 +56,8 @@ REQUESTS = (
     "zeta3-half --terms 200",
     "polylog-14-3 --s 2 --x 1/3 --terms 100",
     "polylog-14-4 --s 1 --x 1/2 --terms 100",
+    "polylog-14-4 --s 2 --x 3/7 --terms 200",
+    "polylog-14-4 --s 1 --x 1/3 --terms 200",
     "digamma-half-sum --q 2 --terms 200",
     "digamma-half-sum --q 4 --terms 200",
     "euler-sum-45-8 --terms 200",
