@@ -105,12 +105,7 @@ def _build_context(args, terms: int) -> PrecisionContext:
         bound = ">= 15" if digits < 15 else f"<= {MAX_CONSTANT_DIGITS}"
         raise ValueError(f"{source} must be {bound}, got {digits}")
     mode_arg = getattr(args, "mode", "auto")
-    if mode_arg == "fast":
-        mode = Mode.FAST
-    elif mode_arg == "high":
-        mode = Mode.HIGH
-    else:
-        mode = _auto_mode(digits, terms)
+    mode = _auto_mode(digits, terms) if mode_arg == "auto" else Mode(mode_arg.upper())
     return PrecisionContext(digits=digits, mode=mode)
 
 
@@ -151,19 +146,26 @@ def _make_request(args) -> EvalRequest:
     return EvalRequest(formula=formula, s_or_q=s_or_q, x=x, N=args.terms, ctx=ctx)
 
 
+def _params(req: EvalRequest, param_key: str, terms: str) -> list:
+    """The (key, text) params that eval and converge print; an absent
+    parameter or shift prints ""."""
+    return [
+        ("formula", req.formula.value),
+        (param_key, "" if req.s_or_q is None else str(req.s_or_q)),
+        ("x", "" if req.x is None else str(req.x)),
+        ("terms", terms),
+        ("digits", str(req.ctx.digits)),
+        ("mode", req.ctx.mode.value),
+    ]
+
+
 def cmd_eval(args) -> Tuple[int, str]:
     req = _make_request(args)
     res = evaluate(req)
     ref = reference_value(req)
     d = req.ctx.digits
     param_key = FORMULAS[req.formula].param or "q"  # the key is printed even when empty
-    fields = [
-        ("formula", req.formula.value),
-        (param_key, str(req.s_or_q) if req.s_or_q is not None else ""),
-        ("x", str(req.x) if req.x is not None else ""),
-        ("terms", str(res.terms_used)),
-        ("digits", str(d)),
-        ("mode", res.mode.value),
+    fields = _params(req, param_key, str(res.terms_used)) + [
         ("value", _fmt_real(res.value, d)),
         ("tail_estimate", _fmt_real(float(res.tail_estimate), d)),
     ]
@@ -221,14 +223,7 @@ def cmd_converge(args) -> Tuple[int, str]:
     if args.format == "json":
         payload = {
             "command": "converge",
-            "params": {
-                "formula": req.formula.value,
-                "s_or_q": str(req.s_or_q),
-                "x": str(req.x) if req.x is not None else "",
-                "terms": ",".join(str(b) for b in budgets),
-                "digits": str(d),
-                "mode": req.ctx.mode.value,
-            },
+            "params": dict(_params(req, "s_or_q", ",".join(str(b) for b in budgets))),
             "rows": cells + [{"exponent": exp_str}],
             "version": __version__,
         }

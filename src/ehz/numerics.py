@@ -12,8 +12,8 @@ Two numeric backplanes are provided and selected through a
   integer loop of HIGH below, sized for :data:`_FAST_SEED_DIGITS` digits,
   and returns the double nearest its integer sum.
 * ``HIGH`` -- the requested digits.  Every series loop of
-  ``ehz.zeta_series`` and every reference value below sums integers at a
-  scale 2^P, with a stated loss of E units of 2^-P, and rounds the integer
+  ``ehz.zeta_series`` and the zeta(s, x) engine below sum integers at a
+  scale 2^P, with a stated loss of E units of 2^-P, and round the integer
   sum once into an mpf; mpf arithmetic is left to the boundary (the
   constants a sum is scaled by, the powers (k+x)^-s of an s that is not an
   integer or a half-integer).
@@ -27,12 +27,13 @@ functions of immutable inputs and are safe to call from multiple threads.
 The reference values zeta(s, x) and zeta(m) (Euler--Maclaurin with exact
 Bernoulli numbers) are sums of integers at scale 2^P, each a floor losing
 under one unit of 2^-P, rounded once to an mpf; P keeps 32 bits beyond the
-value's digits (:data:`_GUARD_BITS`).  pi, gamma, Catalan's G and log 2 are
-only targets and scale factors of the series under study, so they are
-mpmath's values, rounded once at the same digits.  The tests check them
-against 50-digit literals and ``mpmath.zeta``.  Summation order is
-ascending index everywhere; repeated calls with equal arguments return
-bit-identical values.
+value's digits (:data:`_GUARD_BITS`).  They keep their own engine, as
+``mpmath.zeta`` is slower and loses relative accuracy at large x.  pi, gamma,
+Catalan's G, log 2 and Li_s(y) are only targets and scale factors of the
+series under study, so they are mpmath's values at 5 digits more, rounded
+once.  The tests check them against 50-digit literals, ``mpmath.zeta`` and
+closed forms in pi, log 2 and zeta(3).  Summation order is ascending index
+everywhere; repeated calls with equal arguments return bit-identical values.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "const_pi",
     "const_catalan",
     "const_log2",
+    "polylog",
     "CONSTANT_LITERALS",
     "MAX_CONSTANT_DIGITS",
 ]
@@ -441,6 +443,14 @@ def const_catalan(ctx: PrecisionContext) -> Real:
 
 def const_log2(ctx: PrecisionContext) -> Real:
     return _mpmath_const("log2", mpmath.ln2, ctx)
+
+
+def polylog(s: int, y: Fraction, ctx: PrecisionContext) -> Real:
+    """Li_s(y) for an integer s >= 1 and rational |y| < 1, the polylog
+    identities' target: mpmath's value at ctx.dps + 5 digits, rounded once into ctx."""
+    with working_precision(ctx.dps + 5):
+        value = mpmath.polylog(s, mpmath.fdiv(y.numerator, y.denominator))
+    return ctx.real(value)
 
 
 def clear_caches() -> None:

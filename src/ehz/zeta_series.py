@@ -59,7 +59,8 @@ Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
 :func:`evaluate` and :func:`reference_value` are lookups into it, and
 :func:`reference_value` is the one place where a reference is rounded into
-the request's mode.
+the request's mode.  The references are closed forms in values that all come
+from ``numerics``: zeta(s, x), the constants and Li_s(y).
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ from .numerics import (
     _inv_powers,
     _unfixed,
     hurwitz_zeta_em,
+    polylog,
     working_precision,  # not called here: bench/tests wraps this module's name
 )
 
@@ -112,7 +114,6 @@ __all__ = [
     "euler_sum_partial",
     "euler_sum_target",
     "catalan_series",
-    "polylog",
     "polylog_identity_lhs",
     "polylog_identity_target",
     "digamma_half_sum",
@@ -758,45 +759,6 @@ def _ramanujan_fixed(N: int, P: int) -> Tuple[int, int]:
     return total, t
 
 
-def polylog(s: int, y, ctx: PrecisionContext) -> Real:
-    """Li_s(y) = sum_{k>=1} y^k / k^s for an integer s >= 1 and rational
-    |y| < 1, summed in integers at scale 2^P and rounded once: FAST returns
-    the double nearest the integer sum.
-
-    With y = p/d, Y_k = floor(Y_{k-1} p / d) from Y_0 = 2^P carries 2^P y^k
-    and term k is floor(Y_k / k^s).  Bound: Y_k loses under 1/(1-|y|) units
-    of 2^-P and term k under one more, so the N terms lose under
-    E = N (1 + 1/(1-|y|)) units.  Every partial sum, and Li_s(y), is at
-    least S_low = |y|/2 in size (for y < 0 the terms alternate and shrink),
-    P is :func:`_scale` of E / S_low, and N (:func:`_polylog_terms`) leaves
-    out less than S_low 10^-dps / 16.
-    """
-    s = _need_int(s, "s")
-    if s < 1:
-        raise DomainError("polylog requires an integer s >= 1")
-    y = Fraction(y)
-    if not abs(y) < 1:
-        raise DomainError("polylog requires |y| < 1")
-    if y == 0:
-        return ctx.zero()
-    N = _polylog_terms(y, _high(ctx).dps)
-    P = _scale(ctx, N * (1 + 1 / (1 - abs(y))) * 2 / abs(y))
-    p, d = y.numerator, y.denominator
-    Y, total = 1 << P, 0
-    for k in range(1, N + 1):
-        Y = Y * p // d
-        total += Y // k**s
-    return _from_fixed(total, P, ctx)
-
-
-def _polylog_terms(y: Fraction, dps: int) -> int:
-    """The N of :func:`polylog`: |y|^N < (1-|y|) 10^-dps / 32, so that the
-    terms past N add under |y|^(N+1) / (1-|y|) < (|y|/2) 10^-dps / 16."""
-    p, d = abs(y.numerator), y.denominator
-    bits = dps * math.log2(10) + 5 + math.log2(d) - math.log2(d - p)
-    return math.ceil(bits / (math.log2(d) - math.log2(p))) + 1
-
-
 def _polylog_identity_args(s, y) -> Fraction:
     if not isinstance(s, int) or s < 1:
         raise DomainError("s must be an integer >= 1")
@@ -867,12 +829,12 @@ def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
 
 
 def polylog_identity_target(alternating: bool, s: int, y, ctx: PrecisionContext) -> Real:
-    """Closed-form limit of the corresponding polylog_identity_lhs series, in
-    ctx's arithmetic under the caller's precision scope (:func:`reference_value`'s)."""
+    """Closed-form limit of the corresponding polylog_identity_lhs series, from
+    Li_s(y) of ``numerics.polylog``, in ctx's arithmetic under the caller's
+    precision scope (:func:`reference_value`'s)."""
     y = _polylog_identity_args(s, y)
-    if not alternating:
-        return polylog(s + 1, y, ctx)
-    return -(s + 1) * polylog(s + 2, y, ctx) + ctx.ln(y) * polylog(s + 1, y, ctx)
+    li = polylog(s + 1, y, ctx)
+    return -(s + 1) * polylog(s + 2, y, ctx) + ctx.ln(y) * li if alternating else li
 
 
 def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:

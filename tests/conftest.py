@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -145,11 +146,19 @@ def fixed_point_series(kind, m, x, N, ctx):
     return value, last, _to_float(max(a1, H), 1 << P), _to_float(R, 1 << (P + e))
 
 
+@functools.cache
+def bernoulli_even_mpmath(jmax: int) -> list:
+    """ORACLE: B_2, ..., B_{2 jmax} from ``mpmath.bernfrac``, independent of
+    the tangent-number table of ``numerics.bernoulli_even``."""
+    return [Fraction(*mpmath.bernfrac(2 * j)) for j in range(1, jmax + 1)]
+
+
 def hurwitz_zeta_mpf(s, x, ctx):
     """ORACLE: ``numerics.hurwitz_zeta_em`` as it was summed in mpfs at
     ctx.dps + 5 digits (one rounding per power and per correction), with the
-    same M, retry and stopping rule as the integer engine that replaced it."""
-    from ehz.numerics import _em_can_reach, bernoulli_even
+    same M, retry and stopping rule as the integer engine that replaced it,
+    and mpmath's Bernoulli numbers in place of the engine's table."""
+    from ehz.numerics import _EM_JMAX, _em_can_reach
 
     dps = ctx.dps + 5
     with working_precision(dps):
@@ -158,7 +167,7 @@ def hurwitz_zeta_mpf(s, x, ctx):
         M = max(20, int(0.8 * dps) + 4)
         for _ in range(6):
             if _em_can_reach(float(s), float(x), M, ctx.digits + 4):
-                value = _em_once(s_mp, x_mp, M, eps, bernoulli_even(120))
+                value = _em_once(s_mp, x_mp, M, eps, bernoulli_even_mpmath(_EM_JMAX))
                 if value is not None:
                     return value
             M *= 2

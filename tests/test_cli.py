@@ -507,6 +507,22 @@ class TestConverge:
         assert payload["rows"][-1].keys() == {"exponent"}
         assert len(payload["rows"]) == 3
 
+    @pytest.mark.parametrize(
+        "flags, s_or_q, x",
+        [
+            (("--formula", "zeta2-dup"), "", ""),
+            (("--formula", "euler-hurwitz", "--q", "3", "--x", "1/2"), "3", "1/2"),
+        ],
+        ids=["parameterless", "parametered"],
+    )
+    def test_json_params(self, capsys, flags, s_or_q, x):
+        # a parameterless formula prints "" for its parameter, as eval does
+        code, out, _ = run_cli(capsys, "converge", *flags, "--terms", "10,20", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"] == {
+            "formula": flags[1], "s_or_q": s_or_q, "x": x,
+            "terms": "10,20", "digits": "30", "mode": "HIGH",
+        }
 
     @pytest.mark.parametrize("terms", ["0,10", "-5,10"])
     def test_budget_below_one_usage_error(self, capsys, terms):

@@ -119,23 +119,6 @@ def test_high_polylog_rows_within_the_stated_bound(alternating, s, y, digits, fi
         assert_within(total, P, S, E, y if alternating else y / 2, ctx, signed=not alternating)
 
 
-@pytest.mark.parametrize("digits", DIGITS)
-@pytest.mark.parametrize("y", [F(-1, 3), F(1, 3), F(1, 2)], ids=str)
-@pytest.mark.parametrize("s", [1, 2, 4])
-def test_polylog_within_the_stated_bound(s, y, digits, fixed):
-    # E = N (1 + 1/(1-|y|)), S_low = |y|/2; the terms past N add less than
-    # S_low 10^-dps / 16, so E 2^-P plus that is the whole loss
-    ctx = PrecisionContext(digits, Mode.HIGH)
-    N, low = zs._polylog_terms(y, ctx.dps), abs(y) / 2
-    assert abs(y) ** (N + 1) / (1 - abs(y)) * 16 * 10**ctx.dps < low
-    zs.polylog(s, y, ctx)
-    total, P = fixed[-1]
-    S = sum(y**k / F(k) ** s for k in range(1, N + 1))
-    E = N * (1 + 1 / (1 - abs(y)))
-    assert_within(total, P, S, E, low, ctx, signed=True)
-    assert abs(S) >= low
-
-
 #: (sum, exponent s_power of phi_k = (k+x)^-s_power, x): eta is alt_hurwitz
 #: at s = s_power, hasse is hasse_hurwitz at s = s_power + 1
 SWAPPED = [
@@ -214,21 +197,6 @@ def test_swapped_sums_fast_against_high(which, s, x, N, fixed):
     fast_against_high60(call, lambda P, ctx: mpmath.mpf(E.numerator) / E.denominator / 2**P, fixed)
 
 
-@pytest.mark.parametrize("y", [F(-1, 3), F(1, 3), F(1, 2)], ids=str)
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_polylog_fast_against_high(s, y, fixed):
-    # the stated loss: E = N (1 + 1/(1-|y|)) units and the terms past N,
-    # under (|y|/2) 10^-dps / 16
-    def loss(P, ctx):
-        dps = zs._high(ctx).dps  # FAST's loop is sized for numerics._FAST_SEED_DIGITS
-        N = zs._polylog_terms(y, dps)
-        E = N * (1 + 1 / (1 - abs(y)))
-        trunc = mpmath.mpf(abs(y.numerator)) / (2 * y.denominator) / 16 / mpmath.mpf(10) ** dps
-        return mpmath.mpf(E.numerator) / E.denominator / 2**P + trunc
-
-    fast_against_high60(lambda ctx: zs.polylog(s, y, ctx), loss, fixed)
-
-
 #: the FAST-against-HIGH grid of the series whose one integer loop runs in both modes
 GRID_BUDGETS = (1, 2, 10, 10**3, 10**4, 10**5)
 
@@ -283,7 +251,6 @@ FAST_INTEGER_LOOPS = {
     "ramanujan": lambda ctx: zs.catalan_series(CatalanKind.RAMANUJAN_38, 100, ctx),
     "digamma": lambda ctx: zs.digamma_half_sum(2, 100, ctx),
     "polylog-rows": lambda ctx: zs.polylog_identity_lhs(True, 2, F(1, 3), 100, ctx),
-    "polylog": lambda ctx: zs.polylog(2, F(1, 3), ctx),
     "swapped-eta": lambda ctx: zs.alt_hurwitz(1.5, F(1, 2), 100, ctx),
 }
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NeumaierSum, hurwitz_zeta_mpf, mp_abs_diff, mp_literal
+from conftest import NeumaierSum, bernoulli_even_mpmath, hurwitz_zeta_mpf, mp_abs_diff, mp_literal
 from ehz import numerics as nu
 from ehz.numerics import Mode, PrecisionContext
 
@@ -97,11 +97,12 @@ class TestBernoulli:
 
 
     def test_cache_grown_in_steps_matches_mpmath(self):
-        # the table extends column by column; mpmath's bernfrac is independent
+        # the table extends column by column; mpmath's bernfrac is independent.
+        # It is checked to every B_2j that hurwitz_zeta_em may add, j <= _EM_JMAX
         nu.clear_caches()
-        small, grown = nu.bernoulli_even(7), nu.bernoulli_even(60)
+        small, grown = nu.bernoulli_even(7), nu.bernoulli_even(nu._EM_JMAX)
         assert small == grown[:7]
-        assert grown == [Fraction(*mpmath.bernfrac(2 * n)) for n in range(1, 61)]
+        assert grown == bernoulli_even_mpmath(nu._EM_JMAX)
 
     def test_threads_growing_the_table_agree(self):
         # the cache and the triangle's last column grow together under one lock;

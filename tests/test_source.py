@@ -157,10 +157,13 @@ def test_high_sums_name_no_mpf_summation():
     assert not _named_in_src(RETIRED_NAMES)
 
 
-#: numerics' own engines for gamma (Euler--Maclaurin), pi (Machin) and
-#: Catalan's G: these constants are only targets and scale factors of the
-#: paper's series, never routes of it, so mpmath's values serve, as for log 2
-RETIRED_CONSTANT_ENGINES = {"_gamma_em", "_pi_machin", "_pi_fixed", "_catalan_series"}
+#: the hand-built engines for gamma (Euler--Maclaurin), pi (Machin),
+#: Catalan's G and Li_s(y) (the integer loop's term count): these are only
+#: targets and scale factors of the paper's series, never routes of it, so
+#: mpmath's values serve, as for log 2
+RETIRED_CONSTANT_ENGINES = {
+    "_gamma_em", "_pi_machin", "_pi_fixed", "_catalan_series", "_polylog_terms",
+}
 
 
 def test_constants_come_from_mpmath_not_a_hand_rolled_engine():

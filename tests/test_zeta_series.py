@@ -616,13 +616,25 @@ def res_plus_tail(res) -> float:
 class TestPolylog:
     def test_dilog_half_closed_form(self):
         with nu.working_precision(40):
-            got = zs.polylog(2, F(1, 2), HIGH)
+            got = nu.polylog(2, F(1, 2), HIGH)
             want = nu.const_pi(HIGH) ** 2 / 12 - nu.const_log2(HIGH) ** 2 / 2
             assert abs(got - want) < mpmath.mpf(10) ** -25
 
-    def test_domain(self):
-        with pytest.raises(nu.DomainError):
-            zs.polylog(2, 1.0, FAST)
+    @pytest.mark.parametrize("digits", [15, 30, 100, 300])
+    def test_e14_4_targets_at_one_half_from_pi_log2_and_zeta3(self, digits):
+        # Li_2(1/2) = pi^2/12 - ln^2 2 / 2 and Li_3(1/2) = 7 zeta(3)/8
+        # - pi^2 ln 2 / 12 + ln^3 2 / 6, the targets at s = 1 and 2, held
+        # against references that mpmath's polylog takes no part in
+        ctx = PrecisionContext(digits, Mode.HIGH)
+        with ctx.scope():
+            pi, ln2, zeta3 = nu.const_pi(ctx), nu.const_log2(ctx), nu.hurwitz_zeta_em(3, 1, ctx)
+            want = {
+                1: pi**2 / 12 - ln2**2 / 2,
+                2: 7 * zeta3 / 8 - pi**2 * ln2 / 12 + ln2**3 / 6,
+            }
+            for s, value in want.items():
+                got = zs.polylog_identity_target(False, s, F(1, 2), ctx)
+                assert abs(got / value - 1) < mpmath.mpf(10) ** -digits, s
 
     def test_identity_14_4(self):
         lhs = zs.polylog_identity_lhs(False, 2, F(1, 2), 80, HIGH).value
