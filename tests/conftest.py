@@ -153,6 +153,21 @@ def bernoulli_even_mpmath(jmax: int) -> list:
     return [Fraction(*mpmath.bernfrac(2 * j)) for j in range(1, jmax + 1)]
 
 
+def polylog_series_mpf(s: int, y: Fraction, dps: int):
+    """ORACLE: Li_s(y) = sum_{k>=1} y^k / k^s for |y| < 1, summed in mpfs at
+    ``dps`` digits until the terms drop below 10^-dps of the first, with no
+    call to ``mpmath.polylog``."""
+    with working_precision(dps):
+        y_mp = mpmath.mpf(y.numerator) / y.denominator
+        eps = mpmath.mpf(10) ** -dps * abs(y_mp)
+        total, power, k = mpmath.mpf(0), y_mp, 1
+        while abs(power) > eps:
+            total += power / mpmath.mpf(k) ** s
+            power *= y_mp
+            k += 1
+        return +total
+
+
 def hurwitz_zeta_mpf(s, x, ctx):
     """ORACLE: ``numerics.hurwitz_zeta_em`` as it was summed in mpfs at
     ctx.dps + 5 digits (one rounding per power and per correction), with the

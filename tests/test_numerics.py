@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NeumaierSum, bernoulli_even_mpmath, hurwitz_zeta_mpf, mp_abs_diff, mp_literal
+from conftest import (
+    NeumaierSum,
+    bernoulli_even_mpmath,
+    hurwitz_zeta_mpf,
+    mp_abs_diff,
+    mp_literal,
+    polylog_series_mpf,
+)
 from ehz import numerics as nu
 from ehz.numerics import Mode, PrecisionContext
 
@@ -167,6 +174,37 @@ class TestConstants:
         nu.clear_caches()
         assert str(nu.const_gamma(HIGH)) == a
         assert str(nu.const_zeta(3, HIGH)) == b
+
+
+POLYLOG_Y = [F(-1, 3), F(1, 3), F(1, 2)]
+
+
+class TestPolylog:
+    @pytest.mark.parametrize("digits", [30, 60, 300])
+    @pytest.mark.parametrize("y", POLYLOG_Y, ids=str)
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_within_half_an_ulp_of_the_series(self, s, y, digits):
+        # mpmath's Li_s(y) at dps + 5 digits, rounded once at dps: half an
+        # ulp of the rounding, and the 5 digits keep mpmath's own error
+        # under 10^-3 of an ulp
+        ctx = PrecisionContext(digits, Mode.HIGH)
+        got = nu.polylog(s, y, ctx)
+        want = polylog_series_mpf(s, y, ctx.dps + 20)
+        with nu.working_precision(ctx.dps):
+            ulp = mpmath.ldexp(1, mpmath.mag(got) - mpmath.mp.prec)
+        with nu.working_precision(ctx.dps + 20):
+            assert abs(got - want) <= ulp * 501 / 1000, (got, want)
+
+    @pytest.mark.parametrize("y", POLYLOG_Y, ids=str)
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_fast_is_the_double_nearest_the_series(self, s, y):
+        got = nu.polylog(s, y, FAST)
+        assert isinstance(got, float)
+        assert got == float(polylog_series_mpf(s, y, 40))  # float() rounds to nearest
+
+    def test_fast_ignores_the_digits(self):
+        values = {nu.polylog(2, F(1, 3), PrecisionContext(d, Mode.FAST)) for d in (15, 30, 100)}
+        assert len(values) == 1
 
 
 class TestHurwitzEulerMaclaurin:
