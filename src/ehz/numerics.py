@@ -23,6 +23,9 @@ runs inside :func:`working_precision`, which holds a re-entrant lock while
 the precision is altered; outside this module it is entered only through
 :meth:`PrecisionContext.scope`.  All operations are otherwise pure
 functions of immutable inputs and are safe to call from multiple threads.
+The constants and the Bernoulli table are ``functools.cache`` entries, each
+a pure function of its key: two threads may build one at once, and the
+cache keeps one of the equal values.
 
 The reference values zeta(s, x) and zeta(m) (Euler--Maclaurin with exact
 Bernoulli numbers) are sums of integers at scale 2^P, each a floor losing
@@ -39,12 +42,13 @@ everywhere; repeated calls with equal arguments return bit-identical values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -211,46 +215,28 @@ class SeriesResult:
 # Exact Bernoulli numbers via the tangent-number triangle.
 # ----------------------------------------------------------------------
 
-_TANGENTS: list = []  # T_1, T_2, ... built so far
-_TANGENT_COLUMN: list = []  # the triangle's last column, which ends with _TANGENTS[-1]
-_BERNOULLI_CACHE: list = []
-_BERNOULLI_LOCK = threading.RLock()
+@functools.cache
+def tangent_numbers() -> Tuple[int, ...]:
+    """The tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... to T_{_EM_JMAX},
+    exact, by the Knuth--Buckholtz in-place triangle (R. P. Brent and D.
+    Harvey, "Fast computation of Bernoulli, tangent and secant numbers",
+    2013): from t[i] = i!, pass k = 1, 2, ... sets t[i] = (i-k) t[i-1] +
+    (i-k+2) t[i] for i >= k, which leaves t[i] = T_{i+1}."""
+    t = [math.factorial(i) for i in range(_EM_JMAX)]
+    for k in range(1, _EM_JMAX):
+        for i in range(k, _EM_JMAX):
+            t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+    return tuple(t)
 
 
-def tangent_numbers(m: int) -> list:
-    """First ``m`` tangent numbers T_1..T_m (exact integers); T_1 = 1,
-    T_2 = 2, T_3 = 16, ...
-
-    Pass k of the Knuth--Buckholtz in-place triangle sets t[i] = (i-k)
-    t[i-1] + (i-k+2) t[i] for i >= k, from t[i] = (i-1)!, and T_i is t[i]
-    after pass i.  Column j lists t[j] after passes 1..j, so it ends with
-    T_j and needs only column j - 1: the cached triangle grows by the
-    columns it lacks and never redoes one.
-    """
-    with _BERNOULLI_LOCK:
-        col = _TANGENT_COLUMN
-        for j in range(len(_TANGENTS) + 1, m + 1):
-            new = [(j - 1) * col[0] if col else 1]
-            for k in range(2, j + 1):
-                new.append((j - k) * (col[k - 1] if k < j else 0) + (j - k + 2) * new[-1])
-            col[:] = new
-            _TANGENTS.append(new[-1])
-        return _TANGENTS[: max(m, 0)]
-
-
-def bernoulli_even(jmax: int) -> Sequence[Fraction]:
-    """Exact B_2, B_4, ..., B_{2 jmax} from the tangent numbers.
-
-    Uses B_{2n} = (-1)^(n-1) * 2n * T_n / (4^n (4^n - 1)).  The table grows
-    to the largest jmax asked for, so callers ask for the corrections their
-    loop can use.
-    """
-    with _BERNOULLI_LOCK:
-        ts = tangent_numbers(jmax)
-        for n in range(len(_BERNOULLI_CACHE) + 1, jmax + 1):
-            b = Fraction((-1) ** (n - 1) * 2 * n * ts[n - 1], 4**n * (4**n - 1))
-            _BERNOULLI_CACHE.append(b)
-        return _BERNOULLI_CACHE[:jmax]
+@functools.cache
+def bernoulli_even() -> Tuple[Fraction, ...]:
+    """Exact B_2, B_4, ..., B_{2 _EM_JMAX}, every correction the zeta(s, x)
+    engine may add, by B_{2n} = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
+    return tuple(
+        Fraction((-1) ** (n - 1) * 2 * n * T, 4**n * (4**n - 1))
+        for n, T in enumerate(tangent_numbers(), start=1)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +354,7 @@ def _em_attempt(s: Fraction, x: Fraction, M: int, digits: int, dps: int):
     total = sum(_inv_powers(s, x, range(M), P)) + (W >> (g + 1))
     total += W * base * b // (d * (a - b) << g)
     num, den, ten, prev = a * d, 2 * b * base, 10**digits, None  # num / den = c_j / B_2j
-    for j, B in enumerate(bernoulli_even(_EM_JMAX), start=1):
+    for j, B in enumerate(bernoulli_even(), start=1):
         t = W * B.numerator * num // (B.denominator * den << g)
         total += t
         if abs(t) * ten < total:
@@ -385,64 +371,52 @@ def _em_attempt(s: Fraction, x: Fraction, M: int, digits: int, dps: int):
 # Public constant operations, cached per (name, digits).
 # ----------------------------------------------------------------------
 
-_CONST_CACHE: dict = {}
-_CONST_LOCK = threading.Lock()
-
 #: digits used for the FAST-mode double seed of every constant, and the
 #: digits FAST's integer series loops are sized for.
 _FAST_SEED_DIGITS = 25
 
 
-def _cached(name: str, digits: int, builder):
-    key = (name, digits)
-    with _CONST_LOCK:
-        hit = _CONST_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = builder(digits)
-    with _CONST_LOCK:
-        _CONST_CACHE.setdefault(key, value)
-        return _CONST_CACHE[key]
+@functools.cache
+def _zeta_value(m: int, dps: int):
+    return hurwitz_zeta_em(m, 1, PrecisionContext(dps))
 
 
-def _const(name: str, ctx: PrecisionContext, builder) -> Real:
+@functools.cache
+def _mpmath_value(name: str, dps: int):
+    """mpmath's constant ``name`` at dps + 5 digits, rounded once: a
+    reference independent of every series of ``ehz.zeta_series``."""
+    with working_precision(dps + 5):
+        return +getattr(mpmath, name)
+
+
+def _const(build, key, ctx: PrecisionContext) -> Real:
     if ctx.mode is Mode.FAST:
-        return float(_cached(name, _FAST_SEED_DIGITS, builder))
-    return _cached(name, ctx.dps, builder)
+        return float(build(key, _FAST_SEED_DIGITS))
+    return build(key, ctx.dps)
 
 
 def const_zeta(m: int, ctx: PrecisionContext) -> Real:
     """zeta(m) for integer m >= 2, accurate to 10^-(digits-2)."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("const_zeta requires an integer m >= 2")
-    return _const(f"zeta{m}", ctx, lambda dps: hurwitz_zeta_em(m, 1, PrecisionContext(dps)))
-
-
-def _mpmath_const(name: str, value, ctx: PrecisionContext) -> Real:
-    """mpmath's constant ``value`` at dps + 5 digits, rounded once: a
-    reference independent of every series of ``ehz.zeta_series``."""
-    def build(dps):
-        with working_precision(dps + 5):
-            return +value
-
-    return _const(name, ctx, build)
+    return _const(_zeta_value, m, ctx)
 
 
 def const_gamma(ctx: PrecisionContext) -> Real:
     """Euler's constant, the limit of H_n - log n."""
-    return _mpmath_const("gamma", mpmath.euler, ctx)
+    return _const(_mpmath_value, "euler", ctx)
 
 
 def const_pi(ctx: PrecisionContext) -> Real:
-    return _mpmath_const("pi", mpmath.pi, ctx)
+    return _const(_mpmath_value, "pi", ctx)
 
 
 def const_catalan(ctx: PrecisionContext) -> Real:
-    return _mpmath_const("catalan", mpmath.catalan, ctx)
+    return _const(_mpmath_value, "catalan", ctx)
 
 
 def const_log2(ctx: PrecisionContext) -> Real:
-    return _mpmath_const("log2", mpmath.ln2, ctx)
+    return _const(_mpmath_value, "ln2", ctx)
 
 
 def polylog(s: int, y: Fraction, ctx: PrecisionContext) -> Real:
@@ -454,10 +428,6 @@ def polylog(s: int, y: Fraction, ctx: PrecisionContext) -> Real:
 
 
 def clear_caches() -> None:
-    """Drop constant caches (test hook; results are unchanged by caching)."""
-    with _CONST_LOCK:
-        _CONST_CACHE.clear()
-    with _BERNOULLI_LOCK:
-        _BERNOULLI_CACHE.clear()
-        _TANGENTS.clear()
-        _TANGENT_COLUMN.clear()
+    """Empty the constant and Bernoulli caches (a test hook: no result depends on them)."""
+    for cached in (_zeta_value, _mpmath_value, tangent_numbers, bernoulli_even):
+        cached.cache_clear()

@@ -66,6 +66,7 @@ from ``numerics``: zeta(s, x), the constants and Li_s(y).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -413,12 +414,13 @@ _R_STEP = [  # HIGH: R_n keeps P + 1 significant bits, at scale 2^(P+e)
     "    R <<= sh",
     "    e += sh",
 ]
-_KERNELS: Dict[Tuple[Mode, str, int], Callable] = {}
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _kernel(mode: Mode, kind: str, m: int) -> Callable:
     """The loop of :func:`_gamma_ratio_series` for ``mode``, ``kind`` and
-    order m in 1..MAX_ORDER, compiled at its first request and cached.
+    order m in 1..MAX_ORDER, compiled at its first request and cached (typed,
+    so that m = 2.0 meets the order check, not the kernel of m = 2).
 
     FAST: kernel(R_1, x, N) sums terms n = 1..N in doubles and returns
     (sum, last term, R_N, a[1], H_N).  HIGH: kernel(R_1 2^(P+e), e, p, d, P,
@@ -433,48 +435,45 @@ def _kernel(mode: Mode, kind: str, m: int) -> Callable:
     """
     if not (isinstance(m, int) and 1 <= m <= MAX_ORDER):
         raise ValueError(f"kernel order must lie in 1..{MAX_ORDER}, got {m!r}")
-    key = (mode, kind, m)
-    if key not in _KERNELS:
-        init, fast_step, high_step = _KERNEL_STEPS[kind]
-        fast = mode is Mode.FAST
-        a = ["1.0" if fast else "one"] + [f"a{j}" for j in range(1, m)]
-        times = lambda j: "" if a[j] == "1.0" else f" * {a[j]}"  # the factor a[j]
-        tail = []
-        if kind == "stirling-route":  # a[] after the term, descending: a[j-1] is still old
-            pre, ratio, post = [], ["R = R * n / (n + xv)"], []
-            div = "/" if fast else "//"
-            tail = [f"{a[j]} = {a[j]} + {a[j - 1]} {div} n" for j in range(m - 1, 0, -1)]
-        elif fast:  # a[] before the term, ascending: a[j-1] is already new
-            pre, ratio = ["den = n + xv"], ["R = R * n / den"]
-            post = ["b = 1.0 / den"] * (m > 1)
-            post += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
-        else:  # the same in integers
-            post = [f"{a[j]} = {a[j]} + {a[j - 1]} * d // den" for j in range(1, m)]
-        mn = "n" if m == 1 else f"({m}.0 * n)"
-        step = (fast_step if fast else high_step).format(m=m, a=times(m - 1), mn=mn).split("\n")
-        if fast:
-            state, zero, ret = ["n", "H", "s", "c", "t"], "0.0", "s + c, t, R"
-            lines, count, add = ["def kernel(R, xv, N):"], "n += 1.0", _NEUMAIER
-        else:
-            state, zero, ret = ["n", "H", "total", "t"], "0", "total, t, e, R"
-            lines, count, add = ["def kernel(R, e, p, d, P, N):"], "n += 1", []
-            init, pre, ratio = "one, P1 = 1 << P, P + 1", ["k = d * n", "den = k + p"], _R_STEP
-        lines += [f"    {' = '.join(state + a[1:])} = {zero}", "    " + init]
-        peel = fast and m == 1 and kind != "mixed"  # see _gamma_ratio_series
-        if peel:
-            first = pre + post + [count] + step + ["s = t", "c = t - t"] + tail
-            lines += ["    if N > 0:"] + ["        " + line for line in first]
-            add = _NEUMAIER_AFTER_PEEL
-        else:
-            ratio = ["if n:"] + ["    " + line for line in ratio]
-        lines += [f"    for _ in range(N{' - 1' * peel}):"]
-        lines += ["        " + line for line in pre + ratio + post + [count] + step + add + tail]
-        lines += [f"    return {ret}, {a[1] if m > 1 else zero}, H"]
-        source = "\n".join(line for line in lines if line.strip())
-        namespace: dict = {}
-        exec(compile(source, f"<{mode.value.lower()} kernel {kind} m={m}>", "exec"), namespace)
-        _KERNELS[key] = namespace["kernel"]
-    return _KERNELS[key]
+    init, fast_step, high_step = _KERNEL_STEPS[kind]
+    fast = mode is Mode.FAST
+    a = ["1.0" if fast else "one"] + [f"a{j}" for j in range(1, m)]
+    times = lambda j: "" if a[j] == "1.0" else f" * {a[j]}"  # the factor a[j]
+    tail = []
+    if kind == "stirling-route":  # a[] after the term, descending: a[j-1] is still old
+        pre, ratio, post = [], ["R = R * n / (n + xv)"], []
+        div = "/" if fast else "//"
+        tail = [f"{a[j]} = {a[j]} + {a[j - 1]} {div} n" for j in range(m - 1, 0, -1)]
+    elif fast:  # a[] before the term, ascending: a[j-1] is already new
+        pre, ratio = ["den = n + xv"], ["R = R * n / den"]
+        post = ["b = 1.0 / den"] * (m > 1)
+        post += [f"{a[j]} = {a[j]} + b{times(j - 1)}" for j in range(1, m)]
+    else:  # the same in integers
+        post = [f"{a[j]} = {a[j]} + {a[j - 1]} * d // den" for j in range(1, m)]
+    mn = "n" if m == 1 else f"({m}.0 * n)"
+    step = (fast_step if fast else high_step).format(m=m, a=times(m - 1), mn=mn).split("\n")
+    if fast:
+        state, zero, ret = ["n", "H", "s", "c", "t"], "0.0", "s + c, t, R"
+        lines, count, add = ["def kernel(R, xv, N):"], "n += 1.0", _NEUMAIER
+    else:
+        state, zero, ret = ["n", "H", "total", "t"], "0", "total, t, e, R"
+        lines, count, add = ["def kernel(R, e, p, d, P, N):"], "n += 1", []
+        init, pre, ratio = "one, P1 = 1 << P, P + 1", ["k = d * n", "den = k + p"], _R_STEP
+    lines += [f"    {' = '.join(state + a[1:])} = {zero}", "    " + init]
+    peel = fast and m == 1 and kind != "mixed"  # see _gamma_ratio_series
+    if peel:
+        first = pre + post + [count] + step + ["s = t", "c = t - t"] + tail
+        lines += ["    if N > 0:"] + ["        " + line for line in first]
+        add = _NEUMAIER_AFTER_PEEL
+    else:
+        ratio = ["if n:"] + ["    " + line for line in ratio]
+    lines += [f"    for _ in range(N{' - 1' * peel}):"]
+    lines += ["        " + line for line in pre + ratio + post + [count] + step + add + tail]
+    lines += [f"    return {ret}, {a[1] if m > 1 else zero}, H"]
+    source = "\n".join(line for line in lines if line.strip())
+    namespace: dict = {}
+    exec(compile(source, f"<{mode.value.lower()} kernel {kind} m={m}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _fixed_point_series(kind: str, m: int, x: Fraction, N: int, ctx: PrecisionContext):

@@ -136,12 +136,16 @@ def test_a_kernel_is_built_once_per_kind_and_order(kind):
 
 @pytest.mark.parametrize("m", [0, zs.MAX_ORDER + 1, -1, 2.0, "3"])
 def test_the_kernel_builder_rejects_an_order_outside_its_range(m):
-    built = dict(zs._KERNELS)
+    # with the kernels of m = 2 built, an untyped cache would hand m = 2.0 the
+    # m = 2 kernel without the order check
+    zs._kernel(Mode.FAST, "euler-hurwitz", 2)
+    zs._kernel(Mode.HIGH, "mixed", 2)
+    built = zs._kernel.cache_info().currsize
     with pytest.raises(ValueError, match="kernel order"):
         zs._kernel(Mode.FAST, "euler-hurwitz", m)
     with pytest.raises(ValueError, match="kernel order"):
         zs._kernel(Mode.HIGH, "mixed", m)
-    assert zs._KERNELS == built
+    assert zs._kernel.cache_info().currsize == built
 
 
 def test_the_kernel_builder_rejects_an_unknown_kind():

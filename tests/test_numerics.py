@@ -90,35 +90,32 @@ class TestNeumaierSum:
 
 class TestBernoulli:
     def test_tangent_numbers(self):
-        assert nu.tangent_numbers(5) == [1, 2, 16, 272, 7936]
+        assert nu.tangent_numbers()[:5] == (1, 2, 16, 272, 7936)
 
     def test_even_bernoulli_values(self):
-        got = nu.bernoulli_even(5)
-        assert got == [
+        got = nu.bernoulli_even()[:5]
+        assert got == (
             Fraction(1, 6),
             Fraction(-1, 30),
             Fraction(1, 42),
             Fraction(-1, 30),
             Fraction(5, 66),
-        ]
+        )
 
 
-    def test_cache_grown_in_steps_matches_mpmath(self):
-        # the table extends column by column; mpmath's bernfrac is independent.
-        # It is checked to every B_2j that hurwitz_zeta_em may add, j <= _EM_JMAX
+    def test_table_matches_mpmath(self):
+        # mpmath's bernfrac is independent; the table holds every B_2j that
+        # hurwitz_zeta_em may add, j <= _EM_JMAX
         nu.clear_caches()
-        small, grown = nu.bernoulli_even(7), nu.bernoulli_even(nu._EM_JMAX)
-        assert small == grown[:7]
-        assert grown == bernoulli_even_mpmath(nu._EM_JMAX)
+        assert list(nu.bernoulli_even()) == bernoulli_even_mpmath(nu._EM_JMAX)
 
-    def test_threads_growing_the_table_agree(self):
-        # the cache and the triangle's last column grow together under one lock;
-        # a lost update would pair a Bernoulli index with the wrong column
+    def test_threads_building_the_table_agree(self):
+        # eight cold, concurrent builds: the cache keeps one of the equal tables
         nu.clear_caches()
-        sizes, results = (5, 17, 30, 41, 60, 23, 8, 52), {}
+        results = {}
         threads = [
-            threading.Thread(target=lambda n=n: results.__setitem__(n, nu.bernoulli_even(n)))
-            for n in sizes
+            threading.Thread(target=lambda n=n: results.__setitem__(n, nu.bernoulli_even()))
+            for n in range(8)
         ]
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -130,8 +127,8 @@ class TestBernoulli:
         finally:
             sys.setswitchinterval(saved)
         assert not any(t.is_alive() for t in threads)
-        want = [Fraction(*mpmath.bernfrac(2 * n)) for n in range(1, 61)]
-        assert {n: results[n] for n in sizes} == {n: want[:n] for n in sizes}
+        want = tuple(bernoulli_even_mpmath(nu._EM_JMAX))
+        assert [results.get(n) for n in range(8)] == [want] * 8
 
 
 class TestConstants:
@@ -280,7 +277,7 @@ class TestInvPowers:
         # at s = 10^5 and x = 3/2 only k = 0 has a non-zero floor; the value
         # is the one that forming every power gave (0.48 s on a 2-vCPU host)
         ctx = PrecisionContext(30, Mode.HIGH)
-        nu.bernoulli_even(nu._EM_JMAX)  # the Bernoulli table is not timed
+        nu.bernoulli_even()  # the Bernoulli table is not timed
         t0 = time.perf_counter()
         got = nu.hurwitz_zeta_em(10**5, F(3, 2), ctx)
         assert time.perf_counter() - t0 < 0.05

@@ -170,6 +170,44 @@ def test_constants_come_from_mpmath_not_a_hand_rolled_engine():
     assert not _named_in_src(RETIRED_CONSTANT_ENGINES)
 
 
+#: the hand-rolled memos that ``functools.cache`` and ``lru_cache`` replaced:
+#: the constants' dict and lock, the Bernoulli table's resumable tangent
+#: triangle and its lock, and the compiled-kernel dict
+RETIRED_CACHES = {
+    "_CONST_CACHE", "_CONST_LOCK", "_cached",
+    "_BERNOULLI_CACHE", "_BERNOULLI_LOCK", "_TANGENTS", "_TANGENT_COLUMN",
+    "_KERNELS",
+}
+
+
+def test_no_hand_rolled_memo_is_left():
+    assert not _named_in_src(RETIRED_CACHES)
+
+
+#: the module-level threading locks in src, each with the reason it stays: a
+#: value that is a pure function of its key is a functools cache, not a lock
+LOCKS = {
+    ("numerics", "_MP_LOCK"): "mpmath's working precision is process-global",
+    ("harmonic", "_H_LOCK"): "guards the harmonic-number prefix columns grown in place",
+    ("harmonic", "_ADAMCHIK_LOCK"): "guards the Adamchik prefix sums grown in place",
+    ("combinatorics", "_STIRLING_LOCK"): "guards the Stirling rows grown in place",
+}
+
+
+def test_src_holds_only_the_listed_locks():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (
+                isinstance(node, (ast.Assign, ast.AnnAssign))
+                and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func).startswith("threading.")
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {(path.stem, t.id) for t in targets if isinstance(t, ast.Name)}
+    assert found == set(LOCKS), (sorted(found - set(LOCKS)), sorted(set(LOCKS) - found))
+
+
 def test_precision_scopes_are_entered_only_by_numerics():
     # elsewhere a precision scope comes from PrecisionContext.scope()
     callers = set()
