@@ -194,7 +194,7 @@ CSV_HEADER = "N,partial_sum,reference,abs_error,rel_error,seconds"
 
 def cmd_converge(args) -> Tuple[int, str]:
     try:
-        budgets = [int(t) for t in args.terms.split(",") if t]
+        budgets = [int(t) for t in args.terms.split(",")] if args.terms else []
     except ValueError:
         raise ValueError(f"--terms budgets must be integers, got {args.terms!r}") from None
     if not budgets:

@@ -550,7 +550,7 @@ class TestConverge:
         assert (code, out) == (2, "")
         assert err == f"error: --terms must be <= 10000000, got {terms.split(',')[-1]}\n"
 
-    @pytest.mark.parametrize("terms", ["10,abc", "1e3"])
+    @pytest.mark.parametrize("terms", ["10,abc", "1e3", "10,,20", "10,20,"])
     def test_budget_not_integer_usage_error(self, capsys, terms):
         code, out, err = run_cli(
             capsys, "converge", "--formula", "euler-hurwitz", "--q", "1", f"--terms={terms}"
@@ -558,6 +558,11 @@ class TestConverge:
         assert code == 2
         assert out == ""
         assert f"--terms budgets must be integers, got '{terms}'" in err
+
+    def test_empty_budget_list_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "converge", "--formula", "zeta2-dup", "--terms=")
+        assert (code, out) == (2, "")
+        assert err == "error: --terms requires N1,N2,...\n"
 
 
 class TestVerifyCommand:
