@@ -794,7 +794,11 @@ def polylog_identity_lhs(
     P = _scale(ctx, E / (y if alternating else y / 2))
     total, row = _polylog_rows_fixed(alternating, s, y, N, P)
     last = abs(_to_float(row, 1 << P))
-    tail = _tail_from_last(last, N, 1.0, 1, 1.0) if alternating else 2.0 * last
+    if alternating:
+        tail = _tail_from_last(last, N, 1.0, 1, 1.0)
+    else:  # row n < r^n / n, r = (1+y)/2, bounds the rest once the last row floors to 0
+        r = float(1 + y) / 2
+        tail = 2.0 * last if last else r ** (N + 1) / ((N + 1) * (1 - r))
     return _finish(ctx, _from_fixed(total, P, ctx), N, tail)
 
 

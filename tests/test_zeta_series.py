@@ -663,6 +663,43 @@ class TestPolylog:
             err = abs(mpmath.mpf(res.value) - target)
         assert err <= 3 * res.tail_estimate + rounding
 
+    @pytest.mark.parametrize("ctx", [FAST, HIGH], ids=["fast", "high"])
+    @pytest.mark.parametrize("N", [200, 1000])
+    def test_e14_4_tail_bounds_the_rest_once_the_last_row_floors_to_0(self, N, ctx, monkeypatch):
+        # row n < r^n / n with r = (1+y)/2, so a last row that floors to 0 at
+        # scale 2^P reports r^(N+1) / ((N+1)(1-r)) in place of 2 * 0
+        rows, loop = [], zs._polylog_rows_fixed
+        monkeypatch.setattr(zs, "_polylog_rows_fixed", lambda *args: rows.append(loop(*args)) or rows[-1])
+        floored = 0
+        for s in (1, 2, 3):
+            for y in (F(1, 4), F(1, 3), F(1, 2), F(3, 7)):
+                tail = zs.polylog_identity_lhs(False, s, y, N, ctx).tail_estimate
+                if rows[-1][1] == 0:
+                    floored += 1
+                    rest = _e14_4_rest(s, y, N)
+                    assert 0 < tail and tail >= rest, (s, y, tail, rest)
+        assert floored
+
+
+@functools.lru_cache(maxsize=None)
+def _e14_4_rest(s: int, y: Fraction, N: int) -> float:
+    """E14_4's rows n > N summed in mpfs at 30 digits, to 10^-25 of the sum:
+    g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n from g_0(n) = ((1+y)/2)^n - 2^-n, row
+    n = g_s(n)/n.  Every quantity is positive, so nothing cancels."""
+    with nu.working_precision(30):
+        r, g = (1 + mpmath.mpf(y.numerator) / y.denominator) / 2, [mpmath.mpf(0)] * (s + 1)
+        rn, half, rest, n = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), 0
+        while True:
+            n += 1
+            rn, half = rn * r, half / 2
+            g[0] = rn - half
+            for j in range(1, s + 1):
+                g[j] = g[j] / 2 + g[j - 1] / n
+            if n > N:
+                rest += g[s] / n
+                if g[s] / n < mpmath.mpf(10) ** -25 * rest:
+                    return float(rest)
+
 
 def _e14_3_row(n: int) -> float:
     total = Fraction(0)
