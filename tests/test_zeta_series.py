@@ -669,7 +669,8 @@ class TestPolylog:
         # row n < r^n / n with r = (1+y)/2, so a last row that floors to 0 at
         # scale 2^P reports r^(N+1) / ((N+1)(1-r)) in place of 2 * 0
         rows, loop = [], zs._polylog_rows_fixed
-        monkeypatch.setattr(zs, "_polylog_rows_fixed", lambda *args: rows.append(loop(*args)) or rows[-1])
+        record = lambda *args: rows.append(loop(*args)) or rows[-1]  # (sum, last row)
+        monkeypatch.setattr(zs, "_polylog_rows_fixed", record)
         floored = 0
         for s in (1, 2, 3):
             for y in (F(1, 4), F(1, 3), F(1, 2), F(3, 7)):
@@ -685,7 +686,7 @@ class TestPolylog:
 def _e14_4_rest(s: int, y: Fraction, N: int) -> float:
     """E14_4's rows n > N summed in mpfs at 30 digits, to 10^-25 of the sum:
     g_j(n) = g_j(n-1)/2 + g_{j-1}(n)/n from g_0(n) = ((1+y)/2)^n - 2^-n, row
-    n = g_s(n)/n.  Every quantity is positive, so nothing cancels."""
+    n = g_s(n)/n.  Every row is positive, so the sum loses nothing to cancellation."""
     with nu.working_precision(30):
         r, g = (1 + mpmath.mpf(y.numerator) / y.denominator) / 2, [mpmath.mpf(0)] * (s + 1)
         rn, half, rest, n = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), 0
