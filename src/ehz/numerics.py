@@ -180,9 +180,6 @@ class PrecisionContext:
                 return mpmath.fdiv(value.numerator, value.denominator)  # rounded once
             return mpf(value)
 
-    def zero(self) -> Real:
-        return 0.0 if self.mode is Mode.FAST else self.real(0)
-
     def ln(self, value) -> Real:
         if self.mode is Mode.FAST:
             return math.log(value)

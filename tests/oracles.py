@@ -378,7 +378,7 @@ def wilf_asymptotic(n: int, k: int, ctx: PrecisionContext) -> Real:
     lam = recip_gamma_lambda(k, ctx)
     ln_n = ctx.ln(n)
     with ctx.scope():
-        total = ctx.zero()
+        total = ctx.real(0)
         for i in range(1, k + 1):
             total += lam[i - 1] * ln_n ** (k - i) / math.factorial(k - i)
         return +total
@@ -396,7 +396,7 @@ def loggamma_taylor(N: int, ctx: PrecisionContext) -> tuple:
     if N < 1:
         raise DomainError("N must be >= 1")
     with ctx.scope():
-        coeffs = [ctx.zero(), -const_gamma(ctx)]
+        coeffs = [ctx.real(0), -const_gamma(ctx)]
         for m in range(2, N + 1):
             coeffs.append((-1) ** m * const_zeta(m, ctx) / m)
         return tuple(+c for c in coeffs)

@@ -66,7 +66,7 @@ class TestNeumaierSum:
                 (-1) ** k * (k + mpmath.mpf(1) / 3) ** -1.5 * mpmath.mpf(10) ** (k % 7 - 3)
                 for k in range(300)
             ]
-            acc = NeumaierSum(HIGH.zero())
+            acc = NeumaierSum(HIGH.real(0))
             for t in terms:
                 acc.add(t)
             # man_exp is (|mantissa|, exponent)
@@ -82,7 +82,7 @@ class TestNeumaierSum:
         # then rounds the tie 1 + 2^-136 to even, down to 1.
         with nu.working_precision(HIGH.dps):
             assert mpmath.mp.prec == 136
-            acc = NeumaierSum(HIGH.zero())
+            acc = NeumaierSum(HIGH.real(0))
             for t in (1, mpmath.ldexp(1, -137), mpmath.ldexp(1, -137) + mpmath.ldexp(1, -272)):
                 acc.add(mpmath.mpf(t))
             assert acc.total == 1 + mpmath.ldexp(1, -135)

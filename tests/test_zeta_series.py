@@ -740,7 +740,7 @@ class TestDigamma:
 
         def reference():
             psi0 = -nu.const_gamma(ctx) - 2 * nu.const_log2(ctx)
-            acc = NeumaierSum(ctx.zero())
+            acc = NeumaierSum(ctx.real(0))
             hx = F(0)
             for n in range(N):
                 acc.add((psi0 + ctx.real(hx)) / (2 * n + 1) ** power)
