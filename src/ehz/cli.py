@@ -49,9 +49,8 @@ from .zeta_series import (
     EvalRequest,
     Formula,
     convergence_table,
-    evaluate,
+    evaluate_against_reference,
     fit_convergence_exponent,
-    reference_value,
 )
 
 USAGE_ERROR = 2
@@ -161,28 +160,26 @@ def _params(req: EvalRequest, param_key: str, terms: str) -> list:
 
 def cmd_eval(args) -> Tuple[int, str]:
     req = _make_request(args)
-    res = evaluate(req)
-    ref = reference_value(req)
+    ev = evaluate_against_reference(req)
     d = req.ctx.digits
     param_key = FORMULAS[req.formula].param or "q"  # the key is printed even when empty
-    fields = _params(req, param_key, str(res.terms_used)) + [
-        ("value", _fmt_real(res.value, d)),
-        ("tail_estimate", _fmt_real(float(res.tail_estimate), d)),
+    params = _params(req, param_key, str(req.N))
+    result = [
+        ("value", _fmt_real(ev.result.value, d)),
+        ("tail_estimate", _fmt_real(float(ev.result.tail_estimate), d)),
     ]
-    if ref is not None:
-        with req.ctx.scope():
-            err = abs(res.value - ref)
-        fields.append(("reference", _fmt_real(ref, d)))
-        fields.append(("abs_error", _fmt_real(err, 8)))
+    if ev.reference is not None:
+        result.append(("reference", _fmt_real(ev.reference, d)))
+        result.append(("abs_error", _fmt_real(ev.abs_error, 8)))
     if args.format == "json":
         payload = {
             "command": "eval",
-            "params": dict(fields[:6]),
-            "result": dict(fields[6:]),
+            "params": dict(params),
+            "result": dict(result),
             "version": __version__,
         }
         return 0, _JSON.encode(payload)
-    return 0, "\n".join(f"{k}={v}" for k, v in fields if v or k not in ("x", "s", "q"))
+    return 0, "\n".join(f"{k}={v}" for k, v in params + result if v or k not in ("x", "s", "q"))
 
 
 # ----------------------------------------------------------------------
@@ -211,12 +208,12 @@ def cmd_converge(args) -> Tuple[int, str]:
     exp_str = repr(exponent) if exponent is not None else "nan"
     cells = [  # the columns of CSV_HEADER, in its order
         {
-            "N": r.N,
-            "partial_sum": _fmt_real(r.partial, d),
+            "N": r.request.N,
+            "partial_sum": _fmt_real(r.result.value, d),
             "reference": _fmt_real(r.reference, d),
             "abs_error": repr(float(r.abs_error)),
             "rel_error": repr(float(r.rel_error)),
-            "seconds": f"{r.elapsed_seconds:.6f}",
+            "seconds": f"{r.seconds:.6f}",
         }
         for r in rows
     ]

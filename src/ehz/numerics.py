@@ -189,21 +189,16 @@ class PrecisionContext:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of a truncated series evaluation.
-
-    ``tail_estimate`` is an analytic surrogate for the magnitude of the
-    discarded remainder, always finite and non-negative; ``terms_used``
-    equals the term budget requested by the caller.
+    """Outcome of a truncated series evaluation: the partial sum in the
+    context's type, and a surrogate for the magnitude of the discarded
+    remainder, calibrated on the last term: finite and non-negative, but not
+    a bound.  The term budget and the mode are the request's.
     """
 
     value: Real
-    terms_used: int
     tail_estimate: Real
-    mode: Mode
 
     def __post_init__(self) -> None:
-        if self.terms_used < 0:
-            raise ValueError("terms_used must be non-negative")
         if not (float(self.tail_estimate) >= 0.0 and math.isfinite(float(self.tail_estimate))):
             raise NumericError("tail_estimate must be finite and non-negative")
 

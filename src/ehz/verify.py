@@ -15,12 +15,11 @@ per (n, u), and ``nH_identity`` carries its running sum of H_k.
 
 A NUMERIC identity is a list of rows (params, formula, parameter, x,
 scale) over :data:`ehz.zeta_series.FORMULAS`: each row is evaluated in FAST
-mode through :func:`~ehz.zeta_series.evaluate` and
-:func:`~ehz.zeta_series.reference_value`, and scale times the partial sum
-must lie within max(3 scale tail, 1e-12 |scale reference|) of scale times
-the reference -- three tail estimates, with a 12-significant-digit floor
-for geometrically convergent series, whose tails drop below double
-rounding noise.  The term budget is the row's params["N"].  The one
+mode through :func:`~ehz.zeta_series.evaluate_against_reference`, and
+scale times the partial sum must lie within max(3 scale tail, 1e-12 |scale
+reference|) of scale times the reference -- three tail estimates, with a
+12-significant-digit floor for geometrically convergent series, whose tails
+drop below double rounding noise.  The term budget is the row's params["N"].  The one
 exception is catalan_equiv's last "cross" report, which compares the two
 Catalan series' tail-corrected partial sums with each other within 1e-3.
 
@@ -121,9 +120,8 @@ def _exact_report(ident: str, params: Dict[str, str], lhs, rhs) -> Report:
 
 
 def _numeric_report(
-    ident: str, params: Dict[str, str], value, target, tol: float, detail: str = ""
+    ident: str, params: Dict[str, str], value, target, err: float, tol: float, detail: str = ""
 ) -> Report:
-    err = abs(float(value) - float(target))
     status = "PASS" if err <= tol else "FAIL"
     info = f"abs_error={err:.3e} tolerance={tol:.3e}"
     if detail:
@@ -338,17 +336,17 @@ def _run_rows(ident: str, rows: Callable[[int], List[Row]], cross: bool = False)
         corrected = []
         for params, formula, param, x, scale in rows(p["terms"]):
             req = EvalRequest(formula, param, x, int(params["N"]), _FAST)
-            res = zeta_series.evaluate(req)
-            value = scale * res.value
-            target = scale * zeta_series.reference_value(req)
-            tail = scale * res.tail_estimate
+            ev = zeta_series.evaluate_against_reference(req)
+            value, target = scale * ev.result.value, scale * ev.reference
+            tail = scale * ev.result.tail_estimate
             tol = max(3 * tail, 1e-12 * abs(target))
-            yield _numeric_report(ident, params, value, target, tol)
+            yield _numeric_report(ident, params, value, target, scale * ev.abs_error, tol)
             corrected.append(value + tail)
         if cross:
             params = {"series": "cross", "N": str(p["terms"])}
             detail = "tail-corrected partial sums"
-            yield _numeric_report(ident, params, *corrected, 1e-3, detail=detail)
+            a, b = corrected
+            yield _numeric_report(ident, params, a, b, abs(a - b), 1e-3, detail=detail)
 
     return run
 

@@ -11,15 +11,15 @@ a binary scale and round once (the FAST gamma-ratio kernels sum doubles):
 * nonlinear Euler-sum partial sums, central-binomial series for Catalan's
   constant and zeta(2), polylogarithm identities and digamma-weighted sums.
 
-Every evaluator returns a :class:`SeriesResult` carrying the partial sum,
-the term budget actually honoured, and an analytic tail estimate (integral
-surrogates of the form  integral (log t + c)^d t^(-1-a) dt,  self-calibrated
-from the final term so no per-formula constants need tuning; geometric
-series use twice the final term).  Terms are summed in ascending index, so
-results are bit-reproducible.  The gamma-ratio series have the only FAST
-float loops: one kernel per kind and order, which counts n in doubles and
-adds its own terms by Neumaier's step, written out in the loop, with no
-abs() in the compare, every term being >= 0 (see :func:`_gamma_ratio_series`).
+Every evaluator returns a :class:`SeriesResult`: the partial sum and a
+tail surrogate calibrated on the final term, which is not a bound (an
+integral  integral (log t + c)^d t^(-1-a) dt,  so no per-formula constant
+needs tuning; geometric series use twice the final term).  Terms are
+summed in ascending index, so results are bit-reproducible.  The
+gamma-ratio series have the only FAST float loops: one kernel per kind and
+order, which counts n in doubles and adds its own terms by Neumaier's step,
+written out in the loop, with no abs() in the compare, every term being
+>= 0 (see :func:`_gamma_ratio_series`).
 Every other loop, and every HIGH loop, sums integers at a scale 2^P: each
 step is a floor, the docstring states the loss E units of 2^-P, P is
 :func:`_scale` of E over a lower bound on the sum, and :func:`_from_fixed`
@@ -59,8 +59,10 @@ Each :class:`Formula` of the CLI has one :class:`FormulaSpec` in
 :data:`FORMULAS` (parameter kind, shift, evaluator, reference);
 :func:`evaluate` and :func:`reference_value` are lookups into it, and
 :func:`reference_value` is the one place where a reference is rounded into
-the request's mode.  The references are closed forms in values that all come
-from ``numerics``: zeta(s, x), the constants and Li_s(y).
+the request's mode.  :func:`evaluate_against_reference` is the one place
+where a partial sum meets it: eval, converge and verify read its
+:class:`Evaluation`.  The references are closed forms in values that all
+come from ``numerics``: zeta(s, x), the constants and Li_s(y).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -101,7 +103,7 @@ from .numerics import (
 __all__ = [
     "Formula",
     "EvalRequest",
-    "ConvergenceRow",
+    "Evaluation",
     "CatalanKind",
     "FormulaSpec",
     "FORMULAS",
@@ -122,6 +124,7 @@ __all__ = [
     "convergence_table",
     "fit_convergence_exponent",
     "evaluate",
+    "evaluate_against_reference",
     "reference_value",
     "NONINTEGER_S_TERM_CAP",
     "MAX_ORDER",
@@ -188,13 +191,16 @@ class EvalRequest:
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    N: int
-    partial: Real
-    reference: Real
-    abs_error: Real
-    rel_error: Real
-    elapsed_seconds: float
+class Evaluation:
+    """A request, :func:`evaluate`'s result, the seconds of that call alone,
+    and the reference and errors (all None where there is no reference)."""
+
+    request: EvalRequest
+    result: SeriesResult
+    reference: Optional[Real]
+    abs_error: Optional[Real]
+    rel_error: Optional[Real]
+    seconds: float
 
 
 # ----------------------------------------------------------------------
@@ -283,11 +289,10 @@ def _swapped_sum(s_power: Fraction, x: Fraction, N: int, ctx, weights, low_log2,
 # ----------------------------------------------------------------------
 
 
-def _finish(ctx: PrecisionContext, total, N: int, tail: float) -> SeriesResult:
+def _finish(ctx: PrecisionContext, total, tail: float) -> SeriesResult:
     if not math.isfinite(tail):
         raise NumericError("the tail estimate overflowed a double")
-    value = ctx.real(total)  # rounds a Fraction or an mpf once
-    return SeriesResult(value=value, terms_used=N, tail_estimate=abs(tail), mode=ctx.mode)
+    return SeriesResult(value=ctx.real(total), tail_estimate=abs(tail))  # rounds total once
 
 
 def _require_terms(N: int) -> None:
@@ -540,7 +545,7 @@ def _gamma_ratio_result(kind: str, m: int, x, N: int, ctx: PrecisionContext, sca
         tail = _tail_from_last(term, N, float(x), order, h - math.log(N))
     with ctx.scope():
         total = ctx.real(scale) * total
-    return _finish(ctx, total, N, float(scale) * tail)
+    return _finish(ctx, total, float(scale) * tail)
 
 
 def euler_hurwitz(q: int, x, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -612,14 +617,14 @@ def hasse_hurwitz(s, x, N: int, ctx: PrecisionContext) -> SeriesResult:
             for n in range(min(N, p + 1))
         ]
         tail = 0.0 if N > p else abs(float(rows[-1]))
-        return _finish(ctx, sum(rows), N, tail)
+        return _finish(ctx, sum(rows), tail)
     sf, s1 = float(s), Fraction(s) - 1
     low = (1 - sf) * _log2(x) - math.log2(sf - 1) if sf > 1 else 0.0  # log2 of r_0 / (s-1)
     total, last = _swapped_sum(s1, x, N, ctx, _hasse_weights, low, s1)
     tail = abs(last)  # the last row
     if sf > 1:
         tail = _tail_from_last(tail, N, float(x), max(math.ceil(sf) - 2, 0), 1.0)
-    return _finish(ctx, total, N, tail)
+    return _finish(ctx, total, tail)
 
 
 def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResult:
@@ -639,7 +644,7 @@ def _eta_double_sum(s, x: Fraction, N: int, ctx: PrecisionContext) -> SeriesResu
     if not _is_integer(s):
         low = -float(s) * _log2(x) - 1  # log2 of r_0 / 2
         total, last = _swapped_sum(Fraction(s), x, N, ctx, _eta_weights, low)
-        return _finish(ctx, total, N, 2.0 * abs(last))
+        return _finish(ctx, total, 2.0 * abs(last))
     return _gamma_ratio_result("eta", int(s), x, N, ctx)
 
 
@@ -739,7 +744,7 @@ def catalan_series(kind: CatalanKind, N: int, ctx: PrecisionContext) -> SeriesRe
     Q = int(mpmath.ldexp(quarter_pi, P))  # exact: P exceeds the bits of pi/4
     total, term = _ramanujan_fixed(N, P)
     tail = _tail_from_last(_to_float(Q * term, 1 << 2 * P), N, 1.0, 0, 0.0)
-    return _finish(ctx, _from_fixed(Q * total, 2 * P, ctx), N, tail)
+    return _finish(ctx, _from_fixed(Q * total, 2 * P, ctx), tail)
 
 
 def _ramanujan_fixed(N: int, P: int) -> Tuple[int, int]:
@@ -799,7 +804,7 @@ def polylog_identity_lhs(
     else:  # row n < r^n / n, r = (1+y)/2, bounds the rest once the last row floors to 0
         r = float(1 + y) / 2
         tail = 2.0 * last if last else r ** (N + 1) / ((N + 1) * (1 - r))
-    return _finish(ctx, _from_fixed(total, P, ctx), N, tail)
+    return _finish(ctx, _from_fixed(total, P, ctx), tail)
 
 
 def _polylog_rows_fixed(alternating: bool, s: int, y: Fraction, N: int, P: int):
@@ -861,7 +866,7 @@ def digamma_half_sum(power: int, N: int, ctx: PrecisionContext) -> SeriesResult:
     term = _to_float(Psi + t, (2 * N - 1) ** power << P)
     c = _to_float(Psi + H, 1 << P) - math.log(N) if N > 1 else 1.0
     tail = _tail_from_last(term, N, float(power - 1), 1, c)
-    return _finish(ctx, total, N, tail)
+    return _finish(ctx, total, tail)
 
 
 def _digamma_fixed(power: int, N: int, P: int) -> Tuple[int, int, int, int]:
@@ -1096,45 +1101,43 @@ def reference_value(req: EvalRequest) -> Optional[Real]:
     return float(ref) if ref is not None and req.ctx.mode is Mode.FAST else ref
 
 
-def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[ConvergenceRow]:
-    """Evaluate the request at each term budget against the reference.
-
-    Errors are recomputed here, never trusted from the evaluator; rows
-    carry wall-clock seconds.  Ns must be strictly increasing.
+def evaluate_against_reference(req: EvalRequest, ref: Optional[Real] = None) -> Evaluation:
+    """Evaluate one request, then its errors against ``ref`` (by default
+    :func:`reference_value`) under its precision scope.  ``evaluate`` runs
+    first, so it names a bad request; a zero reference gives rel = abs.
     """
+    t0 = time.perf_counter()
+    res = evaluate(req)
+    seconds = time.perf_counter() - t0
+    if ref is None:
+        ref = reference_value(req)
+    if ref is None:
+        return Evaluation(req, res, None, None, None, seconds)
+    with req.ctx.scope():
+        err = abs(res.value - ref)
+        rel = err / abs(ref) if ref != 0 else +err
+    return Evaluation(req, res, ref, err, rel, seconds)
+
+
+def convergence_table(req: EvalRequest, Ns: Sequence[int]) -> List[Evaluation]:
+    """The request evaluated at each term budget against the reference of
+    the first.  Ns must be strictly increasing."""
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise DomainError("term budgets must be strictly increasing")
-    rows = []
+    rows: List[Evaluation] = []
     for N in Ns:
-        t0 = time.perf_counter()
-        res = evaluate(
-            EvalRequest(formula=req.formula, s_or_q=req.s_or_q, x=req.x, N=N, ctx=req.ctx)
-        )
-        dt = time.perf_counter() - t0
-        if not rows:  # after the first evaluate, which names a bad request as eval does
-            ref = reference_value(req)
-            if ref is None:
-                at = f"{FORMULAS[req.formula].param} = {req.s_or_q}"
-                raise DomainError(f"{req.formula.value} has no reference value at {at}")
-        with req.ctx.scope():
-            err = abs(res.value - ref)
-            rel = err / abs(ref) if ref != 0 else +err
-        rows.append(
-            ConvergenceRow(
-                N=N,
-                partial=res.value,
-                reference=ref,
-                abs_error=err,
-                rel_error=rel,
-                elapsed_seconds=dt,
-            )
-        )
+        ref = rows[0].reference if rows else None
+        rows.append(evaluate_against_reference(replace(req, N=N), ref))
+        if rows[0].reference is None:
+            at = f"{FORMULAS[req.formula].param} = {req.s_or_q}"
+            raise DomainError(f"{req.formula.value} has no reference value at {at}")
     return rows
 
 
-def fit_convergence_exponent(rows: Sequence[ConvergenceRow]) -> Optional[float]:
+def fit_convergence_exponent(rows: Sequence[Evaluation]) -> Optional[float]:
     """Least-squares slope of log(abs_error) against log(N)."""
-    pts = [(math.log(r.N), math.log(float(r.abs_error))) for r in rows if float(r.abs_error) > 0]
+    errs = [(r.request.N, float(r.abs_error)) for r in rows]
+    pts = [(math.log(N), math.log(e)) for N, e in errs if e > 0]
     if len(pts) < 2:
         return None
     n = len(pts)

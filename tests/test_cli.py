@@ -194,7 +194,7 @@ class TestEval:
         def no_work(*args, **kwargs):
             raise AssertionError("evaluated before the precision was checked")
 
-        for name in ("evaluate", "reference_value", "convergence_table"):
+        for name in ("evaluate_against_reference", "convergence_table"):
             monkeypatch.setattr(cli, name, no_work)
         if source == "env":
             monkeypatch.setenv("EHZ_PRECISION", value)

@@ -78,7 +78,7 @@ def test_src_holds_no_new_code_the_cli_cannot_reach():
 #: the enum classes src defines, each with the reason it stays: a second name
 #: for a series must justify itself here
 ENUMS = {
-    ("numerics", "Mode"): "the precision mode of a context and a result",
+    ("numerics", "Mode"): "the precision mode of a context",
     ("zeta_series", "Formula"): "the one name of each series, the CLI's --formula",
     ("zeta_series", "CatalanKind"): "bench/spans.py names catalan_series's spans by its values",
     ("verify", "Kind"): "how an identity compares its two sides",
@@ -184,6 +184,16 @@ def test_no_hand_rolled_memo_is_left():
     assert not _named_in_src(RETIRED_CACHES)
 
 
+#: the per-command copies of an evaluation record that
+#: ``zeta_series.Evaluation`` replaced: converge's row type, the result's
+#: copy of the request's N and converge's timing field
+RETIRED_RECORD_FIELDS = {"ConvergenceRow", "terms_used", "elapsed_seconds"}
+
+
+def test_one_evaluation_record():
+    assert not _named_in_src(RETIRED_RECORD_FIELDS)
+
+
 #: the module-level threading locks in src, each with the reason it stays: a
 #: value that is a pure function of its key is a functools cache, not a lock
 LOCKS = {
@@ -221,28 +231,28 @@ def test_precision_scopes_are_entered_only_by_numerics():
     assert callers <= {"numerics"}, sorted(callers)
 
 
-def test_ctx_scopes_are_entered_only_by_zeta_series_and_the_cli():
-    # the exact modules need no precision scope, and numerics holds
-    # working_precision itself
+def test_ctx_scopes_are_entered_only_by_zeta_series():
+    # the exact modules need no precision scope, numerics holds
+    # working_precision itself, and the CLI reads its errors from
+    # zeta_series.evaluate_against_reference
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "scope":
                 callers.add(path.stem)
-    assert callers <= {"zeta_series", "cli"}, sorted(callers)
+    assert callers <= {"zeta_series"}, sorted(callers)
 
 
 #: the zeta_series functions that may read the precision mode: the mode's
-#: own helpers, the gamma-ratio series (whose FAST float kernels stay), the
-#: result's record of its mode and the one place where a reference is
-#: rounded into the mode.  Every other series runs one loop in both modes;
-#: deleting a name here is free, adding one is not.
+#: own helpers, the gamma-ratio series (whose FAST float kernels stay) and
+#: the one place where a reference is rounded into the mode.  Every other
+#: series runs one loop in both modes; deleting a name here is free, adding
+#: one is not.
 MODE_READERS = {
     "_high",  # the HIGH context a loop is sized for
     "_from_fixed",  # the integer sum rounded into the mode's type
     "_gamma_ratio_series",
     "_kernel",  # the kernel builder
-    "_finish",  # SeriesResult.mode
     "reference_value",  # a HIGH reference rounded once for a FAST request
 }
 
@@ -264,7 +274,7 @@ def test_only_named_zeta_series_functions_read_the_mode():
 
 #: the round's line budget for src/ehz, set in ROADMAP.md ("Line budget"):
 #: the same outputs from the least code, so src may not grow past it
-SRC_LINE_BUDGET = 3525
+SRC_LINE_BUDGET = 3332
 
 
 def test_src_stays_within_the_line_budget():

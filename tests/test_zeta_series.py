@@ -124,10 +124,6 @@ class TestHasse:
         ref = nu.const_zeta(2, FAST)
         assert abs(res.value - ref) <= res.tail_estimate
 
-    def test_terms_used_contract(self):
-        res = zs.hasse_hurwitz(2, F(1), 500, FAST)
-        assert res.terms_used == 500
-
     def test_analytic_continuation_at_zero(self):
         res = zs.hasse_hurwitz(0, F(1), 50, FAST)
         assert abs(res.value - (-0.5)) < 1e-6
@@ -922,7 +918,7 @@ def test_empty_sum_is_a_domain_error(name, ctx):
     for N in (0, -1):
         with pytest.raises(nu.DomainError, match=f"N must be >= 1, got N = {N}"):
             call(N, ctx)
-    assert call(1, ctx).terms_used == 1
+    assert math.isfinite(float(call(1, ctx).value))
 
 
 #: name: (call, route, scale), where call(N, ctx) sums scale times route(N, ctx)'s series
@@ -1022,7 +1018,7 @@ class TestConvergenceTable:
         expo = zs.fit_convergence_exponent(rows)
         assert abs(expo - (-1.0)) < 0.05
         for row in rows:
-            assert row.abs_error == abs(float(row.partial) - float(row.reference))
+            assert row.abs_error == abs(float(row.result.value) - float(row.reference))
 
     def test_half_shift_exponent(self):
         req = EvalRequest(formula=Formula.EULER_HURWITZ, s_or_q=1, x=F(1, 2), N=1, ctx=FAST)
@@ -1041,6 +1037,40 @@ class TestConvergenceTable:
         req = EvalRequest(formula=Formula.SHEN, s_or_q=2, x=None, N=1, ctx=FAST)
         with pytest.raises(nu.DomainError):
             zs.convergence_table(req, [100, 100])
+
+
+class TestEvaluationRecord:
+    def test_no_reference_leaves_reference_and_errors_none(self):
+        req = EvalRequest(formula=Formula.HASSE, s_or_q=0.5, x=F(1), N=50, ctx=FAST)
+        ev = zs.evaluate_against_reference(req)
+        assert (ev.reference, ev.abs_error, ev.rel_error) == (None, None, None)
+        assert ev.request is req and math.isfinite(ev.result.value) and ev.seconds >= 0
+
+    def test_high_errors_are_worked_under_the_request_scope(self):
+        ctx = PrecisionContext(40, Mode.HIGH)
+        req = EvalRequest(formula=Formula.EULER_HURWITZ, s_or_q=2, x=F(1, 3), N=200, ctx=ctx)
+        ev = zs.evaluate_against_reference(req)
+        assert ev.reference == zs.reference_value(req)
+        with ctx.scope():
+            err = abs(ev.result.value - ev.reference)
+            rel = err / abs(ev.reference)
+        assert (ev.abs_error, ev.rel_error) == (err, rel)
+        with nu.working_precision(15):  # the difference rounded to a double's precision
+            assert abs(ev.result.value - ev.reference) != ev.abs_error
+
+    def test_convergence_table_takes_one_reference(self, monkeypatch):
+        calls = []
+
+        def counted(req, original=zs.reference_value):
+            calls.append(req)
+            return original(req)
+
+        monkeypatch.setattr(zs, "reference_value", counted)
+        req = EvalRequest(formula=Formula.SHEN, s_or_q=2, x=None, N=1, ctx=FAST)
+        rows = zs.convergence_table(req, [10, 20, 40])
+        assert len(calls) == 1
+        assert [r.request.N for r in rows] == [10, 20, 40]
+        assert len({r.reference for r in rows}) == 1
 
 
 class TestDeterminism:
